@@ -1,5 +1,8 @@
 #include "src/hw/cache.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "src/base/logging.h"
 #include "src/base/units.h"
 
@@ -10,74 +13,49 @@ CacheConfig L1dConfig() { return CacheConfig{"L1d", 32 * sb::kKiB, 8, 64}; }
 CacheConfig L2Config() { return CacheConfig{"L2", 256 * sb::kKiB, 4, 64}; }
 CacheConfig L3Config() { return CacheConfig{"L3", 8 * sb::kMiB, 16, 64}; }
 
-Cache::Cache(const CacheConfig& config) : config_(config) {
+Cache::Cache(const CacheConfig& config) : config_(config), ways_(config.ways) {
+  SB_CHECK(std::has_single_bit(config_.line_size)) << "line size must be a power of two";
   const uint64_t num_lines = config_.size_bytes / config_.line_size;
-  SB_CHECK(num_lines % config_.ways == 0);
-  num_sets_ = num_lines / config_.ways;
-  SB_CHECK((num_sets_ & (num_sets_ - 1)) == 0) << "set count must be a power of two";
-  lines_.assign(num_lines, Line{});
+  SB_CHECK(ways_ > 0 && num_lines % ways_ == 0);
+  const uint64_t num_sets = num_lines / ways_;
+  SB_CHECK(std::has_single_bit(num_sets)) << "set count must be a power of two";
+  line_shift_ = std::countr_zero(config_.line_size);
+  tag_shift_ = line_shift_ + std::countr_zero(num_sets);
+  set_mask_ = num_sets - 1;
+  tags_.assign(num_lines, 0);
+  stamps_.assign(num_lines, 0);
 }
 
-bool Cache::Access(Hpa paddr, bool is_write) {
-  const uint64_t set = SetIndex(paddr);
-  const uint64_t tag = Tag(paddr);
-  Line* base = &lines_[set * config_.ways];
-  ++tick_;
-
-  Line* victim = base;
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = tick_;
-      line.dirty = line.dirty || is_write;
-      ++hits_;
-      return true;
-    }
-    if (!line.valid) {
-      victim = &line;
-    } else if (victim->valid && line.lru < victim->lru) {
-      victim = &line;
+void Cache::Fill(uint64_t base, uint64_t key) {
+  ++misses_;
+  const uint64_t* tags = &tags_[base];
+  const uint64_t* stamps = &stamps_[base];
+  // The last invalid way, else the first way with the smallest stamp.
+  uint32_t victim = 0;
+  bool invalid = false;
+  for (uint32_t w = 0; w < ways_; ++w) {
+    if (tags[w] == 0) {
+      victim = w;
+      invalid = true;
+    } else if (!invalid && stamps[w] < stamps[victim]) {
+      victim = w;
     }
   }
-
-  ++misses_;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = tick_;
-  victim->dirty = is_write;
-  return false;
+  tags_[base + victim] = key;
+  stamps_[base + victim] = tick_;
 }
 
 bool Cache::Probe(Hpa paddr) const {
-  const uint64_t set = SetIndex(paddr);
-  const uint64_t tag = Tag(paddr);
-  const Line* base = &lines_[set * config_.ways];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
+  const uint64_t* tags = &tags_[SetBase(paddr)];
+  const uint64_t key = TagKey(paddr);
+  for (uint32_t w = 0; w < ways_; ++w) {
+    if (tags[w] == key) {
       return true;
     }
   }
   return false;
 }
 
-void Cache::Flush() {
-  for (Line& line : lines_) {
-    line = Line{};
-  }
-}
-
-void Cache::InvalidateRange(Hpa base_addr, uint64_t len) {
-  for (Hpa addr = base_addr & ~uint64_t{config_.line_size - 1}; addr < base_addr + len;
-       addr += config_.line_size) {
-    const uint64_t set = SetIndex(addr);
-    const uint64_t tag = Tag(addr);
-    Line* base = &lines_[set * config_.ways];
-    for (uint32_t w = 0; w < config_.ways; ++w) {
-      if (base[w].valid && base[w].tag == tag) {
-        base[w] = Line{};
-      }
-    }
-  }
-}
+void Cache::Flush() { std::fill(tags_.begin(), tags_.end(), 0); }
 
 }  // namespace hw

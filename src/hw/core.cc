@@ -97,11 +97,11 @@ void Core::Cpuid() {
   }
 }
 
-uint64_t Core::ProbeAccess(Hpa hpa, bool ifetch, bool write) {
+uint64_t Core::ProbeAccess(Hpa hpa, bool ifetch) {
   const CostModel& cm = costs();
   ++pmu_.mem_accesses;
   Cache& l1 = ifetch ? l1i_ : l1d_;
-  if (l1.Access(hpa, write)) {
+  if (l1.Access(hpa)) {
     return cm.l1_hit;
   }
   if (ifetch) {
@@ -109,33 +109,33 @@ uint64_t Core::ProbeAccess(Hpa hpa, bool ifetch, bool write) {
   } else {
     ++pmu_.dcache_miss;
   }
-  if (l2_.Access(hpa, write)) {
+  if (l2_.Access(hpa)) {
     return cm.l2_hit;
   }
   ++pmu_.l2_miss;
-  if (machine_->l3().Access(hpa, write)) {
+  if (machine_->l3().Access(hpa)) {
     return cm.l3_hit;
   }
   ++pmu_.l3_miss;
   return cm.dram;
 }
 
-uint64_t Core::ChargeAccess(Hpa hpa, bool ifetch, bool write) {
-  const uint64_t latency = ProbeAccess(hpa, ifetch, write);
+uint64_t Core::ChargeAccess(Hpa hpa, bool ifetch) {
+  const uint64_t latency = ProbeAccess(hpa, ifetch);
   AdvanceCycles(latency);
   return latency;
 }
 
-void Core::ChargeLines(Hpa hpa, uint64_t len, bool write, bool streaming) {
+void Core::ChargeLines(Hpa hpa, uint64_t len, bool streaming) {
   if (!streaming) {
     for (uint64_t line = hpa & ~63ULL; line < hpa + len; line += 64) {
-      ChargeAccess(line, /*ifetch=*/false, write);
+      ChargeAccess(line, /*ifetch=*/false);
     }
     return;
   }
   const CostModel& cm = costs();
   for (uint64_t line = hpa & ~63ULL; line < hpa + len; line += 64) {
-    const uint64_t latency = ProbeAccess(line, /*ifetch=*/false, write);
+    const uint64_t latency = ProbeAccess(line, /*ifetch=*/false);
     uint64_t charge = cm.bulk_line;
     if (latency > cm.l1_hit) {
       // The prefetcher overlaps outstanding fills: only a fraction of the
@@ -158,7 +158,7 @@ sb::StatusOr<Hpa> Core::EptTranslateCharged(Gpa gpa, uint8_t need) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     const EptWalk walk = ept->Walk(gpa, need);
     for (int i = 0; i < walk.num_table_reads; ++i) {
-      ChargeAccess(walk.table_reads[i], /*ifetch=*/false, /*write=*/false);
+      ChargeAccess(walk.table_reads[i], /*ifetch=*/false);
     }
     if (walk.ok) {
       return walk.hpa;
@@ -200,7 +200,7 @@ sb::StatusOr<Hpa> Core::Translate(Gva va, bool ifetch, bool write) {
     const int index = static_cast<int>((va >> (12 + 9 * (level - 1))) & 0x1ff);
     const Gpa entry_gpa = table_gpa + static_cast<uint64_t>(index) * 8;
     SB_ASSIGN_OR_RETURN(const Hpa entry_hpa, EptTranslateCharged(entry_gpa, kEptRead));
-    ChargeAccess(entry_hpa, /*ifetch=*/false, /*write=*/false);
+    ChargeAccess(entry_hpa, /*ifetch=*/false);
     entry = machine_->mem().ReadU64(entry_hpa);
     if ((entry & kPtePresent) == 0) {
       return sb::NotFound("guest page fault");
@@ -241,7 +241,7 @@ sb::Status Core::ReadVirt(Gva va, std::span<uint8_t> out) {
     const uint64_t page_off = cur & (sb::kPageSize - 1);
     const size_t chunk = std::min<size_t>(out.size() - done, sb::kPageSize - page_off);
     SB_ASSIGN_OR_RETURN(const Hpa hpa, Translate(cur, /*ifetch=*/false, /*write=*/false));
-    ChargeLines(hpa, chunk, /*write=*/false, streaming);
+    ChargeLines(hpa, chunk, streaming);
     machine_->mem().Read(hpa, out.subspan(done, chunk));
     done += chunk;
   }
@@ -259,7 +259,7 @@ sb::Status Core::WriteVirt(Gva va, std::span<const uint8_t> in) {
     const uint64_t page_off = cur & (sb::kPageSize - 1);
     const size_t chunk = std::min<size_t>(in.size() - done, sb::kPageSize - page_off);
     SB_ASSIGN_OR_RETURN(const Hpa hpa, Translate(cur, /*ifetch=*/false, /*write=*/true));
-    ChargeLines(hpa, chunk, /*write=*/true, streaming);
+    ChargeLines(hpa, chunk, streaming);
     machine_->mem().Write(hpa, in.subspan(done, chunk));
     done += chunk;
   }
@@ -285,8 +285,8 @@ sb::Status Core::CopyVirt(Gva dst_va, Gva src_va, uint64_t len) {
         static_cast<size_t>(std::min({len - done, src_room, dst_room}));
     SB_ASSIGN_OR_RETURN(const Hpa src_hpa, Translate(src, /*ifetch=*/false, /*write=*/false));
     SB_ASSIGN_OR_RETURN(const Hpa dst_hpa, Translate(dst, /*ifetch=*/false, /*write=*/true));
-    ChargeLines(src_hpa, chunk, /*write=*/false, streaming);
-    ChargeLines(dst_hpa, chunk, /*write=*/true, streaming);
+    ChargeLines(src_hpa, chunk, streaming);
+    ChargeLines(dst_hpa, chunk, streaming);
     machine_->mem().Read(src_hpa, std::span<uint8_t>(bounce, chunk));
     machine_->mem().Write(dst_hpa, std::span<const uint8_t>(bounce, chunk));
     done += chunk;
@@ -318,8 +318,8 @@ sb::Status Core::CopyVirtSg(std::span<const CopySeg> segs) {
           static_cast<size_t>(std::min({seg.len - done, src_room, dst_room}));
       SB_ASSIGN_OR_RETURN(const Hpa src_hpa, Translate(src, /*ifetch=*/false, /*write=*/false));
       SB_ASSIGN_OR_RETURN(const Hpa dst_hpa, Translate(dst, /*ifetch=*/false, /*write=*/true));
-      ChargeLines(src_hpa, chunk, /*write=*/false, streaming);
-      ChargeLines(dst_hpa, chunk, /*write=*/true, streaming);
+      ChargeLines(src_hpa, chunk, streaming);
+      ChargeLines(dst_hpa, chunk, streaming);
       machine_->mem().Read(src_hpa, std::span<uint8_t>(bounce, chunk));
       machine_->mem().Write(dst_hpa, std::span<const uint8_t>(bounce, chunk));
       done += chunk;
@@ -345,7 +345,7 @@ sb::Status Core::TouchData(Gva va, uint64_t len, bool write) {
     const Gva lo = std::max(va, page);
     const Gva hi = std::min(va + len, page + sb::kPageSize);
     for (Gva line = lo & ~63ULL; line < hi; line += 64) {
-      ChargeAccess(hpa_base + (line - page), /*ifetch=*/false, write);
+      ChargeAccess(hpa_base + (line - page), /*ifetch=*/false);
     }
   }
   return sb::OkStatus();
@@ -357,7 +357,7 @@ sb::Status Core::FetchCode(Gva va, uint64_t len) {
     const Gva lo = std::max(va, page);
     const Gva hi = std::min(va + len, page + sb::kPageSize);
     for (Gva line = lo & ~63ULL; line < hi; line += 64) {
-      ChargeAccess(hpa_base + (line - page), /*ifetch=*/true, /*write=*/false);
+      ChargeAccess(hpa_base + (line - page), /*ifetch=*/true);
     }
   }
   return sb::OkStatus();

@@ -138,7 +138,7 @@ class Core {
 
   // Charges one data-side (or instruction-side) access to host-physical
   // address `hpa` through L1/L2/L3/DRAM and returns the latency.
-  uint64_t ChargeAccess(Hpa hpa, bool ifetch, bool write);
+  uint64_t ChargeAccess(Hpa hpa, bool ifetch);
 
  private:
   sb::StatusOr<Hpa> EptTranslateCharged(Gpa gpa, uint8_t need);
@@ -147,12 +147,12 @@ class Core {
   // hierarchy latency WITHOUT advancing the clock — the caller decides how
   // much of that latency is exposed (all of it for demand accesses, an
   // overlapped fraction for streaming bulk transfers).
-  uint64_t ProbeAccess(Hpa hpa, bool ifetch, bool write);
+  uint64_t ProbeAccess(Hpa hpa, bool ifetch);
 
   // Charges every cache line of [hpa, hpa + len): demand per-line cost when
   // `streaming` is false (the seed ReadVirt/WriteVirt behaviour), amortized
   // bulk_line cost with overlapped misses when true.
-  void ChargeLines(Hpa hpa, uint64_t len, bool write, bool streaming);
+  void ChargeLines(Hpa hpa, uint64_t len, bool streaming);
 
   int id_;
   Machine* machine_;

@@ -12,8 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "src/hw/addr.h"
 
@@ -29,16 +28,6 @@ struct TlbKey {
   bool operator==(const TlbKey& other) const = default;
 };
 
-struct TlbKeyHash {
-  size_t operator()(const TlbKey& k) const {
-    uint64_t h = k.vpn * 0x9e3779b97f4a7c15ULL;
-    h ^= (static_cast<uint64_t>(k.page_shift) << 48) ^ (static_cast<uint64_t>(k.vpid) << 32) ^
-         (static_cast<uint64_t>(k.pcid) << 16) ^ (k.ep4ta >> 12);
-    h *= 0xbf58476d1ce4e5b9ULL;
-    return static_cast<size_t>(h ^ (h >> 31));
-  }
-};
-
 struct TlbEntry {
   Hpa frame = 0;  // Host-physical base of the page.
   bool global = false;
@@ -46,40 +35,68 @@ struct TlbEntry {
 };
 
 // LRU-replaced translation cache of fixed capacity.
+//
+// Host representation (invisible to the model): entries live in one array,
+// grown as entries arrive, and are linked into the LRU list by index; a
+// power-of-two open-addressed index (linear probing, backward-shift
+// deletion, at most half full) maps keys to entries. Nothing is allocated
+// once the TLB has filled.
 class Tlb {
  public:
   explicit Tlb(size_t capacity);
 
   // Probes 4K, 2M and 1G translations for `gva` under the given tags.
-  // Returns the matched entry and sets *page_shift, or nullptr on miss.
+  // Returns the matched entry and sets *page_shift, or nullptr on miss. The
+  // pointer is valid until the next Insert.
   const TlbEntry* Lookup(Gva gva, uint16_t vpid, uint16_t pcid, Hpa ep4ta, uint8_t* page_shift);
 
   void Insert(Gva gva, uint8_t page_shift, uint16_t vpid, uint16_t pcid, Hpa ep4ta,
               const TlbEntry& entry);
 
-  void FlushAll();
   // Flushes non-global entries with the given (vpid, pcid) — MOV CR3 semantics.
   void FlushPcid(uint16_t vpid, uint16_t pcid);
-  // Flushes everything for a VPID (INVVPID all-context).
-  void FlushVpid(uint16_t vpid);
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
-  size_t size() const { return map_.size(); }
+  size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
 
  private:
-  struct Node {
-    TlbKey key;
-    TlbEntry entry;
-  };
-  using LruList = std::list<Node>;
+  static constexpr uint32_t kNil = ~uint32_t{0};
 
-  void Touch(LruList::iterator it);
+  struct Node {
+    TlbKey key;  // page_shift 0 marks a node on the free list.
+    TlbEntry entry;
+    uint32_t prev = kNil;  // Towards the most recently used end.
+    uint32_t next = kNil;  // Towards the LRU end; free-list link when free.
+  };
+  struct Slot {
+    uint32_t node = kNil;  // kNil = empty.
+    uint32_t hash = 0;     // Low bits of the key's hash: home slot + filter.
+  };
+
+  static uint32_t Hash(const TlbKey& key);
+  // Node index for `key`, or kNil.
+  uint32_t Find(const TlbKey& key) const;
+  // Like Find, but only a global entry matches.
+  uint32_t FindGlobal(const TlbKey& key) const;
+  void IndexInsert(uint32_t hash, uint32_t node);
+  void IndexErase(uint32_t node);
+  void GrowIndex();
+  void Unlink(uint32_t node);
+  void PushFront(uint32_t node);
+  void Touch(uint32_t node);
+  // Unlinks and unindexes a live node.
+  void Detach(uint32_t node);
 
   size_t capacity_;
-  LruList lru_;  // Front = most recently used.
-  std::unordered_map<TlbKey, LruList::iterator, TlbKeyHash> map_;
+  size_t size_ = 0;
+  std::vector<Node> nodes_;   // Grows to at most capacity_.
+  std::vector<Slot> index_;   // Power of two, at least 2 * nodes_.size().
+  uint32_t head_ = kNil;      // Most recently used.
+  uint32_t tail_ = kNil;      // Least recently used.
+  uint32_t free_ = kNil;      // Nodes released by FlushPcid.
+  uint32_t per_size_[3] = {};  // Live entries per page size (4K, 2M, 1G).
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

@@ -731,13 +731,12 @@ sb::StatusOr<mk::Message> SkyBridge::PollCompletion(mk::Thread* caller, ServerId
 void SkyBridge::FailPendingClientSide(BatchConn& conn, sb::ErrorCode code) {
   const BatchRingView& ring = conn.ring;
   const uint32_t word = 1u + static_cast<uint32_t>(code);
-  uint64_t head = ring.LoadU64(BatchRingView::kSqHeadOff);
-  while (head != conn.sq_tail) {
-    const uint64_t desc = ring.DescOff(head);
+  while (conn.sq_head != conn.sq_tail) {
+    const uint64_t desc = ring.DescOff(conn.sq_head);
     ring.StoreU64(desc + BatchRingView::kDescReplyTag, 0);
     ring.StoreU32(desc + BatchRingView::kDescReplyLen, 0);
     ring.StoreU32(desc + BatchRingView::kDescStatus, word);
-    ring.StoreU64(BatchRingView::kSqHeadOff, ++head);
+    ring.StoreU64(BatchRingView::kSqHeadOff, ++conn.sq_head);
     --conn.binding->queued_submissions;
   }
 }
@@ -757,7 +756,15 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id,
     return sb::OkStatus();  // Nothing was ever submitted.
   }
   const BatchRingView& ring = conn->ring;
-  const uint64_t pending = conn->sq_tail - ring.LoadU64(BatchRingView::kSqHeadOff);
+  // The server can write the header: its sq_head must lie between the last
+  // head this client accepted and the tail it published.
+  const uint64_t sq_head = ring.LoadU64(BatchRingView::kSqHeadOff);
+  if (sq_head < conn->sq_head || sq_head > conn->sq_tail) {
+    metrics_.gate_rejections->Add();
+    return sb::OutOfRange("corrupt batch ring head rejected");
+  }
+  conn->sq_head = sq_head;
+  const uint64_t pending = conn->sq_tail - sq_head;
   if (pending == 0) {
     return sb::OkStatus();
   }
@@ -817,6 +824,7 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id,
   metrics_.batch_flushes->Add();
   metrics_.drain_rounds->Add(outcome.rounds);
   perm->queued_submissions -= outcome.completed;
+  conn->sq_head += outcome.completed;
   if (SB_FAULT_POINT(kFaultRevokeInflight)) {
     // Revocation racing a live flush: this crossing's completions stand;
     // subsequent submits and flushes are refused.

@@ -450,6 +450,9 @@ class SkyBridge {
     SliceRef slice;
     BatchRingView ring;
     uint64_t sq_tail = 0;           // Next token; mirrors the shared header.
+    // Last sq_head the client accepted from the server-writable header; a
+    // header value outside [sq_head, sq_tail] is corrupt.
+    uint64_t sq_head = 0;
     std::vector<uint8_t> busy;      // Slot submitted and not yet reaped.
     mk::Notification* notify = nullptr;  // Completion parking (WaitCompletion).
     bool wait_armed = false;        // A waiter parked; flush signals it.
@@ -461,8 +464,8 @@ class SkyBridge {
   // Lookup without the revoked check (completions already in the ring stay
   // readable after revocation; the revoked flush posts through this too).
   BatchConn* FindBatchConn(const Binding* perm, int tid);
-  // Posts PermissionDenied completions client-side for every pending entry
-  // (revoked-binding flush: no crossing).
+  // Posts PermissionDenied completions client-side for every entry in
+  // [conn.sq_head, conn.sq_tail) (revoked-binding flush: no crossing).
   void FailPendingClientSide(BatchConn& conn, sb::ErrorCode code);
 
   mk::Kernel* kernel_;

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+#include <vector>
+
 #include "src/base/logging.h"
+#include "src/base/rng.h"
 #include "src/hw/cache.h"
 #include "src/hw/ept.h"
 #include "src/hw/machine.h"
@@ -75,10 +80,10 @@ TEST(FrameAllocator, ExhaustsAndRecycles) {
 
 TEST(Cache, HitAfterMiss) {
   Cache cache(L1dConfig());
-  EXPECT_FALSE(cache.Access(0x1000, false));
-  EXPECT_TRUE(cache.Access(0x1000, false));
-  EXPECT_TRUE(cache.Access(0x1020, false));  // Same 64B line? No: 0x1020 is a
-                                             // different offset but same line.
+  EXPECT_FALSE(cache.Access(0x1000));
+  EXPECT_TRUE(cache.Access(0x1000));
+  EXPECT_TRUE(cache.Access(0x1020));  // Same 64B line? No: 0x1020 is a
+                                      // different offset but same line.
   EXPECT_EQ(cache.misses(), 1u);
 }
 
@@ -86,17 +91,17 @@ TEST(Cache, LruEviction) {
   // 2-way tiny cache: lines mapping to the same set evict LRU order.
   CacheConfig config{"tiny", 2 * 64, 2, 64};  // 1 set, 2 ways.
   Cache cache(config);
-  EXPECT_FALSE(cache.Access(0x0, false));
-  EXPECT_FALSE(cache.Access(0x40, false));
-  EXPECT_TRUE(cache.Access(0x0, false));     // 0x40 is now LRU.
-  EXPECT_FALSE(cache.Access(0x80, false));   // Evicts 0x40.
-  EXPECT_FALSE(cache.Access(0x40, false));
+  EXPECT_FALSE(cache.Access(0x0));
+  EXPECT_FALSE(cache.Access(0x40));
+  EXPECT_TRUE(cache.Access(0x0));    // 0x40 is now LRU.
+  EXPECT_FALSE(cache.Access(0x80));  // Evicts 0x40.
+  EXPECT_FALSE(cache.Access(0x40));
   EXPECT_TRUE(cache.Probe(0x40));
 }
 
 TEST(Cache, FlushClears) {
   Cache cache(L1dConfig());
-  cache.Access(0x1000, false);
+  cache.Access(0x1000);
   cache.Flush();
   EXPECT_FALSE(cache.Probe(0x1000));
 }
@@ -141,6 +146,239 @@ TEST(Tlb, LruCapacity) {
   tlb.Insert(0x3000, 12, 1, 0, 0, TlbEntry{});              // Evicts 0x2000.
   EXPECT_NE(tlb.Lookup(0x1000, 1, 0, 0, &shift), nullptr);
   EXPECT_EQ(tlb.Lookup(0x2000, 1, 0, 0, &shift), nullptr);
+}
+
+// ---- Differential tests against the straightforward models ----
+//
+// The TLB and cache keep a packed host representation; these reference
+// models are the plain list-plus-map TLB and struct-of-lines cache with the
+// same replacement rules. Seeded random streams must produce the same hit,
+// entry, page size and eviction decisions from both.
+
+struct RefTlbKeyHash {
+  size_t operator()(const TlbKey& k) const {
+    return std::hash<uint64_t>()(k.vpn * 0x9e3779b97f4a7c15ULL ^ (uint64_t{k.page_shift} << 56) ^
+                                 (uint64_t{k.vpid} << 40) ^ (uint64_t{k.pcid} << 24) ^ k.ep4ta);
+  }
+};
+
+class ReferenceTlb {
+ public:
+  explicit ReferenceTlb(size_t capacity) : capacity_(capacity) {}
+
+  const TlbEntry* Lookup(Gva gva, uint16_t vpid, uint16_t pcid, Hpa ep4ta, uint8_t* page_shift) {
+    for (uint8_t shift : {uint8_t{12}, uint8_t{21}, uint8_t{30}}) {
+      TlbKey key{gva >> shift, shift, vpid, pcid, ep4ta};
+      auto it = map_.find(key);
+      if (it == map_.end() && shift != 12) {
+        key.pcid = 0;
+        it = map_.find(key);
+        if (it != map_.end() && !it->second->entry.global) {
+          it = map_.end();
+        }
+      }
+      if (it != map_.end()) {
+        return Hit(it->second, shift, page_shift);
+      }
+    }
+    if (pcid != 0) {
+      auto it = map_.find(TlbKey{gva >> 12, 12, vpid, 0, ep4ta});
+      if (it != map_.end() && it->second->entry.global) {
+        return Hit(it->second, 12, page_shift);
+      }
+    }
+    return nullptr;
+  }
+
+  void Insert(Gva gva, uint8_t page_shift, uint16_t vpid, uint16_t pcid, Hpa ep4ta,
+              const TlbEntry& entry) {
+    const TlbKey key{gva >> page_shift, page_shift, vpid, entry.global ? uint16_t{0} : pcid,
+                     ep4ta};
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      it->second->entry = entry;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (map_.size() >= capacity_) {
+      map_.erase(lru_.back().key);
+      lru_.pop_back();
+    }
+    lru_.push_front(Node{key, entry});
+    map_.emplace(key, lru_.begin());
+  }
+
+  void FlushPcid(uint16_t vpid, uint16_t pcid) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->key.vpid == vpid && it->key.pcid == pcid && !it->entry.global) {
+        map_.erase(it->key);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  size_t size() const { return map_.size(); }
+
+ private:
+  struct Node {
+    TlbKey key;
+    TlbEntry entry;
+  };
+  using LruList = std::list<Node>;
+
+  const TlbEntry* Hit(LruList::iterator it, uint8_t shift, uint8_t* page_shift) {
+    lru_.splice(lru_.begin(), lru_, it);
+    *page_shift = shift;
+    return &it->entry;
+  }
+
+  size_t capacity_;
+  LruList lru_;
+  std::unordered_map<TlbKey, LruList::iterator, RefTlbKeyHash> map_;
+};
+
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& config)
+      : config_(config),
+        num_sets_(config.size_bytes / config.line_size / config.ways),
+        lines_(config.size_bytes / config.line_size) {}
+
+  bool Access(Hpa paddr) {
+    Line* base = &lines_[(paddr / config_.line_size) % num_sets_ * config_.ways];
+    const uint64_t tag = paddr / config_.line_size / num_sets_;
+    ++tick_;
+    Line* victim = base;
+    for (uint32_t w = 0; w < config_.ways; ++w) {
+      Line& line = base[w];
+      if (line.valid && line.tag == tag) {
+        line.lru = tick_;
+        return true;
+      }
+      if (!line.valid) {
+        victim = &line;
+      } else if (victim->valid && line.lru < victim->lru) {
+        victim = &line;
+      }
+    }
+    *victim = Line{true, tag, tick_};
+    return false;
+  }
+
+  void Flush() { lines_.assign(lines_.size(), Line{}); }
+
+ private:
+  struct Line {
+    bool valid = false;
+    uint64_t tag = 0;
+    uint64_t lru = 0;
+  };
+
+  CacheConfig config_;
+  uint64_t num_sets_;
+  std::vector<Line> lines_;
+  uint64_t tick_ = 0;
+};
+
+void RunTlbDifferential(size_t capacity, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "capacity " << capacity << " seed " << seed);
+  sb::Rng rng(seed);
+  Tlb tlb(capacity);
+  ReferenceTlb ref(capacity);
+  // Enough distinct pages to overflow the TLB, few enough to hit often.
+  const uint64_t pages = capacity + capacity / 4 + 4;
+  const Hpa ep4tas[] = {0, 0x9000, 0xa000};
+  const int ops = capacity > 64 ? 60000 : 20000;
+  bool filled = false;
+  uint64_t hits = 0;
+  for (int op = 0; op < ops; ++op) {
+    // Pages spread over four 1 GiB regions, region 0 the most used.
+    Gva gva = rng.OneIn(2) ? rng.Below(4) << 30 : 0;
+    gva += rng.Below(pages) << 12;
+    gva += rng.Below(sb::kPageSize);
+    const uint16_t vpid = static_cast<uint16_t>(1 + rng.Below(2));
+    const uint16_t pcid = static_cast<uint16_t>(rng.Below(3));
+    const Hpa ep4ta = ep4tas[rng.Below(3)];
+    const uint64_t kind = rng.Below(100);
+    if (kind < 50) {
+      uint8_t shift = 0;
+      uint8_t ref_shift = 0;
+      const TlbEntry* got = tlb.Lookup(gva, vpid, pcid, ep4ta, &shift);
+      const TlbEntry* want = ref.Lookup(gva, vpid, pcid, ep4ta, &ref_shift);
+      ASSERT_EQ(got != nullptr, want != nullptr) << "op " << op;
+      if (want != nullptr) {
+        ++hits;
+        ASSERT_EQ(shift, ref_shift) << "op " << op;
+        ASSERT_EQ(got->frame, want->frame) << "op " << op;
+        ASSERT_EQ(got->global, want->global) << "op " << op;
+        ASSERT_EQ(got->writable, want->writable) << "op " << op;
+      }
+    } else if (kind < 99 || capacity > 64) {
+      const uint64_t size_pick = rng.Below(10);
+      const uint8_t shift = size_pick < 7 ? 12 : (size_pick < 9 ? 21 : 30);
+      const TlbEntry entry{rng.Below(1 << 20) << 12, rng.OneIn(5), rng.OneIn(2)};
+      tlb.Insert(gva, shift, vpid, pcid, ep4ta, entry);
+      ref.Insert(gva, shift, vpid, pcid, ep4ta, entry);
+    } else {
+      tlb.FlushPcid(vpid, pcid);
+      ref.FlushPcid(vpid, pcid);
+    }
+    if (capacity > 64 && op % 5000 == 4999) {
+      tlb.FlushPcid(vpid, pcid);
+      ref.FlushPcid(vpid, pcid);
+    }
+    ASSERT_EQ(tlb.size(), ref.size()) << "op " << op;
+    filled = filled || tlb.size() == capacity;
+  }
+  EXPECT_TRUE(filled) << "the stream never reached capacity, so nothing was evicted";
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(tlb.hits(), hits);
+}
+
+TEST(TlbDifferential, MatchesReferenceModel) {
+  for (const size_t capacity : {size_t{1}, size_t{2}, size_t{7}, size_t{1536}}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      RunTlbDifferential(capacity, seed);
+    }
+  }
+}
+
+TEST(CacheDifferential, MatchesReferenceModel) {
+  const CacheConfig configs[] = {
+      {"1x2", 2 * 64, 2, 64},
+      {"4x3", 12 * 64, 3, 64},
+      {"64x16", 64 * 16 * 64, 16, 64},
+      L1dConfig(),
+  };
+  for (const CacheConfig& config : configs) {
+    for (const uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE(testing::Message() << config.name << " seed " << seed);
+      sb::Rng rng(seed);
+      Cache cache(config);
+      ReferenceCache ref(config);
+      const uint64_t lines = config.size_bytes / config.line_size;
+      uint64_t hits = 0;
+      for (int op = 0; op < 50000; ++op) {
+        if (rng.OneIn(5000)) {
+          cache.Flush();
+          ref.Flush();
+          continue;
+        }
+        // A pool 1.5x the cache's lines, at a random offset within the line.
+        Hpa paddr = rng.Below(lines + lines / 2 + 1) * config.line_size;
+        paddr += rng.Below(config.line_size);
+        paddr += rng.OneIn(4) ? 0x40000000 : 0;
+        const bool hit = cache.Access(paddr);
+        ASSERT_EQ(hit, ref.Access(paddr)) << "op " << op;
+        ASSERT_TRUE(cache.Probe(paddr));
+        hits += hit ? 1 : 0;
+      }
+      EXPECT_GT(hits, 0u);
+      EXPECT_EQ(cache.hits(), hits);
+    }
+  }
 }
 
 class EptTest : public ::testing::Test {

@@ -347,6 +347,82 @@ TEST_F(BatchTest, ScribbledCompletionDescriptorsRejectedAtPoll) {
   ExpectHealthy();
 }
 
+TEST_F(BatchTest, ScribbledRingHeadRejectedAtFlush) {
+  Boot();
+  const uint32_t entries = sky_->config().batch_ring_entries;
+  uint8_t* first_arena = nullptr;  // Entry 0's payload span: ring slot 0.
+  Handler handler = [&](CallEnv& env) {
+    if (env.request.tag == 0) {
+      first_arena = env.reply_buffer.data();
+    }
+    return env.request;
+  };
+  Pair p = MakePair(handler);
+  auto first = sky_->SubmitCall(p.thread, p.sid, Message(0));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
+  ASSERT_TRUE(sky_->PollCompletion(p.thread, p.sid, *first).ok());
+  ASSERT_NE(first_arena, nullptr);
+  // The header sits right below the descriptors; the server can write it.
+  uint8_t* header =
+      first_arena - entries * BatchRingView::kDescBytes - BatchRingView::kHeaderBytes;
+  auto scribble_head = [&](uint64_t value) {
+    std::memcpy(header + BatchRingView::kSqHeadOff, &value, sizeof(value));
+  };
+  auto submit_two = [&](uint64_t tag) {
+    std::vector<uint64_t> tokens;
+    for (uint64_t t = tag; t < tag + 2; ++t) {
+      auto token = sky_->SubmitCall(p.thread, p.sid, Message(t));
+      EXPECT_TRUE(token.ok()) << token.status().ToString();
+      tokens.push_back(token.ok() ? *token : 0);
+    }
+    return tokens;
+  };
+  // Scribbles a head past the tail and one below the accepted head; each
+  // flush must refuse without crossing and leave the entries pending.
+  auto expect_rejected = [&](const std::vector<uint64_t>& tokens) {
+    const uint64_t accepted = tokens.front();
+    const uint64_t tail = tokens.back() + 1;
+    for (const uint64_t bogus : {tail + 5, accepted - 1}) {
+      SCOPED_TRACE(testing::Message() << "sq_head " << bogus);
+      scribble_head(bogus);
+      const uint64_t rejections = sky_->stats().gate_rejections;
+      const uint64_t flushes = sky_->stats().batch_flushes;
+      EXPECT_EQ(sky_->FlushBatch(p.thread, p.sid).code(), ErrorCode::kOutOfRange);
+      EXPECT_EQ(sky_->stats().gate_rejections, rejections + 1);
+      EXPECT_EQ(sky_->stats().batch_flushes, flushes);
+      for (const uint64_t token : tokens) {
+        EXPECT_EQ(sky_->PollCompletion(p.thread, p.sid, token).status().code(),
+                  ErrorCode::kUnavailable);
+      }
+      ExpectHealthy();
+    }
+    scribble_head(accepted);
+  };
+
+  // Live flush: after the rejections, the restored head drains normally.
+  const std::vector<uint64_t> live = submit_two(1);
+  expect_rejected(live);
+  ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
+  for (const uint64_t token : live) {
+    auto reply = sky_->PollCompletion(p.thread, p.sid, token);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->tag, token);
+  }
+  ExpectHealthy();
+
+  // Revoked flush: the client-side failure loop never runs from a bad head.
+  const std::vector<uint64_t> revoked = submit_two(3);
+  ASSERT_TRUE(sky_->RevokeBinding(p.client, p.sid).ok());
+  expect_rejected(revoked);
+  ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
+  for (const uint64_t token : revoked) {
+    EXPECT_EQ(sky_->PollCompletion(p.thread, p.sid, token).status().code(),
+              ErrorCode::kPermissionDenied);
+  }
+  ExpectHealthy();
+}
+
 TEST_F(BatchTest, RevokedBindingFailsPendingEntriesClientSide) {
   Boot();
   Pair p = MakePair(EchoHandler());
