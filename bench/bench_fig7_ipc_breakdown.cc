@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   }
   table.Print();
   // The registry snapshot of the seL4 SkyBridge run (direct_calls, lookup
-  // hits/misses, eptp_misses, per-phase percentiles).
+  // hits/misses, slot faults, per-phase percentiles).
   reporter.AddRegistryJson(results[0].registry_json);
 
   std::printf("\nIPC speed improvement of SkyBridge (ratio - 1, the paper's convention): ");

@@ -88,7 +88,6 @@ struct MigrationResult {
   double ops_per_sec = 0;
   uint64_t migration_installs = 0;
   uint64_t stale_slot_retries = 0;
-  uint64_t eptp_misses = 0;
 };
 
 // One pair; the client hops to the next core every `period` calls (0 = never).
@@ -102,7 +101,6 @@ MigrationResult RunMigration(uint64_t period, bool eager) {
   const skybridge::SkyBridgeStats before = world.sky->stats();
   const uint64_t installs0 = before.migration_installs;
   const uint64_t retries0 = before.stale_slot_retries;
-  const uint64_t misses0 = before.eptp_misses;
   const uint64_t base = AlignClocks(world);
   sim::Executor exec(*world.machine);
   skybridge::SkyBridge* sky = world.sky.get();
@@ -131,7 +129,6 @@ MigrationResult RunMigration(uint64_t period, bool eager) {
   r.ops_per_sec = static_cast<double>(kOpsPerClient) / seconds;
   r.migration_installs = stats.migration_installs - installs0;
   r.stale_slot_retries = stats.stale_slot_retries - retries0;
-  r.eptp_misses = stats.eptp_misses - misses0;
   return r;
 }
 
@@ -162,7 +159,7 @@ int main(int argc, char** argv) {
   std::printf("== Migration sweep: one pair, client hops cores every K calls ==\n");
   std::printf("Eager: the scheduler re-installs the EPTP list at migration time.\n");
   std::printf("Lazy: the next call dispatches (and installs) on the new core.\n\n");
-  sb::Table mig({"Period", "Mode", "ops/s", "MigrationInstalls", "StaleRetries", "EptpMisses"});
+  sb::Table mig({"Period", "Mode", "ops/s", "MigrationInstalls", "StaleRetries"});
   for (const uint64_t period : {uint64_t{0}, uint64_t{64}, uint64_t{16}, uint64_t{4}}) {
     for (const bool eager : {true, false}) {
       if (period == 0 && !eager) {
@@ -175,10 +172,9 @@ int main(int argc, char** argv) {
       reporter.Add(key + "ops_per_sec", r.ops_per_sec);
       reporter.Add(key + "migration_installs", r.migration_installs);
       reporter.Add(key + "stale_slot_retries", r.stale_slot_retries);
-      reporter.Add(key + "eptp_misses", r.eptp_misses);
       mig.AddRow({period == 0 ? "never" : sb::Table::Int(period), mode,
                   bench::Humanize(r.ops_per_sec), sb::Table::Int(r.migration_installs),
-                  sb::Table::Int(r.stale_slot_retries), sb::Table::Int(r.eptp_misses)});
+                  sb::Table::Int(r.stale_slot_retries)});
     }
   }
   mig.Print();

@@ -86,10 +86,6 @@ const char* TraceEventName(TraceEventType type) {
       return "lookup_hit";
     case TraceEventType::kLookupMiss:
       return "lookup_miss";
-    case TraceEventType::kEptpMiss:
-      return "eptp_miss";
-    case TraceEventType::kEptpReinstall:
-      return "eptp_reinstall";
     case TraceEventType::kVmfuncSwitch:
       return "vmfunc_switch";
     case TraceEventType::kHandlerEnter:

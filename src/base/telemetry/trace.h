@@ -36,8 +36,6 @@ enum class TraceEventType : uint8_t {
   kCallEnd,        // DirectServerCall returned. arg0=client pid, arg1=server pid.
   kLookupHit,      // Binding route found. arg0=client pid, arg1=server pid.
   kLookupMiss,     // No binding for the pair. arg0=client pid, arg1=server pid.
-  kEptpMiss,       // Binding not resident in the EPTP list. arg0=server pid.
-  kEptpReinstall,  // Binding (re)installed into an EPTP slot. arg0=server pid, arg1=slot.
   kVmfuncSwitch,   // VMFUNC EPTP switch executed. arg0=eptp slot.
   kHandlerEnter,   // Server handler invoked. arg0=server pid.
   kHandlerExit,    // Server handler returned. arg0=server pid, arg1=status.

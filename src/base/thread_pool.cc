@@ -27,14 +27,12 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-bool ThreadPool::Drain(Job& job) {
-  bool participated = false;
+void ThreadPool::Drain(Job& job) {
   for (;;) {
     const size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= job.n) {
-      return participated;
+      return;
     }
-    participated = true;
     (*job.fn)(i);
     job.done.fetch_add(1, std::memory_order_release);
   }
@@ -54,27 +52,21 @@ void ThreadPool::WorkerLoop() {
       seen_gen = job_gen_;
       ++active_;
     }
-    const bool participated = Drain(*job);
+    Drain(*job);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;
-      if (participated) {
-        ++participants_;
-      }
     }
     done_cv_.notify_all();
   }
 }
 
-size_t ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) {
-    return 0;
-  }
-  if (workers_.empty() || n == 1) {
+void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+  if (workers_.empty() || n <= 1) {
     for (size_t i = 0; i < n; ++i) {
       fn(i);
     }
-    return 1;
+    return;
   }
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
   Job job;
@@ -84,11 +76,9 @@ size_t ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) 
     std::lock_guard<std::mutex> lock(mu_);
     job_ = &job;
     ++job_gen_;
-    participants_ = 0;
   }
   wake_.notify_all();
-  const bool caller_participated = Drain(job);
-  size_t participants = 0;
+  Drain(job);
   {
     std::unique_lock<std::mutex> lock(mu_);
     // Retract the job so late-waking workers go back to sleep, then wait for
@@ -98,9 +88,7 @@ size_t ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) 
     done_cv_.wait(lock, [&] {
       return active_ == 0 && job.done.load(std::memory_order_acquire) == job.n;
     });
-    participants = participants_ + (caller_participated ? 1 : 0);
   }
-  return participants;
 }
 
 }  // namespace sb

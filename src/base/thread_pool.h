@@ -35,10 +35,10 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   // Runs fn(i) for every i in [0, n), fanning out across the workers and the
-  // calling thread, and blocks until all indices have completed. Returns the
-  // number of threads that executed at least one index. Safe to call from
-  // multiple threads (calls are serialized).
-  size_t ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+  // calling thread, and blocks until all indices have completed. Which
+  // thread runs which index is schedule-dependent and deliberately not
+  // reported. Safe to call from multiple threads (calls are serialized).
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
   struct Job {
@@ -48,9 +48,8 @@ class ThreadPool {
     std::atomic<size_t> done{0};
   };
 
-  // Claims and runs indices until the job is exhausted; returns whether this
-  // thread ran at least one index.
-  static bool Drain(Job& job);
+  // Claims and runs indices until the job is exhausted.
+  static void Drain(Job& job);
   void WorkerLoop();
 
   std::mutex submit_mu_;  // Serializes ParallelFor callers.
@@ -60,7 +59,6 @@ class ThreadPool {
   Job* job_ = nullptr;       // Guarded by mu_.
   uint64_t job_gen_ = 0;     // Guarded by mu_.
   size_t active_ = 0;        // Workers currently draining; guarded by mu_.
-  size_t participants_ = 0;  // Workers that ran >= 1 index; guarded by mu_.
   bool stop_ = false;        // Guarded by mu_.
   std::vector<std::thread> workers_;
 };

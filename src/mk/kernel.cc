@@ -146,7 +146,6 @@ sb::StatusOr<Process*> Kernel::CreateProcessWithImage(const std::string& name,
       return sb::Internal("rootkernel failed to remap identity page");
     }
     p->set_ept_id(ept_id);
-    p->eptp_list_ids().assign(1, ept_id);
   }
 
   processes_.push_back(std::move(process));
@@ -200,25 +199,17 @@ sb::Status Kernel::ContextSwitchInternal(hw::Core& core, Process* process, CostB
       // layer makes the process's view resident in its per-core working set
       // instead of reprogramming the whole list.
       SB_RETURN_IF_ERROR(eptp_installer_(core, process, reason));
-      if (eptp_install_hook_) {
-        eptp_install_hook_(core, process, reason);
-      }
-    } else if (!process->eptp_list_ids().empty()) {
-      // Legacy path: install the process's full EPTP list (Section 4.2):
-      // VMCALLs to the Rootkernel; charged as real VM exits.
+    } else {
+      // No SkyBridge: the list holds just the process's own EPT (Section
+      // 4.2). VMCALLs to the Rootkernel, charged as real VM exits.
       if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kEptpListClear)) != 0) {
         return sb::Internal("EPTP list clear failed");
       }
-      for (const uint64_t ept_id : process->eptp_list_ids()) {
-        if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kEptpListAppend), ept_id) ==
-            vmm::kHypercallError) {
-          return sb::Internal("EPTP list append failed");
-        }
+      if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kEptpListAppend),
+                      process->ept_id()) == vmm::kHypercallError) {
+        return sb::Internal("EPTP list append failed");
       }
       core.vmcs().active_index = 0;
-      if (eptp_install_hook_) {
-        eptp_install_hook_(core, process, reason);
-      }
     }
   }
   return sb::OkStatus();

@@ -179,19 +179,13 @@ class Kernel {
   // Why an EPTP list was (re)installed on a core: the ordinary dispatch
   // tail, or an eager re-install on a thread's new core after MigrateThread.
   enum class EptpInstallReason { kDispatch, kMigration };
-  // Observer fired after every virtualized context switch installs a
-  // process's EPTP list (SkyBridge counts eager migration installs against
-  // the lazy stale-slot fallback). One hook; nullptr uninstalls.
-  using EptpInstallHook = std::function<void(hw::Core&, Process*, EptpInstallReason)>;
-  void SetEptpInstallHook(EptpInstallHook hook) { eptp_install_hook_ = std::move(hook); }
 
   // Delegated EPTP install (DESIGN.md section 15): when set, the dispatch
   // tail hands the whole list-programming step to this installer instead of
-  // the legacy clear+append of the process's full eptp_list_ids — SkyBridge
-  // plugs its per-core slot working set in here, so a context switch only
-  // makes the process's own view resident and points the active index at
-  // it. The observer hook above still fires after the installer. nullptr
-  // restores the legacy path.
+  // resetting the list to the process's own EPT — SkyBridge plugs its
+  // per-core slot working set in here, so a context switch only makes the
+  // process's own view resident and points the active index at it. nullptr
+  // restores the reset.
   using EptpInstaller = std::function<sb::Status(hw::Core&, Process*, EptpInstallReason)>;
   void SetEptpInstaller(EptpInstaller installer) { eptp_installer_ = std::move(installer); }
 
@@ -307,7 +301,6 @@ class Kernel {
     sb::telemetry::Counter* context_switches;
   };
   Metrics metrics_;
-  EptpInstallHook eptp_install_hook_;
   EptpInstaller eptp_installer_;
   CapSlot last_granted_slot_ = ~0u;
   bool booted_ = false;

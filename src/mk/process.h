@@ -104,14 +104,9 @@ class Process {
   hw::Gpa cr3() const { return address_space_->root_gpa(); }
   uint16_t pcid() const { return address_space_->pcid(); }
 
-  // The process's own EPT id in the Rootkernel (slot 0 of its EPTP list).
+  // The process's own EPT id in the Rootkernel.
   uint64_t ept_id() const { return ept_id_; }
   void set_ept_id(uint64_t id) { ept_id_ = id; }
-
-  // Rootkernel EPT ids to install on this process's EPTP list at dispatch
-  // time (slot 0 = own EPT; further slots added by SkyBridge bindings).
-  std::vector<uint64_t>& eptp_list_ids() { return eptp_list_ids_; }
-  const std::vector<uint64_t>& eptp_list_ids() const { return eptp_list_ids_; }
 
   // Host-physical frame holding this process's identity record.
   hw::Hpa identity_frame() const { return identity_frame_; }
@@ -162,7 +157,6 @@ class Process {
   uint64_t heap_limit_ = 0;
   uint64_t heap_used_ = 0;
   uint64_t ept_id_ = 0;
-  std::vector<uint64_t> eptp_list_ids_;
   hw::Hpa identity_frame_ = 0;
   std::vector<uint8_t> code_image_;
   bool code_rewritten_ = false;

@@ -45,7 +45,7 @@ struct BackendCaps {
   // mode — the documented weaker envelope.
   bool isolates_memory = true;
   // Crossings target per-core EPTP-list view slots: the binding must be
-  // installed/resident and slots are pinned for the life of the call.
+  // resident and slots are pinned for the life of the call.
   bool uses_view_slots = true;
   // Registration must scrub the backend's gate-instruction byte pattern from
   // the process image (Section 5 rewriting).

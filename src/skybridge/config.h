@@ -147,15 +147,13 @@ struct SkyBridgeConfig {
   // Crossing backend for bindings whose registration does not name one
   // explicitly (RegisterServer's backend parameter). See CrossingBackendKind.
   CrossingBackendKind crossing_backend = DefaultCrossingBackend();
-  // Maximum EPTP list slots a client may occupy (hardware limit 512). The
-  // library LRU-evicts bindings beyond this (paper Section 10 future work).
-  size_t eptp_capacity = hw::kEptpListCapacity;
   // ---- EPTP slot virtualization (DESIGN.md section 15) ----
   // Per-core slot working set: how many EPTP-list slots each core may hold
-  // resident at once (clamped to the hardware list capacity). Bindings
-  // beyond this fault in on demand, evicting the per-core LRU victim via an
-  // in-place kEptpListReplace — the "millions of bindings from 512 slots"
-  // oversubscription story.
+  // resident at once, in [4, hw::kEptpListCapacity] (checked at startup).
+  // Bindings beyond this fault in on demand, evicting the per-core LRU
+  // victim via an in-place kEptpListReplace — the paper's Section 10 "more
+  // servers than slots" future work, and the "millions of bindings from 512
+  // slots" oversubscription story.
   size_t eptp_working_set = hw::kEptpListCapacity;
   // Binding consolidation: N clients of one server share a single binding
   // EPT (per-client CR3 remaps added with kAddCr3Remap; calling keys and
@@ -196,9 +194,8 @@ struct SkyBridgeConfig {
   uint64_t timeout_cycles = 1ULL << 32;
   uint64_t key_seed = 0x5eedULL;
   // Worker threads for the registration-scan pool. A fixed count — never
-  // derived from std::thread::hardware_concurrency — so scan fan-out (and
-  // the scan_threads gauge tests assert on) matches between a 2-vCPU CI
-  // runner and a large workstation.
+  // derived from std::thread::hardware_concurrency — so the pool is the same
+  // size on a 2-vCPU CI runner and on a large workstation.
   int scan_pool_threads = 4;
   // Bounded backoff for re-arming a binding whose cached EPTP slot went
   // stale between lookup and VMFUNC (concurrent eviction). After this many

@@ -60,7 +60,6 @@ struct CallContext {
   bool long_msg = false;
 
   // ---- Gate frame ----
-  uint64_t entry_ept = 0;     // EPT active at entry; we must return to it.
   size_t return_index = 0;    // EPTP slot the return VMFUNC targets.
   uint32_t route_slot = 0;    // Per-core slot the entry VMFUNC targets.
   // Pins the entry + routed slots for the life of the call (slot faults on

@@ -129,7 +129,6 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
       core.AdvanceCycles(costs.rewrite_scan_page);
       metrics_.pages_rescanned->Add();
       metrics_.scan_pages->Add(pr.stats.scan_pages);
-      metrics_.scan_threads->SetMax(pr.stats.scan_threads);
       if (cached) {
         rewrite_cache_.Insert(key, pr);
       }
@@ -645,8 +644,9 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
       return sb::AlreadyExists("client already registered to this server");
     }
     // Revival: the record persisted through revocation (bindings are never
-    // destroyed). Re-registration issues a fresh calling key and reinstalls
-    // the EPT entry; the buffer region and EPT id are reused as-is.
+    // destroyed). Re-registration issues a fresh calling key; the buffer
+    // region and EPT id are reused as-is, and the next call faults the EPT
+    // back into a slot.
     hw::Core& core = kernel_->machine().core(0);
     kernel_->SyscallEnter(core, nullptr);
     const uint64_t key = key_rng_.Next();
@@ -665,12 +665,8 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
                   client->cr3(), server.process->cr3());
     }
     existing->swept = false;
-    sb::Status install = sb::OkStatus();
-    if (!existing->installed && gate_.backend(server.backend).caps().uses_view_slots) {
-      install = routes_.Install(core, *existing, /*pinned_ept=*/0);
-    }
     kernel_->SyscallExit(core, nullptr);
-    return install;
+    return sb::OkStatus();
   }
   if (server.next_connection >= static_cast<uint64_t>(server.max_connections)) {
     return sb::ResourceExhausted("server connection limit reached");
@@ -738,6 +734,7 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
   binding->ept_id = ept_id;
   binding->server_key = key;
   binding->backend = server.backend;
+  binding->view_slots = gate_.backend(server.backend).caps().uses_view_slots;
   if (server.backend == CrossingBackendKind::kMpk) {
     binding->pkey = static_cast<uint8_t>(1 + (next_pkey_++ % 15));
   }
@@ -746,21 +743,14 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
   binding->slice_stride = region.slice_stride;
   binding->num_slices = region.num_slices;
   binding->host_base = region.host_base;
-  binding->installed = false;
-  Binding* b = routes_.Adopt(std::move(binding));
-
-  // kSyscall bindings never occupy an EPTP slot: the kernel fastpath
-  // switches CR3 directly, so there is nothing to install.
-  sb::Status install = sb::OkStatus();
-  if (gate_.backend(server.backend).caps().uses_view_slots) {
-    install = routes_.Install(core, *b, /*pinned_ept=*/0);
-  }
+  routes_.Adopt(std::move(binding));
   kernel_->SyscallExit(core, nullptr);
-  return install;
+  return sb::OkStatus();
 }
 
 sb::StatusOr<Binding*> SkyBridge::GetOrCreateChainBinding(hw::Core& core, mk::Process* origin,
-                                                          ServerId server_id) {
+                                                          ServerId server_id,
+                                                          mk::CostBreakdown* bd) {
   Binding* existing = routes_.Find(origin, server_id);
   if (existing != nullptr) {
     return existing;
@@ -786,14 +776,20 @@ sb::StatusOr<Binding*> SkyBridge::GetOrCreateChainBinding(hw::Core& core, mk::Pr
   binding->ept_id = ept_id;
   binding->server_key = 0;
   binding->backend = server.backend;
+  binding->view_slots = gate_.backend(server.backend).caps().uses_view_slots;
   if (server.backend == CrossingBackendKind::kMpk) {
     binding->pkey = static_cast<uint8_t>(1 + (next_pkey_++ % 15));
   }
   binding->shared_buf = 0;
   binding->key_slot = 0;
-  binding->installed = false;
   binding->chain = true;
-  return routes_.Adopt(std::move(binding));
+  Binding* b = routes_.Adopt(std::move(binding));
+  if (b->view_slots) {
+    // The kernel entry that admits a new view onto the caller's EPTP list.
+    kernel_->SyscallEnter(core, bd);
+    kernel_->SyscallExit(core, bd);
+  }
+  return b;
 }
 
 }  // namespace skybridge

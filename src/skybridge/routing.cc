@@ -1,7 +1,5 @@
 #include "src/skybridge/routing.h"
 
-#include <algorithm>
-
 #include "src/base/faultpoint.h"
 #include "src/base/logging.h"
 #include "src/base/telemetry/trace.h"
@@ -73,10 +71,8 @@ RouteTable::RouteTable(mk::Kernel& kernel, const SkyBridgeConfig& config)
   bindings_revoked_ = &reg.GetCounter("skybridge.bindings.revoked");
   slot_installs_ = &reg.GetCounter("skybridge.eptp.slot_installs");
   slot_evictions_ = &reg.GetCounter("skybridge.eptp.slot_evictions");
-  budget_ = std::min(config.eptp_working_set, static_cast<size_t>(hw::kEptpListCapacity));
-  if (budget_ < 2) {
-    budget_ = 2;  // Base view + at least one cacheable slot.
-  }
+  SB_CHECK(config.eptp_working_set >= 4 && config.eptp_working_set <= hw::kEptpListCapacity)
+      << "eptp_working_set must fit the hardware EPTP list";
   core_cache_.resize(static_cast<size_t>(kernel.machine().num_cores()));
   if (kernel.rootkernel() == nullptr) {
     return;
@@ -131,81 +127,12 @@ Binding* RouteTable::Lookup(mk::Thread* caller, ServerId server) {
 Binding* RouteTable::Adopt(std::unique_ptr<Binding> binding) {
   Binding* b = binding.get();
   ClientState& state = clients_[b->client];  // Node pointers are stable.
-  b->lru_owner = &state;
-  b->lru_next = state.lru_head;
-  if (state.lru_head != nullptr) {
-    state.lru_head->lru_prev = b;
-  }
-  state.lru_head = b;
-  if (state.lru_tail == nullptr) {
-    state.lru_tail = b;
-  }
+  b->owner = &state;
+  state.bindings.push_back(b);
   index_.Insert(b);
   by_ept_[b->ept_id].push_back(b);
   bindings_.push_back(std::move(binding));
   return b;
-}
-
-void RouteTable::Touch(Binding& binding) {
-  ClientState& state = *binding.lru_owner;
-  if (state.lru_head == &binding) {
-    return;
-  }
-  // Unlink, then relink at the head — pure pointer surgery, no traversal.
-  if (binding.lru_prev != nullptr) {
-    binding.lru_prev->lru_next = binding.lru_next;
-  }
-  if (binding.lru_next != nullptr) {
-    binding.lru_next->lru_prev = binding.lru_prev;
-  }
-  if (state.lru_tail == &binding) {
-    state.lru_tail = binding.lru_prev;
-  }
-  binding.lru_prev = nullptr;
-  binding.lru_next = state.lru_head;
-  state.lru_head->lru_prev = &binding;
-  state.lru_head = &binding;
-}
-
-size_t RouteTable::EptpSlotOfId(const std::vector<uint64_t>& ids, uint64_t ept_id) {
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] == ept_id) {
-      return i;
-    }
-  }
-  return kSlotNotFound;
-}
-
-sb::Status RouteTable::Install(hw::Core& core, Binding& binding, uint64_t pinned_ept) {
-  auto& ids = binding.client->eptp_list_ids();
-  // Slot 0 is the client's own EPT; bindings occupy the rest.
-  while (ids.size() + 1 > config_->eptp_capacity) {
-    // Evict the least-recently-used installed binding (paper Section 10),
-    // walking the intrusive list from its cold end. Residency is left
-    // alone: the per-core slot caches notice on their own timescale (an
-    // un-installed binding fails the ArmGate installed check first).
-    Binding* victim = nullptr;
-    for (Binding* b = binding.lru_owner->lru_tail; b != nullptr; b = b->lru_prev) {
-      if (b->installed && b != &binding && b->ept_id != pinned_ept && b->in_flight == 0) {
-        victim = b;
-        break;
-      }
-    }
-    if (victim == nullptr) {
-      return sb::ResourceExhausted("EPTP working set full and nothing evictable");
-    }
-    SB_TRACE_EVENT(TraceEventType::kEptEvict, core.cycles(), core.id(), victim->server,
-                   ResidentSlot(core.id(), victim->ept_id));
-    SB_LOG(kDebug) << "eptp evict " << sb::kv("client", binding.client->pid())
-                   << " " << sb::kv("server", victim->server);
-    victim->installed = false;
-    ids.erase(std::remove(ids.begin(), ids.end(), victim->ept_id), ids.end());
-  }
-  if (EptpSlotOfId(ids, binding.ept_id) == kSlotNotFound) {
-    ids.push_back(binding.ept_id);
-  }
-  binding.installed = true;
-  return sb::OkStatus();
 }
 
 void RouteTable::LruUnlink(CoreSlotCache& cache, uint32_t slot) {
@@ -290,8 +217,8 @@ sb::StatusOr<uint32_t> RouteTable::EnsureResident(hw::Core& core, uint64_t ept_i
     }
     cache.free_slots.pop_back();
     cache.ids[slot] = ept_id;
-  } else if (cache.ids.size() < budget_) {
-    // Grow the list while under the working-set budget.
+  } else if (cache.ids.size() < config_->eptp_working_set) {
+    // Grow the list while under the working set.
     const uint64_t appended =
         core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kEptpListAppend), ept_id);
     if (appended == vmm::kHypercallError) {
@@ -304,7 +231,7 @@ sb::StatusOr<uint32_t> RouteTable::EnsureResident(hw::Core& core, uint64_t ept_i
     cache.lru_next.push_back(kNoEptpSlot);
     cache.pins.push_back(0);
   } else {
-    // Budget exhausted: evict a victim and take its slot in place.
+    // Working set full: evict a victim and take its slot in place.
     const uint32_t victim = PickVictim(core, cache);
     if (victim == kNoEptpSlot) {
       return sb::ResourceExhausted("every EPTP slot is pinned or active");
@@ -335,22 +262,22 @@ sb::Status RouteTable::InstallProcessView(hw::Core& core, mk::Process* process, 
   if (!eager) {
     return sb::OkStatus();
   }
-  // Migration prefetch: warm the destination core with the client's
-  // installed bindings, most recently used first, but only into spare
-  // capacity — prefetch never evicts what the core already runs hot.
+  // Migration prefetch: warm the destination core with the client's live
+  // bindings, in registration order, but only into spare capacity —
+  // prefetch never evicts what the core already runs hot.
   CoreSlotCache& cache = core_cache_[static_cast<size_t>(core.id())];
   auto it = clients_.find(process);
   if (it == clients_.end()) {
     return sb::OkStatus();
   }
-  for (Binding* b = it->second.lru_head; b != nullptr; b = b->lru_next) {
-    if (!b->installed || b->revoked) {
+  for (const Binding* b : it->second.bindings) {
+    if (b->revoked || !b->view_slots) {
       continue;
     }
     if (cache.slot_of.find(b->ept_id) != cache.slot_of.end()) {
       continue;
     }
-    if (cache.free_slots.empty() && cache.ids.size() >= budget_) {
+    if (cache.free_slots.empty() && cache.ids.size() >= config_->eptp_working_set) {
       break;
     }
     SB_RETURN_IF_ERROR(EnsureResident(core, b->ept_id, false).status());
@@ -395,11 +322,6 @@ uint32_t RouteTable::ResidentSlot(int core_id, uint64_t ept_id) const {
   return it != cache.slot_of.end() ? it->second : kNoEptpSlot;
 }
 
-uint64_t RouteTable::EptIdAtSlot(int core_id, uint32_t slot) const {
-  const CoreSlotCache& cache = core_cache_[static_cast<size_t>(core_id)];
-  return slot < cache.ids.size() ? cache.ids[slot] : 0;
-}
-
 void RouteTable::PinSlot(int core_id, uint32_t slot) {
   CoreSlotCache& cache = core_cache_[static_cast<size_t>(core_id)];
   if (slot < cache.pins.size()) {
@@ -438,10 +360,7 @@ void RouteTable::FinishCall(Binding& binding) {
   if (binding.in_flight > 0) {
     --binding.in_flight;
   }
-  ClientState* state = binding.lru_owner;
-  if (state == nullptr) {
-    return;
-  }
+  ClientState* state = binding.owner;
   if (state->inflight > 0) {
     --state->inflight;
   }
@@ -464,14 +383,9 @@ void RouteTable::SweepRevoked(mk::Process* client) {
     return;
   }
   state.pending_revocations = false;
-  auto& ids = client->eptp_list_ids();
-  for (Binding* b = state.lru_head; b != nullptr; b = b->lru_next) {
+  for (Binding* b : state.bindings) {
     if (!b->revoked || b->swept) {
       continue;
-    }
-    if (b->installed) {
-      ids.erase(std::remove(ids.begin(), ids.end(), b->ept_id), ids.end());
-      b->installed = false;
     }
     if (revoke_scrub_) {
       // Facade teardown: zero the calling-key slot; under consolidation,
@@ -498,17 +412,10 @@ void RouteTable::SweepRevoked(mk::Process* client) {
 }
 
 void RouteTable::FaultEvict(hw::Core& core, Binding& binding) {
-  if (!binding.installed) {
-    return;
-  }
   SB_TRACE_EVENT(TraceEventType::kEptEvict, core.cycles(), core.id(), binding.server,
                  ResidentSlot(core.id(), binding.ept_id));
-  auto& ids = binding.client->eptp_list_ids();
-  ids.erase(std::remove(ids.begin(), ids.end(), binding.ept_id), ids.end());
-  binding.installed = false;
-  // Drop this core's residency too, so the retry leg exercises the full
-  // re-install path (skips pinned/active slots, exactly like a concurrent
-  // eviction would have to).
+  // Skips pinned/active slots, exactly like a concurrent eviction would
+  // have to.
   EvictResidency(core, binding.ept_id);
 }
 
@@ -523,54 +430,15 @@ std::vector<mk::Process*> RouteTable::ClientsOfServer(ServerId server) const {
 }
 
 sb::Status RouteTable::CheckInvariants() const {
-  for (const auto& entry : clients_) {
-    mk::Process* client = entry.first;
-    const ClientState& state = entry.second;
-    size_t chain = 0;
+  for (const auto& [client, state] : clients_) {
     uint64_t inflight_sum = 0;
-    const Binding* prev = nullptr;
-    for (const Binding* b = state.lru_head; b != nullptr; b = b->lru_next) {
-      if (++chain > bindings_.size()) {
-        return sb::Internal("LRU cycle detected");
-      }
-      if (b->lru_prev != prev) {
-        return sb::Internal("LRU prev link broken");
-      }
-      if (b->lru_owner != &state) {
-        return sb::Internal("LRU owner mismatch");
-      }
-      if (b->client != client) {
-        return sb::Internal("binding threaded onto the wrong client's LRU list");
-      }
+    for (const Binding* b : state.bindings) {
       inflight_sum += b->in_flight;
-      prev = b;
-    }
-    if (state.lru_tail != prev) {
-      return sb::Internal("LRU tail does not terminate the chain");
-    }
-    if (inflight_sum != state.inflight) {
-      return sb::Internal("per-client in-flight sum out of sync");
-    }
-    const auto& ids = client->eptp_list_ids();
-    if (ids.size() > config_->eptp_capacity) {
-      return sb::Internal("client working set exceeds the configured capacity");
-    }
-    for (const Binding* b = state.lru_head; b != nullptr; b = b->lru_next) {
-      const bool on_list = EptpSlotOfId(ids, b->ept_id) != kSlotNotFound;
-      if (b->installed && !on_list) {
-        return sb::Internal("installed binding missing from the client working set");
+      if (b->client != client || b->owner != &state) {
+        return sb::Internal("binding recorded under the wrong client");
       }
-      if (!b->installed && on_list) {
-        // Consolidated siblings of the *same* client cannot share an id
-        // (one binding per (client, server)), so an uninstalled binding's
-        // id must be gone from its client's list.
-        return sb::Internal("evicted binding still on the client working set");
-      }
-      if (b->revoked && b->installed && state.inflight == 0) {
-        return sb::Internal("drained revoked binding still installed");
-      }
-      if (b->revoked && b->swept && b->installed) {
-        return sb::Internal("swept binding still installed");
+      if (b->revoked && !b->swept && state.inflight == 0) {
+        return sb::Internal("drained revoked binding left unswept");
       }
       if (b->queued_submissions > config_->batch_ring_entries) {
         return sb::Internal("queued batch submissions exceed the ring geometry");
@@ -596,6 +464,9 @@ sb::Status RouteTable::CheckInvariants() const {
         }
       }
     }
+    if (inflight_sum != state.inflight) {
+      return sb::Internal("per-client in-flight sum out of sync");
+    }
   }
   // ---- Per-core residency cross-check (DESIGN.md section 15) ----
   if (kernel_->rootkernel() == nullptr) {
@@ -613,7 +484,7 @@ sb::Status RouteTable::CheckInvariants() const {
     if (cache.ids[0] != 0) {
       return sb::Internal("slot 0 no longer holds the base EPT");
     }
-    if (cache.ids.size() > budget_ ||
+    if (cache.ids.size() > config_->eptp_working_set ||
         cache.lru_prev.size() != cache.ids.size() ||
         cache.lru_next.size() != cache.ids.size() || cache.pins.size() != cache.ids.size()) {
       return sb::Internal("slot cache shape out of bounds");
@@ -709,20 +580,6 @@ uint64_t RouteTable::QueuedSubmissions() const {
     total += binding->queued_submissions;
   }
   return total;
-}
-
-sb::StatusOr<size_t> RouteTable::InstalledBindings(const mk::Process* client) const {
-  size_t count = 0;
-  auto it = clients_.find(const_cast<mk::Process*>(client));
-  if (it == clients_.end()) {
-    return count;
-  }
-  for (const Binding* b = it->second.lru_head; b != nullptr; b = b->lru_next) {
-    if (b->installed) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace skybridge

@@ -1,12 +1,12 @@
 // Route control plane: binding records, the (client, server) hash index,
-// the per-thread last-route cache front end, intrusive per-client LRU lists
-// and the per-core EPTP slot caches — everything DirectServerCall consults
-// to turn a ServerId into an armed EPTP slot.
+// the per-thread last-route cache front end, per-client binding lists and
+// the per-core EPTP slot caches — everything DirectServerCall consults to
+// turn a ServerId into an armed EPTP slot.
 //
 // Concurrency model (DESIGN.md section 11): the route table is read-mostly.
 // Steady-state calls on different cores touch only per-thread state (the
 // RouteCache embedded in mk::Thread), per-binding state of *their own*
-// disjoint binding (in-flight counters, LRU head check), *their own* core's
+// disjoint binding (in-flight counters), *their own* core's
 // slot cache and sharded telemetry counters — no shared mutable word.
 // Mutation (registration, revocation, eviction, fault injection) is the
 // sanctioned slow path and is serialized by the caller. Revocation publishes
@@ -22,9 +22,8 @@
 // resident takes the slot-fault slow path in ArmGate, which calls
 // EnsureResident to evict the per-core LRU victim via an in-place
 // kEptpListReplace (freed slots never reshuffle their neighbours, so every
-// other cached index stays valid — the per-core answer to the PR 1 central
-// invalidation, which predated per-core mirrors and could leave core B
-// stale after an eviction on core A).
+// other cached index stays valid). The per-core slot cache is the only
+// residency mechanism: there is no client-level working set on top of it.
 
 #ifndef SRC_SKYBRIDGE_ROUTING_H_
 #define SRC_SKYBRIDGE_ROUTING_H_
@@ -44,9 +43,8 @@
 
 namespace skybridge {
 
-// Sentinel for "binding not on the client's EPTP list".
+// Sentinel for "EPT not resident in a core's EPTP slot cache".
 inline constexpr uint32_t kNoEptpSlot = 0xffffffffu;
-inline constexpr size_t kSlotNotFound = static_cast<size_t>(-1);
 
 struct ServerEntry {
   ServerId id;
@@ -75,6 +73,9 @@ struct Binding {
   uint64_t server_key;      // Client -> server calling key.
   // Crossing backend, inherited from the server entry at registration.
   CrossingBackendKind backend = CrossingBackendKind::kEptp;
+  // The backend's caps().uses_view_slots: crossings go through a per-core
+  // EPTP slot. False for kSyscall, whose bindings are never made resident.
+  bool view_slots = true;
   // MPK backend only: the protection key guarding the server domain this
   // binding crosses into (1..15, round-robin allocated; 0 = unset).
   uint8_t pkey = 0;
@@ -99,9 +100,8 @@ struct Binding {
   // had a completion posted yet (DESIGN.md section 13). Bounded by the ring
   // geometry; drained by FlushBatch / the adaptive drain leg.
   uint64_t queued_submissions = 0;
-  bool installed = true;    // In the client's logical working set.
-  // Revoked bindings refuse new calls; their working-set entry is removed
-  // when the client drains. The record itself persists ("bindings are never
+  // Revoked bindings refuse new calls; their residency is dropped when the
+  // client drains. The record itself persists ("bindings are never
   // destroyed") and re-registration revives it.
   bool revoked = false;
   // Revocation scrub done (key slot zeroed, consolidation remap restored,
@@ -109,8 +109,8 @@ struct Binding {
   // after the client drains — never at Revoke time, so an in-flight call's
   // reply still translates through the binding EPT. Cleared on revival.
   bool swept = false;
-  // Calls currently between entry and return on this binding. Working-set
-  // state is never reshaped while the owning client has calls in flight.
+  // Calls currently between entry and return on this binding. Revocation
+  // never scrubs while the owning client has calls in flight.
   uint64_t in_flight = 0;
   // Chain bindings support nested calls (A -> B -> C): the EPT maps A's
   // CR3 to C's page tables, while authorization/keys come from the B -> C
@@ -118,23 +118,20 @@ struct Binding {
   // EPTPs that the server depends on into the client's EPTP list"). Chain
   // EPTs are never consolidated (their CR3 remap pairs are per-chain).
   bool chain = false;
-  // Intrusive per-client LRU links (head = most recently used).
-  Binding* lru_prev = nullptr;
-  Binding* lru_next = nullptr;
-  ClientState* lru_owner = nullptr;
+  ClientState* owner = nullptr;  // The client's ClientState (stable node).
 };
 
-// Per-client fast-path state: the intrusive LRU list heads.
+// Per-client state: every binding the client originates, in registration
+// order, plus the drain accounting revocation sweeps wait on.
 struct ClientState {
-  Binding* lru_head = nullptr;  // Most recently used.
-  Binding* lru_tail = nullptr;  // Eviction candidate end.
-  uint64_t inflight = 0;        // Sum of in_flight over this client's bindings.
+  std::vector<Binding*> bindings;
+  uint64_t inflight = 0;             // Sum of in_flight over `bindings`.
   bool pending_revocations = false;  // Sweep deferred until inflight drains.
 };
 
 // Per-core EPTP slot working set (DESIGN.md section 15). Slot 0 permanently
 // holds the base EPT and is never evicted, pinned or LRU-linked; slots
-// [1, budget) cache EPT ids with intrusive slot-index LRU links (head =
+// [1, eptp_working_set) cache EPT ids with intrusive slot-index LRU links (head =
 // most recently used). Freed slots are kEptpListReplace'd back to the base
 // EPT (id 0) and parked on the free list, so the list never shrinks or
 // reshuffles and every cached index for a *different* slot stays valid.
@@ -187,15 +184,8 @@ class RouteTable {
   // Per-thread last-route cache in front of Find; maintains the
   // binding_lookup_hits/misses counters.
   Binding* Lookup(mk::Thread* caller, ServerId server);
-  // Registers a freshly created binding: index insert + LRU front.
+  // Registers a freshly created binding: index insert + client list append.
   Binding* Adopt(std::unique_ptr<Binding> binding);
-  // O(1) move-to-front on the client's intrusive LRU list.
-  void Touch(Binding& binding);
-  // Client-level working-set maintenance: make room for / reinstall a
-  // binding in the client's logical eptp_list_ids set (bounded by
-  // eptp_capacity). `pinned_ept` is never evicted (the EPT we must return
-  // to). Residency is per-core and separate — see EnsureResident.
-  sb::Status Install(hw::Core& core, Binding& binding, uint64_t pinned_ept);
   // Call drain accounting: decrements the in-flight counts taken at call
   // entry and runs any revocation sweep the drain unblocked.
   void FinishCall(Binding& binding);
@@ -203,22 +193,18 @@ class RouteTable {
   // route epoch so every thread's cached route drops, and sweeps. NotFound
   // when the pair was never registered.
   sb::Status Revoke(mk::Process* client, ServerId server);
-  // Scrubs every drained revoked binding of `client`: working-set removal,
-  // the facade's RevokeScrub (key zeroing + consolidation remap restore),
-  // and residency teardown on every core once no sibling binding still
-  // holds the shared EPT. Defers itself while the client has calls in
-  // flight.
+  // Scrubs every drained revoked binding of `client`: the facade's
+  // RevokeScrub (key zeroing + consolidation remap restore) and residency
+  // teardown on every core once no sibling binding still holds the shared
+  // EPT. Defers itself while the client has calls in flight.
   void SweepRevoked(mk::Process* client);
-  // Fault-injection helper: evicts `binding` exactly as a concurrent
-  // eviction would (working set + this core's residency), leaving the
-  // caller's armed route stale.
+  // Fault-injection helper: drops `binding`'s residency on this core exactly
+  // as a concurrent eviction would, leaving the caller's armed route stale.
   void FaultEvict(hw::Core& core, Binding& binding);
-  // Index of `ept_id` in an id list, or kSlotNotFound.
-  static size_t EptpSlotOfId(const std::vector<uint64_t>& ids, uint64_t ept_id);
 
   // ---- Per-core slot residency (DESIGN.md section 15) ----
   // Returns the slot `ept_id` occupies on this core, making it resident if
-  // needed: free slot reuse, then append while under budget, then LRU (or
+  // needed: free slot reuse, then append while under the working set, then LRU (or
   // round-robin under the ablation) victim eviction via kEptpListReplace.
   // Touches the slot to the LRU head on hit. `faultable` arms the
   // kFaultSlotInstall point (the ArmGate slot-fault leg); dispatch-driven
@@ -226,8 +212,8 @@ class RouteTable {
   sb::StatusOr<uint32_t> EnsureResident(hw::Core& core, uint64_t ept_id, bool faultable);
   // Context-switch hook body: makes `process`'s own EPT resident and points
   // the core's active view at it. Eager (migration) additionally prefetches
-  // the client's installed bindings into *free* capacity — prefetch never
-  // evicts a warmer core's working set.
+  // the client's live bindings, in registration order, into *free* capacity
+  // — prefetch never evicts a warmer core's working set.
   sb::Status InstallProcessView(hw::Core& core, mk::Process* process, bool eager);
   // Drops `ept_id`'s residency on one core / every core. Skips pinned and
   // active slots (an in-flight call keeps its views; the eviction ordering
@@ -236,8 +222,6 @@ class RouteTable {
   void EvictResidencyEverywhere(uint64_t ept_id);
   // Slot `ept_id` occupies on `core_id`, or kNoEptpSlot (no LRU touch).
   uint32_t ResidentSlot(int core_id, uint64_t ept_id) const;
-  // EPT id in `slot` on `core_id` (0 = base EPT / freed / out of range).
-  uint64_t EptIdAtSlot(int core_id, uint32_t slot) const;
   // Pin accounting for slots a live call depends on (see SlotPinGuard).
   void PinSlot(int core_id, uint32_t slot);
   void UnpinSlot(int core_id, uint32_t slot);
@@ -248,18 +232,17 @@ class RouteTable {
   // origins included. Drives SkyBridge::RevokeServer.
   std::vector<mk::Process*> ClientsOfServer(ServerId server) const;
 
-  // Structural invariants the stress runner asserts between events: LRU
-  // list consistency, working-set/ids agreement, per-client capacity,
-  // revoked bindings scrubbed once drained, in-flight accounting, and the
-  // per-core residency cross-check against the Rootkernel's CoreEptpState
-  // mirrors (every resident slot maps to a live EPT holder and vice versa).
+  // Structural invariants the stress runner asserts between events: every
+  // binding recorded under its own client, revoked bindings swept once
+  // drained, in-flight accounting, and the per-core residency cross-check
+  // against the Rootkernel's CoreEptpState mirrors (every resident slot
+  // maps to a live EPT holder and vice versa).
   sb::Status CheckInvariants() const;
   uint64_t InFlightCalls() const;
   // Batch submissions enqueued across all bindings with no completion
   // posted yet. Zero at quiesce (every submitted entry was flushed or
   // failed); nonzero with no ring holding entries is leaked accounting.
   uint64_t QueuedSubmissions() const;
-  sb::StatusOr<size_t> InstalledBindings(const mk::Process* client) const;
 
   // The route-cache invalidation epoch (relaxed; see the header comment).
   uint64_t generation() const { return generation_.load(std::memory_order_relaxed); }
@@ -288,7 +271,6 @@ class RouteTable {
   // this set are process views, not bindings, for the invariant cross-check.
   std::unordered_set<uint64_t> process_ept_ids_;
   std::vector<CoreSlotCache> core_cache_;  // Indexed by core id.
-  size_t budget_;  // min(config.eptp_working_set, hw list capacity).
   RevokeScrub revoke_scrub_;
   // Epoch for the per-thread route caches. Bindings are never destroyed, so
   // this only moves on revocation (and any future removal path); bumping it
@@ -303,8 +285,8 @@ class RouteTable {
 
 // In-flight accounting bracketing a call on every exit path (both the
 // authorizing binding and the routed one when they differ). Revocation
-// never reshapes working-set state under a live call — it defers to this
-// guard's drain.
+// never scrubs a binding under a live call — it defers to this guard's
+// drain.
 class InFlightGuard {
  public:
   InFlightGuard() = default;
@@ -315,10 +297,10 @@ class InFlightGuard {
     a_ = perm;
     b_ = route != perm ? route : nullptr;
     ++a_->in_flight;
-    ++a_->lru_owner->inflight;
+    ++a_->owner->inflight;
     if (b_ != nullptr) {
       ++b_->in_flight;
-      ++b_->lru_owner->inflight;
+      ++b_->owner->inflight;
     }
   }
   ~InFlightGuard() {

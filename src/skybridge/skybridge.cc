@@ -33,10 +33,6 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
       scan_pool_(config.scan_pool_threads) {
   SB_CHECK(kernel.rootkernel() != nullptr)
       << "SkyBridge requires a kernel booted with the Rootkernel";
-  SB_CHECK(config_.eptp_capacity >= 2 && config_.eptp_capacity <= hw::kEptpListCapacity);
-  SB_CHECK(config_.eptp_working_set >= 4 &&
-           config_.eptp_working_set <= hw::kEptpListCapacity)
-      << "eptp_working_set must fit the hardware EPTP list";
   sb::telemetry::Registry& reg = kernel.machine().telemetry();
   metrics_.direct_calls = &reg.GetCounter("skybridge.ipc.direct_calls");
   metrics_.long_calls = &reg.GetCounter("skybridge.ipc.long_calls");
@@ -44,13 +40,11 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
   metrics_.inplace_replies = &reg.GetCounter("skybridge.ipc.inplace_replies");
   metrics_.rejected_calls = &reg.GetCounter("skybridge.ipc.rejected_calls");
   metrics_.timeouts = &reg.GetCounter("skybridge.ipc.timeouts");
-  metrics_.eptp_misses = &reg.GetCounter("skybridge.ipc.eptp_misses");
   metrics_.rewritten_vmfuncs = &reg.GetCounter("skybridge.rewrite.vmfuncs");
   metrics_.processes_rewritten = &reg.GetCounter("skybridge.rewrite.processes");
   metrics_.lookup_hits = &reg.GetCounter("skybridge.lookup.hits");
   metrics_.lookup_misses = &reg.GetCounter("skybridge.lookup.misses");
   metrics_.scan_pages = &reg.GetCounter("skybridge.rewrite.scan_pages");
-  metrics_.scan_threads = &reg.GetGauge("skybridge.rewrite.scan_threads");
   metrics_.aborted_calls = &reg.GetCounter("skybridge.ipc.aborted_calls");
   metrics_.gate_rejections = &reg.GetCounter("skybridge.ipc.gate_rejections");
   metrics_.stale_slot_retries = &reg.GetCounter("skybridge.ipc.stale_slot_retries");
@@ -74,21 +68,19 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
   // here via Rootkernel -> mk fault delivery.
   kernel.SetExecFaultHandler(
       [this](hw::Core& core, hw::Gpa gpa) { return HandleExecFault(core, gpa); });
-  // Count the scheduler hook's eager EPTP re-installs on thread migration
-  // (versus the lazy stale-slot fallback, counted by stale_slot_retries).
-  kernel.SetEptpInstallHook(
-      [this](hw::Core&, mk::Process*, mk::Kernel::EptpInstallReason reason) {
-        if (reason == mk::Kernel::EptpInstallReason::kMigration) {
-          metrics_.migration_installs->Add();
-        }
-      });
   // Dispatch installs go through the slot virtualizer (DESIGN.md section 15):
   // the kernel no longer rebuilds the EPTP list on context switch; the route
-  // table makes the incoming process's working set resident instead.
+  // table makes the incoming process's view resident instead. Eager installs
+  // on thread migration are counted against the lazy stale-slot fallback
+  // (stale_slot_retries).
   kernel.SetEptpInstaller(
       [this](hw::Core& core, mk::Process* process, mk::Kernel::EptpInstallReason reason) {
-        return routes_.InstallProcessView(
-            core, process, reason == mk::Kernel::EptpInstallReason::kMigration);
+        const bool migration = reason == mk::Kernel::EptpInstallReason::kMigration;
+        SB_RETURN_IF_ERROR(routes_.InstallProcessView(core, process, migration));
+        if (migration) {
+          metrics_.migration_installs->Add();
+        }
+        return sb::OkStatus();
       });
   // Deferred revocation scrub: runs once per binding when its last in-flight
   // call drains. Zeroes the server-side calling-key slot and, for a binding
@@ -131,7 +123,6 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
 
 SkyBridge::~SkyBridge() {
   // The hooks capture `this`; never let them outlive the bridge.
-  kernel_->SetEptpInstallHook(nullptr);
   kernel_->SetEptpInstaller(nullptr);
   kernel_->SetExecFaultHandler(nullptr);
 }
@@ -146,13 +137,11 @@ const SkyBridgeStats& SkyBridge::stats() const {
   snapshot.inplace_replies = metrics_.inplace_replies->Value();
   snapshot.rejected_calls = metrics_.rejected_calls->Value();
   snapshot.timeouts = metrics_.timeouts->Value();
-  snapshot.eptp_misses = metrics_.eptp_misses->Value();
   snapshot.rewritten_vmfuncs = metrics_.rewritten_vmfuncs->Value();
   snapshot.processes_rewritten = metrics_.processes_rewritten->Value();
   snapshot.binding_lookup_hits = metrics_.lookup_hits->Value();
   snapshot.binding_lookup_misses = metrics_.lookup_misses->Value();
   snapshot.scan_pages = metrics_.scan_pages->Value();
-  snapshot.scan_threads = metrics_.scan_threads->Value();
   snapshot.aborted_calls = metrics_.aborted_calls->Value();
   snapshot.gate_rejections = metrics_.gate_rejections->Value();
   snapshot.stale_slot_retries = metrics_.stale_slot_retries->Value();
@@ -337,7 +326,8 @@ sb::Status SkyBridge::BindOrigin(CallContext& ctx) {
   }
   ctx.route = ctx.perm;
   if (ctx.nested) {
-    SB_ASSIGN_OR_RETURN(ctx.route, GetOrCreateChainBinding(core, ctx.origin, ctx.server_id));
+    SB_ASSIGN_OR_RETURN(ctx.route,
+                        GetOrCreateChainBinding(core, ctx.origin, ctx.server_id, ctx.pbd));
   }
   return sb::OkStatus();
 }
@@ -349,34 +339,17 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
   // trap into the kernel and switch CR3 directly.
   const bool view_slots = ctx.backend->caps().uses_view_slots;
   if (view_slots) {
-    // The EPT active at entry: we must return to it (the caller's own view
-    // for a top-level call, the enclosing binding's EPT for a nested one).
-    // Freed slots are replaced in place (kEptpListReplace) and never
-    // reshuffle their neighbours, so the return slot is simply the slot we
-    // entered on — always.
-    const size_t entry_index = core.vmcs().active_index;
-    ctx.entry_ept = routes_.EptIdAtSlot(core.id(), static_cast<uint32_t>(entry_index));
-    ctx.return_index = entry_index;
+    // The view active at entry is the one we must return to (the caller's
+    // own view for a top-level call, the enclosing binding's EPT for a
+    // nested one). Freed slots are replaced in place (kEptpListReplace) and
+    // never reshuffle their neighbours, so the return slot is simply the
+    // slot we entered on — always.
+    ctx.return_index = core.vmcs().active_index;
 
-    if (!ctx.route->installed) {
-      // LRU-evicted earlier (or a fresh chain binding): install it.
-      metrics_.eptp_misses->Add();
-      SB_TRACE_EVENT(TraceEventType::kEptpMiss, core.cycles(), core.id(),
-                     ctx.server->process->pid());
-      SB_LOG(kDebug) << "eptp miss " << sb::kv("client", ctx.origin->pid())
-                     << " " << sb::kv("server", ctx.server->process->pid());
-      kernel_->SyscallEnter(core, ctx.pbd);
-      SB_RETURN_IF_ERROR(routes_.Install(core, *ctx.route, ctx.entry_ept));
-      kernel_->SyscallExit(core, ctx.pbd);
-      SB_TRACE_EVENT(TraceEventType::kEptpReinstall, core.cycles(), core.id(),
-                     ctx.server->process->pid(), 0);
-    }
-    routes_.Touch(*ctx.route);
-
-    // Slot-fault slow path (DESIGN.md section 15): the binding is authorized
-    // and installed, but its EPT is not resident in this core's bounded slot
-    // working set. Evict the LRU victim, replace the freed slot in place, and
-    // retry — hot bindings stay resident and never take this path.
+    // Slot-fault slow path (DESIGN.md section 15): the binding is authorized,
+    // but its EPT is not resident in this core's bounded slot working set.
+    // Evict the LRU victim, replace the freed slot in place, and retry — hot
+    // bindings stay resident and never take this path.
     if (routes_.ResidentSlot(core.id(), ctx.route->ept_id) == kNoEptpSlot) {
       metrics_.slot_faults->Add();
       const uint64_t fault_start = core.cycles();
@@ -424,7 +397,7 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
     return sb::OkStatus();
   }
   // The binding's residency is centrally maintained; no EPTP scan on the hit
-  // path. A concurrent registration can still LRU-evict the binding between
+  // path. A concurrent eviction can still drop the binding's slot between
   // lookup and this point (the pre_vmfunc fault injects exactly that):
   // detect the stale slot and re-arm via the slowpath with bounded
   // exponential backoff instead of dying on the old SB_CHECK.
@@ -432,12 +405,10 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
     if (SB_FAULT_POINT(kFaultPreVmfunc)) {
       routes_.FaultEvict(core, *ctx.route);
     }
-    if (ctx.route->installed) {
-      const uint32_t slot = routes_.ResidentSlot(core.id(), ctx.route->ept_id);
-      if (slot != kNoEptpSlot) {
-        ctx.route_slot = slot;
-        break;
-      }
+    const uint32_t slot = routes_.ResidentSlot(core.id(), ctx.route->ept_id);
+    if (slot != kNoEptpSlot) {
+      ctx.route_slot = slot;
+      break;
     }
     if (attempt >= config_.max_stale_slot_retries) {
       metrics_.rejected_calls->Add();
@@ -452,10 +423,8 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
                    ctx.server->process->pid(), attempt);
     core.AdvanceCycles(kStaleBackoffCycles << attempt);
     kernel_->SyscallEnter(core, ctx.pbd);
-    sb::Status rearm = routes_.Install(core, *ctx.route, ctx.entry_ept);
-    if (rearm.ok()) {
-      rearm = routes_.EnsureResident(core, ctx.route->ept_id, /*faultable=*/false).status();
-    }
+    const sb::Status rearm =
+        routes_.EnsureResident(core, ctx.route->ept_id, /*faultable=*/false).status();
     kernel_->SyscallExit(core, ctx.pbd);
     SB_RETURN_IF_ERROR(rearm);
   }
@@ -1029,10 +998,6 @@ sb::Status SkyBridge::CheckInvariants() const {
 }
 
 uint64_t SkyBridge::InFlightCalls() const { return routes_.InFlightCalls(); }
-
-sb::StatusOr<size_t> SkyBridge::InstalledBindings(mk::Process* client) const {
-  return routes_.InstalledBindings(client);
-}
 
 uint32_t SkyBridge::ResidentBindingSlot(mk::Process* client, ServerId server_id,
                                         uint32_t core_id) const {

@@ -70,7 +70,6 @@ struct SkyBridgeStats {
   uint64_t inplace_replies = 0;  // Reply built in place (no reply copy).
   uint64_t rejected_calls = 0;   // Calling-key, binding or capacity failures.
   uint64_t timeouts = 0;
-  uint64_t eptp_misses = 0;      // Binding had been LRU-evicted; reinstalled.
   uint64_t rewritten_vmfuncs = 0;
   uint64_t processes_rewritten = 0;
   // Fast-path lookup accounting: hits were served by the per-thread
@@ -78,8 +77,7 @@ struct SkyBridgeStats {
   uint64_t binding_lookup_hits = 0;
   uint64_t binding_lookup_misses = 0;
   // Registration-scan accounting (the parallel slow path).
-  uint64_t scan_pages = 0;    // Code-page chunks scanned across rewrites.
-  uint64_t scan_threads = 0;  // Widest fan-out any scan used.
+  uint64_t scan_pages = 0;  // Code-page chunks scanned across rewrites.
   // ---- Fault model & recovery (DESIGN.md section 10) ----
   uint64_t aborted_calls = 0;      // Server crashed mid-handler; rootkernel abort.
   uint64_t gate_rejections = 0;    // Replies rejected at the return gate.
@@ -92,8 +90,8 @@ struct SkyBridgeStats {
   // LRU victim when the budget was full) before the entry VMFUNC.
   uint64_t slot_faults = 0;
   // ---- Per-core control plane (DESIGN.md section 11) ----
-  // EPTP lists eagerly re-installed by the scheduler hook when a thread
-  // migrated cores (vs. the lazy stale_slot_retries fallback).
+  // Process views made resident on the destination core at migration time
+  // (eager MigrateThread; vs. the lazy stale_slot_retries fallback).
   uint64_t migration_installs = 0;
   // ---- Batched + asynchronous IPC (DESIGN.md section 13) ----
   uint64_t batched_calls = 0;      // Requests submitted into batch rings.
@@ -279,10 +277,10 @@ class SkyBridge {
   // ---- Revocation (fault model, DESIGN.md section 10) ----
   // Revokes the (client, server) binding: new calls and buffer acquisitions
   // are refused with PermissionDenied, every thread's cached route drops,
-  // and the binding's EPTP-list entry is removed — immediately if the client
-  // has no calls in flight, otherwise deferred until the client drains (the
-  // EPTP list is never reshaped under a live call). Re-registering the pair
-  // later revives the binding with a fresh calling key.
+  // and the binding is scrubbed and its EPT's slot residency dropped —
+  // immediately if the client has no calls in flight, otherwise deferred
+  // until the client drains (never under a live call). Re-registering the
+  // pair later revives the binding with a fresh calling key.
   sb::Status RevokeBinding(mk::Process* client, ServerId server_id);
 
   // Revokes every live client binding of `server_id` (chain origins
@@ -292,18 +290,15 @@ class SkyBridge {
   // no live clients.
   sb::Status RevokeServer(ServerId server_id);
 
-  // Structural invariants the stress runner asserts between events: LRU
-  // list consistency, cached-slot/EPTP-list agreement, per-client capacity,
-  // revoked bindings uninstalled once drained, in-flight accounting, and
-  // the Rootkernel's per-core EPTP mirrors. Returns the first violation.
+  // Structural invariants the stress runner asserts between events: every
+  // binding recorded under its own client, revoked bindings swept once
+  // drained, in-flight accounting, the per-core slot caches, and the
+  // Rootkernel's per-core EPTP mirrors. Returns the first violation.
   sb::Status CheckInvariants() const;
 
   // Calls currently between entry and return across all bindings. Zero at
   // quiesce; a nonzero value with no call on the stack is a leaked slice.
   uint64_t InFlightCalls() const;
-
-  // Number of EPTP slots currently installed for a client (tests).
-  sb::StatusOr<size_t> InstalledBindings(mk::Process* client) const;
 
   // The per-core EPTP slot currently holding the (client, server) binding's
   // EPT, or kNoEptpSlot when the binding is unknown or not resident on that
@@ -369,9 +364,10 @@ class SkyBridge {
   // faulting page through the cache and flips it executable everywhere.
   sb::Status HandleExecFault(hw::Core& core, hw::Gpa gpa);
   // Lazily creates the chain binding (origin's CR3 -> target server) used by
-  // nested calls; kernel- and Rootkernel-mediated.
+  // nested calls; kernel- and Rootkernel-mediated. Creation charges the
+  // kernel entry/exit pair to `bd` on view-slot backends.
   sb::StatusOr<Binding*> GetOrCreateChainBinding(hw::Core& core, mk::Process* origin,
-                                                 ServerId server_id);
+                                                 ServerId server_id, mk::CostBreakdown* bd);
 
   // ---- The call pipeline (shared by DirectServerCall / ...InPlace) ----
   // CallCommon builds a CallContext and drives it through the stages below;
@@ -400,9 +396,8 @@ class SkyBridge {
 
   // Live counters on the machine's telemetry registry (skybridge.*). Handles
   // are registered once in the constructor; the hot path only does relaxed
-  // sharded adds. `metrics_.scan_threads` is a high-water gauge. The
-  // routing/gate modules hold their own handles to the same registry
-  // entries (GetCounter returns one shared instance per name).
+  // sharded adds. The routing/gate modules hold their own handles to the
+  // same registry entries (GetCounter returns one shared instance per name).
   struct Metrics {
     sb::telemetry::Counter* direct_calls;
     sb::telemetry::Counter* long_calls;
@@ -410,13 +405,11 @@ class SkyBridge {
     sb::telemetry::Counter* inplace_replies;
     sb::telemetry::Counter* rejected_calls;
     sb::telemetry::Counter* timeouts;
-    sb::telemetry::Counter* eptp_misses;
     sb::telemetry::Counter* rewritten_vmfuncs;
     sb::telemetry::Counter* processes_rewritten;
     sb::telemetry::Counter* lookup_hits;
     sb::telemetry::Counter* lookup_misses;
     sb::telemetry::Counter* scan_pages;
-    sb::telemetry::Gauge* scan_threads;
     // Fault model & recovery.
     sb::telemetry::Counter* aborted_calls;
     sb::telemetry::Counter* gate_rejections;

@@ -860,7 +860,6 @@ sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
   for (int iter = 0; iter < config.max_iterations; ++iter) {
     const std::vector<VmfuncHit> hits = ScanForVmfunc(result.code, scan_options);
     result.stats.scan_pages = scan_stats.pages;
-    result.stats.scan_threads = scan_stats.threads;
     if (hits.empty()) {
       if (ContainsPattern(result.rewrite_page, config.pattern)) {
         return sb::Internal("rewrite page contains the pattern after rewriting");
@@ -888,7 +887,6 @@ sb::StatusOr<PageRewrite> RewriteVmfuncPage(std::span<const uint8_t> code, size_
   for (int iter = 0; iter < config.max_iterations; ++iter) {
     const std::vector<VmfuncHit> hits = ScanForVmfunc(working, scan_options);
     result.stats.scan_pages = scan_stats.pages;
-    result.stats.scan_threads = scan_stats.threads;
     const VmfuncHit* owned = nullptr;
     for (const VmfuncHit& hit : hits) {
       if (hit.pattern_off / kCodePageBytes == page_index) {

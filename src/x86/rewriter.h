@@ -65,8 +65,7 @@ struct RewriteStats {
   int nop_replaced = 0;       // C1: true VMFUNC instructions NOPed out.
   int windows_relocated = 0;  // Windows moved to the rewrite page.
   int snippets_emitted = 0;
-  uint64_t scan_pages = 0;    // Code-page chunks scanned across all passes.
-  uint64_t scan_threads = 0;  // Widest fan-out any scan pass used.
+  uint64_t scan_pages = 0;  // Code-page chunks scanned across all passes.
 };
 
 struct RewriteResult {

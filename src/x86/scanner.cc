@@ -49,25 +49,19 @@ std::vector<size_t> FindVmfuncBytes(std::span<const uint8_t> code, const ScanOpt
   const uint8_t* pattern = options.pattern == nullptr ? kVmfuncBytes : options.pattern;
   if (options.pool == nullptr || num_chunks < 2) {
     ScanRange(code, 0, search_end, pattern, offsets);
-    if (options.stats != nullptr) {
-      options.stats->MaxThreads(1);
-    }
     return offsets;
   }
   // One bucket per code page; chunk c owns the starts in [c*chunk,
   // (c+1)*chunk). Buckets are disjoint and internally ascending, so the
   // in-order merge reproduces the serial scan byte for byte.
   std::vector<std::vector<size_t>> buckets(num_chunks);
-  const size_t used = options.pool->ParallelFor(num_chunks, [&](size_t c) {
+  options.pool->ParallelFor(num_chunks, [&](size_t c) {
     const size_t begin = c * chunk;
     const size_t limit = std::min((c + 1) * chunk, search_end);
     if (begin < limit) {
       ScanRange(code, begin, limit, pattern, buckets[c]);
     }
   });
-  if (options.stats != nullptr) {
-    options.stats->MaxThreads(used);
-  }
   for (const std::vector<size_t>& bucket : buckets) {
     offsets.insert(offsets.end(), bucket.begin(), bucket.end());
   }

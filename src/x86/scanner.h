@@ -43,20 +43,14 @@ struct VmfuncHit {
   VmfuncOverlap overlap = VmfuncOverlap::kUndecodable;
 };
 
-// Accounting for one or more scans (accumulated across calls). The fields
-// are atomics so one ScanStats can be shared as the sink of scans running
-// concurrently on different threads (relaxed ordering: the totals are read
+// Accounting for one or more scans (accumulated across calls). The counter
+// is atomic so one ScanStats can be shared as the sink of scans running
+// concurrently on different threads (relaxed ordering: the total is read
 // after the scans join).
 struct ScanStats {
-  std::atomic<uint64_t> pages{0};    // Chunks (code pages) scanned.
-  std::atomic<uint64_t> threads{0};  // Widest fan-out: max threads any scan used.
+  std::atomic<uint64_t> pages{0};  // Chunks (code pages) scanned.
 
   void AddPages(uint64_t n) { pages.fetch_add(n, std::memory_order_relaxed); }
-  void MaxThreads(uint64_t n) {
-    uint64_t cur = threads.load(std::memory_order_relaxed);
-    while (n > cur && !threads.compare_exchange_weak(cur, n, std::memory_order_relaxed)) {
-    }
-  }
 };
 
 struct ScanOptions {

@@ -236,11 +236,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   EXPECT_EQ(pool.num_threads(), 4);
   constexpr size_t kN = 1000;
   std::vector<std::atomic<int>> counts(kN);
-  const size_t participants = pool.ParallelFor(kN, [&](size_t i) {
-    counts[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_GE(participants, 1u);
-  EXPECT_LE(participants, 5u);  // Workers + the calling thread.
+  pool.ParallelFor(kN, [&](size_t i) { counts[i].fetch_add(1, std::memory_order_relaxed); });
   for (size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(counts[i].load(), 1) << "index " << i;
   }
@@ -252,18 +248,16 @@ TEST(ThreadPool, ZeroWorkersFallsBackToSerial) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 0);
   std::vector<int> order;
-  const size_t participants =
-      pool.ParallelFor(8, [&](size_t i) { order.push_back(static_cast<int>(i)); });
-  EXPECT_EQ(participants, 1u);
+  pool.ParallelFor(8, [&](size_t i) { order.push_back(static_cast<int>(i)); });
   const std::vector<int> expected{0, 1, 2, 3, 4, 5, 6, 7};
   EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, EmptyAndSingleItemJobs) {
   ThreadPool pool(2);
-  EXPECT_EQ(pool.ParallelFor(0, [](size_t) { FAIL() << "must not run"; }), 0u);
+  pool.ParallelFor(0, [](size_t) { FAIL() << "must not run"; });
   int runs = 0;
-  EXPECT_EQ(pool.ParallelFor(1, [&](size_t) { ++runs; }), 1u);
+  pool.ParallelFor(1, [&](size_t) { ++runs; });
   EXPECT_EQ(runs, 1);
 }
 

@@ -50,8 +50,6 @@ class FaultRecoveryTest : public ::testing::TestWithParam<CrossingBackendKind> {
   }
 
   bool IsSyscall() const { return GetParam() == CrossingBackendKind::kSyscall; }
-  // kSyscall bindings never occupy EPTP slots; everything slot-shaped is 0.
-  uint64_t InstalledIfViewSlots(uint64_t n) const { return IsSyscall() ? 0u : n; }
   // Aborts route through the Rootkernel hypercall on view-switch backends
   // only; the kernel fastpath recovers with a plain reschedule.
   uint64_t RootkernelAborts(uint64_t n) const { return IsSyscall() ? 0u : n; }
@@ -250,11 +248,13 @@ TEST_P(FaultRecoveryTest, StaleSlotRetriesAreBoundedThenUnavailable) {
   EXPECT_EQ(sky_->stats().stale_slot_retries, 3u);
   ExpectHealthy();
 
-  // Disarmed, the evicted binding reinstalls through the ordinary miss path.
+  // Disarmed, the evicted binding faults back in through the ordinary
+  // slot-fault path.
   sb::fault::DisarmAll();
+  const uint64_t faults = sky_->stats().slot_faults;
   auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(3));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_GE(sky_->stats().eptp_misses, 1u);
+  EXPECT_EQ(sky_->stats().slot_faults, faults + 1);
   ExpectHealthy();
 }
 
@@ -300,12 +300,12 @@ TEST_P(FaultRecoveryTest, RevokedBindingRefusesCallsUntilReRegistered) {
   Boot();
   Pair p = MakePair(EchoHandler());
   ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(1)).ok());
-  ASSERT_EQ(sky_->InstalledBindings(p.client).value(), InstalledIfViewSlots(1));
+  ASSERT_EQ(sky_->ResidentBindingSlot(p.client, p.sid, 0) != kNoEptpSlot, !IsSyscall());
 
   ASSERT_TRUE(sky_->RevokeBinding(p.client, p.sid).ok());
   EXPECT_EQ(sky_->stats().bindings_revoked, 1u);
-  // No calls in flight: the EPTP entry (if any) is removed immediately.
-  EXPECT_EQ(sky_->InstalledBindings(p.client).value(), 0u);
+  // No calls in flight: the slot (if any) is freed immediately.
+  EXPECT_EQ(sky_->ResidentBindingSlot(p.client, p.sid, 0), kNoEptpSlot);
   ExpectHealthy();
 
   auto refused = sky_->DirectServerCall(p.thread, p.sid, Message(2));
@@ -336,8 +336,8 @@ TEST_P(FaultRecoveryTest, RevocationDuringFlightDrainsThenSweeps) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 2u);
   EXPECT_EQ(sky_->stats().bindings_revoked, 1u);
-  // Drained: the sweep ran, the entry is gone, invariants hold.
-  EXPECT_EQ(sky_->InstalledBindings(p.client).value(), 0u);
+  // Drained: the sweep ran, the slot is freed, invariants hold.
+  EXPECT_EQ(sky_->ResidentBindingSlot(p.client, p.sid, 0), kNoEptpSlot);
   ExpectHealthy();
 
   auto refused = sky_->DirectServerCall(p.thread, p.sid, Message(3));

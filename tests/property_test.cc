@@ -279,8 +279,6 @@ TEST(ScanParityProperty, SharedScanStatsAcrossConcurrentScansIsExact) {
     t.join();
   }
   EXPECT_EQ(stats.pages, static_cast<uint64_t>(kScanners) * kScansEach * 16);
-  EXPECT_GE(stats.threads, 1u);
-  EXPECT_LE(stats.threads, 3u);  // Pool of 2 + the calling thread.
 }
 
 TEST(ScanParityProperty, ParallelRewriteMatchesSerialOnTable6Corpus) {

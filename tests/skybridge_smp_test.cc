@@ -75,7 +75,7 @@ Handler EchoHandler() {
 
 // A call is mid-handler when the scheduler migrates its thread to another
 // core. The in-flight call must complete on the core it entered on, and the
-// next call must run (with the binding installed) on the new core.
+// next call must run (with the binding resident) on the new core.
 TEST_F(SkyBridgeSmpTest, MigrateWhileInFlight) {
   Boot();
   Pair p = MakePair(
@@ -137,8 +137,11 @@ TEST_F(SkyBridgeSmpTest, RevokeDuringMigration) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(sky_->InFlightCalls(), 0u);
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
-  // Drained: the revocation swept the binding out of the EPTP list.
-  EXPECT_EQ(sky_->InstalledBindings(p.client).value(), 0u);
+  // Drained: the revocation swept the binding's slot on every core.
+  for (int c = 0; c < machine_->num_cores(); ++c) {
+    EXPECT_EQ(sky_->ResidentBindingSlot(p.client, p.sid, static_cast<uint32_t>(c)), kNoEptpSlot)
+        << "core " << c;
+  }
 
   // New calls are refused on the new core.
   auto refused = sky_->DirectServerCall(p.thread, p.sid, Message(1));
@@ -160,7 +163,7 @@ TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
   struct WorldResult {
     std::vector<uint64_t> tags;
     SkyBridgeStats stats;
-    size_t installed;
+    uint32_t resident_slot;
   };
   auto run = [&](bool eager) -> WorldResult {
     Boot();
@@ -180,18 +183,19 @@ TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
     }
     SB_CHECK(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
     r.stats = sky_->stats();
-    r.installed = sky_->InstalledBindings(p.client).value();
+    r.resident_slot = sky_->ResidentBindingSlot(p.client, p.sid,
+                                                static_cast<uint32_t>(p.thread->core_id()));
     return r;
   };
 
   const WorldResult eager = run(/*eager=*/true);
   const WorldResult lazy = run(/*eager=*/false);
   EXPECT_EQ(eager.tags, lazy.tags);
-  EXPECT_EQ(eager.installed, lazy.installed);
+  EXPECT_NE(eager.resident_slot, kNoEptpSlot);
+  EXPECT_EQ(eager.resident_slot, lazy.resident_slot);
   EXPECT_EQ(eager.stats.direct_calls, lazy.stats.direct_calls);
   EXPECT_EQ(eager.stats.rejected_calls, lazy.stats.rejected_calls);
   EXPECT_EQ(eager.stats.stale_slot_retries, lazy.stats.stale_slot_retries);
-  EXPECT_EQ(eager.stats.eptp_misses, lazy.stats.eptp_misses);
   // The one sanctioned difference: where the post-migration install ran.
   EXPECT_GT(eager.stats.migration_installs, 0u);
   EXPECT_EQ(lazy.stats.migration_installs, 0u);

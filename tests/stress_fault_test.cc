@@ -626,14 +626,12 @@ class StressScenario {
   }
 
   // A printable fingerprint of everything that must replay identically.
-  // Deliberately omits scan_threads: it is a widest-fan-out gauge whose
-  // value depends on host scheduling inside the registration thread pool.
   std::string CounterFingerprint() const {
     const SkyBridgeStats s = sky_->stats();
     std::ostringstream out;
     out << "direct_calls=" << s.direct_calls << " long_calls=" << s.long_calls
         << " inplace_calls=" << s.inplace_calls << " rejected_calls=" << s.rejected_calls
-        << " timeouts=" << s.timeouts << " eptp_misses=" << s.eptp_misses
+        << " timeouts=" << s.timeouts
         << " aborted_calls=" << s.aborted_calls << " gate_rejections=" << s.gate_rejections
         << " stale_slot_retries=" << s.stale_slot_retries
         << " revoked_rejections=" << s.revoked_rejections

@@ -274,7 +274,7 @@ TEST_F(TraceTest, ChromeJsonPairsSlices) {
   TraceEmit(TraceEventType::kHandlerEnter, 150, 0, 2);
   TraceEmit(TraceEventType::kHandlerExit, 250, 0, 2);
   TraceEmit(TraceEventType::kCallEnd, 300, 0, 1, 2);
-  TraceEmit(TraceEventType::kEptpMiss, 310, 0, 2);
+  TraceEmit(TraceEventType::kSlotFault, 310, 0, 2);
   const std::string json = TraceChromeJson(TraceSnapshot());
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
@@ -372,10 +372,10 @@ TEST_F(SkyBridgeTraceTest, DirectCallEmitsCanonicalSequence) {
   EXPECT_LT(exit, vmfunc_out);
   EXPECT_LT(vmfunc_out, end);
 
-  // The warm path never misses: no lookup miss, EPTP miss, or rejection.
+  // The warm path never misses: no lookup miss, slot fault, or rejection.
   for (const TraceRecord& r : records) {
     EXPECT_NE(r.type, TraceEventType::kLookupMiss);
-    EXPECT_NE(r.type, TraceEventType::kEptpMiss);
+    EXPECT_NE(r.type, TraceEventType::kSlotFault);
     EXPECT_NE(r.type, TraceEventType::kRejected);
   }
 
