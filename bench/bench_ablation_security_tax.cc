@@ -58,16 +58,20 @@ RegistrationCost MeasureRegistration(bool rewrite, size_t image_bytes) {
   const skybridge::ServerId sid =
       sky.RegisterServer(server, 8, [](mk::CallEnv& env) { return env.request; }).value();
 
-  // Deterministic costs only — host wall-clock would vary run to run. The
-  // simulated cycle delta captures the kernel-mediated registration path;
-  // scan_pages is the rewrite work (zero with rewriting disabled).
+  // Deterministic costs only — host wall-clock would vary run to run. Both
+  // are deltas across the client's registration (the server's own
+  // registration scanned pages too): the simulated cycles of the
+  // kernel-mediated registration path, and scan_pages, the rewrite work
+  // (zero with rewriting disabled).
   hw::Core& core = world.machine->core(0);
+  const sb::telemetry::Counter& scanned =
+      world.machine->telemetry().GetCounter("skybridge.rewrite.scan_pages");
   const uint64_t start = core.cycles();
+  const uint64_t scanned_before = scanned.Value();
   SB_CHECK(sky.RegisterClient(client, sid).ok());
   RegistrationCost cost;
   cost.cycles = core.cycles() - start;
-  cost.scan_pages =
-      world.machine->telemetry().GetCounter("skybridge.rewrite.scan_pages").Value();
+  cost.scan_pages = scanned.Value() - scanned_before;
   return cost;
 }
 

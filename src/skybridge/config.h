@@ -9,8 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/hw/vmcs.h"
 
@@ -42,22 +40,6 @@ inline constexpr const char* CrossingBackendName(CrossingBackendKind kind) {
   return "unknown";
 }
 
-// Default backend for new worlds: the SB_CROSSING_BACKEND environment
-// variable ({eptp, mpk, syscall}; anything else falls back to eptp) so the CI
-// backend matrix can steer whole test binaries without code changes.
-inline CrossingBackendKind DefaultCrossingBackend() {
-  const char* env = std::getenv("SB_CROSSING_BACKEND");
-  if (env != nullptr) {
-    if (std::strcmp(env, "mpk") == 0) {
-      return CrossingBackendKind::kMpk;
-    }
-    if (std::strcmp(env, "syscall") == 0) {
-      return CrossingBackendKind::kSyscall;
-    }
-  }
-  return CrossingBackendKind::kEptp;
-}
-
 // ---- Registration modes (staged pipeline, DESIGN.md section 17) ----
 // How a process's code pages get their gate-pattern scrub:
 //   kEager    — scan/rewrite the whole image at registration (the paper's
@@ -86,22 +68,6 @@ inline constexpr const char* RegistrationModeName(RegistrationMode mode) {
       return "snapshot";
   }
   return "unknown";
-}
-
-// Default registration mode: the SB_REGISTRATION_MODE environment variable
-// ({eager, lazy, snapshot}; anything else falls back to eager) so the CI
-// matrix can steer whole test binaries without code changes.
-inline RegistrationMode DefaultRegistrationMode() {
-  const char* env = std::getenv("SB_REGISTRATION_MODE");
-  if (env != nullptr) {
-    if (std::strcmp(env, "lazy") == 0) {
-      return RegistrationMode::kLazy;
-    }
-    if (std::strcmp(env, "snapshot") == 0) {
-      return RegistrationMode::kSnapshot;
-    }
-  }
-  return RegistrationMode::kEager;
 }
 
 // ---- Gate-frame layout constants (registration writes, the gate reads) ----
@@ -146,7 +112,7 @@ inline constexpr const char kFaultExecScan[] = "skybridge.registration.exec_scan
 struct SkyBridgeConfig {
   // Crossing backend for bindings whose registration does not name one
   // explicitly (RegisterServer's backend parameter). See CrossingBackendKind.
-  CrossingBackendKind crossing_backend = DefaultCrossingBackend();
+  CrossingBackendKind crossing_backend = CrossingBackendKind::kEptp;
   // ---- EPTP slot virtualization (DESIGN.md section 15) ----
   // Per-core slot working set: how many EPTP-list slots each core may hold
   // resident at once, in [4, hw::kEptpListCapacity] (checked at startup).
@@ -185,7 +151,7 @@ struct SkyBridgeConfig {
   bool rewrite_binaries = true;
   // Staged registration pipeline mode (DESIGN.md section 17): eager scan at
   // registration, rewrite-on-first-execute, or snapshot/restore.
-  RegistrationMode registration_mode = DefaultRegistrationMode();
+  RegistrationMode registration_mode = RegistrationMode::kEager;
   // Budget for the content-hashed rewrite cache (entries ≈ distinct
   // (page, backend) contents across live images). 0 disables caching —
   // every page scan runs from scratch (the cold-start ablation baseline).

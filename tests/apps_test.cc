@@ -46,11 +46,7 @@ KvEnv MakeKv(KvWiring wiring, mk::KernelProfile profile = mk::Sel4Profile()) {
   env.kernel = std::make_unique<mk::Kernel>(*env.machine, std::move(profile), options);
   SB_CHECK(env.kernel->Boot().ok());
   if (wiring == KvWiring::kSkyBridge) {
-    // The Figure 2/8 ordering claims are about the paper's VMFUNC bridge;
-    // pin kEptp against the SB_CROSSING_BACKEND matrix.
-    skybridge::SkyBridgeConfig config;
-    config.crossing_backend = skybridge::CrossingBackendKind::kEptp;
-    env.sky = std::make_unique<skybridge::SkyBridge>(*env.kernel, config);
+    env.sky = std::make_unique<skybridge::SkyBridge>(*env.kernel);
   }
   env.pipeline = std::make_unique<KvPipeline>(*env.kernel, env.sky.get(), wiring);
   SB_CHECK(env.pipeline->Setup().ok());

@@ -3,10 +3,11 @@
 // SB_CHECK death), and the bridge verified healthy afterwards — EPT view
 // restored, invariants intact, subsequent calls succeed.
 //
-// Parameterized over the crossing backend (DESIGN.md section 16). Abort
-// recovery is Rootkernel-mediated on the view-switch backends (EPTP, MPK)
-// and a plain kernel reschedule on kSyscall; the stale-slot catalog points
-// only exist where view slots do.
+// Parameterized over crossing backend x registration mode (DESIGN.md
+// sections 16-17, tests/crossing_grid.h). Abort recovery is
+// Rootkernel-mediated on the view-switch backends (EPTP, MPK) and a plain
+// kernel reschedule on kSyscall; the stale-slot catalog points only exist
+// where view slots do.
 
 #include "src/skybridge/skybridge.h"
 
@@ -16,6 +17,7 @@
 #include "src/base/telemetry/trace.h"
 #include "src/mk/scheduler.h"
 #include "src/vmm/rootkernel.h"
+#include "tests/crossing_grid.h"
 
 namespace skybridge {
 namespace {
@@ -26,7 +28,7 @@ using mk::Message;
 using sb::ErrorCode;
 using sb::kGiB;
 
-class FaultRecoveryTest : public ::testing::TestWithParam<CrossingBackendKind> {
+class FaultRecoveryTest : public CrossingGridTest {
  protected:
   void SetUp() override { sb::fault::DisarmAll(); }
   void TearDown() override {
@@ -36,7 +38,7 @@ class FaultRecoveryTest : public ::testing::TestWithParam<CrossingBackendKind> {
   }
 
   void Boot(SkyBridgeConfig config = {}) {
-    config.crossing_backend = GetParam();
+    Apply(config);
     sky_.reset();
     kernel_.reset();
     machine_.reset();
@@ -49,7 +51,6 @@ class FaultRecoveryTest : public ::testing::TestWithParam<CrossingBackendKind> {
     sky_ = std::make_unique<SkyBridge>(*kernel_, config);
   }
 
-  bool IsSyscall() const { return GetParam() == CrossingBackendKind::kSyscall; }
   // Aborts route through the Rootkernel hypercall on view-switch backends
   // only; the kernel fastpath recovers with a plain reschedule.
   uint64_t RootkernelAborts(uint64_t n) const { return IsSyscall() ? 0u : n; }
@@ -89,13 +90,8 @@ class FaultRecoveryTest : public ::testing::TestWithParam<CrossingBackendKind> {
   std::unique_ptr<SkyBridge> sky_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, FaultRecoveryTest,
-                         ::testing::Values(CrossingBackendKind::kEptp,
-                                           CrossingBackendKind::kMpk,
-                                           CrossingBackendKind::kSyscall),
-                         [](const ::testing::TestParamInfo<CrossingBackendKind>& param_info) {
-                           return std::string(CrossingBackendName(param_info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(Backends, FaultRecoveryTest, ::testing::ValuesIn(AllCrossingCells()),
+                         CrossingCellName);
 
 Handler EchoHandler() {
   return [](CallEnv& env) { return env.request; };

@@ -46,21 +46,9 @@ void PlantEmbedded(std::vector<uint8_t>& image, size_t offset, const uint8_t pat
   image[offset + 4] = 0x00;
 }
 
-// Each test drives one registration mode explicitly; start from eager so the
-// SB_REGISTRATION_MODE matrix cannot change what a test asserts.
-SkyBridgeConfig EagerConfig() {
-  SkyBridgeConfig config;
-  config.registration_mode = RegistrationMode::kEager;
-  return config;
-}
-
 class RegistrationPipelineTest : public ::testing::Test {
  protected:
-  void Boot(SkyBridgeConfig config = EagerConfig()) {
-    // The cache/lazy/snapshot machinery under test lives on the view-slot
-    // path; pin EPTP as the default backend against the SB_CROSSING_BACKEND
-    // matrix (individual servers still pin their own backend).
-    config.crossing_backend = CrossingBackendKind::kEptp;
+  void Boot(SkyBridgeConfig config = {}) {
     sky_.reset();
     kernel_.reset();
     machine_.reset();
@@ -218,7 +206,7 @@ TEST(RewriteCacheUnit, KeyIsolationAndBoundedLruEviction) {
 // config.rewrite_cache_entries == 0 disables caching entirely — the
 // cold-start ablation baseline: every fork pays the full scan.
 TEST_F(RegistrationPipelineTest, ZeroBudgetDisablesTheCache) {
-  SkyBridgeConfig config = EagerConfig();
+  SkyBridgeConfig config;
   config.rewrite_cache_entries = 0;
   Boot(config);
   std::vector<uint8_t> image = NopImage(2);

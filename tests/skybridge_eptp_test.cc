@@ -31,9 +31,6 @@ class SkyBridgeEptpTest : public ::testing::Test {
   void TearDown() override { sb::fault::DisarmAll(); }
 
   void Boot(SkyBridgeConfig config = {}) {
-    // This suite tests EPTP slot mechanics; it is meaningless on the other
-    // crossing backends, so pin kEptp against the SB_CROSSING_BACKEND matrix.
-    config.crossing_backend = CrossingBackendKind::kEptp;
     sky_.reset();
     kernel_.reset();
     machine_.reset();

@@ -2,11 +2,12 @@
 // malicious EPT switching, the trampoline as the only gate, W^X dynamic code
 // rescanning, and isolation under the KPTI (Meltdown-mitigated) profile.
 //
-// Parameterized over the crossing backend (DESIGN.md section 16). The suite
-// pins the isolation matrix: the EPTP and kSyscall backends block
-// cross-domain reads outright, while MPK's user-forgeable PKRU permits them
-// — CrossDomainReadMatchesTheBackendIsolationMatrix demonstrates both the
-// hole and the fact that the other backends do not share it.
+// Parameterized over crossing backend x registration mode (DESIGN.md
+// sections 16-17, tests/crossing_grid.h). The suite pins the isolation
+// matrix: the EPTP and kSyscall backends block cross-domain reads outright,
+// while MPK's user-forgeable PKRU permits them —
+// CrossDomainReadMatchesTheBackendIsolationMatrix demonstrates both the hole
+// and the fact that the other backends do not share it.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "src/x86/assembler.h"
 #include "src/x86/decoder.h"
 #include "src/x86/scanner.h"
+#include "tests/crossing_grid.h"
 
 namespace skybridge {
 namespace {
@@ -24,7 +26,7 @@ using mk::CallEnv;
 using mk::Message;
 using sb::kGiB;
 
-class SecurityTest : public ::testing::TestWithParam<CrossingBackendKind> {
+class SecurityTest : public CrossingGridTest {
  protected:
   void Boot(mk::KernelProfile profile = mk::Sel4Profile()) {
     sky_.reset();
@@ -37,13 +39,9 @@ class SecurityTest : public ::testing::TestWithParam<CrossingBackendKind> {
     kernel_ = std::make_unique<mk::Kernel>(*machine_, std::move(profile));
     ASSERT_TRUE(kernel_->Boot().ok());
     SkyBridgeConfig config;
-    config.crossing_backend = GetParam();
+    Apply(config);
     sky_ = std::make_unique<SkyBridge>(*kernel_, config);
   }
-
-  bool IsEptp() const { return GetParam() == CrossingBackendKind::kEptp; }
-  bool IsMpk() const { return GetParam() == CrossingBackendKind::kMpk; }
-  bool IsSyscall() const { return GetParam() == CrossingBackendKind::kSyscall; }
 
   // The backend's scrubbed gate triple (VMFUNC or WRPKRU).
   const uint8_t* GatePattern() const {
@@ -55,13 +53,8 @@ class SecurityTest : public ::testing::TestWithParam<CrossingBackendKind> {
   std::unique_ptr<SkyBridge> sky_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, SecurityTest,
-                         ::testing::Values(CrossingBackendKind::kEptp,
-                                           CrossingBackendKind::kMpk,
-                                           CrossingBackendKind::kSyscall),
-                         [](const ::testing::TestParamInfo<CrossingBackendKind>& param_info) {
-                           return std::string(CrossingBackendName(param_info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(Backends, SecurityTest, ::testing::ValuesIn(AllCrossingCells()),
+                         CrossingCellName);
 
 TEST_P(SecurityTest, TrampolineIsTheOnlyGate) {
   if (IsSyscall()) {
@@ -70,7 +63,7 @@ TEST_P(SecurityTest, TrampolineIsTheOnlyGate) {
   Boot();
   // The backend's trampoline page intentionally carries exactly two gate
   // instructions (VMFUNC for EPTP, WRPKRU for MPK)...
-  const TrampolineLayout trampoline = BuildTrampoline(GetParam());
+  const TrampolineLayout trampoline = BuildTrampoline(Backend());
   x86::ScanOptions scan;
   scan.pattern = GatePattern();
   const auto hits = x86::ScanForVmfunc(trampoline.code, scan);

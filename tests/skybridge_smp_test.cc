@@ -29,9 +29,6 @@ hw::MachineConfig SmpMachine() {
 class SkyBridgeSmpTest : public ::testing::Test {
  protected:
   void Boot(SkyBridgeConfig config = {}) {
-    // Per-core slot state and consolidation are EPTP mechanics; pin kEptp
-    // against the SB_CROSSING_BACKEND matrix.
-    config.crossing_backend = CrossingBackendKind::kEptp;
     sky_.reset();
     kernel_.reset();
     machine_.reset();

@@ -2,17 +2,22 @@
 // address-space switch, long IPC, and the Section 4.4 / Section 7 security
 // properties.
 //
-// The whole suite is parameterized over the crossing backend (DESIGN.md
-// section 16): every test runs against EPTP, MPK and the kernel-fastpath
-// baseline, skipping only the cases tied to a capability the backend lacks
-// (EPTP slot behaviour on kSyscall, which installs no view slots).
+// The whole suite is parameterized over crossing backend x registration mode
+// (DESIGN.md sections 16-17, tests/crossing_grid.h): every test runs against
+// EPTP, MPK and the kernel-fastpath baseline, each registered eagerly, lazily
+// and from snapshots, skipping only the cases tied to a capability the
+// backend lacks (EPTP slot behaviour on kSyscall, which installs no view
+// slots).
 
 #include "src/skybridge/skybridge.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "src/x86/assembler.h"
 #include "src/x86/scanner.h"
+#include "tests/crossing_grid.h"
 
 namespace skybridge {
 namespace {
@@ -29,10 +34,10 @@ hw::MachineConfig TestMachine() {
   return config;
 }
 
-class SkyBridgeTest : public ::testing::TestWithParam<CrossingBackendKind> {
+class SkyBridgeTest : public CrossingGridTest {
  protected:
   void Boot(mk::KernelProfile profile = mk::Sel4Profile(), SkyBridgeConfig config = {}) {
-    config.crossing_backend = GetParam();
+    Apply(config);
     sky_.reset();      // Tear down in dependency order before re-booting.
     kernel_.reset();
     machine_.reset();
@@ -41,10 +46,6 @@ class SkyBridgeTest : public ::testing::TestWithParam<CrossingBackendKind> {
     ASSERT_TRUE(kernel_->Boot().ok());
     sky_ = std::make_unique<SkyBridge>(*kernel_, config);
   }
-
-  bool IsEptp() const { return GetParam() == CrossingBackendKind::kEptp; }
-  bool IsMpk() const { return GetParam() == CrossingBackendKind::kMpk; }
-  bool IsSyscall() const { return GetParam() == CrossingBackendKind::kSyscall; }
 
   struct Pair {
     mk::Process* client;
@@ -69,16 +70,44 @@ class SkyBridgeTest : public ::testing::TestWithParam<CrossingBackendKind> {
   std::unique_ptr<SkyBridge> sky_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, SkyBridgeTest,
-                         ::testing::Values(CrossingBackendKind::kEptp,
-                                           CrossingBackendKind::kMpk,
-                                           CrossingBackendKind::kSyscall),
-                         [](const ::testing::TestParamInfo<CrossingBackendKind>& param_info) {
-                           return std::string(CrossingBackendName(param_info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(Backends, SkyBridgeTest, ::testing::ValuesIn(AllCrossingCells()),
+                         CrossingCellName);
 
 Handler EchoHandler() {
   return [](CallEnv& env) { return env.request; };
+}
+
+// The defaults are the paper's design — a VMFUNC EPTP switch over eagerly
+// rewritten binaries — and no environment variable can change them, so a
+// shell setting cannot silently rewrite a bench's figures.
+TEST(SkyBridgeConfigTest, DefaultsIgnoreEnvironment) {
+  setenv("SB_CROSSING_BACKEND", "mpk", 1);
+  setenv("SB_REGISTRATION_MODE", "lazy", 1);
+  const SkyBridgeConfig defaults;
+  EXPECT_EQ(defaults.crossing_backend, CrossingBackendKind::kEptp);
+  EXPECT_EQ(defaults.registration_mode, RegistrationMode::kEager);
+
+  hw::Machine machine(TestMachine());
+  mk::Kernel kernel(machine, mk::Sel4Profile());
+  ASSERT_TRUE(kernel.Boot().ok());
+  SkyBridge sky(kernel);
+  mk::Process* server = kernel.CreateProcess("server").value();
+  mk::Process* client = kernel.CreateProcess("client").value();
+  const ServerId sid = sky.RegisterServer(server, 8, EchoHandler()).value();
+  ASSERT_TRUE(sky.RegisterClient(client, sid).ok());
+  mk::Thread* thread = client->AddThread(0);
+  ASSERT_TRUE(kernel.ContextSwitchTo(machine.core(0), client).ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(sky.DirectServerCall(thread, sid, Message(1)).ok());
+  }
+  hw::Core& core = machine.core(0);
+  const uint64_t start = core.cycles();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(sky.DirectServerCall(thread, sid, Message(1)).ok());
+  }
+  EXPECT_EQ((core.cycles() - start) / 1000, 396u);  // Fig 7's warm roundtrip.
+  unsetenv("SB_CROSSING_BACKEND");
+  unsetenv("SB_REGISTRATION_MODE");
 }
 
 TEST_P(SkyBridgeTest, DirectCallRoundTrip) {

@@ -148,12 +148,7 @@ class StressScenario {
     machine_ = std::make_unique<hw::Machine>(mc);
     kernel_ = std::make_unique<mk::Kernel>(*machine_, mk::Sel4Profile());
     SB_CHECK(kernel_->Boot().ok());
-    // The backend mix is pinned explicitly per server below; the config
-    // default (kv pipeline, sweep helpers) stays kEptp regardless of the
-    // SB_CROSSING_BACKEND matrix so the fault sweep hits the slot paths.
-    SkyBridgeConfig config;
-    config.crossing_backend = CrossingBackendKind::kEptp;
-    sky_ = std::make_unique<SkyBridge>(*kernel_, config);
+    sky_ = std::make_unique<SkyBridge>(*kernel_);
 
     // Echo server + client (cores 1 and 2 carry its threads; core 0 belongs
     // to the kv pipeline below). The server population is deliberately
@@ -288,7 +283,7 @@ class StressScenario {
 
   // Phase 1b: the staged-registration scan fault (DESIGN.md section 17),
   // driven in a dedicated lazy-mode world so the sweep exercises
-  // rewrite-on-first-execute regardless of the SB_REGISTRATION_MODE matrix.
+  // rewrite-on-first-execute.
   void ExecScanSweep() {
     sb::fault::DisarmAll();
     sb::fault::SetSeed(seed_);

@@ -307,11 +307,7 @@ class SkyBridgeTraceTest : public ::testing::Test {
     machine_ = std::make_unique<hw::Machine>(mc);
     kernel_ = std::make_unique<mk::Kernel>(*machine_, mk::Sel4Profile());
     ASSERT_TRUE(kernel_->Boot().ok());
-    // The canonical trace sequence below is the VMFUNC fast path; pin kEptp
-    // against the SB_CROSSING_BACKEND matrix.
-    skybridge::SkyBridgeConfig config;
-    config.crossing_backend = skybridge::CrossingBackendKind::kEptp;
-    sky_ = std::make_unique<skybridge::SkyBridge>(*kernel_, config);
+    sky_ = std::make_unique<skybridge::SkyBridge>(*kernel_);
     client_ = kernel_->CreateProcess("client").value();
     server_ = kernel_->CreateProcess("server").value();
     sid_ = sky_->RegisterServer(server_, 4, [](mk::CallEnv& env) { return env.request; })
