@@ -48,15 +48,14 @@ Result Measure(bool huge_pages) {
   }
   hw::Core& core = machine.core(0);
   core.WriteCr3((*as)->root_gpa(), 1, false);
-  (*rk)->ResetExitCounters();
-
+  const uint64_t exits_before = machine.telemetry().Value("hw.vmexit.total");
   const uint64_t accesses_before = core.pmu().mem_accesses;
   const uint64_t cycles_before = core.cycles();
   for (int i = 0; i < kPages; ++i) {
     SB_CHECK(core.ReadVirtU64(0x400000 + static_cast<uint64_t>(i) * sb::kPageSize).ok());
   }
   Result result;
-  result.vm_exits = (*rk)->exits_total();
+  result.vm_exits = machine.telemetry().Value("hw.vmexit.total") - exits_before;
   result.walk_accesses = (core.pmu().mem_accesses - accesses_before) / kPages;
   result.cycles = (core.cycles() - cycles_before) / kPages;
   return result;

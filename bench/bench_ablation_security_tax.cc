@@ -64,14 +64,13 @@ RegistrationCost MeasureRegistration(bool rewrite, size_t image_bytes) {
   // kernel-mediated registration path, and scan_pages, the rewrite work
   // (zero with rewriting disabled).
   hw::Core& core = world.machine->core(0);
-  const sb::telemetry::Counter& scanned =
-      world.machine->telemetry().GetCounter("skybridge.rewrite.scan_pages");
+  const sb::telemetry::Registry& reg = world.machine->telemetry();
   const uint64_t start = core.cycles();
-  const uint64_t scanned_before = scanned.Value();
+  const uint64_t scanned_before = reg.Value("skybridge.rewrite.scan_pages");
   SB_CHECK(sky.RegisterClient(client, sid).ok());
   RegistrationCost cost;
   cost.cycles = core.cycles() - start;
-  cost.scan_pages = scanned.Value() - scanned_before;
+  cost.scan_pages = reg.Value("skybridge.rewrite.scan_pages") - scanned_before;
   return cost;
 }
 

@@ -117,7 +117,9 @@ struct SpawnResult {
 // call; returns the average core-0 cycle cost of one spawn-to-first-call.
 SpawnResult SpawnFleet(World& w, int workers, const std::vector<uint8_t>& image) {
   hw::Core& core = w.machine->core(0);
-  const skybridge::SkyBridgeStats before = w.sky->stats();
+  const sb::telemetry::Registry& reg = w.machine->telemetry();
+  const uint64_t hits_before = reg.Value("skybridge.registration.cache_hits");
+  const uint64_t misses_before = reg.Value("skybridge.registration.cache_misses");
   const uint64_t start = core.cycles();
   SpawnResult result;
   for (int i = 0; i < workers; ++i) {
@@ -131,9 +133,8 @@ SpawnResult SpawnFleet(World& w, int workers, const std::vector<uint8_t>& image)
     SB_CHECK(w.sky->DirectServerCall(result.last_thread, sid, mk::Message(0)).ok());
   }
   result.cycles_per_spawn = static_cast<double>(core.cycles() - start) / workers;
-  const skybridge::SkyBridgeStats after = w.sky->stats();
-  result.cache_hits = after.cache_hits - before.cache_hits;
-  result.cache_misses = after.cache_misses - before.cache_misses;
+  result.cache_hits = reg.Value("skybridge.registration.cache_hits") - hits_before;
+  result.cache_misses = reg.Value("skybridge.registration.cache_misses") - misses_before;
   return result;
 }
 

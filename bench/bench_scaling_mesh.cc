@@ -254,12 +254,18 @@ MeshResult RunMesh(const MeshParams& params) {
     return sky->DirectServerCall(m->threads[c], m->sids[server], mk::Message(key)).status();
   };
 
-  const skybridge::SkyBridgeStats before = sky->stats();
+  const sb::telemetry::Registry& reg = machine->telemetry();
+  const uint64_t faults_before = reg.Value("skybridge.eptp.slot_faults");
+  const uint64_t retries_before = reg.Value("skybridge.ipc.stale_slot_retries");
+  const uint64_t rejected_before = reg.Value("skybridge.ipc.rejected_calls");
   sim::LoadGenerator gen(*machine, config, target);
   const sim::LoadGenReport report = gen.Run().value();
-  const skybridge::SkyBridgeStats after = sky->stats();
 
   MeshResult r;
+  // Read before the hot-set probe, whose calls would count too.
+  r.slot_faults = reg.Value("skybridge.eptp.slot_faults") - faults_before;
+  r.stale_retries = reg.Value("skybridge.ipc.stale_slot_retries") - retries_before;
+  r.rejected = reg.Value("skybridge.ipc.rejected_calls") - rejected_before;
   r.hot_cpo = ProbeHotSet(mesh);
   SB_CHECK(sky->CheckInvariants().ok());
   r.calls = report.completed;
@@ -267,9 +273,6 @@ MeshResult RunMesh(const MeshParams& params) {
   r.ops_per_sec = static_cast<double>(report.completed) /
                   (static_cast<double>(report.elapsed_cycles) /
                    hw::DefaultCosts().cycles_per_second);
-  r.slot_faults = after.slot_faults - before.slot_faults;
-  r.stale_retries = after.stale_slot_retries - before.stale_slot_retries;
-  r.rejected = after.rejected_calls - before.rejected_calls;
   r.ept_count = kernel->rootkernel()->ept_count();
   r.fault_rate = report.completed > 0
                      ? static_cast<double>(r.slot_faults) / static_cast<double>(report.completed)

@@ -98,9 +98,9 @@ MigrationResult RunMigration(uint64_t period, bool eager) {
   // Unrelated work runs on the other cores between visits, so the roamer
   // never finds its address space still live on the destination.
   mk::Process* polluter = world.kernel->CreateProcess("polluter").value();
-  const skybridge::SkyBridgeStats before = world.sky->stats();
-  const uint64_t installs0 = before.migration_installs;
-  const uint64_t retries0 = before.stale_slot_retries;
+  const sb::telemetry::Registry& reg = world.machine->telemetry();
+  const uint64_t installs0 = reg.Value("skybridge.eptp.migration_installs");
+  const uint64_t retries0 = reg.Value("skybridge.ipc.stale_slot_retries");
   const uint64_t base = AlignClocks(world);
   sim::Executor exec(*world.machine);
   skybridge::SkyBridge* sky = world.sky.get();
@@ -124,11 +124,10 @@ MigrationResult RunMigration(uint64_t period, bool eager) {
   exec.RunToCompletion();
   const double seconds = static_cast<double>(exec.max_time() - base) /
                          hw::DefaultCosts().cycles_per_second;
-  const skybridge::SkyBridgeStats& stats = world.sky->stats();
   MigrationResult r;
   r.ops_per_sec = static_cast<double>(kOpsPerClient) / seconds;
-  r.migration_installs = stats.migration_installs - installs0;
-  r.stale_slot_retries = stats.stale_slot_retries - retries0;
+  r.migration_installs = reg.Value("skybridge.eptp.migration_installs") - installs0;
+  r.stale_slot_retries = reg.Value("skybridge.ipc.stale_slot_retries") - retries0;
   return r;
 }
 

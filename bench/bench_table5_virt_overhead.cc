@@ -27,10 +27,8 @@ Row Measure(bool rootkernel, int threads) {
   config.num_client_threads = threads;
   auto stack = apps::SqliteStack::Create(config);
   SB_CHECK(stack.ok()) << stack.status().ToString();
-
-  if (rootkernel) {
-    (*stack)->kernel().rootkernel()->ResetExitCounters();
-  }
+  const sb::telemetry::Registry& reg = (*stack)->machine().telemetry();
+  const uint64_t exits_before = reg.Value("hw.vmexit.total");
 
   apps::YcsbConfig wl = apps::YcsbA();
   wl.record_count = kRecords;
@@ -67,7 +65,7 @@ Row Measure(bool rootkernel, int threads) {
   row.throughput =
       static_cast<double>(total_ops) /
       (static_cast<double>(exec.max_time() - base_time) / hw::DefaultCosts().cycles_per_second);
-  row.vm_exits = rootkernel ? (*stack)->kernel().rootkernel()->exits_total() : 0;
+  row.vm_exits = reg.Value("hw.vmexit.total") - exits_before;
   return row;
 }
 

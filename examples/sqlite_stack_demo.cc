@@ -51,10 +51,11 @@ int main() {
   std::printf("ramdisk:  %llu reads, %llu writes\n",
               static_cast<unsigned long long>((*stack)->ramdisk().reads()),
               static_cast<unsigned long long>((*stack)->ramdisk().writes()));
+  const sb::telemetry::Registry& reg = (*stack)->machine().telemetry();
   std::printf("SkyBridge: %llu direct calls, %llu long (shared-buffer) calls\n",
-              static_cast<unsigned long long>((*stack)->sky()->stats().direct_calls),
-              static_cast<unsigned long long>((*stack)->sky()->stats().long_calls));
+              static_cast<unsigned long long>(reg.Value("skybridge.ipc.direct_calls")),
+              static_cast<unsigned long long>(reg.Value("skybridge.ipc.long_calls")));
   std::printf("VM exits while serving: %llu\n",
-              static_cast<unsigned long long>((*stack)->kernel().rootkernel()->exits_total()));
+              static_cast<unsigned long long>(reg.Value("hw.vmexit.total")));
   return 0;
 }

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/base/logging.h"
+
 namespace sb::telemetry {
 namespace {
 
@@ -173,6 +175,16 @@ LatencyHistogram& Registry::GetHistogram(std::string_view name) {
              .first;
   }
   return *it->second;
+}
+
+uint64_t Registry::Value(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (auto it = counters_.find(name); it != counters_.end()) {
+    return it->second->Value();
+  }
+  auto it = gauges_.find(name);
+  SB_CHECK(it != gauges_.end()) << "no counter or gauge named " << name;
+  return it->second->Value();
 }
 
 std::vector<MetricValue> Registry::Snapshot() const {

@@ -198,6 +198,12 @@ class Registry {
   Gauge& GetGauge(std::string_view name);
   LatencyHistogram& GetHistogram(std::string_view name);
 
+  // Folded value of the registered counter or gauge `name`. Unlike Get*,
+  // never registers: an unknown name (a typo would otherwise read a fresh
+  // zero counter) fails an SB_CHECK. Exact at its read, but reads of several
+  // metrics are not a consistent cut across them.
+  uint64_t Value(std::string_view name) const;
+
   // Folded view of every registered metric, sorted by name within each kind.
   std::vector<MetricValue> Snapshot() const;
 

@@ -59,13 +59,6 @@ class Machine {
   // virtual-time layer on the receiver side).
   void SendIpi(int from_core, int to_core);
 
-  uint64_t total_vm_exits() const { return total_vm_exits_; }
-  uint64_t total_ipis() const { return total_ipis_; }
-  void ResetExitCounters() {
-    total_vm_exits_ = 0;
-    total_ipis_ = 0;
-  }
-
   // This machine's metrics registry. Every simulated layer (skybridge, mk,
   // vmm, hw) reports here; provider gauges registered by the constructor
   // surface the per-core PMU tallies (hw.tlb.*, hw.cache.*, ...).
@@ -80,6 +73,7 @@ class Machine {
   Cache l3_;
   std::vector<std::unique_ptr<Core>> cores_;
   VmExitHandler vm_exit_handler_;
+  // Read only through the hw.vmexit.total and hw.ipi.sent gauges.
   uint64_t total_vm_exits_ = 0;
   uint64_t total_ipis_ = 0;
 };

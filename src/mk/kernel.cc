@@ -489,7 +489,6 @@ sb::StatusOr<Message> Kernel::ServeLocal(hw::Core& core, Endpoint& ep, Process* 
 sb::StatusOr<Message> Kernel::ServeCrossCore(hw::Core& caller_core, Endpoint& ep,
                                              int server_core_id, Process* caller_proc,
                                              const Message& msg, CostBreakdown* bd) {
-  ++cross_core_calls_;
   metrics_.cross_core_calls->Add();
   const hw::CostModel& cm = machine_->costs();
   hw::Core& server_core = machine_->core(server_core_id);
@@ -562,7 +561,6 @@ sb::StatusOr<Message> Kernel::IpcCall(Thread* caller, CapSlot cap_slot, const Me
   Endpoint* ep = endpoint(cap->object);
   SB_CHECK(ep != nullptr);
   ep->count_call();
-  ++ipc_calls_;
   metrics_.ipc_calls->Add();
 
   hw::Core& core = machine_->core(caller->core_id());

@@ -256,10 +256,6 @@ class Kernel {
   // Charges the kernel IPC software logic and touches kernel structures.
   void ChargeIpcLogic(hw::Core& core, bool fastpath, CostBreakdown* bd);
 
-  // Statistics.
-  uint64_t ipc_calls() const { return ipc_calls_; }
-  uint64_t cross_core_calls() const { return cross_core_calls_; }
-
  private:
   sb::Status SetupKernelAddressSpace();
   sb::Status ContextSwitchInternal(hw::Core& core, Process* process, CostBreakdown* bd,
@@ -288,8 +284,6 @@ class Kernel {
   // Pre-computed warm-cache cost of the kernel footprint touches, subtracted
   // from the calibrated logic constants to avoid double counting.
   uint64_t warm_footprint_cycles_ = 0;
-  uint64_t ipc_calls_ = 0;
-  uint64_t cross_core_calls_ = 0;
   // Telemetry handles on the machine's registry (mk.*), bound at
   // construction; the call paths only do relaxed sharded adds.
   struct Metrics {

@@ -42,14 +42,10 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
   metrics_.timeouts = &reg.GetCounter("skybridge.ipc.timeouts");
   metrics_.rewritten_vmfuncs = &reg.GetCounter("skybridge.rewrite.vmfuncs");
   metrics_.processes_rewritten = &reg.GetCounter("skybridge.rewrite.processes");
-  metrics_.lookup_hits = &reg.GetCounter("skybridge.lookup.hits");
-  metrics_.lookup_misses = &reg.GetCounter("skybridge.lookup.misses");
   metrics_.scan_pages = &reg.GetCounter("skybridge.rewrite.scan_pages");
-  metrics_.aborted_calls = &reg.GetCounter("skybridge.ipc.aborted_calls");
   metrics_.gate_rejections = &reg.GetCounter("skybridge.ipc.gate_rejections");
   metrics_.stale_slot_retries = &reg.GetCounter("skybridge.ipc.stale_slot_retries");
   metrics_.revoked_rejections = &reg.GetCounter("skybridge.ipc.revoked_rejections");
-  metrics_.bindings_revoked = &reg.GetCounter("skybridge.bindings.revoked");
   metrics_.slot_faults = &reg.GetCounter("skybridge.eptp.slot_faults");
   metrics_.migration_installs = &reg.GetCounter("skybridge.eptp.migration_installs");
   metrics_.batched_calls = &reg.GetCounter("skybridge.ipc.batched_calls");
@@ -125,40 +121,6 @@ SkyBridge::~SkyBridge() {
   // The hooks capture `this`; never let them outlive the bridge.
   kernel_->SetEptpInstaller(nullptr);
   kernel_->SetExecFaultHandler(nullptr);
-}
-
-const SkyBridgeStats& SkyBridge::stats() const {
-  // One atomic read per field into a thread-local snapshot; see the header
-  // for the (documented) cross-counter consistency rule.
-  thread_local SkyBridgeStats snapshot;
-  snapshot.direct_calls = metrics_.direct_calls->Value();
-  snapshot.long_calls = metrics_.long_calls->Value();
-  snapshot.inplace_calls = metrics_.inplace_calls->Value();
-  snapshot.inplace_replies = metrics_.inplace_replies->Value();
-  snapshot.rejected_calls = metrics_.rejected_calls->Value();
-  snapshot.timeouts = metrics_.timeouts->Value();
-  snapshot.rewritten_vmfuncs = metrics_.rewritten_vmfuncs->Value();
-  snapshot.processes_rewritten = metrics_.processes_rewritten->Value();
-  snapshot.binding_lookup_hits = metrics_.lookup_hits->Value();
-  snapshot.binding_lookup_misses = metrics_.lookup_misses->Value();
-  snapshot.scan_pages = metrics_.scan_pages->Value();
-  snapshot.aborted_calls = metrics_.aborted_calls->Value();
-  snapshot.gate_rejections = metrics_.gate_rejections->Value();
-  snapshot.stale_slot_retries = metrics_.stale_slot_retries->Value();
-  snapshot.revoked_rejections = metrics_.revoked_rejections->Value();
-  snapshot.bindings_revoked = metrics_.bindings_revoked->Value();
-  snapshot.slot_faults = metrics_.slot_faults->Value();
-  snapshot.migration_installs = metrics_.migration_installs->Value();
-  snapshot.batched_calls = metrics_.batched_calls->Value();
-  snapshot.batch_flushes = metrics_.batch_flushes->Value();
-  snapshot.batch_drain_rounds = metrics_.drain_rounds->Value();
-  snapshot.exec_faults = metrics_.exec_faults->Value();
-  snapshot.lazy_rewrites = metrics_.lazy_rewrites->Value();
-  snapshot.cache_hits = metrics_.cache_hits->Value();
-  snapshot.cache_misses = metrics_.cache_misses->Value();
-  snapshot.snapshot_restores = metrics_.snapshot_restores->Value();
-  snapshot.pages_rescanned = metrics_.pages_rescanned->Value();
-  return snapshot;
 }
 
 sb::StatusOr<std::span<uint8_t>> SkyBridge::AcquireSendBuffer(mk::Thread* caller,

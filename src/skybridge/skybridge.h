@@ -60,53 +60,6 @@
 
 namespace skybridge {
 
-// Point-in-time snapshot of the library's counters. The live values are
-// telemetry registry metrics (skybridge.* on the machine's registry); this
-// struct is folded from them by stats() to keep the historical accessor.
-struct SkyBridgeStats {
-  uint64_t direct_calls = 0;
-  uint64_t long_calls = 0;       // Used the shared buffer.
-  uint64_t inplace_calls = 0;    // Request built in place (no request copy).
-  uint64_t inplace_replies = 0;  // Reply built in place (no reply copy).
-  uint64_t rejected_calls = 0;   // Calling-key, binding or capacity failures.
-  uint64_t timeouts = 0;
-  uint64_t rewritten_vmfuncs = 0;
-  uint64_t processes_rewritten = 0;
-  // Fast-path lookup accounting: hits were served by the per-thread
-  // last-route cache; misses fell through to the binding hash index.
-  uint64_t binding_lookup_hits = 0;
-  uint64_t binding_lookup_misses = 0;
-  // Registration-scan accounting (the parallel slow path).
-  uint64_t scan_pages = 0;  // Code-page chunks scanned across rewrites.
-  // ---- Fault model & recovery (DESIGN.md section 10) ----
-  uint64_t aborted_calls = 0;      // Server crashed mid-handler; rootkernel abort.
-  uint64_t gate_rejections = 0;    // Replies rejected at the return gate.
-  uint64_t stale_slot_retries = 0; // Pre-VMFUNC stale-slot slowpath re-arms.
-  uint64_t revoked_rejections = 0; // Calls refused on a revoked binding.
-  uint64_t bindings_revoked = 0;   // RevokeBinding transitions.
-  // ---- EPTP slot virtualization (DESIGN.md section 15) ----
-  // Calls whose routed binding was not resident in the core's slot working
-  // set; the slot-fault slow path made it resident (evicting the per-core
-  // LRU victim when the budget was full) before the entry VMFUNC.
-  uint64_t slot_faults = 0;
-  // ---- Per-core control plane (DESIGN.md section 11) ----
-  // Process views made resident on the destination core at migration time
-  // (eager MigrateThread; vs. the lazy stale_slot_retries fallback).
-  uint64_t migration_installs = 0;
-  // ---- Batched + asynchronous IPC (DESIGN.md section 13) ----
-  uint64_t batched_calls = 0;      // Requests submitted into batch rings.
-  uint64_t batch_flushes = 0;      // FlushBatch crossings that drained >= 1.
-  uint64_t batch_drain_rounds = 0; // Server drain rounds across all flushes.
-  // ---- Staged registration pipeline (DESIGN.md section 17) ----
-  uint64_t exec_faults = 0;        // Exec-violation exits taken (lazy mode).
-  uint64_t lazy_rewrites = 0;      // Pages rewritten by the exec-fault path.
-  uint64_t cache_hits = 0;         // Rewrite-cache page hits (replays).
-  uint64_t cache_misses = 0;       // Rewrite-cache page misses.
-  uint64_t snapshot_restores = 0;  // Registrations restored from a snapshot.
-  uint64_t pages_rescanned = 0;    // Pages scanned from scratch (cache misses
-                                   // plus cache-disabled scans).
-};
-
 class SkyBridge {
  public:
   // Requires a kernel booted with the Rootkernel.
@@ -260,17 +213,6 @@ class SkyBridge {
   sb::StatusOr<uint64_t> ProbeCrossDomainRead(mk::Thread* caller, ServerId server_id,
                                               hw::Gva va);
 
-  // Folds the registry-backed counters into the snapshot struct.
-  //
-  // Consistency rule: safe to call concurrently with calls on other
-  // threads. Each field is one atomic per-counter read, so every field is
-  // individually monotonic and exact at its read point, but the snapshot is
-  // NOT a consistent cut across counters — a call racing the fold may be
-  // reflected in direct_calls and not yet in binding_lookup_hits (or vice
-  // versa; fields are read in declaration order). The returned reference is
-  // thread-local: it stays valid, and stable, until the same thread calls
-  // stats() again.
-  const SkyBridgeStats& stats() const;
   const SkyBridgeConfig& config() const { return config_; }
   mk::Kernel& kernel() { return *kernel_; }
 
@@ -394,10 +336,11 @@ class SkyBridge {
   // validation and materialization, return VMFUNC.
   sb::StatusOr<mk::Message> ServeAndReturn(CallContext& ctx);
 
-  // Live counters on the machine's telemetry registry (skybridge.*). Handles
-  // are registered once in the constructor; the hot path only does relaxed
-  // sharded adds. The routing/gate modules hold their own handles to the
-  // same registry entries (GetCounter returns one shared instance per name).
+  // Handles on the machine's telemetry registry (skybridge.*), the only
+  // store of these counts: registered once in the constructor, the hot path
+  // only does relaxed sharded adds, and readers use Registry::Value. The
+  // routing/gate modules register and bump the lookup, revocation and abort
+  // counters themselves.
   struct Metrics {
     sb::telemetry::Counter* direct_calls;
     sb::telemetry::Counter* long_calls;
@@ -407,15 +350,11 @@ class SkyBridge {
     sb::telemetry::Counter* timeouts;
     sb::telemetry::Counter* rewritten_vmfuncs;
     sb::telemetry::Counter* processes_rewritten;
-    sb::telemetry::Counter* lookup_hits;
-    sb::telemetry::Counter* lookup_misses;
     sb::telemetry::Counter* scan_pages;
     // Fault model & recovery.
-    sb::telemetry::Counter* aborted_calls;
     sb::telemetry::Counter* gate_rejections;
     sb::telemetry::Counter* stale_slot_retries;
     sb::telemetry::Counter* revoked_rejections;
-    sb::telemetry::Counter* bindings_revoked;
     // EPTP slot virtualization.
     sb::telemetry::Counter* slot_faults;
     // Per-core control plane.

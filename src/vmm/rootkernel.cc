@@ -13,10 +13,11 @@ Rootkernel::Rootkernel(hw::Machine& machine, const RootkernelConfig& config, hw:
       guest_limit_(guest_limit),
       frames_(guest_limit, config.reserved_bytes) {
   sb::telemetry::Registry& reg = machine.telemetry();
-  metrics_.exits_cpuid = &reg.GetCounter("vmm.exits.cpuid");
-  metrics_.exits_vmcall = &reg.GetCounter("vmm.exits.vmcall");
-  metrics_.exits_ept_violation = &reg.GetCounter("vmm.exits.ept_violation");
-  metrics_.exits_exec_violation = &reg.GetCounter("vmm.exits.exec_violation");
+  metrics_.cpuid_exits = &reg.GetCounter("vmm.exits.cpuid");
+  metrics_.vmcall_exits = &reg.GetCounter("vmm.exits.vmcall");
+  metrics_.ept_violation_exits = &reg.GetCounter("vmm.exits.ept_violation");
+  metrics_.exec_violation_exits = &reg.GetCounter("vmm.exits.exec_violation");
+  metrics_.vmfunc_invalid_exits = &reg.GetCounter("vmm.exits.vmfunc_invalid");
   metrics_.epts_created = &reg.GetCounter("vmm.ept.created");
   metrics_.identity_remaps = &reg.GetCounter("vmm.ept.identity_remaps");
   metrics_.aborts = &reg.GetCounter("vmm.aborts");
@@ -202,33 +203,21 @@ sb::Status Rootkernel::CheckInvariants() const {
   return sb::OkStatus();
 }
 
-void Rootkernel::ResetExitCounters() {
-  exits_cpuid_ = 0;
-  exits_vmcall_ = 0;
-  exits_ept_violation_ = 0;
-  exits_exec_violation_ = 0;
-  machine_->ResetExitCounters();
-}
-
 uint64_t Rootkernel::HandleExit(hw::Core& core, const hw::VmExitInfo& info) {
   switch (info.reason) {
     case hw::VmExitReason::kCpuid:
-      ++exits_cpuid_;
-      metrics_.exits_cpuid->Add();
+      metrics_.cpuid_exits->Add();
       return 0;
     case hw::VmExitReason::kVmcall:
-      ++exits_vmcall_;
-      metrics_.exits_vmcall->Add();
+      metrics_.vmcall_exits->Add();
       SB_TRACE_EVENT(sb::telemetry::TraceEventType::kVmcall, core.cycles(), core.id(),
                      info.qualification);
       return HandleVmcall(core, info);
     case hw::VmExitReason::kEptViolation:
-      ++exits_ept_violation_;
-      metrics_.exits_ept_violation->Add();
+      metrics_.ept_violation_exits->Add();
       return HandleEptViolation(core, info);
     case hw::VmExitReason::kEptExecViolation:
-      ++exits_exec_violation_;
-      metrics_.exits_exec_violation->Add();
+      metrics_.exec_violation_exits->Add();
       if (!exec_violation_handler_) {
         return kHypercallError;
       }
@@ -236,6 +225,7 @@ uint64_t Rootkernel::HandleExit(hw::Core& core, const hw::VmExitInfo& info) {
     case hw::VmExitReason::kVmfuncInvalid:
       // A malformed VMFUNC from a guest: treated as a guest error; the
       // Rootkernel refuses to switch and resumes the guest.
+      metrics_.vmfunc_invalid_exits->Add();
       return kHypercallError;
     default:
       SB_CHECK(false) << "unhandled VM exit reason";
@@ -299,7 +289,6 @@ uint64_t Rootkernel::HandleVmcall(hw::Core& core, const hw::VmExitInfo& info) {
         return kHypercallError;
       }
       core.vmcs().active_index = static_cast<size_t>(info.arg1);
-      ++aborts_;
       ++core_eptp_[static_cast<size_t>(core.id())].aborts;
       metrics_.aborts->Add();
       return 0;

@@ -106,16 +106,6 @@ class Rootkernel {
   // Number of EPTs derived so far (ids are dense, 0 = base).
   size_t ept_count() const { return epts_.size(); }
 
-  // ---- Exit statistics (Table 5) ----
-  uint64_t exits_cpuid() const { return exits_cpuid_; }
-  uint64_t exits_vmcall() const { return exits_vmcall_; }
-  uint64_t exits_ept_violation() const { return exits_ept_violation_; }
-  uint64_t exits_exec_violation() const { return exits_exec_violation_; }
-  uint64_t exits_total() const {
-    return exits_cpuid_ + exits_vmcall_ + exits_ept_violation_ + exits_exec_violation_;
-  }
-  void ResetExitCounters();
-
   // ---- Exec-violation delegation (lazy registration slow path) ----
   // Invoked on every kEptExecViolation exit with the faulting GPA. Returns 0
   // when the handler resolved the fault (the page is now executable and the
@@ -125,9 +115,6 @@ class Rootkernel {
   void SetExecViolationHandler(ExecViolationHandler handler) {
     exec_violation_handler_ = std::move(handler);
   }
-
-  // Rootkernel-mediated call aborts served (kAbortToView).
-  uint64_t aborts() const { return aborts_; }
 
   // ---- Per-core EPTP-list control state (DESIGN.md section 11) ----
   // The EPTP-list VMCALL ABI is implicitly "current core"; this materializes
@@ -177,20 +164,18 @@ class Rootkernel {
   hw::Ept* base_ept_ = nullptr;
   std::vector<std::unique_ptr<hw::Ept>> epts_;  // id -> EPT (0 is the base).
   std::vector<CoreEptpState> core_eptp_;  // Indexed by core id.
-  uint64_t exits_cpuid_ = 0;
-  uint64_t exits_vmcall_ = 0;
-  uint64_t exits_ept_violation_ = 0;
-  uint64_t exits_exec_violation_ = 0;
-  uint64_t aborts_ = 0;
   ExecViolationHandler exec_violation_handler_;
-  // Registry mirrors (vmm.*) on the machine's telemetry; plain counters and
-  // a Set-at-update gauge, never providers — the Rootkernel can die before
-  // the machine, and a provider lambda would dangle.
+  // Exit (Table 5) and abort counts live only on the machine's telemetry
+  // (vmm.*); one vmm.exits.* counter per exit reason, so they sum to
+  // hw.vmexit.total. Plain counters and a Set-at-update gauge, never
+  // providers — the Rootkernel can die before the machine, and a provider
+  // lambda would dangle.
   struct Metrics {
-    sb::telemetry::Counter* exits_cpuid;
-    sb::telemetry::Counter* exits_vmcall;
-    sb::telemetry::Counter* exits_ept_violation;
-    sb::telemetry::Counter* exits_exec_violation;
+    sb::telemetry::Counter* cpuid_exits;
+    sb::telemetry::Counter* vmcall_exits;
+    sb::telemetry::Counter* ept_violation_exits;
+    sb::telemetry::Counter* exec_violation_exits;
+    sb::telemetry::Counter* vmfunc_invalid_exits;
     sb::telemetry::Counter* epts_created;
     sb::telemetry::Counter* identity_remaps;
     sb::telemetry::Counter* aborts;

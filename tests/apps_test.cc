@@ -350,15 +350,14 @@ TEST(SqliteStack, NativeAndRootkernelThroughputClose) {
     for (int i = 0; i < 10; ++i) {
       SB_CHECK((*stack)->RunYcsbOp(0, workload.NextOp(), workload).ok());
     }
-    if (rootkernel) {
-      (*stack)->kernel().rootkernel()->ResetExitCounters();
-    }
+    const sb::telemetry::Registry& reg = (*stack)->machine().telemetry();
+    const uint64_t exits_before = reg.Value("hw.vmexit.total");
     const uint64_t start = core.cycles();
     for (int i = 0; i < 50; ++i) {
       SB_CHECK((*stack)->RunYcsbOp(0, workload.NextOp(), workload).ok());
     }
     if (exits != nullptr) {
-      *exits = rootkernel ? (*stack)->kernel().rootkernel()->exits_total() : 0;
+      *exits = reg.Value("hw.vmexit.total") - exits_before;
     }
     return (core.cycles() - start) / 50;
   };

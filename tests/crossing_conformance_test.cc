@@ -167,13 +167,15 @@ std::vector<std::string> RunScript(CrossingBackendKind backend) {
   }
   // 10. Deterministic end-state counters every backend must agree on.
   {
-    const SkyBridgeStats& s = sky.stats();
     std::ostringstream line;
-    line << "counters direct=" << s.direct_calls << " long=" << s.long_calls
-         << " inplace=" << s.inplace_calls << " rejected=" << s.rejected_calls
-         << " aborted=" << s.aborted_calls << " gate_rej=" << s.gate_rejections
-         << " revoked=" << s.bindings_revoked << " batched=" << s.batched_calls
-         << " flushes=" << s.batch_flushes;
+    line << "counters";
+    for (const char* name :
+         {"skybridge.ipc.direct_calls", "skybridge.ipc.long_calls", "skybridge.ipc.inplace_calls",
+          "skybridge.ipc.rejected_calls", "skybridge.ipc.aborted_calls",
+          "skybridge.ipc.gate_rejections", "skybridge.bindings.revoked",
+          "skybridge.ipc.batched_calls", "skybridge.ipc.batch_flushes"}) {
+      line << " " << name << "=" << machine.telemetry().Value(name);
+    }
     transcript.push_back(line.str());
   }
   sb::fault::DisarmAll();
@@ -225,8 +227,8 @@ TEST(CrossingConformance, PerBackendCrossingCountersTickOnlyForTheActiveBackend)
           CrossingBackendKind::kSyscall}) {
       const std::string prefix =
           std::string("skybridge.crossing.") + CrossingBackendName(other);
-      const uint64_t enters = machine.telemetry().GetCounter(prefix + ".enters").Value();
-      const uint64_t returns = machine.telemetry().GetCounter(prefix + ".returns").Value();
+      const uint64_t enters = machine.telemetry().Value(prefix + ".enters");
+      const uint64_t returns = machine.telemetry().Value(prefix + ".returns");
       if (other == backend) {
         EXPECT_EQ(enters, 10u) << prefix;
         EXPECT_EQ(returns, 10u) << prefix;

@@ -644,7 +644,7 @@ TEST_F(CoreTranslationTest, Cr3RemapSwitchesAddressSpaceViaVmfunc) {
   EXPECT_EQ(*v3, 0xc11e47ULL);
 
   // No VM exits were needed for any of this.
-  EXPECT_EQ(machine_.total_vm_exits(), 0u);
+  EXPECT_EQ(machine_.telemetry().Value("hw.vmexit.total"), 0u);
 }
 
 TEST_F(CoreTranslationTest, InvalidVmfuncIndexCausesVmExit) {
@@ -1035,7 +1035,7 @@ TEST(Machine, IpiCountsPerCore) {
   Machine machine(MachineWith(4, 1 * kGiB));
   machine.SendIpi(0, 2);
   machine.SendIpi(0, 3);
-  EXPECT_EQ(machine.total_ipis(), 2u);
+  EXPECT_EQ(machine.telemetry().Value("hw.ipi.sent"), 2u);
   EXPECT_EQ(machine.core(0).pmu().ipis_sent, 2u);
 }
 
@@ -1046,7 +1046,7 @@ TEST(Machine, VmcallDispatchesToHandler) {
     return info.qualification + info.arg1;
   });
   EXPECT_EQ(machine.core(0).Vmcall(40, 2), 42u);
-  EXPECT_EQ(machine.total_vm_exits(), 1u);
+  EXPECT_EQ(machine.telemetry().Value("hw.vmexit.total"), 1u);
 }
 
 }  // namespace

@@ -202,8 +202,8 @@ TEST_F(KernelTest, CrossCoreSel4Near6764) {
   const uint64_t rt = WarmRoundtrip(*kernel_, *machine_, f);
   EXPECT_GE(rt, 6300u);
   EXPECT_LE(rt, 7300u);
-  EXPECT_GT(kernel_->cross_core_calls(), 0u);
-  EXPECT_GT(machine_->total_ipis(), 0u);
+  EXPECT_GT(machine_->telemetry().Value("mk.ipc.cross_core_calls"), 0u);
+  EXPECT_GT(machine_->telemetry().Value("hw.ipi.sent"), 0u);
 }
 
 TEST_F(KernelTest, CrossCoreZirconNear20099) {

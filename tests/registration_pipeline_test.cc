@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <vector>
 
 #include "src/base/faultpoint.h"
@@ -70,6 +71,9 @@ class RegistrationPipelineTest : public ::testing::Test {
     return ept->Walk(walk.gpa + page * kPageSize, hw::kEptExec).ok;
   }
 
+  // A counter or gauge on this world's telemetry registry.
+  uint64_t Metric(std::string_view name) const { return machine_->telemetry().Value(name); }
+
   std::unique_ptr<hw::Machine> machine_;
   std::unique_ptr<mk::Kernel> kernel_;
   std::unique_ptr<SkyBridge> sky_;
@@ -86,9 +90,9 @@ TEST_F(RegistrationPipelineTest, UpdateProcessCodeRescansOnlyDirtyPages) {
   auto* server = kernel_->CreateProcessWithImage("server", image).value();
   const ServerId sid =
       sky_->RegisterServer(server, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
-  EXPECT_EQ(sky_->stats().pages_rescanned, 4u);
-  EXPECT_EQ(sky_->stats().cache_misses, 4u);
-  EXPECT_EQ(sky_->stats().cache_hits, 0u);
+  EXPECT_EQ(Metric("skybridge.registration.pages_rescanned"), 4u);
+  EXPECT_EQ(Metric("skybridge.registration.cache_misses"), 4u);
+  EXPECT_EQ(Metric("skybridge.registration.cache_hits"), 0u);
   EXPECT_TRUE(x86::FindVmfuncBytes(server->code_image()).empty());
 
   // Dirty exactly one byte, mid-page so no neighbour's +-64 B hash context
@@ -96,9 +100,9 @@ TEST_F(RegistrationPipelineTest, UpdateProcessCodeRescansOnlyDirtyPages) {
   std::vector<uint8_t> updated = image;
   updated[2 * kPageSize + 2048] = 0xf8;  // NOP -> CLC, still one decodable byte.
   ASSERT_TRUE(sky_->UpdateProcessCode(server, updated).ok());
-  EXPECT_EQ(sky_->stats().pages_rescanned, 5u);
-  EXPECT_EQ(sky_->stats().cache_misses, 5u);
-  EXPECT_EQ(sky_->stats().cache_hits, 3u);
+  EXPECT_EQ(Metric("skybridge.registration.pages_rescanned"), 5u);
+  EXPECT_EQ(Metric("skybridge.registration.cache_misses"), 5u);
+  EXPECT_EQ(Metric("skybridge.registration.cache_hits"), 3u);
   EXPECT_TRUE(x86::FindVmfuncBytes(server->code_image()).empty());
   EXPECT_TRUE(server->code_rewritten());
 
@@ -120,16 +124,16 @@ TEST_F(RegistrationPipelineTest, IdenticalForkReplaysFromTheCacheDeterministical
   auto* a = kernel_->CreateProcessWithImage("fork-a", image).value();
   const ServerId sid_a =
       sky_->RegisterServer(a, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
-  EXPECT_EQ(sky_->stats().cache_misses, 4u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, 4u);
+  EXPECT_EQ(Metric("skybridge.registration.cache_misses"), 4u);
+  EXPECT_EQ(Metric("skybridge.registration.pages_rescanned"), 4u);
 
   auto* b = kernel_->CreateProcessWithImage("fork-b", image).value();
   const ServerId sid_b =
       sky_->RegisterServer(b, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
   // 100% hit rate: no page of the fork rescanned.
-  EXPECT_EQ(sky_->stats().cache_misses, 4u);
-  EXPECT_EQ(sky_->stats().cache_hits, 4u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, 4u);
+  EXPECT_EQ(Metric("skybridge.registration.cache_misses"), 4u);
+  EXPECT_EQ(Metric("skybridge.registration.cache_hits"), 4u);
+  EXPECT_EQ(Metric("skybridge.registration.pages_rescanned"), 4u);
   // Replay is deterministic: both rewrites are byte-identical.
   EXPECT_EQ(a->code_image(), b->code_image());
   EXPECT_TRUE(x86::FindVmfuncBytes(b->code_image()).empty());
@@ -159,7 +163,7 @@ TEST_F(RegistrationPipelineTest, BackendPatternsNeverShareCacheEntries) {
   auto* a = kernel_->CreateProcessWithImage("eptp-server", image).value();
   ASSERT_TRUE(
       sky_->RegisterServer(a, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
-  EXPECT_EQ(sky_->stats().cache_misses, 4u);
+  EXPECT_EQ(Metric("skybridge.registration.cache_misses"), 4u);
   EXPECT_TRUE(x86::FindVmfuncBytes(a->code_image()).empty());
   EXPECT_FALSE(x86::FindVmfuncBytes(a->code_image(), wrpkru).empty());
 
@@ -167,8 +171,8 @@ TEST_F(RegistrationPipelineTest, BackendPatternsNeverShareCacheEntries) {
   // cache, but the WRPKRU pass must miss — same bytes, different pattern id.
   auto* b = kernel_->CreateProcessWithImage("mpk-server", image).value();
   ASSERT_TRUE(sky_->RegisterServer(b, 4, EchoHandler(), CrossingBackendKind::kMpk).ok());
-  EXPECT_EQ(sky_->stats().cache_hits, 4u);    // The replayed VMFUNC pass.
-  EXPECT_EQ(sky_->stats().cache_misses, 8u);  // The cold WRPKRU pass.
+  EXPECT_EQ(Metric("skybridge.registration.cache_hits"), 4u);    // The replayed VMFUNC pass.
+  EXPECT_EQ(Metric("skybridge.registration.cache_misses"), 8u);  // The cold WRPKRU pass.
   EXPECT_TRUE(x86::FindVmfuncBytes(b->code_image()).empty());
   EXPECT_TRUE(x86::FindVmfuncBytes(b->code_image(), wrpkru).empty());
 }
@@ -217,8 +221,8 @@ TEST_F(RegistrationPipelineTest, ZeroBudgetDisablesTheCache) {
   auto* b = kernel_->CreateProcessWithImage("b", image).value();
   ASSERT_TRUE(
       sky_->RegisterServer(b, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
-  EXPECT_EQ(sky_->stats().cache_hits, 0u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, 4u);
+  EXPECT_EQ(Metric("skybridge.registration.cache_hits"), 0u);
+  EXPECT_EQ(Metric("skybridge.registration.pages_rescanned"), 4u);
   EXPECT_EQ(a->code_image(), b->code_image());
 }
 
@@ -231,7 +235,7 @@ TEST_F(RegistrationPipelineTest, SnapshotRestoreSkipsTheScanAndChecksPreconditio
   auto* tmpl = kernel_->CreateProcessWithImage("template", image).value();
   const ServerId sid =
       sky_->RegisterServer(tmpl, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
-  const uint64_t scanned = sky_->stats().pages_rescanned;
+  const uint64_t scanned = Metric("skybridge.registration.pages_rescanned");
   ASSERT_EQ(scanned, 4u);
 
   auto snapshot = sky_->SnapshotRegistration(tmpl);
@@ -245,13 +249,13 @@ TEST_F(RegistrationPipelineTest, SnapshotRestoreSkipsTheScanAndChecksPreconditio
   ASSERT_TRUE(sky_->RestoreRegistration(clone, *snapshot).ok());
   EXPECT_TRUE(clone->code_rewritten());
   EXPECT_EQ(clone->code_image(), tmpl->code_image());
-  EXPECT_EQ(sky_->stats().snapshot_restores, 1u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, scanned);
+  EXPECT_EQ(Metric("skybridge.registration.snapshot_restores"), 1u);
+  EXPECT_EQ(Metric("skybridge.registration.pages_rescanned"), scanned);
   // Registering the restored clone skips the rewrite pass entirely.
   const ServerId clone_sid =
       sky_->RegisterServer(clone, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
-  EXPECT_EQ(sky_->stats().pages_rescanned, scanned);
-  EXPECT_EQ(sky_->stats().cache_hits, 0u);
+  EXPECT_EQ(Metric("skybridge.registration.pages_rescanned"), scanned);
+  EXPECT_EQ(Metric("skybridge.registration.cache_hits"), 0u);
 
   // The restored worker serves like the template.
   auto* client = kernel_->CreateProcess("client").value();
@@ -284,8 +288,8 @@ TEST_F(RegistrationPipelineTest, SnapshotModeAutoCapturesAndRestoresClones) {
   auto* tmpl = kernel_->CreateProcessWithImage("template", image).value();
   const ServerId sid =
       sky_->RegisterServer(tmpl, 8, EchoHandler(), CrossingBackendKind::kEptp).value();
-  const uint64_t scanned = sky_->stats().pages_rescanned;
-  EXPECT_EQ(sky_->stats().snapshot_restores, 0u);
+  const uint64_t scanned = Metric("skybridge.registration.pages_rescanned");
+  EXPECT_EQ(Metric("skybridge.registration.snapshot_restores"), 0u);
 
   // Three cloned workers: each client registration restores from the
   // library keyed by the pristine image hash — zero additional scanning.
@@ -298,8 +302,8 @@ TEST_F(RegistrationPipelineTest, SnapshotModeAutoCapturesAndRestoresClones) {
     ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(i), worker).ok());
     EXPECT_TRUE(sky_->DirectServerCall(thread, sid, Message(i)).ok());
   }
-  EXPECT_EQ(sky_->stats().snapshot_restores, 3u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, scanned);
+  EXPECT_EQ(Metric("skybridge.registration.snapshot_restores"), 3u);
+  EXPECT_EQ(Metric("skybridge.registration.pages_rescanned"), scanned);
 }
 
 // Lazy mode: pages fault in one at a time as execution reaches them; pages
@@ -321,8 +325,8 @@ TEST_F(RegistrationPipelineTest, LazyModeFaultsPagesInOneAtATime) {
   ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
 
   // Registration armed, nothing scanned: all four server pages non-exec.
-  EXPECT_EQ(sky_->stats().exec_faults, 0u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, 0u);
+  EXPECT_EQ(Metric("skybridge.registration.exec_faults"), 0u);
+  EXPECT_EQ(Metric("skybridge.registration.pages_rescanned"), 0u);
   for (size_t page = 0; page < 4; ++page) {
     EXPECT_FALSE(PageExecutable(server, page)) << page;
   }
@@ -330,7 +334,7 @@ TEST_F(RegistrationPipelineTest, LazyModeFaultsPagesInOneAtATime) {
 
   // tag 0 executes the client page, the handler page and server page 0.
   ASSERT_TRUE(sky_->DirectServerCall(thread, sid, Message(0)).ok());
-  const uint64_t after_first = sky_->stats().exec_faults;
+  const uint64_t after_first = Metric("skybridge.registration.exec_faults");
   EXPECT_GE(after_first, 2u);
   EXPECT_TRUE(PageExecutable(server, 0));
   EXPECT_FALSE(PageExecutable(server, 1));
@@ -339,7 +343,7 @@ TEST_F(RegistrationPipelineTest, LazyModeFaultsPagesInOneAtATime) {
   // tag 2 reaches server page 2; pages 1 and 3 (with their patterns) are
   // still cold, still non-executable.
   ASSERT_TRUE(sky_->DirectServerCall(thread, sid, Message(2)).ok());
-  EXPECT_EQ(sky_->stats().exec_faults, after_first + 1);
+  EXPECT_EQ(Metric("skybridge.registration.exec_faults"), after_first + 1);
   EXPECT_TRUE(PageExecutable(server, 2));
   EXPECT_EQ(x86::FindVmfuncBytes(server->code_image()).size(), 2u);
 
@@ -355,9 +359,9 @@ TEST_F(RegistrationPipelineTest, LazyModeFaultsPagesInOneAtATime) {
   }
 
   // Steady state: the fault path is drained, counters hold still.
-  const uint64_t faults = sky_->stats().exec_faults;
+  const uint64_t faults = Metric("skybridge.registration.exec_faults");
   EXPECT_TRUE(sky_->DirectServerCall(thread, sid, Message(1)).ok());
-  EXPECT_EQ(sky_->stats().exec_faults, faults);
+  EXPECT_EQ(Metric("skybridge.registration.exec_faults"), faults);
 }
 
 // The kFaultExecScan recovery contract: a persistently failing page scan
@@ -383,14 +387,14 @@ TEST_F(RegistrationPipelineTest, ExecScanFaultSurfacesUnavailableThenRecovers) {
             sb::ErrorCode::kUnavailable);
   EXPECT_GE(sb::fault::StatsFor(kFaultExecScan).fires, 1u);
   EXPECT_FALSE(PageExecutable(client, 0));
-  EXPECT_EQ(sky_->stats().lazy_rewrites, 0u);
+  EXPECT_EQ(Metric("skybridge.registration.lazy_rewrites"), 0u);
   const sb::Status invariants = sky_->CheckInvariants();
   EXPECT_TRUE(invariants.ok()) << invariants.ToString();
 
   // Fault cleared: the retry path completes and the call goes through.
   sb::fault::DisarmAll();
   EXPECT_TRUE(sky_->DirectServerCall(thread, sid, Message(0)).ok());
-  EXPECT_GE(sky_->stats().lazy_rewrites, 2u);
+  EXPECT_GE(Metric("skybridge.registration.lazy_rewrites"), 2u);
   EXPECT_TRUE(PageExecutable(client, 0));
 
   // A transient failure (first attempt only) is absorbed by the in-fault

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/faultpoint.h"
@@ -73,6 +74,9 @@ class BatchTest : public ::testing::Test {
     EXPECT_EQ(kernel_->rootkernel()->ActiveEptId(0), current->ept_id());
   }
 
+  // A counter or gauge on this world's telemetry registry.
+  uint64_t Metric(std::string_view name) const { return machine_->telemetry().Value(name); }
+
   std::unique_ptr<hw::Machine> machine_;
   std::unique_ptr<mk::Kernel> kernel_;
   std::unique_ptr<SkyBridge> sky_;
@@ -110,10 +114,9 @@ TEST_F(BatchTest, SubmitFlushPollRoundtrip) {
     EXPECT_EQ(reply->ToString(), "req-" + std::to_string(i));
   }
 
-  const SkyBridgeStats& stats = sky_->stats();
-  EXPECT_EQ(stats.batched_calls, 4u);
-  EXPECT_EQ(stats.batch_flushes, 1u);
-  EXPECT_GE(stats.batch_drain_rounds, 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.batched_calls"), 4u);
+  EXPECT_EQ(Metric("skybridge.ipc.batch_flushes"), 1u);
+  EXPECT_GE(Metric("skybridge.ipc.drain_rounds"), 1u);
   ExpectHealthy();
 }
 
@@ -227,7 +230,7 @@ TEST_F(BatchTest, WaitCompletionFlushesImplicitly) {
   EXPECT_EQ(reply->ToString(), "b");
   // The flush drained the whole ring; t0 is already complete.
   EXPECT_TRUE(sky_->PollCompletion(p.thread, p.sid, *t0).ok());
-  EXPECT_EQ(sky_->stats().batch_flushes, 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.batch_flushes"), 1u);
   ExpectHealthy();
 }
 
@@ -265,7 +268,7 @@ TEST_F(BatchTest, HandlerCrashMidDrainPostsAbortedAndPreservesRest) {
   for (int i = 3; i < 6; ++i) {
     EXPECT_TRUE(sky_->PollCompletion(p.thread, p.sid, tokens[i]).ok());
   }
-  EXPECT_EQ(sky_->stats().aborted_calls, 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.aborted_calls"), 1u);
   ExpectHealthy();
 }
 
@@ -279,7 +282,7 @@ TEST_F(BatchTest, CorruptReplyRejectsOneEntryAndBatchContinues) {
     ASSERT_TRUE(token.ok());
     tokens.push_back(*token);
   }
-  const uint64_t rejections_before = sky_->stats().gate_rejections;
+  const uint64_t rejections_before = Metric("skybridge.ipc.gate_rejections");
   sb::fault::Arm(kFaultReplyCorrupt, {.nth_hit = 2});
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());  // The batch survives.
 
@@ -290,7 +293,7 @@ TEST_F(BatchTest, CorruptReplyRejectsOneEntryAndBatchContinues) {
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     EXPECT_EQ(reply->ToString(), "payload");
   }
-  EXPECT_EQ(sky_->stats().gate_rejections, rejections_before + 1);
+  EXPECT_EQ(Metric("skybridge.ipc.gate_rejections"), rejections_before + 1);
   ExpectHealthy();
 }
 
@@ -327,7 +330,7 @@ TEST_F(BatchTest, ScribbledCompletionDescriptorsRejectedAtPoll) {
     ASSERT_TRUE(token.ok());
     tokens.push_back(*token);
   }
-  const uint64_t rejections_before = sky_->stats().gate_rejections;
+  const uint64_t rejections_before = Metric("skybridge.ipc.gate_rejections");
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
   ASSERT_NE(first_arena, nullptr);
 
@@ -338,7 +341,7 @@ TEST_F(BatchTest, ScribbledCompletionDescriptorsRejectedAtPoll) {
   auto intact = sky_->PollCompletion(p.thread, p.sid, tokens[2]);
   ASSERT_TRUE(intact.ok()) << intact.status().ToString();
   EXPECT_EQ(intact->ToString(), "entry-2");
-  EXPECT_EQ(sky_->stats().gate_rejections, rejections_before + 2);
+  EXPECT_EQ(Metric("skybridge.ipc.gate_rejections"), rejections_before + 2);
   // The rejected slots were reaped: the ring accepts new work.
   const std::vector<Message> more = {Payload(7, "after")};
   auto next = sky_->CallBatch(p.thread, p.sid, more);
@@ -386,11 +389,11 @@ TEST_F(BatchTest, ScribbledRingHeadRejectedAtFlush) {
     for (const uint64_t bogus : {tail + 5, accepted - 1}) {
       SCOPED_TRACE(testing::Message() << "sq_head " << bogus);
       scribble_head(bogus);
-      const uint64_t rejections = sky_->stats().gate_rejections;
-      const uint64_t flushes = sky_->stats().batch_flushes;
+      const uint64_t rejections = Metric("skybridge.ipc.gate_rejections");
+      const uint64_t flushes = Metric("skybridge.ipc.batch_flushes");
       EXPECT_EQ(sky_->FlushBatch(p.thread, p.sid).code(), ErrorCode::kOutOfRange);
-      EXPECT_EQ(sky_->stats().gate_rejections, rejections + 1);
-      EXPECT_EQ(sky_->stats().batch_flushes, flushes);
+      EXPECT_EQ(Metric("skybridge.ipc.gate_rejections"), rejections + 1);
+      EXPECT_EQ(Metric("skybridge.ipc.batch_flushes"), flushes);
       for (const uint64_t token : tokens) {
         EXPECT_EQ(sky_->PollCompletion(p.thread, p.sid, token).status().code(),
                   ErrorCode::kUnavailable);
@@ -437,7 +440,7 @@ TEST_F(BatchTest, RevokedBindingFailsPendingEntriesClientSide) {
 
   // The flush does not cross; pending entries complete with PermissionDenied.
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
-  EXPECT_EQ(sky_->stats().batch_flushes, 0u);  // No crossing happened.
+  EXPECT_EQ(Metric("skybridge.ipc.batch_flushes"), 0u);  // No crossing happened.
   for (const uint64_t token : tokens) {
     auto reply = sky_->PollCompletion(p.thread, p.sid, token);
     EXPECT_EQ(reply.status().code(), ErrorCode::kPermissionDenied);
@@ -484,9 +487,8 @@ TEST_F(BatchTest, AdaptiveDrainPicksUpRefillRounds) {
   for (const uint64_t token : refill_tokens) {
     EXPECT_TRUE(sky_->PollCompletion(p.thread, p.sid, token).ok());
   }
-  const SkyBridgeStats& stats = sky_->stats();
-  EXPECT_EQ(stats.batch_flushes, 1u);
-  EXPECT_GE(stats.batch_drain_rounds, 3u);
+  EXPECT_EQ(Metric("skybridge.ipc.batch_flushes"), 1u);
+  EXPECT_GE(Metric("skybridge.ipc.drain_rounds"), 3u);
   ExpectHealthy();
 }
 
@@ -505,7 +507,7 @@ TEST_F(BatchTest, DrainRoundsBoundedByConfig) {
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
   sky_->SetBatchRefill(nullptr);
 
-  EXPECT_EQ(sky_->stats().batch_drain_rounds, 2u);
+  EXPECT_EQ(Metric("skybridge.ipc.drain_rounds"), 2u);
   // The last refilled entry is still pending; a second flush finishes it.
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
   ExpectHealthy();

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/faultpoint.h"
@@ -64,6 +65,9 @@ class SkyBridgeEptpTest : public ::testing::Test {
     const sb::Status invariants = sky_->CheckInvariants();
     ASSERT_TRUE(invariants.ok()) << invariants.ToString();
   }
+
+  // A counter or gauge on this world's telemetry registry.
+  uint64_t Metric(std::string_view name) const { return machine_->telemetry().Value(name); }
 
   std::unique_ptr<hw::Machine> machine_;
   std::unique_ptr<mk::Kernel> kernel_;
@@ -259,9 +263,9 @@ TEST_F(SkyBridgeEptpTest, SlotFaultsServeMoreBindingsThanSlots) {
       ExpectInvariants();
     }
   }
-  EXPECT_GT(sky_->stats().slot_faults, 0u);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
-  EXPECT_EQ(sky_->stats().stale_slot_retries, 0u);
+  EXPECT_GT(Metric("skybridge.eptp.slot_faults"), 0u);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
+  EXPECT_EQ(Metric("skybridge.ipc.stale_slot_retries"), 0u);
 }
 
 TEST_F(SkyBridgeEptpTest, HotBindingNeverFaultsUnderLru) {
@@ -283,16 +287,16 @@ TEST_F(SkyBridgeEptpTest, HotBindingNeverFaultsUnderLru) {
   // Interleave: the hot binding is touched every call; cold ones rotate and
   // thrash the remaining slots. LRU must keep the hot EPT resident.
   ASSERT_TRUE(sky_->DirectServerCall(thread, hot, Message(0)).ok());
-  const uint64_t faults_after_warm = sky_->stats().slot_faults;
+  const uint64_t faults_after_warm = Metric("skybridge.eptp.slot_faults");
   uint64_t hot_faults = 0;
   for (int i = 0; i < 48; ++i) {
-    const uint64_t before = sky_->stats().slot_faults;
+    const uint64_t before = Metric("skybridge.eptp.slot_faults");
     ASSERT_TRUE(sky_->DirectServerCall(thread, hot, Message(1)).ok());
-    hot_faults += sky_->stats().slot_faults - before;
+    hot_faults += Metric("skybridge.eptp.slot_faults") - before;
     ASSERT_TRUE(sky_->DirectServerCall(thread, cold[i % cold.size()], Message(2)).ok());
   }
   EXPECT_EQ(hot_faults, 0u) << "hot binding was evicted under LRU";
-  EXPECT_GT(sky_->stats().slot_faults, faults_after_warm);  // Cold set thrashed.
+  EXPECT_GT(Metric("skybridge.eptp.slot_faults"), faults_after_warm);  // Cold set thrashed.
   ExpectInvariants();
 }
 
@@ -316,16 +320,16 @@ TEST_F(SkyBridgeEptpTest, NaiveRotationAblationStillCorrectButFaultsHotSet) {
   ASSERT_TRUE(sky_->DirectServerCall(thread, hot, Message(0)).ok());
   uint64_t hot_faults = 0;
   for (int i = 0; i < 48; ++i) {
-    const uint64_t before = sky_->stats().slot_faults;
+    const uint64_t before = Metric("skybridge.eptp.slot_faults");
     ASSERT_TRUE(sky_->DirectServerCall(thread, hot, Message(1)).ok());
-    hot_faults += sky_->stats().slot_faults - before;
+    hot_faults += Metric("skybridge.eptp.slot_faults") - before;
     ASSERT_TRUE(sky_->DirectServerCall(thread, cold[i % cold.size()], Message(2)).ok());
     ExpectInvariants();
   }
   // Recency-blind victim selection eventually evicts the hot binding too —
   // the correctness contract holds, only the fault rate suffers.
   EXPECT_GT(hot_faults, 0u);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
 }
 
 // Satellite regression: eviction on core A must not leave a stale cached
@@ -362,17 +366,17 @@ TEST_F(SkyBridgeEptpTest, EvictionOnOneCoreDoesNotStaleAnother) {
   EXPECT_EQ(sky_->ResidentBindingSlot(client, target, 1), slot_on_1);
 
   // The next call on core 1 is a pure hit: no slot fault, no stale retry.
-  const uint64_t faults_before = sky_->stats().slot_faults;
-  const uint64_t retries_before = sky_->stats().stale_slot_retries;
+  const uint64_t faults_before = Metric("skybridge.eptp.slot_faults");
+  const uint64_t retries_before = Metric("skybridge.ipc.stale_slot_retries");
   auto reply = sky_->DirectServerCall(t1, target, Message(2));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(sky_->stats().slot_faults, faults_before);
-  EXPECT_EQ(sky_->stats().stale_slot_retries, retries_before);
+  EXPECT_EQ(Metric("skybridge.eptp.slot_faults"), faults_before);
+  EXPECT_EQ(Metric("skybridge.ipc.stale_slot_retries"), retries_before);
 
   // And core 0 transparently faults the binding back in.
   auto refault = sky_->DirectServerCall(t0, target, Message(3));
   ASSERT_TRUE(refault.ok()) << refault.status().ToString();
-  EXPECT_EQ(sky_->stats().slot_faults, faults_before + 1);
+  EXPECT_EQ(Metric("skybridge.eptp.slot_faults"), faults_before + 1);
   ExpectInvariants();
 }
 
@@ -390,10 +394,10 @@ TEST_F(SkyBridgeEptpTest, SlotInstallFaultSurfacesUnavailableThenRecovers) {
   sb::fault::FaultSpec spec;
   spec.nth_hit = 1;
   sb::fault::Arm(kFaultSlotInstall, spec);
-  const uint64_t rejected_before = sky_->stats().rejected_calls;
+  const uint64_t rejected_before = Metric("skybridge.ipc.rejected_calls");
   auto refused = sky_->DirectServerCall(thread, sid, Message(1));
   EXPECT_EQ(refused.status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(sky_->stats().rejected_calls, rejected_before + 1);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), rejected_before + 1);
   EXPECT_EQ(sky_->InFlightCalls(), 0u);
   ExpectInvariants();
 
@@ -402,7 +406,7 @@ TEST_F(SkyBridgeEptpTest, SlotInstallFaultSurfacesUnavailableThenRecovers) {
   auto reply = sky_->DirectServerCall(thread, sid, Message(2));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 2u);
-  EXPECT_GE(sky_->stats().slot_faults, 2u);  // The refused attempt counted too.
+  EXPECT_GE(Metric("skybridge.eptp.slot_faults"), 2u);  // The refused attempt counted too.
   ExpectInvariants();
 }
 
@@ -439,7 +443,7 @@ TEST_F(SkyBridgeEptpTest, NestedCallSlotFaultSparesPinnedGateSlots) {
     EXPECT_EQ(reply->tag, static_cast<uint64_t>(10 * i + 1));
     ExpectInvariants();
   }
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +58,9 @@ class LongIpcTest : public ::testing::Test {
 
   uint64_t reg_capacity() const { return kernel_->profile().register_msg_capacity; }
 
+  // A counter or gauge on this world's telemetry registry.
+  uint64_t Metric(std::string_view name) const { return machine_->telemetry().Value(name); }
+
   std::unique_ptr<hw::Machine> machine_;
   std::unique_ptr<mk::Kernel> kernel_;
   std::unique_ptr<SkyBridge> sky_;
@@ -83,14 +87,14 @@ TEST_F(LongIpcTest, OversizedReplyRestoresClientViewAndFails) {
 
   hw::Core& core = machine_->core(0);
   const size_t client_view = core.vmcs().active_index;
-  const uint64_t rejected_before = sky_->stats().rejected_calls;
+  const uint64_t rejected_before = Metric("skybridge.ipc.rejected_calls");
 
   auto result = sky_->DirectServerCall(p.thread, p.sid, Message(1));
   EXPECT_EQ(result.status().code(), sb::ErrorCode::kOutOfRange);
   // The return gate ran: we are back in the client's EPT view, not stranded
   // in the server's.
   EXPECT_EQ(core.vmcs().active_index, client_view);
-  EXPECT_EQ(sky_->stats().rejected_calls, rejected_before + 1);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), rejected_before + 1);
 
   // The connection still works.
   EXPECT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(2)).ok());
@@ -135,7 +139,7 @@ TEST_F(LongIpcTest, RegisterCapacityMessageStaysShort) {
   auto reply = sky_->DirectServerCall(p.thread, p.sid, msg);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->size(), reg_capacity());
-  EXPECT_EQ(sky_->stats().long_calls, 0u);  // Fits in registers.
+  EXPECT_EQ(Metric("skybridge.ipc.long_calls"), 0u);  // Fits in registers.
 }
 
 TEST_F(LongIpcTest, OneOverRegisterCapacityGoesLong) {
@@ -146,7 +150,7 @@ TEST_F(LongIpcTest, OneOverRegisterCapacityGoesLong) {
   auto reply = sky_->DirectServerCall(p.thread, p.sid, msg);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->size(), reg_capacity() + 1);
-  EXPECT_EQ(sky_->stats().long_calls, 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.long_calls"), 1u);
 }
 
 TEST_F(LongIpcTest, FullSliceMessageFitsAndOneMoreByteIsRejected) {
@@ -162,10 +166,10 @@ TEST_F(LongIpcTest, FullSliceMessageFitsAndOneMoreByteIsRejected) {
 
   Message over(7);
   over.data.assign(cap + 1, 0xa5);
-  const uint64_t rejected_before = sky_->stats().rejected_calls;
+  const uint64_t rejected_before = Metric("skybridge.ipc.rejected_calls");
   auto result = sky_->DirectServerCall(p.thread, p.sid, over);
   EXPECT_EQ(result.status().code(), sb::ErrorCode::kOutOfRange);
-  EXPECT_EQ(sky_->stats().rejected_calls, rejected_before + 1);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), rejected_before + 1);
 }
 
 // ---- In-place (zero-copy) API. ----
@@ -195,8 +199,8 @@ TEST_F(LongIpcTest, InPlaceCallRoundTripCarriesBytes) {
     EXPECT_EQ(static_cast<uint8_t>(seen[i]), static_cast<uint8_t>(i * 31 + 7));
     EXPECT_EQ(reply->payload()[i], static_cast<uint8_t>(i * 31 + 7));
   }
-  EXPECT_EQ(sky_->stats().inplace_calls, 1u);
-  EXPECT_EQ(sky_->stats().inplace_replies, 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.inplace_calls"), 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.inplace_replies"), 1u);
 }
 
 TEST_F(LongIpcTest, InPlaceCallChargesNoCopyCycles) {
@@ -216,11 +220,11 @@ TEST_F(LongIpcTest, InPlaceCallOverCapacityRejected) {
   Boot();
   Pair p = MakePair(EchoHandler());
   ASSERT_TRUE(sky_->AcquireSendBuffer(p.thread, p.sid).ok());
-  const uint64_t rejected_before = sky_->stats().rejected_calls;
+  const uint64_t rejected_before = Metric("skybridge.ipc.rejected_calls");
   auto result = sky_->DirectServerCallInPlace(p.thread, p.sid, 1,
                                               SkyBridgeConfig{}.shared_buffer_bytes + 1);
   EXPECT_EQ(result.status().code(), sb::ErrorCode::kOutOfRange);
-  EXPECT_EQ(sky_->stats().rejected_calls, rejected_before + 1);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), rejected_before + 1);
 }
 
 TEST_F(LongIpcTest, AcquireSendBufferRejectsStrangers) {

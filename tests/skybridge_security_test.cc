@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "src/skybridge/guest_exec.h"
 #include "src/skybridge/skybridge.h"
 #include "src/skybridge/trampoline.h"
@@ -47,6 +49,9 @@ class SecurityTest : public CrossingGridTest {
   const uint8_t* GatePattern() const {
     return IsMpk() ? x86::kWrpkruBytes : x86::kVmfuncBytes;
   }
+
+  // A counter or gauge on this world's telemetry registry.
+  uint64_t Metric(std::string_view name) const { return machine_->telemetry().Value(name); }
 
   std::unique_ptr<hw::Machine> machine_;
   std::unique_ptr<mk::Kernel> kernel_;
@@ -122,10 +127,13 @@ TEST_P(SecurityTest, MaliciousEptpIndexCausesVmExitAndNoSwitch) {
   // not the library's to disable.
   hw::Core& core = machine_->core(0);
   const size_t before_index = core.vmcs().active_index;
-  kernel_->rootkernel()->ResetExitCounters();
+  const uint64_t exits_before = Metric("hw.vmexit.total");
+  const uint64_t invalid_before = Metric("vmm.exits.vmfunc_invalid");
   EXPECT_FALSE(core.Vmfunc(0, 100).ok());
   EXPECT_EQ(core.vmcs().active_index, before_index);
-  EXPECT_EQ(machine_->total_vm_exits(), 1u);
+  EXPECT_EQ(Metric("hw.vmexit.total") - exits_before, 1u);
+  // The Rootkernel counts the exit under its own reason.
+  EXPECT_EQ(Metric("vmm.exits.vmfunc_invalid") - invalid_before, 1u);
 }
 
 TEST_P(SecurityTest, CallToUnregisteredServerStillRejected) {
@@ -163,7 +171,7 @@ TEST_P(SecurityTest, WxDynamicCodeRescanOnUpdate) {
   mk::Thread* t = client->AddThread(0);
   ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
   ASSERT_TRUE(sky_->DirectServerCall(t, sid, Message(1)).ok());
-  const uint64_t rewrites_before = sky_->stats().rewritten_vmfuncs;
+  const uint64_t rewrites_before = Metric("skybridge.rewrite.vmfuncs");
 
   // The "JIT" emits new code containing a gate and an embedded pattern.
   x86::Assembler jit;
@@ -181,7 +189,7 @@ TEST_P(SecurityTest, WxDynamicCodeRescanOnUpdate) {
   x86::ScanOptions scan;
   scan.pattern = GatePattern();
   EXPECT_TRUE(x86::FindVmfuncBytes(client->code_image(), scan).empty());
-  EXPECT_GE(sky_->stats().rewritten_vmfuncs, rewrites_before + 2);
+  EXPECT_GE(Metric("skybridge.rewrite.vmfuncs"), rewrites_before + 2);
   // The pattern's rewrite window was (re)generated and the bindings still
   // work (VMFUNC snippets live at window 0, WRPKRU snippets at window 1).
   const hw::Gva window = mk::kRewritePageVa + (IsMpk() ? 16 * sb::kPageSize : 0);
@@ -307,7 +315,7 @@ TEST_P(SecurityTest, CrossDomainReadMatchesTheBackendIsolationMatrix) {
     EXPECT_EQ(*stolen, kSecret);
   } else {
     EXPECT_EQ(stolen.status().code(), sb::ErrorCode::kPermissionDenied);
-    EXPECT_GE(sky_->stats().rejected_calls, 1u);
+    EXPECT_GE(Metric("skybridge.ipc.rejected_calls"), 1u);
   }
 }
 
@@ -338,10 +346,7 @@ TEST_P(SecurityTest, MpkForgeryExposesEvenTheCallingKeyTable) {
   EXPECT_EQ(*stolen, real_key);
   // With the stolen key the client's own slot is all it can forge — but the
   // point stands: MPK's confidentiality story is strictly weaker.
-  EXPECT_GT(machine_->telemetry()
-                .GetCounter("skybridge.crossing.mpk.cross_domain_probes")
-                .Value(),
-            0u);
+  EXPECT_GT(Metric("skybridge.crossing.mpk.cross_domain_probes"), 0u);
 }
 
 TEST_P(SecurityTest, LiteralTrampolineBytesExecuteTheSwitch) {
@@ -383,7 +388,7 @@ TEST_P(SecurityTest, LiteralTrampolineBytesExecuteTheSwitch) {
   ASSERT_TRUE(core.WriteVirtU64(regs.reg(x86::Reg::kRsp), kGuestReturnSentinel).ok());
 
   GuestExecutor exec(&core);
-  kernel_->rootkernel()->ResetExitCounters();  // Count steady-state exits only.
+  const uint64_t exits_before = Metric("hw.vmexit.total");  // Steady-state exits only.
   const uint64_t vmfuncs_before = core.pmu().vmfuncs;
   const uint64_t wrpkrus_before = core.pmu().wrpkrus;
   bool saw_server_view = false;
@@ -415,7 +420,7 @@ TEST_P(SecurityTest, LiteralTrampolineBytesExecuteTheSwitch) {
   // ...and we ended back in the client's view with the stack balanced.
   EXPECT_EQ(*kernel_->CurrentIdentity(core), client->pid());
   EXPECT_EQ(regs.reg(x86::Reg::kRsp), mk::kStackTopVa - 64);
-  EXPECT_EQ(machine_->total_vm_exits(), 0u);
+  EXPECT_EQ(Metric("hw.vmexit.total"), exits_before);
 }
 
 TEST_P(SecurityTest, GuestExecutorRefusesUnknownInstructions) {

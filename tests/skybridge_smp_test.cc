@@ -1,9 +1,10 @@
 // Cross-core control-plane tests (DESIGN.md section 11): thread migration
 // racing in-flight calls, revocation racing migration, eager-vs-lazy EPTP
 // re-install parity, and true host-thread concurrency over disjoint pairs
-// (the ThreadSanitizer target) including the stats() consistency rule.
+// (the ThreadSanitizer target) including the registry-read consistency rule.
 
 #include <atomic>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -56,6 +57,9 @@ class SkyBridgeSmpTest : public ::testing::Test {
     return p;
   }
 
+  // A counter or gauge on this world's telemetry registry.
+  uint64_t Metric(std::string_view name) const { return machine_->telemetry().Value(name); }
+
   std::unique_ptr<hw::Machine> machine_;
   std::unique_ptr<mk::Kernel> kernel_;
   std::unique_ptr<SkyBridge> sky_;
@@ -90,20 +94,20 @@ TEST_F(SkyBridgeSmpTest, MigrateWhileInFlight) {
 
   // Warm call, then the migrating call.
   ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
-  const uint64_t installs_before = sky_->stats().migration_installs;
+  const uint64_t installs_before = Metric("skybridge.eptp.migration_installs");
   auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(42));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 42u);
   EXPECT_EQ(p.thread->core_id(), 3);
-  EXPECT_EQ(sky_->stats().migration_installs, installs_before + 1);
+  EXPECT_EQ(Metric("skybridge.eptp.migration_installs"), installs_before + 1);
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 
   // The next call runs on the new core without re-dispatch or stale retries.
-  const uint64_t retries_before = sky_->stats().stale_slot_retries;
+  const uint64_t retries_before = Metric("skybridge.ipc.stale_slot_retries");
   auto after = sky_->DirectServerCall(p.thread, p.sid, Message(7));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(kernel_->current_process(3), p.client);
-  EXPECT_EQ(sky_->stats().stale_slot_retries, retries_before);
+  EXPECT_EQ(Metric("skybridge.ipc.stale_slot_retries"), retries_before);
   ASSERT_TRUE(sky_->CheckInvariants().ok());
 }
 
@@ -159,8 +163,11 @@ TEST_F(SkyBridgeSmpTest, RevokeDuringMigration) {
 TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
   struct WorldResult {
     std::vector<uint64_t> tags;
-    SkyBridgeStats stats;
-    uint32_t resident_slot;
+    uint64_t direct_calls = 0;
+    uint64_t rejected_calls = 0;
+    uint64_t stale_slot_retries = 0;
+    uint64_t migration_installs = 0;
+    uint32_t resident_slot = kNoEptpSlot;
   };
   auto run = [&](bool eager) -> WorldResult {
     Boot();
@@ -179,7 +186,10 @@ TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
       r.tags.push_back(reply->tag);
     }
     SB_CHECK(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
-    r.stats = sky_->stats();
+    r.direct_calls = Metric("skybridge.ipc.direct_calls");
+    r.rejected_calls = Metric("skybridge.ipc.rejected_calls");
+    r.stale_slot_retries = Metric("skybridge.ipc.stale_slot_retries");
+    r.migration_installs = Metric("skybridge.eptp.migration_installs");
     r.resident_slot = sky_->ResidentBindingSlot(p.client, p.sid,
                                                 static_cast<uint32_t>(p.thread->core_id()));
     return r;
@@ -190,19 +200,19 @@ TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
   EXPECT_EQ(eager.tags, lazy.tags);
   EXPECT_NE(eager.resident_slot, kNoEptpSlot);
   EXPECT_EQ(eager.resident_slot, lazy.resident_slot);
-  EXPECT_EQ(eager.stats.direct_calls, lazy.stats.direct_calls);
-  EXPECT_EQ(eager.stats.rejected_calls, lazy.stats.rejected_calls);
-  EXPECT_EQ(eager.stats.stale_slot_retries, lazy.stats.stale_slot_retries);
+  EXPECT_EQ(eager.direct_calls, lazy.direct_calls);
+  EXPECT_EQ(eager.rejected_calls, lazy.rejected_calls);
+  EXPECT_EQ(eager.stale_slot_retries, lazy.stale_slot_retries);
   // The one sanctioned difference: where the post-migration install ran.
-  EXPECT_GT(eager.stats.migration_installs, 0u);
-  EXPECT_EQ(lazy.stats.migration_installs, 0u);
+  EXPECT_GT(eager.migration_installs, 0u);
+  EXPECT_EQ(lazy.migration_installs, 0u);
 }
 
 // The ThreadSanitizer target: disjoint (client, server) pairs hammered from
-// real host threads, one per simulated core, with a concurrent stats()
+// real host threads, one per simulated core, with a concurrent registry
 // reader. Steady-state calls share no mutable control-plane word, so this
-// must be race-free; the reader checks the documented stats() consistency
-// rule (per-field monotonicity, thread-local snapshot identity).
+// must be race-free; the reader checks the documented Registry::Value
+// consistency rule (each counter monotonic and exact at its read).
 TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   Boot();
   constexpr int kPairs = 4;
@@ -216,7 +226,7 @@ TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   for (const Pair& p : pairs) {
     ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   }
-  const uint64_t warm_calls = sky_->stats().direct_calls;
+  const uint64_t warm_calls = Metric("skybridge.ipc.direct_calls");
 
   // Every kBatchEvery direct calls, each caller also pushes one batch of
   // kBatchDepth through its submission ring, so the batch counters mutate
@@ -227,32 +237,29 @@ TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
 
   std::atomic<bool> stop{false};
   std::thread reader([&] {
-    const SkyBridgeStats* last_addr = nullptr;
     uint64_t last_calls = 0;
     uint64_t last_batched = 0;
     uint64_t last_flushes = 0;
     uint64_t last_rounds = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const SkyBridgeStats& s = sky_->stats();
-      // Thread-local snapshot: same address every time on this thread.
-      if (last_addr != nullptr) {
-        ASSERT_EQ(&s, last_addr);
-      }
-      last_addr = &s;
-      // Per-field monotonicity under concurrent mutation.
-      ASSERT_GE(s.direct_calls, last_calls);
-      ASSERT_LE(s.direct_calls, warm_calls + kPairs * kCallsPerPair);
-      ASSERT_EQ(s.rejected_calls, 0u);
-      ASSERT_GE(s.batched_calls, last_batched);
-      ASSERT_LE(s.batched_calls, kPairs * kBatchesPerPair * kBatchDepth);
-      ASSERT_GE(s.batch_flushes, last_flushes);
-      ASSERT_GE(s.batch_drain_rounds, last_rounds);
+      const uint64_t calls = Metric("skybridge.ipc.direct_calls");
+      const uint64_t batched = Metric("skybridge.ipc.batched_calls");
+      const uint64_t flushes = Metric("skybridge.ipc.batch_flushes");
+      const uint64_t rounds = Metric("skybridge.ipc.drain_rounds");
+      // Per-counter monotonicity under concurrent mutation.
+      ASSERT_GE(calls, last_calls);
+      ASSERT_LE(calls, warm_calls + kPairs * kCallsPerPair);
+      ASSERT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
+      ASSERT_GE(batched, last_batched);
+      ASSERT_LE(batched, kPairs * kBatchesPerPair * kBatchDepth);
+      ASSERT_GE(flushes, last_flushes);
+      ASSERT_GE(rounds, last_rounds);
       // No bound across two counters here: nothing orders one counter's
       // increment against another's. Those bounds are checked after join.
-      last_calls = s.direct_calls;
-      last_batched = s.batched_calls;
-      last_flushes = s.batch_flushes;
-      last_rounds = s.batch_drain_rounds;
+      last_calls = calls;
+      last_batched = batched;
+      last_flushes = flushes;
+      last_rounds = rounds;
     }
   });
 
@@ -282,13 +289,12 @@ TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   stop.store(true, std::memory_order_release);
   reader.join();
 
-  // Quiesced: exact counts, and the caller-thread snapshot agrees.
-  const SkyBridgeStats& s = sky_->stats();
-  EXPECT_EQ(s.direct_calls, warm_calls + kPairs * kCallsPerPair);
-  EXPECT_EQ(s.rejected_calls, 0u);
-  EXPECT_EQ(s.batched_calls, kPairs * kBatchesPerPair * kBatchDepth);
-  EXPECT_EQ(s.batch_flushes, kPairs * kBatchesPerPair);
-  EXPECT_GE(s.batch_drain_rounds, s.batch_flushes);
+  // Quiesced: exact counts.
+  EXPECT_EQ(Metric("skybridge.ipc.direct_calls"), warm_calls + kPairs * kCallsPerPair);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
+  EXPECT_EQ(Metric("skybridge.ipc.batched_calls"), kPairs * kBatchesPerPair * kBatchDepth);
+  EXPECT_EQ(Metric("skybridge.ipc.batch_flushes"), kPairs * kBatchesPerPair);
+  EXPECT_GE(Metric("skybridge.ipc.drain_rounds"), Metric("skybridge.ipc.batch_flushes"));
   EXPECT_EQ(sky_->InFlightCalls(), 0u);
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 }
@@ -339,7 +345,7 @@ TEST_F(SkyBridgeSmpTest, ConsolidatedSiblingsCallConcurrentlyAcrossCores) {
     t.join();
   }
   EXPECT_EQ(sky_->InFlightCalls(), 0u);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 
   // The shared slot survives the storm: every sibling resolves to the same

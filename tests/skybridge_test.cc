@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string_view>
 
 #include "src/x86/assembler.h"
 #include "src/x86/scanner.h"
@@ -64,6 +65,9 @@ class SkyBridgeTest : public CrossingGridTest {
     SB_CHECK(kernel_->ContextSwitchTo(machine_->core(0), p.client).ok());
     return p;
   }
+
+  // A counter or gauge on this world's telemetry registry.
+  uint64_t Metric(std::string_view name) const { return machine_->telemetry().Value(name); }
 
   std::unique_ptr<hw::Machine> machine_;
   std::unique_ptr<mk::Kernel> kernel_;
@@ -116,7 +120,7 @@ TEST_P(SkyBridgeTest, DirectCallRoundTrip) {
   auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(42));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 42u);
-  EXPECT_EQ(sky_->stats().direct_calls, 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.direct_calls"), 1u);
 }
 
 TEST_P(SkyBridgeTest, WarmRoundtripMatchesTheBackendCostModel) {
@@ -161,12 +165,11 @@ TEST_P(SkyBridgeTest, NoVmExitsInSteadyState) {
   Boot();
   Pair p = MakePair(EchoHandler());
   ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
-  kernel_->rootkernel()->ResetExitCounters();
+  const uint64_t exits_before = Metric("hw.vmexit.total");
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   }
-  EXPECT_EQ(kernel_->rootkernel()->exits_total(), 0u);
-  EXPECT_EQ(machine_->total_vm_exits(), 0u);
+  EXPECT_EQ(Metric("hw.vmexit.total"), exits_before);
 }
 
 TEST_P(SkyBridgeTest, HandlerRunsInServerAddressSpace) {
@@ -216,7 +219,7 @@ TEST_P(SkyBridgeTest, LongMessagesThroughSharedBuffer) {
   EXPECT_EQ(seen.size(), 5000u);
   EXPECT_EQ(seen[0], 'Q');
   EXPECT_EQ(reply->size(), 3000u);
-  EXPECT_EQ(sky_->stats().long_calls, 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.long_calls"), 1u);
 }
 
 TEST_P(SkyBridgeTest, UnregisteredClientRejected) {
@@ -226,7 +229,7 @@ TEST_P(SkyBridgeTest, UnregisteredClientRejected) {
   mk::Thread* t = stranger->AddThread(1);
   auto result = sky_->DirectServerCall(t, p.sid, Message(0));
   EXPECT_EQ(result.status().code(), sb::ErrorCode::kPermissionDenied);
-  EXPECT_EQ(sky_->stats().rejected_calls, 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 1u);
 }
 
 TEST_P(SkyBridgeTest, ForgedCallingKeyRejected) {
@@ -234,7 +237,7 @@ TEST_P(SkyBridgeTest, ForgedCallingKeyRejected) {
   Pair p = MakePair(EchoHandler());
   auto result = sky_->CallWithForgedKey(p.thread, p.sid, Message(0), 0x1234);
   EXPECT_EQ(result.status().code(), sb::ErrorCode::kPermissionDenied);
-  EXPECT_GE(sky_->stats().rejected_calls, 1u);
+  EXPECT_GE(Metric("skybridge.ipc.rejected_calls"), 1u);
   // The legitimate path still works afterwards.
   EXPECT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
 }
@@ -293,15 +296,15 @@ TEST_P(SkyBridgeTest, RegistrationRewritesPlantedGatePattern) {
     mk::Thread* thread = evil->AddThread(0);
     ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), evil).ok());
     ASSERT_TRUE(sky_->DirectServerCall(thread, sid, Message(1)).ok());
-    EXPECT_GE(sky_->stats().exec_faults, 1u);
-    EXPECT_GE(sky_->stats().lazy_rewrites, 1u);
+    EXPECT_GE(Metric("skybridge.registration.exec_faults"), 1u);
+    EXPECT_GE(Metric("skybridge.registration.lazy_rewrites"), 1u);
     EXPECT_TRUE(ept->Walk(code_walk.gpa, hw::kEptExec).ok);
   }
   EXPECT_TRUE(evil->code_rewritten());
   EXPECT_TRUE(x86::FindVmfuncBytes(evil->code_image(), options).empty());
   // The VMFUNC scrub runs for every view-slot backend, MPK included.
   EXPECT_TRUE(x86::FindVmfuncBytes(evil->code_image()).empty());
-  EXPECT_GE(sky_->stats().rewritten_vmfuncs, 2u);
+  EXPECT_GE(Metric("skybridge.rewrite.vmfuncs"), 2u);
   // The rewrite window got mapped at the pattern's fixed address: VMFUNC
   // snippets at window 0 (the paper's address), WRPKRU snippets at window 1.
   const hw::Gva window = mk::kRewritePageVa + (IsMpk() ? 16 * sb::kPageSize : 0);
@@ -326,7 +329,7 @@ TEST_P(SkyBridgeTest, TimeoutForcesReturn) {
   Pair p = MakePair(slow);
   auto result = sky_->DirectServerCall(p.thread, p.sid, Message(0));
   EXPECT_EQ(result.status().code(), sb::ErrorCode::kTimeout);
-  EXPECT_EQ(sky_->stats().timeouts, 1u);
+  EXPECT_EQ(Metric("skybridge.ipc.timeouts"), 1u);
 }
 
 TEST_P(SkyBridgeTest, ConnectionLimitEnforced) {
@@ -395,7 +398,7 @@ TEST_P(SkyBridgeTest, EptpLruEvictionBeyondCapacity) {
   // Every server remains callable; evicted bindings fault back in on demand
   // (paper Section 10's future-work mechanism). Cycling four bindings
   // through two slots under LRU faults on every call.
-  const uint64_t faults0 = sky_->stats().slot_faults;
+  const uint64_t faults0 = Metric("skybridge.eptp.slot_faults");
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 4; ++i) {
       auto reply = sky_->DirectServerCall(t, sids[static_cast<size_t>(i)], Message(0));
@@ -403,7 +406,7 @@ TEST_P(SkyBridgeTest, EptpLruEvictionBeyondCapacity) {
       EXPECT_EQ(reply->tag, 200u + static_cast<uint64_t>(i));
     }
   }
-  EXPECT_EQ(sky_->stats().slot_faults, faults0 + 8);
+  EXPECT_EQ(Metric("skybridge.eptp.slot_faults"), faults0 + 8);
   EXPECT_EQ(resident(), 2u);
   EXPECT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 }
@@ -411,23 +414,23 @@ TEST_P(SkyBridgeTest, EptpLruEvictionBeyondCapacity) {
 TEST_P(SkyBridgeTest, RouteCacheServesRepeatCallsWithoutIndexLookups) {
   Boot();
   Pair p = MakePair(EchoHandler());
-  const uint64_t misses0 = sky_->stats().binding_lookup_misses;
+  const uint64_t misses0 = Metric("skybridge.lookup.misses");
   ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   // First call: cold per-thread cache -> one index lookup.
-  EXPECT_EQ(sky_->stats().binding_lookup_misses, misses0 + 1);
-  const uint64_t hits0 = sky_->stats().binding_lookup_hits;
+  EXPECT_EQ(Metric("skybridge.lookup.misses"), misses0 + 1);
+  const uint64_t hits0 = Metric("skybridge.lookup.hits");
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   }
   // Every repeat call hits the per-thread last-route cache; nothing falls
   // through to the index (and, a fortiori, nothing scans the binding table).
-  EXPECT_EQ(sky_->stats().binding_lookup_hits, hits0 + 50);
-  EXPECT_EQ(sky_->stats().binding_lookup_misses, misses0 + 1);
+  EXPECT_EQ(Metric("skybridge.lookup.hits"), hits0 + 50);
+  EXPECT_EQ(Metric("skybridge.lookup.misses"), misses0 + 1);
 
   // A second thread has its own (cold) cache.
   mk::Thread* t2 = p.client->AddThread(0);
   ASSERT_TRUE(sky_->DirectServerCall(t2, p.sid, Message(0)).ok());
-  EXPECT_EQ(sky_->stats().binding_lookup_misses, misses0 + 2);
+  EXPECT_EQ(Metric("skybridge.lookup.misses"), misses0 + 2);
 }
 
 TEST_P(SkyBridgeTest, AlternatingServersFallBackToTheIndex) {
@@ -444,8 +447,8 @@ TEST_P(SkyBridgeTest, AlternatingServersFallBackToTheIndex) {
     sids.push_back(sid);
   }
   ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
-  const uint64_t hits0 = sky_->stats().binding_lookup_hits;
-  const uint64_t misses0 = sky_->stats().binding_lookup_misses;
+  const uint64_t hits0 = Metric("skybridge.lookup.hits");
+  const uint64_t misses0 = Metric("skybridge.lookup.misses");
   for (int i = 0; i < 20; ++i) {
     auto reply = sky_->DirectServerCall(t, sids[static_cast<size_t>(i % 2)], Message(0));
     ASSERT_TRUE(reply.ok());
@@ -453,8 +456,8 @@ TEST_P(SkyBridgeTest, AlternatingServersFallBackToTheIndex) {
   }
   // The alternation defeats the single-entry thread cache: every call is an
   // index lookup, and every one still resolves correctly.
-  EXPECT_EQ(sky_->stats().binding_lookup_hits, hits0);
-  EXPECT_EQ(sky_->stats().binding_lookup_misses, misses0 + 20);
+  EXPECT_EQ(Metric("skybridge.lookup.hits"), hits0);
+  EXPECT_EQ(Metric("skybridge.lookup.misses"), misses0 + 20);
 }
 
 TEST_P(SkyBridgeTest, EvictionReshuffleInvalidatesCachedSlots) {
@@ -492,24 +495,24 @@ TEST_P(SkyBridgeTest, EvictionReshuffleInvalidatesCachedSlots) {
   expect_marker(1);
   expect_marker(2);
   const uint32_t slot2 = sky_->ResidentBindingSlot(client, sids[2], 0);
-  const uint64_t faults0 = sky_->stats().slot_faults;
+  const uint64_t faults0 = Metric("skybridge.eptp.slot_faults");
   expect_marker(0);
-  EXPECT_EQ(sky_->stats().slot_faults, faults0 + 1);
+  EXPECT_EQ(Metric("skybridge.eptp.slot_faults"), faults0 + 1);
   EXPECT_EQ(sky_->ResidentBindingSlot(client, sids[1], 0), kNoEptpSlot);
   // Server 2's slot did not move, and a call through it still lands in
   // server 2 (a wrong slot would fail the key check or return the wrong
   // marker) without faulting.
   EXPECT_EQ(sky_->ResidentBindingSlot(client, sids[2], 0), slot2);
   expect_marker(2);
-  EXPECT_EQ(sky_->stats().slot_faults, faults0 + 1);
+  EXPECT_EQ(Metric("skybridge.eptp.slot_faults"), faults0 + 1);
   // Churn through every rotation for good measure.
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 3; ++i) {
       expect_marker(i);
     }
   }
-  EXPECT_GT(sky_->stats().slot_faults, faults0 + 1);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_GT(Metric("skybridge.eptp.slot_faults"), faults0 + 1);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
   EXPECT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 }
 
@@ -558,18 +561,18 @@ TEST_P(SkyBridgeTest, NestedCallEvictionSparesThePinnedEntryEpt) {
   auto reply = sky_->DirectServerCall(t, middle_sid, Message(0));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 71u * 100 + 72);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
 
   // The enclosing client->middle binding survived both inner faults: the
   // next top-level call finds it in the same slot and only the two chain
   // bindings, which share the one remaining slot, fault again.
   const uint32_t middle_slot = sky_->ResidentBindingSlot(client, middle_sid, 0);
   ASSERT_NE(middle_slot, kNoEptpSlot);
-  const uint64_t faults = sky_->stats().slot_faults;
+  const uint64_t faults = Metric("skybridge.eptp.slot_faults");
   reply = sky_->DirectServerCall(t, middle_sid, Message(0));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 71u * 100 + 72);
-  EXPECT_EQ(sky_->stats().slot_faults, faults + 2);
+  EXPECT_EQ(Metric("skybridge.eptp.slot_faults"), faults + 2);
   EXPECT_EQ(sky_->ResidentBindingSlot(client, middle_sid, 0), middle_slot);
   EXPECT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 }
@@ -601,23 +604,21 @@ TEST_P(SkyBridgeTest, ChainBindingCreationChargesOneKernelEntry) {
   ASSERT_TRUE(sky_->RegisterClient(client, middle_sid).ok());
   ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
 
-  const sb::telemetry::Counter& syscalls =
-      machine_->telemetry().GetCounter("mk.syscall.entries");
-  const uint64_t syscalls0 = syscalls.Value();
-  const uint64_t faults0 = sky_->stats().slot_faults;
+  const uint64_t syscalls0 = Metric("mk.syscall.entries");
+  const uint64_t faults0 = Metric("skybridge.eptp.slot_faults");
   auto reply = sky_->DirectServerCall(t, middle_sid, Message(0));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 82u);
-  EXPECT_EQ(syscalls.Value() - syscalls0, 3u);
-  EXPECT_EQ(sky_->stats().slot_faults - faults0, 2u);
+  EXPECT_EQ(Metric("mk.syscall.entries") - syscalls0, 3u);
+  EXPECT_EQ(Metric("skybridge.eptp.slot_faults") - faults0, 2u);
 
-  const uint64_t syscalls1 = syscalls.Value();
-  const uint64_t faults1 = sky_->stats().slot_faults;
+  const uint64_t syscalls1 = Metric("mk.syscall.entries");
+  const uint64_t faults1 = Metric("skybridge.eptp.slot_faults");
   reply = sky_->DirectServerCall(t, middle_sid, Message(0));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 82u);
-  EXPECT_EQ(syscalls.Value(), syscalls1);
-  EXPECT_EQ(sky_->stats().slot_faults, faults1);
+  EXPECT_EQ(Metric("mk.syscall.entries"), syscalls1);
+  EXPECT_EQ(Metric("skybridge.eptp.slot_faults"), faults1);
   EXPECT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 }
 
@@ -626,16 +627,16 @@ TEST_P(SkyBridgeTest, RegistrationScanStatsAreRecorded) {
   Pair p = MakePair(EchoHandler());
   if (IsSyscall()) {
     // No gate primitive to scrub: registration never scanned anything.
-    EXPECT_EQ(sky_->stats().scan_pages, 0u);
+    EXPECT_EQ(Metric("skybridge.rewrite.scan_pages"), 0u);
     return;
   }
   if (sky_->config().registration_mode == RegistrationMode::kLazy) {
     // Staged registration defers every scan to first execution.
-    EXPECT_EQ(sky_->stats().scan_pages, 0u);
+    EXPECT_EQ(Metric("skybridge.rewrite.scan_pages"), 0u);
     ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   }
   // Registration (or the first call, under lazy) scanned the code pages.
-  EXPECT_GT(sky_->stats().scan_pages, 0u);
+  EXPECT_GT(Metric("skybridge.rewrite.scan_pages"), 0u);
 }
 
 TEST_P(SkyBridgeTest, SkyBridgeBeatsKernelIpcOnEveryPersonality) {

@@ -132,9 +132,7 @@ class StressScenario {
           CrossingBackendKind::kSyscall}) {
       const std::string name = CrossingBackendName(backend);
       result.crossing_enters[name] =
-          machine_->telemetry()
-              .GetCounter("skybridge.crossing." + name + ".enters")
-              .Value();
+          machine_->telemetry().Value("skybridge.crossing." + name + ".enters");
     }
     sb::telemetry::TraceClear();
     return result;
@@ -332,11 +330,11 @@ class StressScenario {
     RecordFires(kFaultExecScan);
     sb::fault::DisarmAll();
 
-    const SkyBridgeStats lazy = sky.stats();
-    lazy_exec_faults_ = lazy.exec_faults;
-    lazy_rewrites_ = lazy.lazy_rewrites;
-    lazy_cache_hits_ = lazy.cache_hits;
-    lazy_cache_misses_ = lazy.cache_misses;
+    const sb::telemetry::Registry& reg = machine.telemetry();
+    lazy_exec_faults_ = reg.Value("skybridge.registration.exec_faults");
+    lazy_rewrites_ = reg.Value("skybridge.registration.lazy_rewrites");
+    lazy_cache_hits_ = reg.Value("skybridge.registration.cache_hits");
+    lazy_cache_misses_ = reg.Value("skybridge.registration.cache_misses");
   }
 
   // Phase 2: three concurrent virtual-time threads (kv pipeline, echo,
@@ -568,7 +566,7 @@ class StressScenario {
       EXPECT_TRUE(invariants.ok()) << invariants.ToString();
       EXPECT_EQ(sky.InFlightCalls(), 0u);
     }
-    thrash_slot_faults_ = sky.stats().slot_faults;
+    thrash_slot_faults_ = machine.telemetry().Value("skybridge.eptp.slot_faults");
     EXPECT_GT(thrash_slot_faults_, 0u);
     RecordFires(kFaultSlotInstall);
     RecordFires(kFaultPreVmfunc);
@@ -615,28 +613,27 @@ class StressScenario {
       EXPECT_TRUE(invariants.ok()) << invariants.ToString();
       EXPECT_EQ((*stack)->sky()->InFlightCalls(), 0u);
     }
-    sqlite_stale_retries_ = (*stack)->sky()->stats().stale_slot_retries;
+    sqlite_stale_retries_ =
+        (*stack)->kernel().machine().telemetry().Value("skybridge.ipc.stale_slot_retries");
     RecordFires(kFaultPreVmfunc);
     sb::fault::DisarmAll();
   }
 
   // A printable fingerprint of everything that must replay identically.
   std::string CounterFingerprint() const {
-    const SkyBridgeStats s = sky_->stats();
+    const sb::telemetry::Registry& reg = machine_->telemetry();
     std::ostringstream out;
-    out << "direct_calls=" << s.direct_calls << " long_calls=" << s.long_calls
-        << " inplace_calls=" << s.inplace_calls << " rejected_calls=" << s.rejected_calls
-        << " timeouts=" << s.timeouts
-        << " aborted_calls=" << s.aborted_calls << " gate_rejections=" << s.gate_rejections
-        << " stale_slot_retries=" << s.stale_slot_retries
-        << " revoked_rejections=" << s.revoked_rejections
-        << " bindings_revoked=" << s.bindings_revoked
-        << " batched_calls=" << s.batched_calls << " batch_flushes=" << s.batch_flushes
-        << " batch_drain_rounds=" << s.batch_drain_rounds
-        << " rootkernel_aborts=" << kernel_->rootkernel()->aborts()
-        << " kv_inserts=" << kv_->stats().inserts << " kv_queries=" << kv_->stats().queries
+    for (const char* name :
+         {"skybridge.ipc.direct_calls", "skybridge.ipc.long_calls", "skybridge.ipc.inplace_calls",
+          "skybridge.ipc.rejected_calls", "skybridge.ipc.timeouts", "skybridge.ipc.aborted_calls",
+          "skybridge.ipc.gate_rejections", "skybridge.ipc.stale_slot_retries",
+          "skybridge.ipc.revoked_rejections", "skybridge.bindings.revoked",
+          "skybridge.ipc.batched_calls", "skybridge.ipc.batch_flushes",
+          "skybridge.ipc.drain_rounds", "vmm.aborts", "skybridge.eptp.slot_faults"}) {
+      out << name << "=" << reg.Value(name) << " ";
+    }
+    out << "kv_inserts=" << kv_->stats().inserts << " kv_queries=" << kv_->stats().queries
         << " sqlite_stale_retries=" << sqlite_stale_retries_
-        << " slot_faults=" << sky_->stats().slot_faults
         << " thrash_slot_faults=" << thrash_slot_faults_;
     for (const auto& [point, fires] : fires_) {
       out << " fires[" << point << "]=" << fires;
@@ -649,9 +646,7 @@ class StressScenario {
       const std::string name = CrossingBackendName(backend);
       for (const char* leg : {"enters", "returns", "aborts"}) {
         out << " crossing[" << name << "." << leg << "]="
-            << machine_->telemetry()
-                   .GetCounter("skybridge.crossing." + name + "." + leg)
-                   .Value();
+            << machine_->telemetry().Value("skybridge.crossing." + name + "." + leg);
       }
     }
     return out.str();

@@ -212,6 +212,59 @@ TEST(Registry, MachinesDoNotShareMetrics) {
   EXPECT_EQ(b.telemetry().GetCounter("test.shared.name").Value(), 0u);
 }
 
+TEST(Registry, ValueFoldsCountersAndGaugesWithoutRegistering) {
+  Registry registry;
+  registry.GetCounter("a.b.counter").Add(3);
+  registry.GetGauge("a.b.gauge").Set(9);
+  registry.GetGauge("a.b.provided").SetProvider([] { return uint64_t{11}; });
+  EXPECT_EQ(registry.Value("a.b.counter"), 3u);
+  EXPECT_EQ(registry.Value("a.b.gauge"), 9u);
+  EXPECT_EQ(registry.Value("a.b.provided"), 11u);
+  EXPECT_EQ(registry.Snapshot().size(), 3u);
+}
+
+TEST(RegistryDeathTest, ValueOfAnUnknownNameFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Registry registry;
+  registry.GetCounter("a.b.counter");
+  registry.GetHistogram("a.b.hist");
+  EXPECT_DEATH(registry.Value("no.such.metric"), "no counter or gauge named no.such.metric");
+  // A histogram has no single value to read.
+  EXPECT_DEATH(registry.Value("a.b.hist"), "no counter or gauge named a.b.hist");
+}
+
+// Every skybridge.* counter is registered when the library is constructed,
+// so a test that reads 0 from one is reading a real counter, not a typo.
+TEST(Registry, NewSkyBridgeRegistersEveryCounter) {
+  hw::MachineConfig mc;
+  mc.num_cores = 1;
+  mc.ram_bytes = 1ULL << 30;
+  hw::Machine machine(mc);
+  mk::Kernel kernel(machine, mk::Sel4Profile());
+  ASSERT_TRUE(kernel.Boot().ok());
+  skybridge::SkyBridge sky(kernel);
+  const std::vector<MetricValue> snap = machine.telemetry().Snapshot();
+  for (const char* name :
+       {"skybridge.ipc.direct_calls", "skybridge.ipc.long_calls",
+        "skybridge.ipc.inplace_calls", "skybridge.ipc.inplace_replies",
+        "skybridge.ipc.rejected_calls", "skybridge.ipc.timeouts", "skybridge.rewrite.vmfuncs",
+        "skybridge.rewrite.processes", "skybridge.lookup.hits", "skybridge.lookup.misses",
+        "skybridge.rewrite.scan_pages", "skybridge.ipc.aborted_calls",
+        "skybridge.ipc.gate_rejections", "skybridge.ipc.stale_slot_retries",
+        "skybridge.ipc.revoked_rejections", "skybridge.bindings.revoked",
+        "skybridge.eptp.slot_faults", "skybridge.eptp.migration_installs",
+        "skybridge.ipc.batched_calls", "skybridge.ipc.batch_flushes",
+        "skybridge.ipc.drain_rounds", "skybridge.registration.exec_faults",
+        "skybridge.registration.lazy_rewrites", "skybridge.registration.cache_hits",
+        "skybridge.registration.cache_misses", "skybridge.registration.snapshot_restores",
+        "skybridge.registration.pages_rescanned"}) {
+    const auto it = std::find_if(snap.begin(), snap.end(), [&](const MetricValue& m) {
+      return m.name == name && m.kind == MetricValue::Kind::kCounter;
+    });
+    EXPECT_NE(it, snap.end()) << name;
+  }
+}
+
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -408,12 +461,10 @@ TEST_F(SkyBridgeTraceTest, RegistryCountsMatchStatsSnapshot) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(sky_->DirectServerCall(thread_, sid_, mk::Message(0)).ok());
   }
-  const skybridge::SkyBridgeStats stats = sky_->stats();
   Registry& reg = machine_->telemetry();
-  EXPECT_EQ(stats.direct_calls, 5u);
-  EXPECT_EQ(reg.GetCounter("skybridge.ipc.direct_calls").Value(), 5u);
-  EXPECT_EQ(reg.GetCounter("skybridge.lookup.hits").Value() +
-                reg.GetCounter("skybridge.lookup.misses").Value(),
+  EXPECT_EQ(reg.Value("skybridge.ipc.direct_calls"), 5u);
+  EXPECT_EQ(reg.Value("skybridge.lookup.hits") +
+                reg.Value("skybridge.lookup.misses"),
             5u);
   // Phase histograms saw every call; the total per-call cost is near 396.
   LatencyHistogram& total = reg.GetHistogram("skybridge.phase.total");
@@ -421,7 +472,7 @@ TEST_F(SkyBridgeTraceTest, RegistryCountsMatchStatsSnapshot) {
   EXPECT_GT(total.Max(), 0u);
   EXPECT_LE(total.Percentile(99), 2 * total.Max());
   // The machine-level VMFUNC gauge saw the two switches per call.
-  EXPECT_GE(reg.GetGauge("hw.core.vmfuncs").Value(), 10u);
+  EXPECT_GE(reg.Value("hw.core.vmfuncs"), 10u);
 }
 
 // The staged-registration counters (DESIGN.md section 17): a lazy-mode world
@@ -449,47 +500,34 @@ TEST(RegistrationTelemetry, LazyFirstCallFeedsTheRegistrationCounters) {
 
   Registry& reg = machine.telemetry();
   // Registration armed the pages but scanned nothing yet.
-  EXPECT_EQ(reg.GetCounter("skybridge.registration.exec_faults").Value(), 0u);
-  EXPECT_EQ(reg.GetCounter("skybridge.registration.lazy_rewrites").Value(), 0u);
+  EXPECT_EQ(reg.Value("skybridge.registration.exec_faults"), 0u);
+  EXPECT_EQ(reg.Value("skybridge.registration.lazy_rewrites"), 0u);
   EXPECT_EQ(reg.GetHistogram("skybridge.phase.exec_fault").Count(), 0u);
 
   ASSERT_TRUE(sky.DirectServerCall(thread, sid, mk::Message(0)).ok());
 
   // One fault each for the client's and the server's first code page.
-  EXPECT_GE(reg.GetCounter("skybridge.registration.exec_faults").Value(), 2u);
-  EXPECT_GE(reg.GetCounter("skybridge.registration.lazy_rewrites").Value(), 2u);
+  EXPECT_GE(reg.Value("skybridge.registration.exec_faults"), 2u);
+  EXPECT_GE(reg.Value("skybridge.registration.lazy_rewrites"), 2u);
   // The first page scanned cold; the second (identical default image)
   // replayed from the content-hashed rewrite cache.
-  EXPECT_GE(reg.GetCounter("skybridge.registration.cache_misses").Value(), 1u);
-  EXPECT_GE(reg.GetCounter("skybridge.registration.cache_hits").Value(), 1u);
-  EXPECT_GE(reg.GetCounter("skybridge.registration.pages_rescanned").Value(), 1u);
-  EXPECT_EQ(reg.GetCounter("skybridge.registration.snapshot_restores").Value(), 0u);
+  EXPECT_GE(reg.Value("skybridge.registration.cache_misses"), 1u);
+  EXPECT_GE(reg.Value("skybridge.registration.cache_hits"), 1u);
+  EXPECT_GE(reg.Value("skybridge.registration.pages_rescanned"), 1u);
+  EXPECT_EQ(reg.Value("skybridge.registration.snapshot_restores"), 0u);
   // Each fault's end-to-end resolution latency landed in the phase histogram.
   LatencyHistogram& fault_phase = reg.GetHistogram("skybridge.phase.exec_fault");
   EXPECT_GE(fault_phase.Count(), 2u);
   EXPECT_GT(fault_phase.Max(), 0u);
   // The rootkernel's VM-exit dispatcher saw the violations too.
-  EXPECT_GE(reg.GetCounter("vmm.exits.exec_violation").Value(), 2u);
-
-  // The stats() snapshot mirrors the registry names field for field.
-  const skybridge::SkyBridgeStats stats = sky.stats();
-  EXPECT_EQ(stats.exec_faults, reg.GetCounter("skybridge.registration.exec_faults").Value());
-  EXPECT_EQ(stats.lazy_rewrites,
-            reg.GetCounter("skybridge.registration.lazy_rewrites").Value());
-  EXPECT_EQ(stats.cache_hits, reg.GetCounter("skybridge.registration.cache_hits").Value());
-  EXPECT_EQ(stats.cache_misses,
-            reg.GetCounter("skybridge.registration.cache_misses").Value());
-  EXPECT_EQ(stats.snapshot_restores,
-            reg.GetCounter("skybridge.registration.snapshot_restores").Value());
-  EXPECT_EQ(stats.pages_rescanned,
-            reg.GetCounter("skybridge.registration.pages_rescanned").Value());
+  EXPECT_GE(reg.Value("vmm.exits.exec_violation"), 2u);
 
   // Steady state: the fault path never fires again, the counters hold still.
-  const uint64_t faults = stats.exec_faults;
+  const uint64_t faults = reg.Value("skybridge.registration.exec_faults");
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(sky.DirectServerCall(thread, sid, mk::Message(0)).ok());
   }
-  EXPECT_EQ(reg.GetCounter("skybridge.registration.exec_faults").Value(), faults);
+  EXPECT_EQ(reg.Value("skybridge.registration.exec_faults"), faults);
   EXPECT_EQ(fault_phase.Count(), faults);
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "src/hw/paging.h"
 
 namespace vmm {
@@ -18,6 +20,22 @@ hw::MachineConfig SmallMachine() {
   config.num_cores = 2;
   config.ram_bytes = 4 * kGiB;
   return config;
+}
+
+uint64_t Metric(const hw::Machine& machine, std::string_view name) {
+  return machine.telemetry().Value(name);
+}
+
+// Sum of the per-reason vmm.exits.* counters. Every exit the machine
+// delivers has a reason, so this must equal hw.vmexit.total.
+uint64_t ExitsByReason(const hw::Machine& machine) {
+  uint64_t sum = 0;
+  for (const sb::telemetry::MetricValue& m : machine.telemetry().Snapshot()) {
+    if (m.name.starts_with("vmm.exits.")) {
+      sum += m.value;
+    }
+  }
+  return sum;
 }
 
 TEST(Rootkernel, BootDowngradesAllCores) {
@@ -45,27 +63,30 @@ TEST(Rootkernel, VmcallPing) {
   hw::Machine machine(SmallMachine());
   auto rk = Rootkernel::Boot(machine);
   ASSERT_TRUE(rk.ok());
-  (*rk)->ResetExitCounters();
+  const uint64_t vmcalls_before = Metric(machine, "vmm.exits.vmcall");
+  const uint64_t exits_before = Metric(machine, "hw.vmexit.total");
   EXPECT_EQ(machine.core(0).Vmcall(static_cast<uint64_t>(Hypercall::kPing)), kPingValue);
-  EXPECT_EQ((*rk)->exits_vmcall(), 1u);
-  EXPECT_EQ((*rk)->exits_total(), 1u);
+  EXPECT_EQ(Metric(machine, "vmm.exits.vmcall") - vmcalls_before, 1u);
+  EXPECT_EQ(Metric(machine, "hw.vmexit.total") - exits_before, 1u);
+  EXPECT_EQ(ExitsByReason(machine), Metric(machine, "hw.vmexit.total"));
 }
 
 TEST(Rootkernel, CpuidExitsAreCounted) {
   hw::Machine machine(SmallMachine());
   auto rk = Rootkernel::Boot(machine);
   ASSERT_TRUE(rk.ok());
-  (*rk)->ResetExitCounters();
+  const uint64_t cpuids_before = Metric(machine, "vmm.exits.cpuid");
   machine.core(0).Cpuid();
   machine.core(1).Cpuid();
-  EXPECT_EQ((*rk)->exits_cpuid(), 2u);
+  EXPECT_EQ(Metric(machine, "vmm.exits.cpuid") - cpuids_before, 2u);
+  EXPECT_EQ(ExitsByReason(machine), Metric(machine, "hw.vmexit.total"));
 }
 
 TEST(Rootkernel, GuestMemoryAccessCausesNoExits) {
   hw::Machine machine(SmallMachine());
   auto rk = Rootkernel::Boot(machine);
   ASSERT_TRUE(rk.ok());
-  (*rk)->ResetExitCounters();
+  const uint64_t exits_before = Metric(machine, "hw.vmexit.total");
 
   // Build a guest page table and access memory through it: everything stays
   // inside non-root mode (the paper's zero-VM-exit steady state).
@@ -82,8 +103,8 @@ TEST(Rootkernel, GuestMemoryAccessCausesNoExits) {
   auto v = core.ReadVirtU64(0x400000);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, 42u);
-  EXPECT_EQ((*rk)->exits_total(), 0u);
-  EXPECT_EQ(machine.total_vm_exits(), 0u);
+  EXPECT_EQ(Metric(machine, "hw.vmexit.total"), exits_before);
+  EXPECT_EQ(ExitsByReason(machine), exits_before);
 }
 
 TEST(Rootkernel, CreateProcessEptSharesBaseMappings) {
@@ -139,9 +160,14 @@ TEST(Rootkernel, HypercallInterfaceEndToEnd) {
   EXPECT_EQ(core.vmcs().eptp_list.size(), 2u);
 
   // VMFUNC into the appended EPT works without a VM exit.
-  (*rk)->ResetExitCounters();
+  const uint64_t exits_before = Metric(machine, "hw.vmexit.total");
   ASSERT_TRUE(core.Vmfunc(0, 1).ok());
-  EXPECT_EQ((*rk)->exits_total(), 0u);
+  EXPECT_EQ(Metric(machine, "hw.vmexit.total"), exits_before);
+  // A malformed VMFUNC exits, and the exit is counted under its own reason.
+  EXPECT_FALSE(core.Vmfunc(0, 5).ok());
+  EXPECT_EQ(Metric(machine, "hw.vmexit.total"), exits_before + 1);
+  EXPECT_EQ(Metric(machine, "vmm.exits.vmfunc_invalid"), 1u);
+  EXPECT_EQ(ExitsByReason(machine), Metric(machine, "hw.vmexit.total"));
 }
 
 TEST(Rootkernel, LazyBaseEptFaultsInPagesOnDemand) {
@@ -150,7 +176,7 @@ TEST(Rootkernel, LazyBaseEptFaultsInPagesOnDemand) {
   config.lazy_base_ept = true;
   auto rk = Rootkernel::Boot(machine, config);
   ASSERT_TRUE(rk.ok());
-  (*rk)->ResetExitCounters();
+  const uint64_t violations_before = Metric(machine, "vmm.exits.ept_violation");
 
   hw::FrameAllocator frames(64 * kMiB, 64 * kMiB);
   auto as = hw::AddressSpace::Create(machine.mem(), frames, 1);
@@ -163,7 +189,8 @@ TEST(Rootkernel, LazyBaseEptFaultsInPagesOnDemand) {
   core.WriteCr3((*as)->root_gpa(), 1, false);
   ASSERT_TRUE(core.WriteVirtU64(0x400000, 7).ok());
   // The walk faulted at least once and was healed by the Rootkernel.
-  EXPECT_GT((*rk)->exits_ept_violation(), 0u);
+  EXPECT_GT(Metric(machine, "vmm.exits.ept_violation"), violations_before);
+  EXPECT_EQ(ExitsByReason(machine), Metric(machine, "hw.vmexit.total"));
   auto v = core.ReadVirtU64(0x400000);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, 7u);
