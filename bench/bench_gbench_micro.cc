@@ -15,7 +15,6 @@
 #include "src/apps/corpus.h"
 #include "src/base/rng.h"
 #include "src/base/telemetry/trace.h"
-#include "src/base/thread_pool.h"
 #include "src/base/units.h"
 #include "src/hw/machine.h"
 #include "src/hw/paging.h"
@@ -201,7 +200,7 @@ void BM_BindingLookupHot(benchmark::State& state) {
 }
 BENCHMARK(BM_BindingLookupHot)->Arg(1)->Arg(512);
 
-// Registration-time code scanning: serial vs. thread-pool fan-out over a
+// Registration-time code scanning: the memchr pattern search over a
 // multi-MiB image (the paper's Table 6 workload shape).
 std::vector<uint8_t> ScanImage() {
   sb::Rng rng(0x5eedULL);
@@ -216,21 +215,6 @@ void BM_VmfuncScanSerial(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * image.size()));
 }
 BENCHMARK(BM_VmfuncScanSerial);
-
-void BM_VmfuncScanParallel(benchmark::State& state) {
-  const std::vector<uint8_t> image = ScanImage();
-  // Fixed pool size: never hardware_concurrency, so the reported fan-out is
-  // identical on a 2-vCPU CI runner and a workstation.
-  sb::ThreadPool pool(4);
-  x86::ScanOptions options;
-  options.pool = &pool;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(x86::FindVmfuncBytes(image, options));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * image.size()));
-  state.counters["threads"] = static_cast<double>(pool.num_threads() + 1);
-}
-BENCHMARK(BM_VmfuncScanParallel);
 
 // Records every finished run so the custom main below can emit the shared
 // --json format next to google-benchmark's own console output.

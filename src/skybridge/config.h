@@ -153,16 +153,14 @@ struct SkyBridgeConfig {
   // registration, rewrite-on-first-execute, or snapshot/restore.
   RegistrationMode registration_mode = RegistrationMode::kEager;
   // Budget for the content-hashed rewrite cache (entries ≈ distinct
-  // (page, backend) contents across live images). 0 disables caching —
-  // every page scan runs from scratch (the cold-start ablation baseline).
+  // (page, backend) contents across live images; each entry also keeps the
+  // ~4 KiB page-plus-context bytes its hits are confirmed against). 0
+  // disables caching — every page scan runs from scratch (the cold-start
+  // ablation baseline).
   size_t rewrite_cache_entries = 4096;
   // DoS defence: force return to the client if a handler runs longer.
   uint64_t timeout_cycles = 1ULL << 32;
   uint64_t key_seed = 0x5eedULL;
-  // Worker threads for the registration-scan pool. A fixed count — never
-  // derived from std::thread::hardware_concurrency — so the pool is the same
-  // size on a 2-vCPU CI runner and on a large workstation.
-  int scan_pool_threads = 4;
   // Bounded backoff for re-arming a binding whose cached EPTP slot went
   // stale between lookup and VMFUNC (concurrent eviction). After this many
   // slowpath re-installs the call fails Unavailable.

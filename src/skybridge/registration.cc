@@ -93,6 +93,10 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
   const hw::CostModel& costs = core.costs();
   const bool cached = config_.rewrite_cache_entries > 0;
   std::vector<uint8_t> image = process->code_image();
+  // Instruction starts of `image`, carried from page to page (empty = not
+  // swept yet). A fresh page rewrite hands back the starts of the image it
+  // leaves behind; a replayed patch invalidates them.
+  std::vector<size_t> starts;
   auto& keys = st.page_keys[pattern_id];
   if (keys.size() < st.image_pages) {
     keys.resize(st.image_pages);
@@ -101,14 +105,15 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
     if (((page_mask >> p) & 1) == 0) {
       continue;
     }
+    const std::span<const uint8_t> context = x86::CodePageContext(image, p);
     x86::RewriteCacheKey key;
-    key.content_hash = x86::HashCodePage(image, p);
+    key.content_hash = x86::HashBytes(context);
     key.page_index = static_cast<uint32_t>(p);
     key.pattern_id = pattern_id;
     x86::PageRewrite pr;
     bool replayed = false;
     if (cached) {
-      if (std::optional<x86::PageRewrite> hit = rewrite_cache_.Lookup(key)) {
+      if (std::optional<x86::PageRewrite> hit = rewrite_cache_.Lookup(key, context)) {
         pr = *std::move(hit);
         replayed = true;
         metrics_.cache_hits->Add();
@@ -122,16 +127,17 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
       rw.code_base = mk::kCodeVa;
       rw.rewrite_page_base = WindowVa(backend, p);
       rw.rewrite_page_capacity = sb::kPageSize;
-      rw.scan_pool = &scan_pool_;
       rw.pattern = backend == CrossingBackendKind::kMpk ? x86::kWrpkruBytes
                                                         : x86::kVmfuncBytes;
-      SB_ASSIGN_OR_RETURN(pr, x86::RewriteVmfuncPage(image, p, rw));
+      SB_ASSIGN_OR_RETURN(pr, x86::RewriteVmfuncPage(image, p, rw, starts));
       core.AdvanceCycles(costs.rewrite_scan_page);
       metrics_.pages_rescanned->Add();
       metrics_.scan_pages->Add(pr.stats.scan_pages);
       if (cached) {
-        rewrite_cache_.Insert(key, pr);
+        rewrite_cache_.Insert(key, context, pr);
       }
+    } else if (!pr.patches.empty()) {
+      starts.clear();
     }
     // Only a page whose content actually changed retires its old entry —
     // UpdateProcessCode re-runs this path and clean pages replay instead.
@@ -337,9 +343,11 @@ sb::Status SkyBridge::EnsureProcessPrepared(mk::Process* process, CrossingBacken
       if (config_.registration_mode == RegistrationMode::kSnapshot && have == 0) {
         // Near-instant cold start: an identical template was registered
         // before — restore its post-rewrite state instead of scanning.
+        // A hash collision with another template falls through to a scan.
         const uint64_t h = x86::HashBytes(process->code_image());
         if (auto lib = snapshot_library_.find(h); lib != snapshot_library_.end() &&
-            (lib->second.prepared_mask & needed) == needed) {
+            (lib->second.prepared_mask & needed) == needed &&
+            lib->second.pristine_image == process->code_image()) {
           SB_RETURN_IF_ERROR(RestoreLocked(process, lib->second));
           restored = true;
         }
@@ -398,6 +406,7 @@ sb::StatusOr<SkyBridge::RegistrationSnapshot> SkyBridge::SnapshotLocked(mk::Proc
   }
   RegistrationSnapshot snap;
   snap.pristine_hash = st.pristine_hash;
+  snap.pristine_image = st.pristine_image;
   snap.prepared_mask = mask;
   snap.code = process->code_image();
   snap.window_pages.assign(st.window_pages.begin(), st.window_pages.end());
@@ -413,7 +422,7 @@ sb::Status SkyBridge::RestoreLocked(mk::Process* process,
   if (snapshot.prepared_mask == 0 || snapshot.code.empty()) {
     return sb::InvalidArgument("empty registration snapshot");
   }
-  if (x86::HashBytes(process->code_image()) != snapshot.pristine_hash) {
+  if (process->code_image() != snapshot.pristine_image) {
     return sb::FailedPrecondition("process image does not match the snapshot's template");
   }
   const hw::GuestWalk code_walk = process->address_space().WalkVa(mk::kCodeVa);

@@ -29,8 +29,7 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
       rewrite_cache_(config.rewrite_cache_entries),
       routes_(kernel, config_),
       buffers_(kernel, config_),
-      gate_(kernel, config_),
-      scan_pool_(config.scan_pool_threads) {
+      gate_(kernel, config_) {
   SB_CHECK(kernel.rootkernel() != nullptr)
       << "SkyBridge requires a kernel booted with the Rootkernel";
   sb::telemetry::Registry& reg = kernel.machine().telemetry();

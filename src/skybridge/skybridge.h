@@ -49,7 +49,6 @@
 #include "src/base/rng.h"
 #include "src/base/status.h"
 #include "src/base/telemetry/metrics.h"
-#include "src/base/thread_pool.h"
 #include "src/mk/kernel.h"
 #include "src/skybridge/buffers.h"
 #include "src/skybridge/config.h"
@@ -90,9 +89,10 @@ class SkyBridge {
   // PRISTINE (pre-rewrite) image so a spawned worker cloned from the same
   // template can restore without scanning a single page.
   struct RegistrationSnapshot {
-    uint64_t pristine_hash = 0;  // FNV-1a of the pre-rewrite image.
-    uint8_t prepared_mask = 0;   // Pattern bits scrubbed (1=VMFUNC, 2=WRPKRU).
-    std::vector<uint8_t> code;   // Post-rewrite image.
+    uint64_t pristine_hash = 0;           // x86::HashBytes of pristine_image.
+    std::vector<uint8_t> pristine_image;  // Pre-rewrite image a restore must match.
+    uint8_t prepared_mask = 0;  // Pattern bits scrubbed (1=VMFUNC, 2=WRPKRU).
+    std::vector<uint8_t> code;  // Post-rewrite image.
     // Snippet sub-window pages (va -> bytes), mapped read-only on restore.
     std::vector<std::pair<hw::Gva, std::vector<uint8_t>>> window_pages;
   };
@@ -103,10 +103,10 @@ class SkyBridge {
   // register eagerly, before capturing).
   sb::StatusOr<RegistrationSnapshot> SnapshotRegistration(mk::Process* process);
 
-  // Applies a snapshot to an unprepared process whose current image hashes
-  // to the snapshot's pristine_hash (an identical clone of the template).
-  // Charges only the bulk page copies — no scanning. FailedPrecondition on
-  // an already-prepared process or a pristine-hash mismatch.
+  // Applies a snapshot to an unprepared process whose current image equals
+  // the snapshot's pristine_image byte for byte (an identical clone of the
+  // template). Charges only the bulk page copies — no scanning.
+  // FailedPrecondition on an already-prepared process or any image mismatch.
   sb::Status RestoreRegistration(mk::Process* process,
                                  const RegistrationSnapshot& snapshot);
 
@@ -253,7 +253,7 @@ class SkyBridge {
   // Per prepared process. Guarded by reg_mu_ (slow path only: registration,
   // code update, snapshot, exec-fault resolution).
   struct RegState {
-    uint64_t pristine_hash = 0;           // Hash of the pre-rewrite image.
+    uint64_t pristine_hash = 0;           // x86::HashBytes(pristine_image).
     std::vector<uint8_t> pristine_image;  // Pre-rewrite bytes (update diff).
     size_t image_pages = 0;
     uint64_t nonexec_mask = 0;  // Bit p set: page p awaits its lazy rewrite.
@@ -440,8 +440,6 @@ class SkyBridge {
   RouteTable routes_;
   BufferPool buffers_;
   Gate gate_;
-  // Fans out the registration-time code-page scans (slow path only).
-  sb::ThreadPool scan_pool_;
   // Batch connections, keyed by (binding, tid). std::map keeps BatchConn
   // addresses stable across inserts; the mutex guards map shape only —
   // steady-state submit/poll/flush on an established connection touch only

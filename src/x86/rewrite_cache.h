@@ -15,6 +15,11 @@
 // pattern id keeps backends apart: an MPK (WRPKRU) rewrite must never
 // satisfy an EPTP (VMFUNC) lookup for the same bytes.
 //
+// The hash only finds the entry. Each entry keeps the page-plus-context
+// bytes its patches were computed from, and a lookup whose bytes differ is a
+// miss: a client controls its code image, so a crafted hash collision must
+// not replay another page's patches and leave a gate instruction unscrubbed.
+//
 // Entries are LRU-evicted under a bounded budget. All methods are
 // thread-safe; Lookup returns the entry by value so callers never hold
 // references across an eviction.
@@ -28,20 +33,23 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "src/x86/rewriter.h"
 
 namespace x86 {
 
-// FNV-1a, 64-bit.
+// 64-bit hash that mixes eight bytes per step (multiply plus xor-shift).
+// Not collision-resistant against a chosen input: its values only index
+// host-side tables (this cache, the snapshot library), whose hits are
+// confirmed against the bytes. Never simulated or printed.
 uint64_t HashBytes(std::span<const uint8_t> bytes);
 
-// Hash of code page `page_index` of `image` plus up to 64 bytes of context
-// on each side (clamped to the image). This is the `content_hash` half of
-// the cache key; identical pages in identical neighbourhoods collide by
-// construction.
-uint64_t HashCodePage(std::span<const uint8_t> image, size_t page_index);
+// Code page `page_index` of `image` plus up to 64 bytes of context on each
+// side (clamped to the image; empty past the image end). Its HashBytes is
+// the `content_hash` half of the cache key; identical pages in identical
+// neighbourhoods collide by construction.
+std::span<const uint8_t> CodePageContext(std::span<const uint8_t> image, size_t page_index);
 
 struct RewriteCacheKey {
   uint64_t content_hash = 0;
@@ -65,11 +73,15 @@ class RewriteCache {
   RewriteCache(const RewriteCache&) = delete;
   RewriteCache& operator=(const RewriteCache&) = delete;
 
-  // Counts a hit (and refreshes LRU position) or a miss.
-  std::optional<PageRewrite> Lookup(const RewriteCacheKey& key);
+  // Counts a hit (and refreshes LRU position) or a miss. `context` is the
+  // page-plus-context bytes the key was hashed from; an entry recorded for
+  // other bytes under the same key is a miss.
+  std::optional<PageRewrite> Lookup(const RewriteCacheKey& key,
+                                    std::span<const uint8_t> context);
 
-  // Inserts or replaces; evicts the least-recently-used entry over budget.
-  void Insert(const RewriteCacheKey& key, PageRewrite value);
+  // Inserts or replaces the rewrite computed from `context`; evicts the
+  // least-recently-used entry over budget.
+  void Insert(const RewriteCacheKey& key, std::span<const uint8_t> context, PageRewrite value);
 
   // Drops the entry if present (UpdateProcessCode dirty-page invalidation).
   void Invalidate(const RewriteCacheKey& key);
@@ -87,7 +99,11 @@ class RewriteCache {
       return static_cast<size_t>(h ^ (h >> 32));
     }
   };
-  using Entry = std::pair<RewriteCacheKey, PageRewrite>;
+  struct Entry {
+    RewriteCacheKey key;
+    std::vector<uint8_t> context;
+    PageRewrite value;
+  };
 
   const size_t max_entries_;
   mutable std::mutex mu_;

@@ -1,6 +1,7 @@
 #include "src/x86/rewriter.h"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 
 #include "src/base/logging.h"
@@ -741,10 +742,43 @@ class SnippetBuilder {
   size_t window_end_;
 };
 
+// The runs where `edited` differs from `original`, as replayable patches.
+// Equal 64-byte blocks are skipped with memcmp; the runs are byte-exact.
+std::vector<PagePatch> DiffPatches(std::span<const uint8_t> original,
+                                   std::span<const uint8_t> edited) {
+  constexpr size_t kBlock = 64;
+  std::vector<PagePatch> patches;
+  const size_t n = original.size();
+  size_t i = 0;
+  while (i < n) {
+    while (i + kBlock <= n && std::memcmp(&original[i], &edited[i], kBlock) == 0) {
+      i += kBlock;
+    }
+    while (i < n && original[i] == edited[i]) {
+      ++i;
+    }
+    size_t j = i;
+    while (j < n && original[j] != edited[j]) {
+      ++j;
+    }
+    if (j > i) {
+      PagePatch patch;
+      patch.code_off = i;
+      patch.bytes.assign(edited.begin() + static_cast<long>(i),
+                         edited.begin() + static_cast<long>(j));
+      patches.push_back(std::move(patch));
+    }
+    i = j;
+  }
+  return patches;
+}
+
+}  // namespace
+
 // ---- Main driver ----
 
-sb::Status HandleHit(std::vector<uint8_t>& code, std::vector<uint8_t>& page,
-                     const RewriteConfig& config, const VmfuncHit& hit, RewriteStats& stats) {
+sb::Status RewriteHit(std::vector<uint8_t>& code, std::vector<uint8_t>& page,
+                      const RewriteConfig& config, const VmfuncHit& hit, RewriteStats& stats) {
   if (hit.overlap == VmfuncOverlap::kIsVmfunc || hit.overlap == VmfuncOverlap::kInOpcode ||
       hit.overlap == VmfuncOverlap::kUndecodable) {
     // C1 (and conservative fallback): replace the three bytes with NOPs.
@@ -844,8 +878,6 @@ sb::Status HandleHit(std::vector<uint8_t>& code, std::vector<uint8_t>& page,
   return sb::Internal("could not find a pattern-free rewriting");
 }
 
-}  // namespace
-
 sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
                                           const RewriteConfig& config) {
   RewriteResult result;
@@ -853,7 +885,6 @@ sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
 
   ScanStats scan_stats;
   ScanOptions scan_options;
-  scan_options.pool = config.scan_pool;
   scan_options.stats = &scan_stats;
   scan_options.pattern = config.pattern;
 
@@ -867,58 +898,49 @@ sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
       return result;
     }
     SB_RETURN_IF_ERROR(
-        HandleHit(result.code, result.rewrite_page, config, hits.front(), result.stats));
+        RewriteHit(result.code, result.rewrite_page, config, hits.front(), result.stats));
   }
   return sb::Internal("rewriting did not converge");
 }
 
 sb::StatusOr<PageRewrite> RewriteVmfuncPage(std::span<const uint8_t> code, size_t page_index,
-                                            const RewriteConfig& config) {
+                                            const RewriteConfig& config,
+                                            std::vector<size_t>& starts) {
   constexpr size_t kCodePageBytes = 4096;
   PageRewrite result;
-  std::vector<uint8_t> working(code.begin(), code.end());
+  // Passes scan `code` itself until the first edit makes a working copy.
+  std::vector<uint8_t> working;
+  bool edited = false;
 
   ScanStats scan_stats;
   ScanOptions scan_options;
-  scan_options.pool = config.scan_pool;
   scan_options.stats = &scan_stats;
   scan_options.pattern = config.pattern;
 
   for (int iter = 0; iter < config.max_iterations; ++iter) {
-    const std::vector<VmfuncHit> hits = ScanForVmfunc(working, scan_options);
+    const std::span<const uint8_t> current = edited ? std::span<const uint8_t>(working) : code;
+    const std::vector<VmfuncHit> hits = ScanForVmfunc(current, scan_options, starts);
     result.stats.scan_pages = scan_stats.pages;
-    const VmfuncHit* owned = nullptr;
-    for (const VmfuncHit& hit : hits) {
-      if (hit.pattern_off / kCodePageBytes == page_index) {
-        owned = &hit;
-        break;
-      }
-    }
-    if (owned == nullptr) {
+    const auto owned = std::find_if(hits.begin(), hits.end(), [&](const VmfuncHit& hit) {
+      return hit.pattern_off / kCodePageBytes == page_index;
+    });
+    if (owned == hits.end()) {
       if (ContainsPattern(result.snippets, config.pattern)) {
+        starts.clear();
         return sb::Internal("rewrite sub-window contains the pattern after rewriting");
       }
-      // Record the working-vs-input byte diff as replayable patches.
-      size_t i = 0;
-      while (i < working.size()) {
-        if (working[i] == code[i]) {
-          ++i;
-          continue;
-        }
-        size_t j = i;
-        while (j < working.size() && working[j] != code[j]) {
-          ++j;
-        }
-        PagePatch patch;
-        patch.code_off = i;
-        patch.bytes.assign(working.begin() + static_cast<long>(i),
-                           working.begin() + static_cast<long>(j));
-        result.patches.push_back(std::move(patch));
-        i = j;
+      if (edited) {
+        result.patches = DiffPatches(code, working);
       }
       return result;
     }
-    SB_RETURN_IF_ERROR(HandleHit(working, result.snippets, config, *owned, result.stats));
+    if (!edited) {
+      working.assign(code.begin(), code.end());
+      edited = true;
+    }
+    // The edit may move instruction boundaries, so the next pass re-sweeps.
+    starts.clear();
+    SB_RETURN_IF_ERROR(RewriteHit(working, result.snippets, config, *owned, result.stats));
   }
   return sb::Internal("rewriting did not converge");
 }

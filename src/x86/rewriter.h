@@ -41,10 +41,6 @@
 #include "src/base/status.h"
 #include "src/x86/scanner.h"
 
-namespace sb {
-class ThreadPool;
-}  // namespace sb
-
 namespace x86 {
 
 struct RewriteConfig {
@@ -52,9 +48,6 @@ struct RewriteConfig {
   uint64_t rewrite_page_base = 0x1000;  // VA of the rewrite page (paper 5.1).
   size_t rewrite_page_capacity = 16 * 4096;
   int max_iterations = 64;
-  // Optional pool for the per-code-page chunked pattern scans. The rewrite
-  // output is byte-identical with or without it (deterministic merge order).
-  sb::ThreadPool* scan_pool = nullptr;
   // The gate-instruction triple this pass scrubs: kVmfuncBytes for the EPTP
   // backend, kWrpkruBytes for the MPK backend (same 0F 01 /r shape, so every
   // Table 3 rewrite case applies unchanged).
@@ -73,6 +66,12 @@ struct RewriteResult {
   std::vector<uint8_t> rewrite_page;  // Snippet bytes for the rewrite page.
   RewriteStats stats;
 };
+
+// One Table 3 edit: scrubs `hit` (classified against the current `code`) in
+// place, appending any snippet to `page`, whose first byte sits at
+// config.rewrite_page_base. The step both drivers below repeat.
+sb::Status RewriteHit(std::vector<uint8_t>& code, std::vector<uint8_t>& page,
+                      const RewriteConfig& config, const VmfuncHit& hit, RewriteStats& stats);
 
 // Rewrites until neither the code nor the rewrite page contains the pattern.
 sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
@@ -104,8 +103,16 @@ struct PageRewrite {
 // the page's private snippet sub-window. Patches may spill a few bytes past
 // the page edge when a rewrite window straddles it, which is why the cache
 // key hashes the page plus boundary context.
+//
+// `starts` carries the image's instruction starts between calls, as in
+// ScanForVmfunc: empty or exactly LinearSweep(code). A pass sweeps only
+// when a hit needs classifying and `starts` is empty; each edit empties it.
+// On success `starts` is empty or describes the rewritten image (`code`
+// with the patches applied), so a caller scrubbing the pages of one image
+// in turn passes it straight on; on failure it is cleared.
 sb::StatusOr<PageRewrite> RewriteVmfuncPage(std::span<const uint8_t> code, size_t page_index,
-                                            const RewriteConfig& config);
+                                            const RewriteConfig& config,
+                                            std::vector<size_t>& starts);
 
 }  // namespace x86
 

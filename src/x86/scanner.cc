@@ -3,33 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/base/thread_pool.h"
 #include "src/x86/decoder.h"
 
 namespace x86 {
-namespace {
-
-// Appends every pattern start in [begin, limit) to `out`, memchr-hopping
-// between 0x0F candidates. The caller guarantees limit + 2 <= code.size(),
-// so reading the two trailing bytes of a straddling candidate is safe.
-void ScanRange(std::span<const uint8_t> code, size_t begin, size_t limit,
-               const uint8_t* pattern, std::vector<size_t>& out) {
-  const uint8_t* base = code.data();
-  size_t i = begin;
-  while (i < limit) {
-    const void* p = std::memchr(base + i, pattern[0], limit - i);
-    if (p == nullptr) {
-      return;
-    }
-    const size_t off = static_cast<size_t>(static_cast<const uint8_t*>(p) - base);
-    if (base[off + 1] == pattern[1] && base[off + 2] == pattern[2]) {
-      out.push_back(off);
-    }
-    i = off + 1;
-  }
-}
-
-}  // namespace
 
 std::vector<size_t> FindVmfuncBytes(std::span<const uint8_t> code) {
   return FindVmfuncBytes(code, ScanOptions{});
@@ -40,30 +16,26 @@ std::vector<size_t> FindVmfuncBytes(std::span<const uint8_t> code, const ScanOpt
   if (code.size() < 3) {
     return offsets;
   }
-  const size_t search_end = code.size() - 2;  // Valid pattern starts: [0, search_end).
-  const size_t chunk = options.chunk_bytes == 0 ? 4096 : options.chunk_bytes;
-  const size_t num_chunks = (code.size() + chunk - 1) / chunk;
   if (options.stats != nullptr) {
-    options.stats->AddPages(num_chunks);
+    const size_t chunk = options.chunk_bytes == 0 ? 4096 : options.chunk_bytes;
+    options.stats->AddPages((code.size() + chunk - 1) / chunk);
   }
+  // memchr-hop between 0x0F candidates; every candidate below limit has its
+  // two trailing bytes inside the image.
   const uint8_t* pattern = options.pattern == nullptr ? kVmfuncBytes : options.pattern;
-  if (options.pool == nullptr || num_chunks < 2) {
-    ScanRange(code, 0, search_end, pattern, offsets);
-    return offsets;
-  }
-  // One bucket per code page; chunk c owns the starts in [c*chunk,
-  // (c+1)*chunk). Buckets are disjoint and internally ascending, so the
-  // in-order merge reproduces the serial scan byte for byte.
-  std::vector<std::vector<size_t>> buckets(num_chunks);
-  options.pool->ParallelFor(num_chunks, [&](size_t c) {
-    const size_t begin = c * chunk;
-    const size_t limit = std::min((c + 1) * chunk, search_end);
-    if (begin < limit) {
-      ScanRange(code, begin, limit, pattern, buckets[c]);
+  const uint8_t* base = code.data();
+  const size_t limit = code.size() - 2;
+  size_t i = 0;
+  while (i < limit) {
+    const void* p = std::memchr(base + i, pattern[0], limit - i);
+    if (p == nullptr) {
+      break;
     }
-  });
-  for (const std::vector<size_t>& bucket : buckets) {
-    offsets.insert(offsets.end(), bucket.begin(), bucket.end());
+    const size_t off = static_cast<size_t>(static_cast<const uint8_t*>(p) - base);
+    if (base[off + 1] == pattern[1] && base[off + 2] == pattern[2]) {
+      offsets.push_back(off);
+    }
+    i = off + 1;
   }
   return offsets;
 }
@@ -73,12 +45,20 @@ std::vector<VmfuncHit> ScanForVmfunc(std::span<const uint8_t> code) {
 }
 
 std::vector<VmfuncHit> ScanForVmfunc(std::span<const uint8_t> code, const ScanOptions& options) {
+  std::vector<size_t> starts;
+  return ScanForVmfunc(code, options, starts);
+}
+
+std::vector<VmfuncHit> ScanForVmfunc(std::span<const uint8_t> code, const ScanOptions& options,
+                                     std::vector<size_t>& starts) {
   std::vector<VmfuncHit> hits;
   const std::vector<size_t> raw = FindVmfuncBytes(code, options);
   if (raw.empty()) {
     return hits;
   }
-  const std::vector<size_t> starts = LinearSweep(code);
+  if (starts.empty()) {
+    starts = LinearSweep(code);
+  }
 
   for (const size_t off : raw) {
     VmfuncHit hit;

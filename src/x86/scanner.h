@@ -8,11 +8,8 @@
 //   C3 — the pattern is embedded in a longer instruction's ModRM, SIB,
 //        displacement or immediate field.
 //
-// The raw byte scan is memchr-accelerated and can fan out across a
-// sb::ThreadPool, one chunk per code page. Each chunk owns the pattern
-// starts inside its own byte range (reading up to two bytes past it for
-// straddling patterns), so the merged result is byte-identical to the
-// serial scan regardless of thread scheduling.
+// The raw byte scan is a serial memchr hop between 0x0F candidates, counted
+// in code-page chunks (ScanStats; skybridge.rewrite.scan_pages).
 
 #ifndef SRC_X86_SCANNER_H_
 #define SRC_X86_SCANNER_H_
@@ -24,10 +21,6 @@
 #include <vector>
 
 #include "src/x86/insn.h"
-
-namespace sb {
-class ThreadPool;
-}  // namespace sb
 
 namespace x86 {
 
@@ -54,9 +47,8 @@ struct ScanStats {
 };
 
 struct ScanOptions {
-  sb::ThreadPool* pool = nullptr;  // nullptr => serial scan.
-  size_t chunk_bytes = 4096;       // Fan-out granularity (one code page).
-  ScanStats* stats = nullptr;      // Optional accounting sink.
+  size_t chunk_bytes = 4096;   // Accounting granularity (one code page).
+  ScanStats* stats = nullptr;  // Optional accounting sink.
   // The three-byte gate pattern this pass hunts: kVmfuncBytes (default) or
   // kWrpkruBytes. Must point at three bytes starting with 0x0F.
   const uint8_t* pattern = kVmfuncBytes;
@@ -70,6 +62,12 @@ std::vector<size_t> FindVmfuncBytes(std::span<const uint8_t> code, const ScanOpt
 // Full scan: find and classify every occurrence.
 std::vector<VmfuncHit> ScanForVmfunc(std::span<const uint8_t> code);
 std::vector<VmfuncHit> ScanForVmfunc(std::span<const uint8_t> code, const ScanOptions& options);
+// Same, reusing the instruction starts of `code` across scans of an
+// unchanged image. `starts` is either empty — it is then filled with
+// LinearSweep(code) the first time a hit needs classifying — or exactly
+// LinearSweep(code). Clear it whenever `code` changes.
+std::vector<VmfuncHit> ScanForVmfunc(std::span<const uint8_t> code, const ScanOptions& options,
+                                     std::vector<size_t>& starts);
 
 }  // namespace x86
 

@@ -1,6 +1,5 @@
 // Tests for the base utilities.
 
-#include <atomic>
 #include <sstream>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/table.h"
-#include "src/base/thread_pool.h"
 #include "src/base/units.h"
 
 namespace sb {
@@ -229,46 +227,6 @@ TEST(Units, PageMath) {
   EXPECT_EQ(PageUp(0x1001), 0x2000u);
   EXPECT_TRUE(IsPageAligned(0x3000));
   EXPECT_FALSE(IsPageAligned(0x3001));
-}
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  constexpr size_t kN = 1000;
-  std::vector<std::atomic<int>> counts(kN);
-  pool.ParallelFor(kN, [&](size_t i) { counts[i].fetch_add(1, std::memory_order_relaxed); });
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ZeroWorkersFallsBackToSerial) {
-  // A worker count of 0 is explicit "no threads": the calling thread runs
-  // every index in order.
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 0);
-  std::vector<int> order;
-  pool.ParallelFor(8, [&](size_t i) { order.push_back(static_cast<int>(i)); });
-  const std::vector<int> expected{0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPool, EmptyAndSingleItemJobs) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not run"; });
-  int runs = 0;
-  pool.ParallelFor(1, [&](size_t) { ++runs; });
-  EXPECT_EQ(runs, 1);
-}
-
-TEST(ThreadPool, BackToBackJobsDoNotInterfere) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<uint64_t> sum{0};
-    const size_t n = 1 + static_cast<size_t>(round) * 7 % 97;
-    pool.ParallelFor(n, [&](size_t i) { sum.fetch_add(i + 1, std::memory_order_relaxed); });
-    EXPECT_EQ(sum.load(), n * (n + 1) / 2) << "round " << round;
-  }
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "src/apps/corpus.h"
 #include "src/base/rng.h"
-#include "src/base/thread_pool.h"
 #include "src/fs/block_device.h"
 #include "src/fs/xv6fs.h"
 #include "src/hw/ept.h"
@@ -206,31 +205,12 @@ TEST_P(FsPropertyTest, RandomOpsMatchReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FsPropertyTest, ::testing::Range(0, 8));
 
-// ---- Parallel VMFUNC scan == serial scan, byte for byte ----
-
-TEST(ScanParityProperty, ParallelScanMatchesSerialOnTable6Corpus) {
-  sb::ThreadPool pool(4);
-  const std::vector<apps::CorpusProgram> corpus = apps::BuildTable6Corpus(0x5eed);
-  ASSERT_FALSE(corpus.empty());
-  for (const apps::CorpusProgram& program : corpus) {
-    const std::vector<size_t> serial = x86::FindVmfuncBytes(program.code);
-    // Exercise several chunk sizes, including ones that do not divide the
-    // image evenly.
-    for (const size_t chunk : {size_t{4096}, size_t{4095}, size_t{1 << 16}, size_t{257}}) {
-      x86::ScanOptions options;
-      options.pool = &pool;
-      options.chunk_bytes = chunk;
-      EXPECT_EQ(x86::FindVmfuncBytes(program.code, options), serial)
-          << program.name << " chunk=" << chunk;
-    }
-  }
-}
+// ---- Chunked scan accounting ----
 
 TEST(ScanParityProperty, PatternsStraddlingChunkBoundariesAreFound) {
-  sb::ThreadPool pool(4);
   // Place the 3-byte pattern at every offset around each chunk boundary so
   // the straddle cases (pattern starting 1 or 2 bytes before a boundary) are
-  // all exercised.
+  // all exercised. The chunk size only sets the accounting granularity.
   const size_t chunk = 256;
   std::vector<uint8_t> code(chunk * 8, 0x90);
   std::vector<size_t> expected;
@@ -243,7 +223,6 @@ TEST(ScanParityProperty, PatternsStraddlingChunkBoundariesAreFound) {
   }
   EXPECT_EQ(x86::FindVmfuncBytes(code), expected);
   x86::ScanOptions options;
-  options.pool = &pool;
   options.chunk_bytes = chunk;
   x86::ScanStats stats;
   options.stats = &stats;
@@ -265,9 +244,7 @@ TEST(ScanParityProperty, SharedScanStatsAcrossConcurrentScansIsExact) {
   std::vector<std::thread> scanners;
   for (int t = 0; t < kScanners; ++t) {
     scanners.emplace_back([&code, &stats, chunk] {
-      sb::ThreadPool pool(2);
       x86::ScanOptions options;
-      options.pool = &pool;
       options.chunk_bytes = chunk;
       options.stats = &stats;
       for (int i = 0; i < kScansEach; ++i) {
@@ -279,27 +256,6 @@ TEST(ScanParityProperty, SharedScanStatsAcrossConcurrentScansIsExact) {
     t.join();
   }
   EXPECT_EQ(stats.pages, static_cast<uint64_t>(kScanners) * kScansEach * 16);
-}
-
-TEST(ScanParityProperty, ParallelRewriteMatchesSerialOnTable6Corpus) {
-  sb::ThreadPool pool(4);
-  for (const apps::CorpusProgram& program : apps::BuildTable6Corpus(0x5eed)) {
-    x86::RewriteConfig serial_config;
-    auto serial = x86::RewriteVmfunc(program.code, serial_config);
-    ASSERT_TRUE(serial.ok()) << program.name;
-
-    x86::RewriteConfig pooled_config;
-    pooled_config.scan_pool = &pool;
-    auto pooled = x86::RewriteVmfunc(program.code, pooled_config);
-    ASSERT_TRUE(pooled.ok()) << program.name;
-
-    // The rewrite output is byte-identical regardless of scan fan-out.
-    EXPECT_EQ(pooled->code, serial->code) << program.name;
-    EXPECT_EQ(pooled->rewrite_page, serial->rewrite_page) << program.name;
-    EXPECT_EQ(pooled->stats.nop_replaced, serial->stats.nop_replaced) << program.name;
-    EXPECT_EQ(pooled->stats.windows_relocated, serial->stats.windows_relocated) << program.name;
-    EXPECT_EQ(pooled->stats.scan_pages, serial->stats.scan_pages) << program.name;
-  }
 }
 
 // ---- Scanner fuzz: random byte streams vs a naive reference search ----
@@ -333,13 +289,14 @@ TEST_P(ScannerFuzzTest, RandomStreamsMatchTheNaiveSearch) {
   const std::vector<size_t> expected = NaiveFindPattern(bytes);
   ASSERT_GE(expected.size(), 1u);
   EXPECT_EQ(x86::FindVmfuncBytes(bytes), expected);
-  // The chunked parallel scan agrees at awkward chunk sizes.
-  sb::ThreadPool pool(4);
+  // Awkward accounting chunk sizes change the page count, never the hits.
   for (const size_t chunk : {size_t{257}, size_t{4096}}) {
     x86::ScanOptions options;
-    options.pool = &pool;
     options.chunk_bytes = chunk;
+    x86::ScanStats stats;
+    options.stats = &stats;
     EXPECT_EQ(x86::FindVmfuncBytes(bytes, options), expected) << "chunk=" << chunk;
+    EXPECT_EQ(stats.pages, (bytes.size() + chunk - 1) / chunk) << "chunk=" << chunk;
   }
   // The classifying scan never crashes on arbitrary surrounding bytes and
   // misses nothing the byte search found.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string_view>
 #include <vector>
 
@@ -181,30 +182,71 @@ TEST_F(RegistrationPipelineTest, BackendPatternsNeverShareCacheEntries) {
 TEST(RewriteCacheUnit, KeyIsolationAndBoundedLruEviction) {
   x86::RewriteCache cache(2);
   x86::PageRewrite value;
+  const std::vector<uint8_t> bytes = NopImage(1);
   const x86::RewriteCacheKey base{0x1234, 0, 0};
-  cache.Insert(base, value);
+  cache.Insert(base, bytes, value);
 
   // Same bytes, different pattern or page index: a miss by construction.
-  EXPECT_FALSE(cache.Lookup({0x1234, 0, 1}).has_value());
-  EXPECT_FALSE(cache.Lookup({0x1234, 1, 0}).has_value());
-  EXPECT_TRUE(cache.Lookup(base).has_value());
+  EXPECT_FALSE(cache.Lookup({0x1234, 0, 1}, bytes).has_value());
+  EXPECT_FALSE(cache.Lookup({0x1234, 1, 0}, bytes).has_value());
+  EXPECT_TRUE(cache.Lookup(base, bytes).has_value());
 
   // Over-budget insert evicts the least recently used entry: refresh `base`
   // after the second insert so the second key is the victim.
-  cache.Insert({0x5678, 0, 0}, value);
-  EXPECT_TRUE(cache.Lookup(base).has_value());
-  cache.Insert({0x9abc, 0, 0}, value);
+  cache.Insert({0x5678, 0, 0}, bytes, value);
+  EXPECT_TRUE(cache.Lookup(base, bytes).has_value());
+  cache.Insert({0x9abc, 0, 0}, bytes, value);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.Lookup(base).has_value());
-  EXPECT_FALSE(cache.Lookup({0x5678, 0, 0}).has_value());
-  EXPECT_TRUE(cache.Lookup({0x9abc, 0, 0}).has_value());
+  EXPECT_TRUE(cache.Lookup(base, bytes).has_value());
+  EXPECT_FALSE(cache.Lookup({0x5678, 0, 0}, bytes).has_value());
+  EXPECT_TRUE(cache.Lookup({0x9abc, 0, 0}, bytes).has_value());
 
   // Invalidation drops the entry and is counted.
   cache.Invalidate(base);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().invalidations, 1u);
-  EXPECT_FALSE(cache.Lookup(base).has_value());
+  EXPECT_FALSE(cache.Lookup(base, bytes).has_value());
+}
+
+// A hash collision must not replay another page's patches. Page A is clean
+// (no patches); page B plants a VMFUNC and is forged onto A's key. The
+// lookup with B's bytes misses, so B is rescanned and scrubbed — replaying
+// A's empty rewrite would have left B's VMFUNC live.
+TEST(RewriteCacheUnit, HitsAreConfirmedAgainstTheBytes) {
+  const std::vector<uint8_t> a = NopImage(1);
+  std::vector<uint8_t> b = a;
+  PlantEmbedded(b, 2048, x86::kVmfuncBytes);
+  x86::RewriteConfig rw;
+  rw.rewrite_page_capacity = kPageSize;
+  std::vector<size_t> starts;
+  auto clean = x86::RewriteVmfuncPage(a, 0, rw, starts);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_TRUE(clean->patches.empty());
+
+  x86::RewriteCache cache(4);
+  const x86::RewriteCacheKey key{x86::HashBytes(x86::CodePageContext(a, 0)), 0, 0};
+  cache.Insert(key, x86::CodePageContext(a, 0), *clean);
+  EXPECT_FALSE(cache.Lookup(key, x86::CodePageContext(b, 0)).has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  // The rescan of B scrubs it and its insert takes the key over.
+  starts.clear();
+  auto scrubbed = x86::RewriteVmfuncPage(b, 0, rw, starts);
+  ASSERT_TRUE(scrubbed.ok());
+  ASSERT_FALSE(scrubbed->patches.empty());
+  std::vector<uint8_t> rewritten = b;
+  for (const x86::PagePatch& patch : scrubbed->patches) {
+    std::copy(patch.bytes.begin(), patch.bytes.end(), rewritten.begin() + patch.code_off);
+  }
+  EXPECT_TRUE(x86::FindVmfuncBytes(rewritten).empty());
+  cache.Insert(key, x86::CodePageContext(b, 0), *scrubbed);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(cache.Lookup(key, x86::CodePageContext(a, 0)).has_value());
+  auto replay = cache.Lookup(key, x86::CodePageContext(b, 0));
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->patches.size(), scrubbed->patches.size());
 }
 
 // config.rewrite_cache_entries == 0 disables caching entirely — the
@@ -275,6 +317,21 @@ TEST_F(RegistrationPipelineTest, SnapshotRestoreSkipsTheScanAndChecksPreconditio
   auto* other = kernel_->CreateProcessWithImage("other", NopImage(4)).value();
   EXPECT_EQ(sky_->RestoreRegistration(other, *snapshot).code(),
             sb::ErrorCode::kFailedPrecondition);
+
+  // A restore is confirmed against the pristine bytes, not the hash alone:
+  // a clone one byte off fails even with the snapshot's hash forged to
+  // match it (a crafted collision).
+  std::vector<uint8_t> tampered = image;
+  tampered[3 * kPageSize + 100] = 0xf8;
+  auto* near_clone = kernel_->CreateProcessWithImage("near-clone", tampered).value();
+  EXPECT_EQ(sky_->RestoreRegistration(near_clone, *snapshot).code(),
+            sb::ErrorCode::kFailedPrecondition);
+  SkyBridge::RegistrationSnapshot forged = *snapshot;
+  forged.pristine_hash = x86::HashBytes(tampered);
+  EXPECT_EQ(sky_->RestoreRegistration(near_clone, forged).code(),
+            sb::ErrorCode::kFailedPrecondition);
+  EXPECT_FALSE(near_clone->code_rewritten());
+  EXPECT_EQ(Metric("skybridge.registration.snapshot_restores"), 1u);
 }
 
 // registration_mode = snapshot: the first registration of an image eagerly
