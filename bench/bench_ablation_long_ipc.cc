@@ -68,25 +68,25 @@ ModeResult MeasureMode(bench::World& world, CopyMode mode, size_t bytes) {
     SB_CHECK(buf.ok() && buf->size() >= bytes);
     std::fill_n(buf->data(), bytes, 0x5a);
   }
-  auto call_once = [&](mk::CostBreakdown* bd) {
+  auto call_once = [&] {
     if (mode == CopyMode::kZeroCopy) {
-      SB_CHECK(world.sky->DirectServerCallInPlace(thread, sid, 1, bytes, bd).ok());
+      SB_CHECK(world.sky->DirectServerCallInPlace(thread, sid, 1, bytes).ok());
     } else {
-      SB_CHECK(world.sky->DirectServerCall(thread, sid, msg, bd).ok());
+      SB_CHECK(world.sky->DirectServerCall(thread, sid, msg).ok());
     }
   };
   for (int i = 0; i < 100; ++i) {
-    call_once(nullptr);
+    call_once();
   }
   hw::Core& core = world.machine->core(0);
-  mk::CostBreakdown bd;
+  const uint64_t copy_before = core.ledger()[hw::Bucket::kCopy];
   const uint64_t start = core.cycles();
   for (int i = 0; i < kIters; ++i) {
-    call_once(&bd);
+    call_once();
   }
   ModeResult result;
   result.cycles_per_op = (core.cycles() - start) / kIters;
-  result.copy_cycles_per_op = bd.copy / kIters;
+  result.copy_cycles_per_op = (core.ledger()[hw::Bucket::kCopy] - copy_before) / kIters;
   return result;
 }
 

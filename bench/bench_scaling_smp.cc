@@ -114,7 +114,7 @@ MigrationResult RunMigration(uint64_t period, bool eager) {
       // earlier than when it left the source core.
       machine->core(dest).SyncClockTo(machine->core(src).cycles());
       SB_CHECK(kernel->ContextSwitchTo(machine->core(dest), polluter).ok());
-      SB_CHECK(kernel->MigrateThread(p.thread, dest, nullptr, eager).ok());
+      SB_CHECK(kernel->MigrateThread(p.thread, dest, eager).ok());
       st.set_core(&machine->core(dest));
     }
     SB_CHECK(sky->DirectServerCall(p.thread, p.sid, mk::Message(1)).ok());

@@ -2,11 +2,16 @@
 """Diffs two merged BENCH_results.json files (see merge_bench_json.py).
 
 Usage: diff_bench.py <baseline.json> <current.json> [--threshold PCT]
+       diff_bench.py --exact <baseline.json> <current.json>
 
-Prints every cycles/op-style metric whose relative change exceeds the
-threshold (default 2%), plus metrics that appear or disappear. Exit code is
-always 0: this is a trend report for humans reading the CI log, not a gate —
-the per-bench self-checks and the smoke-step asserts do the gating.
+Default (trend report): prints every cycles/op-style metric whose relative
+change exceeds the threshold (default 2%), plus metrics that appear or
+disappear. Exit code is always 0: this is for humans reading the CI log.
+
+--exact (gate): every `metrics` value of every bench in the current file
+must equal the baseline's — a changed, added or missing key exits 1. Only
+the benches present in the current file are checked, minus EXACT_SKIP. A PR
+that changes a simulated number on purpose regenerates the baseline.
 """
 
 import argparse
@@ -26,6 +31,10 @@ SUFFIXES = ("cycles_per_op", "cycles_per_get", "cycles_per_call", "cycles",
 TAIL_SUFFIXES = (".p99", ".p999")
 TAIL_THRESHOLD = 10.0
 
+# Benches the exact gate leaves out: bench_gbench_micro reports host time,
+# and CI runs bench_openloop with a different --events than run_all.sh.
+EXACT_SKIP = ("bench_gbench_micro", "bench_openloop")
+
 
 def series(merged, suffixes=SUFFIXES):
     out = {}
@@ -36,13 +45,47 @@ def series(merged, suffixes=SUFFIXES):
     return out
 
 
+def exact(base_merged, cur_merged) -> int:
+    problems = []
+    checked = 0
+    for bench in sorted(cur_merged):
+        if bench in EXACT_SKIP:
+            continue
+        checked += 1
+        base = base_merged.get(bench, {}).get("metrics", {})
+        cur = cur_merged[bench].get("metrics", {})
+        for key in sorted(base.keys() | cur.keys()):
+            if key not in base:
+                problems.append(f"  [added]   {bench}:{key} = {cur[key]!r}")
+            elif key not in cur:
+                problems.append(f"  [missing] {bench}:{key} (was {base[key]!r})")
+            elif base[key] != cur[key]:
+                problems.append(f"  [changed] {bench}:{key}: {base[key]!r} -> {cur[key]!r}")
+    if problems:
+        print("\n".join(problems))
+        print(f"diff_bench --exact: {len(problems)} metrics differ from the baseline "
+              f"across {checked} benches; regenerate and commit BENCH_results.json "
+              f"if the change is intended")
+        return 1
+    print(f"diff_bench --exact: {checked} benches match the baseline exactly")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("baseline")
     parser.add_argument("current")
     parser.add_argument("--threshold", type=float, default=2.0,
                         help="report changes beyond this percentage")
+    parser.add_argument("--exact", action="store_true",
+                        help="exit 1 on any changed, added or missing metric")
     args = parser.parse_args()
+
+    if args.exact:
+        with open(args.baseline) as f:
+            base_merged = json.load(f)
+        with open(args.current) as f:
+            return exact(base_merged, json.load(f))
 
     try:
         with open(args.baseline) as f:

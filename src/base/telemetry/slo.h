@@ -12,7 +12,7 @@
 //
 // The monitor is owned by one measurement loop (the open-loop generator, a
 // bench) and is not thread-safe: observations come from the loop that also
-// reads the verdicts, like a CostBreakdown.
+// reads the verdicts.
 
 #ifndef SRC_BASE_TELEMETRY_SLO_H_
 #define SRC_BASE_TELEMETRY_SLO_H_

@@ -47,7 +47,7 @@ Hpa Core::ep4ta() const {
 }
 
 void Core::WriteCr3(Gpa root, uint16_t new_pcid, bool noflush) {
-  AdvanceCycles(costs().cr3_write);
+  AdvanceCycles(costs().cr3_write, Bucket::kCtxSwitch);
   ++pmu_.cr3_writes;
   cr3_ = root;
   pcid_ = new_pcid;

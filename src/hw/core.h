@@ -12,8 +12,11 @@
 #ifndef SRC_HW_CORE_H_
 #define SRC_HW_CORE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <span>
 
 #include "src/base/status.h"
@@ -31,6 +34,44 @@ class Ept;
 
 enum class CpuMode : uint8_t { kUser, kKernel };
 
+// Cycle attribution (DESIGN.md section 8): every cycle a core's clock moves
+// is booked to exactly one bucket — Figure 7's legend minus IPI (latency, not
+// a charge on any core), plus app, gate and wait.
+enum class Bucket : uint8_t {
+  kApp,        // The default: application and handler work.
+  kGate,       // SkyBridge call bookkeeping outside the named buckets.
+  kVmfunc,     // The domain-switch instruction (VMFUNC, or WRPKRU on MPK).
+  kSyscall,    // SYSCALL/SWAPGS/SYSRET and the kernel entry stub.
+  kCtxSwitch,  // CR3 writes (WriteCr3 books them here itself).
+  kCopy,       // Message copies.
+  kSchedule,   // Scheduler work on the IPC path.
+  kOthers,     // Kernel IPC logic, trampoline legs, abort view restores.
+  kWait,       // Clock jumps while blocked on another core (SyncClockTo).
+};
+inline constexpr size_t kNumBuckets = static_cast<size_t>(Bucket::kWait) + 1;
+
+// Cycles per bucket. Σ over a core's ledger equals its clock, always.
+struct CycleLedger {
+  std::array<uint64_t, kNumBuckets> cycles{};
+
+  uint64_t& operator[](Bucket b) { return cycles[static_cast<size_t>(b)]; }
+  uint64_t operator[](Bucket b) const { return cycles[static_cast<size_t>(b)]; }
+  uint64_t total() const { return std::accumulate(cycles.begin(), cycles.end(), uint64_t{0}); }
+  CycleLedger& operator+=(const CycleLedger& rhs) {
+    for (size_t i = 0; i < kNumBuckets; ++i) {
+      cycles[i] += rhs.cycles[i];
+    }
+    return *this;
+  }
+  CycleLedger operator-(const CycleLedger& rhs) const {
+    CycleLedger d = *this;
+    for (size_t i = 0; i < kNumBuckets; ++i) {
+      d.cycles[i] -= rhs.cycles[i];
+    }
+    return d;
+  }
+};
+
 class Core {
  public:
   Core(int id, Machine* machine);
@@ -41,15 +82,25 @@ class Core {
   int id() const { return id_; }
 
   // ---- Virtual clock ----
+  // The only two ways the clock moves; both book what they add to the
+  // ledger, so attribution cannot miss a charge.
   uint64_t cycles() const { return cycles_; }
-  void AdvanceCycles(uint64_t n) { cycles_ += n; }
+  // Charges `n` cycles to the innermost CycleScope's bucket (kApp if none).
+  void AdvanceCycles(uint64_t n) { AdvanceCycles(n, bucket_); }
+  void AdvanceCycles(uint64_t n, Bucket bucket) {
+    cycles_ += n;
+    ledger_[bucket] += n;
+  }
   // Fast-forwards the clock to `t` (used by the virtual-time executor when a
-  // thread blocks on another core's event). No-op if already past.
+  // thread blocks on another core's event), booking the jump to kWait. No-op
+  // if already past.
   void SyncClockTo(uint64_t t) {
     if (t > cycles_) {
+      ledger_[Bucket::kWait] += t - cycles_;
       cycles_ = t;
     }
   }
+  const CycleLedger& ledger() const { return ledger_; }
 
   // ---- Privilege / virtualization mode ----
   CpuMode mode() const { return mode_; }
@@ -154,9 +205,13 @@ class Core {
   // bulk_line cost with overlapped misses when true.
   void ChargeLines(Hpa hpa, uint64_t len, bool streaming);
 
+  friend class CycleScope;
+
   int id_;
   Machine* machine_;
   uint64_t cycles_ = 0;
+  CycleLedger ledger_;
+  Bucket bucket_ = Bucket::kApp;
   CpuMode mode_ = CpuMode::kKernel;
   bool nonroot_ = false;
   Gpa cr3_ = 0;
@@ -169,6 +224,23 @@ class Core {
   Tlb itlb_;
   Tlb dtlb_;
   PmuCounters pmu_;
+};
+
+// Books every cycle `core` advances while in scope to `bucket`; the innermost
+// scope wins and the enclosing tag comes back on exit.
+class CycleScope {
+ public:
+  CycleScope(Core& core, Bucket bucket) : core_(core), saved_(core.bucket_) {
+    core.bucket_ = bucket;
+  }
+  ~CycleScope() { core_.bucket_ = saved_; }
+
+  CycleScope(const CycleScope&) = delete;
+  CycleScope& operator=(const CycleScope&) = delete;
+
+ private:
+  Core& core_;
+  Bucket saved_;
 };
 
 }  // namespace hw

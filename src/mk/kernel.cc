@@ -185,13 +185,13 @@ sb::StatusOr<CapSlot> Kernel::GrantEndpointCap(Process* to, uint64_t endpoint_id
   return to->InstallCap(Capability{CapType::kEndpoint, endpoint_id, rights});
 }
 
-sb::Status Kernel::ContextSwitchTo(hw::Core& core, Process* process, CostBreakdown* bd) {
-  return ContextSwitchInternal(core, process, bd, EptpInstallReason::kDispatch);
+sb::Status Kernel::ContextSwitchTo(hw::Core& core, Process* process) {
+  return ContextSwitchInternal(core, process, EptpInstallReason::kDispatch);
 }
 
-sb::Status Kernel::ContextSwitchInternal(hw::Core& core, Process* process, CostBreakdown* bd,
+sb::Status Kernel::ContextSwitchInternal(hw::Core& core, Process* process,
                                          EptpInstallReason reason) {
-  SwitchAddressSpace(core, process, bd);
+  SwitchAddressSpace(core, process);
   current_[static_cast<size_t>(core.id())] = process;
   if (rootkernel_ != nullptr) {
     if (eptp_installer_) {
@@ -215,8 +215,7 @@ sb::Status Kernel::ContextSwitchInternal(hw::Core& core, Process* process, CostB
   return sb::OkStatus();
 }
 
-sb::Status Kernel::MigrateThread(Thread* thread, int dest_core, CostBreakdown* bd,
-                                 bool eager_install) {
+sb::Status Kernel::MigrateThread(Thread* thread, int dest_core, bool eager_install) {
   if (thread == nullptr) {
     return sb::InvalidArgument("no thread to migrate");
   }
@@ -239,7 +238,7 @@ sb::Status Kernel::MigrateThread(Thread* thread, int dest_core, CostBreakdown* b
     return sb::OkStatus();  // Already live (and installed) on the destination.
   }
   hw::Core& core = machine_->core(dest_core);
-  return ContextSwitchInternal(core, thread->process(), bd, EptpInstallReason::kMigration);
+  return ContextSwitchInternal(core, thread->process(), EptpInstallReason::kMigration);
 }
 
 void Kernel::RegisterScheduler(int core_id, Scheduler* scheduler) {
@@ -268,14 +267,14 @@ mk::Scheduler* Kernel::scheduler(int core_id) const {
   return schedulers_[static_cast<size_t>(core_id)];
 }
 
-void Kernel::FinishAbortedCall(hw::Core& core, Thread* caller, CostBreakdown* bd) {
+void Kernel::FinishAbortedCall(hw::Core& core, Thread* caller) {
   // The unwind runs on the kernel path: entry, make the caller runnable
   // again (its synchronous call will never return normally), exit.
-  SyscallEnter(core, bd);
+  SyscallEnter(core);
   if (Scheduler* sched = scheduler(core.id()); sched != nullptr) {
     sched->UnblockAborted(caller, /*priority=*/0);
   }
-  SyscallExit(core, bd);
+  SyscallExit(core);
 }
 
 sb::StatusOr<uint64_t> Kernel::CurrentIdentity(hw::Core& core) {
@@ -307,28 +306,22 @@ void Kernel::SetExecFaultHandler(ExecFaultHandler handler) {
       });
 }
 
-void Kernel::SyscallEnter(hw::Core& core, CostBreakdown* bd) {
+void Kernel::SyscallEnter(hw::Core& core) {
   metrics_.syscall_entries->Add();
   SB_TRACE_EVENT(TraceEventType::kSyscallEnter, core.cycles(), core.id());
   const hw::CostModel& cm = machine_->costs();
-  const uint64_t t0 = core.cycles();
+  hw::CycleScope scope(core, hw::Bucket::kSyscall);
   core.AdvanceCycles(cm.syscall_insn + cm.swapgs_insn);
   core.SetMode(hw::CpuMode::kKernel);
   ++core.pmu().syscalls;
   TouchKernelEntry(core);
-  if (bd != nullptr) {
-    bd->syscall_sysret += core.cycles() - t0;
-  }
   if (profile_.kpti) {
     // Meltdown mitigation: switch to the kernel's page tables.
     core.WriteCr3(kernel_as_->root_gpa(), 0, profile_.pcid_enabled);
-    if (bd != nullptr) {
-      bd->context_switch += machine_->costs().cr3_write;
-    }
   }
 }
 
-void Kernel::SyscallExit(hw::Core& core, CostBreakdown* bd) {
+void Kernel::SyscallExit(hw::Core& core) {
   const hw::CostModel& cm = machine_->costs();
   if (profile_.kpti) {
     Process* cur = current_[static_cast<size_t>(core.id())];
@@ -336,15 +329,9 @@ void Kernel::SyscallExit(hw::Core& core, CostBreakdown* bd) {
     const uint16_t user_pcid =
         cur != nullptr && profile_.pcid_enabled ? cur->pcid() : 0;
     core.WriteCr3(user_root, user_pcid, profile_.pcid_enabled);
-    if (bd != nullptr) {
-      bd->context_switch += cm.cr3_write;
-    }
   }
-  core.AdvanceCycles(cm.swapgs_insn + cm.sysret_insn);
+  core.AdvanceCycles(cm.swapgs_insn + cm.sysret_insn, hw::Bucket::kSyscall);
   core.SetMode(hw::CpuMode::kUser);
-  if (bd != nullptr) {
-    bd->syscall_sysret += cm.swapgs_insn + cm.sysret_insn;
-  }
   SB_TRACE_EVENT(TraceEventType::kSyscallExit, core.cycles(), core.id());
 }
 
@@ -358,7 +345,7 @@ void Kernel::NoOpSyscall(hw::Core& core) {
   TouchKernelEntry(core);
 }
 
-void Kernel::SwitchAddressSpace(hw::Core& core, Process* to, CostBreakdown* bd) {
+void Kernel::SwitchAddressSpace(hw::Core& core, Process* to) {
   metrics_.context_switches->Add();
   SB_TRACE_EVENT(TraceEventType::kContextSwitch, core.cycles(), core.id(), to->pid());
   // Without PCID all address spaces share tag 0 and every CR3 write flushes
@@ -366,9 +353,6 @@ void Kernel::SwitchAddressSpace(hw::Core& core, Process* to, CostBreakdown* bd) 
   // source of Table 1's indirect dTLB cost.
   const uint16_t pcid = profile_.pcid_enabled ? to->pcid() : 0;
   core.WriteCr3(to->cr3(), pcid, profile_.pcid_enabled);
-  if (bd != nullptr) {
-    bd->context_switch += machine_->costs().cr3_write;
-  }
 }
 
 void Kernel::TouchKernelEntry(hw::Core& core) {
@@ -377,14 +361,14 @@ void Kernel::TouchKernelEntry(hw::Core& core) {
   (void)core.TouchData(kKernelDataVa + static_cast<uint64_t>(core.id()) * 4096, 192, true);
 }
 
-void Kernel::ChargeIpcLogic(hw::Core& core, bool fastpath, CostBreakdown* bd) {
+void Kernel::ChargeIpcLogic(hw::Core& core, bool fastpath) {
   (fastpath ? metrics_.fastpath_legs : metrics_.slowpath_legs)->Add();
   const uint64_t constant =
       fastpath ? profile_.fastpath_logic_cycles : profile_.slowpath_logic_cycles;
   const uint64_t charged = constant > warm_footprint_cycles_ && fastpath
                                ? constant - warm_footprint_cycles_
                                : constant;
-  const uint64_t t0 = core.cycles();
+  hw::CycleScope scope(core, hw::Bucket::kOthers);
   core.AdvanceCycles(charged);
   if (fastpath) {
     // The IPC path's code and the endpoint/thread structures it walks; these
@@ -392,18 +376,15 @@ void Kernel::ChargeIpcLogic(hw::Core& core, bool fastpath, CostBreakdown* bd) {
     (void)core.FetchCode(kKernelCodeVa + 4096, profile_.kernel_code_footprint);
     (void)core.TouchData(kKernelDataVa + 64 * 1024, profile_.kernel_data_footprint, true);
   }
-  if (bd != nullptr) {
-    bd->others += core.cycles() - t0;
-  }
 }
 
-void Kernel::ChargeCopies(hw::Core& core, const Message& msg, int copies, CostBreakdown* bd) {
+void Kernel::ChargeCopies(hw::Core& core, const Message& msg, int copies) {
   if (copies <= 0) {
     return;
   }
   const uint64_t per_copy =
       profile_.copy_fixed_cycles + msg.size() / 16;  // ~16 bytes/cycle.
-  const uint64_t t0 = core.cycles();
+  hw::CycleScope scope(core, hw::Bucket::kCopy);
   for (int i = 0; i < copies; ++i) {
     core.AdvanceCycles(per_copy);
     if (msg.size() > 0) {
@@ -411,17 +392,14 @@ void Kernel::ChargeCopies(hw::Core& core, const Message& msg, int copies, CostBr
       (void)core.TouchData(kKernelDataVa + 128 * 1024, msg.size(), true);
     }
   }
-  if (bd != nullptr) {
-    bd->copy += core.cycles() - t0;
-  }
 }
 
 sb::StatusOr<Message> Kernel::ServeLocal(hw::Core& core, Endpoint& ep, Process* caller_proc,
-                                         const Message& msg, CostBreakdown* bd) {
+                                         const Message& msg) {
   const bool fits = msg.size() <= profile_.register_msg_capacity;
 
   // ---- Request leg ----
-  SyscallEnter(core, bd);
+  SyscallEnter(core);
   if (msg.has_cap_grant) {
     // Capability transfer: validate the caller's authority, mint the new
     // capability into the receiver, and pay the slowpath (the fastpath
@@ -435,9 +413,9 @@ sb::StatusOr<Message> Kernel::ServeLocal(hw::Core& core, Endpoint& ep, Process* 
         break;
       }
     }
-    ChargeIpcLogic(core, /*fastpath=*/false, bd);
+    ChargeIpcLogic(core, /*fastpath=*/false);
     if (!authorized) {
-      SyscallExit(core, bd);
+      SyscallExit(core);
       return sb::PermissionDenied("caller lacks grant right on transferred cap");
     }
     last_granted_slot_ = ep.owner()->InstallCap(
@@ -445,77 +423,62 @@ sb::StatusOr<Message> Kernel::ServeLocal(hw::Core& core, Endpoint& ep, Process* 
   }
   // The local path always runs the kernel's common IPC logic; the slowpath
   // constant models the cross-core degeneration only.
-  ChargeIpcLogic(core, /*fastpath=*/true, bd);
-  ChargeCopies(core, msg, fits ? profile_.copies_per_transfer : profile_.copies_long_transfer,
-               bd);
+  ChargeIpcLogic(core, /*fastpath=*/true);
+  ChargeCopies(core, msg, fits ? profile_.copies_per_transfer : profile_.copies_long_transfer);
   if (profile_.schedule_cycles > 0) {
     // No-fastpath kernels (Zircon) enter the scheduler on every transfer.
-    core.AdvanceCycles(profile_.schedule_cycles);
-    if (bd != nullptr) {
-      bd->schedule += profile_.schedule_cycles;
-    }
+    core.AdvanceCycles(profile_.schedule_cycles, hw::Bucket::kSchedule);
   }
-  SwitchAddressSpace(core, ep.owner(), bd);
+  SwitchAddressSpace(core, ep.owner());
   current_[static_cast<size_t>(core.id())] = ep.owner();
   if (!fits) {
     // Deliver the long message into the endpoint's receive buffer.
     SB_RETURN_IF_ERROR(core.WriteVirt(ep.recv_buffer(), msg.payload()));
   }
-  SyscallExit(core, bd);
+  SyscallExit(core);
 
   // ---- Server handler (user mode, server address space) ----
   CallEnv env{*this, core, *ep.owner(), msg};
   Message reply = ep.handler()(env);
 
   // ---- Reply leg ----
-  SyscallEnter(core, bd);
-  ChargeIpcLogic(core, /*fastpath=*/true, bd);
+  SyscallEnter(core);
+  ChargeIpcLogic(core, /*fastpath=*/true);
   ChargeCopies(core, reply,
                reply.size() <= profile_.register_msg_capacity ? profile_.copies_per_transfer
-                                                              : profile_.copies_long_transfer,
-               bd);
+                                                              : profile_.copies_long_transfer);
   if (profile_.schedule_cycles > 0) {
-    core.AdvanceCycles(profile_.schedule_cycles);
-    if (bd != nullptr) {
-      bd->schedule += profile_.schedule_cycles;
-    }
+    core.AdvanceCycles(profile_.schedule_cycles, hw::Bucket::kSchedule);
   }
-  SwitchAddressSpace(core, caller_proc, bd);
+  SwitchAddressSpace(core, caller_proc);
   current_[static_cast<size_t>(core.id())] = caller_proc;
-  SyscallExit(core, bd);
+  SyscallExit(core);
   return reply;
 }
 
 sb::StatusOr<Message> Kernel::ServeCrossCore(hw::Core& caller_core, Endpoint& ep,
                                              int server_core_id, Process* caller_proc,
-                                             const Message& msg, CostBreakdown* bd) {
+                                             const Message& msg) {
   metrics_.cross_core_calls->Add();
   const hw::CostModel& cm = machine_->costs();
   hw::Core& server_core = machine_->core(server_core_id);
 
   // Caller side: trap, slowpath send, IPI to the server core, block.
-  SyscallEnter(caller_core, bd);
-  ChargeIpcLogic(caller_core, /*fastpath=*/false, bd);
+  SyscallEnter(caller_core);
+  ChargeIpcLogic(caller_core, /*fastpath=*/false);
   const bool fits = msg.size() <= profile_.register_msg_capacity;
   ChargeCopies(caller_core, msg,
-               fits ? std::max(profile_.copies_per_transfer, 1) : profile_.copies_long_transfer,
-               bd);
+               fits ? std::max(profile_.copies_per_transfer, 1) : profile_.copies_long_transfer);
   machine_->SendIpi(caller_core.id(), server_core_id);
-  if (bd != nullptr) {
-    bd->ipi += cm.ipi;
-  }
   const uint64_t arrival = caller_core.cycles() + cm.ipi;
 
   // Server side: FIFO-serialized on the endpoint, runs on the server core.
   const uint64_t service_start = ep.service().Acquire(arrival);
   server_core.SyncClockTo(service_start);
-  server_core.AdvanceCycles(profile_.cross_schedule_cycles);
-  if (bd != nullptr) {
-    bd->schedule += profile_.cross_schedule_cycles;
-  }
-  ChargeIpcLogic(server_core, /*fastpath=*/false, bd);
+  server_core.AdvanceCycles(profile_.cross_schedule_cycles, hw::Bucket::kSchedule);
+  ChargeIpcLogic(server_core, /*fastpath=*/false);
   if (current_[static_cast<size_t>(server_core_id)] != ep.owner()) {
-    SwitchAddressSpace(server_core, ep.owner(), bd);
+    SwitchAddressSpace(server_core, ep.owner());
     current_[static_cast<size_t>(server_core_id)] = ep.owner();
   }
   if (!fits) {
@@ -523,32 +486,25 @@ sb::StatusOr<Message> Kernel::ServeCrossCore(hw::Core& caller_core, Endpoint& ep
   }
   // Receive-side mode switch (the server thread returns from its recv call
   // and re-enters the kernel to reply).
-  server_core.AdvanceCycles(cm.syscall_insn + 2 * cm.swapgs_insn + cm.sysret_insn);
-  if (bd != nullptr) {
-    bd->syscall_sysret += cm.syscall_insn + 2 * cm.swapgs_insn + cm.sysret_insn;
-  }
+  server_core.AdvanceCycles(cm.syscall_insn + 2 * cm.swapgs_insn + cm.sysret_insn,
+                            hw::Bucket::kSyscall);
   CallEnv env{*this, server_core, *ep.owner(), msg};
   Message reply = ep.handler()(env);
   ChargeCopies(server_core, reply,
                reply.size() <= profile_.register_msg_capacity
                    ? std::max(profile_.copies_per_transfer, 1)
-                   : profile_.copies_long_transfer,
-               bd);
+                   : profile_.copies_long_transfer);
   const uint64_t service_end = server_core.cycles();
   ep.service().Release(service_end);
 
   // Reply IPI back to the caller.
   machine_->SendIpi(server_core_id, caller_core.id());
-  if (bd != nullptr) {
-    bd->ipi += cm.ipi;
-  }
   caller_core.SyncClockTo(service_end + cm.ipi);
-  SyscallExit(caller_core, bd);
+  SyscallExit(caller_core);
   return reply;
 }
 
-sb::StatusOr<Message> Kernel::IpcCall(Thread* caller, CapSlot cap_slot, const Message& msg,
-                                      CostBreakdown* bd) {
+sb::StatusOr<Message> Kernel::IpcCall(Thread* caller, CapSlot cap_slot, const Message& msg) {
   SB_CHECK(caller != nullptr);
   Process* caller_proc = caller->process();
   const Capability* cap = caller_proc->LookupCap(cap_slot);
@@ -569,10 +525,10 @@ sb::StatusOr<Message> Kernel::IpcCall(Thread* caller, CapSlot cap_slot, const Me
   const bool local = cores.empty() ||
                      std::find(cores.begin(), cores.end(), caller->core_id()) != cores.end();
   if (local) {
-    return ServeLocal(core, *ep, caller_proc, msg, bd);
+    return ServeLocal(core, *ep, caller_proc, msg);
   }
   const int server_core = cores[static_cast<size_t>(caller->core_id()) % cores.size()];
-  return ServeCrossCore(core, *ep, server_core, caller_proc, msg, bd);
+  return ServeCrossCore(core, *ep, server_core, caller_proc, msg);
 }
 
 }  // namespace mk

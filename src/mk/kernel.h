@@ -41,31 +41,6 @@
 
 namespace mk {
 
-// Per-call cost accounting, bucketed like Figure 7's legend.
-struct CostBreakdown {
-  uint64_t vmfunc = 0;
-  uint64_t syscall_sysret = 0;
-  uint64_t context_switch = 0;
-  uint64_t ipi = 0;
-  uint64_t copy = 0;
-  uint64_t schedule = 0;
-  uint64_t others = 0;
-
-  uint64_t total() const {
-    return vmfunc + syscall_sysret + context_switch + ipi + copy + schedule + others;
-  }
-  CostBreakdown& operator+=(const CostBreakdown& rhs) {
-    vmfunc += rhs.vmfunc;
-    syscall_sysret += rhs.syscall_sysret;
-    context_switch += rhs.context_switch;
-    ipi += rhs.ipi;
-    copy += rhs.copy;
-    schedule += rhs.schedule;
-    others += rhs.others;
-    return *this;
-  }
-};
-
 class Kernel;
 class Notification;
 class Scheduler;
@@ -173,7 +148,7 @@ class Kernel {
   // ---- Context switching ----
   // Switches `core` to `process` (CR3 write + EPTP list install when
   // virtualized). This is the scheduler's dispatch tail.
-  sb::Status ContextSwitchTo(hw::Core& core, Process* process, CostBreakdown* bd = nullptr);
+  sb::Status ContextSwitchTo(hw::Core& core, Process* process);
   Process* current_process(int core_id) const { return current_[static_cast<size_t>(core_id)]; }
 
   // Why an EPTP list was (re)installed on a core: the ordinary dispatch
@@ -196,8 +171,7 @@ class Kernel {
   // the first post-migration call pays no stale-slot recovery. With it
   // false, only the thread's core id moves — the next call recovers lazily
   // through the dispatch switch / stale-slot retry fallback.
-  sb::Status MigrateThread(Thread* thread, int dest_core, CostBreakdown* bd = nullptr,
-                           bool eager_install = true);
+  sb::Status MigrateThread(Thread* thread, int dest_core, bool eager_install = true);
 
   // ---- Scheduler registry ----
   // Schedulers self-register at construction so kernel-initiated wakeups
@@ -213,7 +187,7 @@ class Kernel {
   // forced the core back to the caller's EPT view and the trampoline frame
   // has been popped, the kernel completes the unwind on the syscall path and
   // makes the aborted caller runnable again through the core's scheduler.
-  void FinishAbortedCall(hw::Core& core, Thread* caller, CostBreakdown* bd = nullptr);
+  void FinishAbortedCall(hw::Core& core, Thread* caller);
 
   // Reads the identity page (Section 4.2): which process does the hardware
   // translation context say is running? Requires the identity VA mapping.
@@ -238,8 +212,7 @@ class Kernel {
   // message carrying a capability grant (msg.has_cap_grant) is delivered via
   // the slowpath and the capability is minted into the receiver's cap space
   // (the caller must hold the grant right on it).
-  sb::StatusOr<Message> IpcCall(Thread* caller, CapSlot cap_slot, const Message& msg,
-                                CostBreakdown* bd = nullptr);
+  sb::StatusOr<Message> IpcCall(Thread* caller, CapSlot cap_slot, const Message& msg);
 
   // Slot the most recent IPC-transferred capability landed in (receiver's
   // cap space); kMaxUint32 if none.
@@ -247,26 +220,24 @@ class Kernel {
 
   // ---- Syscall-path primitives (also used by the SkyBridge registration
   // syscalls and by the microbenchmarks) ----
-  void SyscallEnter(hw::Core& core, CostBreakdown* bd);
-  void SyscallExit(hw::Core& core, CostBreakdown* bd);
+  void SyscallEnter(hw::Core& core);
+  void SyscallExit(hw::Core& core);
   // A no-op syscall round trip, as measured in Table 2.
   void NoOpSyscall(hw::Core& core);
-  void SwitchAddressSpace(hw::Core& core, Process* to, CostBreakdown* bd);
+  void SwitchAddressSpace(hw::Core& core, Process* to);
 
   // Charges the kernel IPC software logic and touches kernel structures.
-  void ChargeIpcLogic(hw::Core& core, bool fastpath, CostBreakdown* bd);
+  void ChargeIpcLogic(hw::Core& core, bool fastpath);
 
  private:
   sb::Status SetupKernelAddressSpace();
-  sb::Status ContextSwitchInternal(hw::Core& core, Process* process, CostBreakdown* bd,
-                                   EptpInstallReason reason);
+  sb::Status ContextSwitchInternal(hw::Core& core, Process* process, EptpInstallReason reason);
   void TouchKernelEntry(hw::Core& core);
-  void ChargeCopies(hw::Core& core, const Message& msg, int copies, CostBreakdown* bd);
+  void ChargeCopies(hw::Core& core, const Message& msg, int copies);
   sb::StatusOr<Message> ServeLocal(hw::Core& core, Endpoint& ep, Process* caller_proc,
-                                   const Message& msg, CostBreakdown* bd);
+                                   const Message& msg);
   sb::StatusOr<Message> ServeCrossCore(hw::Core& caller_core, Endpoint& ep, int server_core,
-                                       Process* caller_proc, const Message& msg,
-                                       CostBreakdown* bd);
+                                       Process* caller_proc, const Message& msg);
 
   hw::Machine* machine_;
   KernelProfile profile_;

@@ -14,17 +14,17 @@ sb::Status Notification::Signal(hw::Core& core, uint64_t badge) {
   if (badge == 0) {
     return sb::InvalidArgument("badge must be nonzero");
   }
-  kernel_->SyscallEnter(core, nullptr);
+  kernel_->SyscallEnter(core);
   core.AdvanceCycles(kSignalLogicCycles);
   badges_ |= badge;
   last_signal_time_ = core.cycles();
   ++signals_;
-  kernel_->SyscallExit(core, nullptr);
+  kernel_->SyscallExit(core);
   return sb::OkStatus();
 }
 
 sb::StatusOr<uint64_t> Notification::Wait(hw::Core& core) {
-  kernel_->SyscallEnter(core, nullptr);
+  kernel_->SyscallEnter(core);
   core.AdvanceCycles(kSignalLogicCycles);
   ++waits_;
   if (badges_ == 0) {
@@ -32,7 +32,7 @@ sb::StatusOr<uint64_t> Notification::Wait(hw::Core& core) {
     // virtual time is modeled by the caller ordering; FIFO arbitration of
     // multi-waiter scenarios lives in sim::FifoResource).
     if (last_signal_time_ <= core.cycles()) {
-      kernel_->SyscallExit(core, nullptr);
+      kernel_->SyscallExit(core);
       return sb::Unavailable("no signal pending and none in flight");
     }
   }
@@ -42,7 +42,7 @@ sb::StatusOr<uint64_t> Notification::Wait(hw::Core& core) {
   core.AdvanceCycles(kWakeupCycles);
   const uint64_t collected = badges_;
   badges_ = 0;
-  kernel_->SyscallExit(core, nullptr);
+  kernel_->SyscallExit(core);
   if (collected == 0) {
     return sb::Unavailable("no signal pending");
   }
@@ -50,11 +50,11 @@ sb::StatusOr<uint64_t> Notification::Wait(hw::Core& core) {
 }
 
 sb::StatusOr<uint64_t> Notification::Poll(hw::Core& core) {
-  kernel_->SyscallEnter(core, nullptr);
+  kernel_->SyscallEnter(core);
   core.AdvanceCycles(kSignalLogicCycles);
   const uint64_t collected = badges_;
   badges_ = 0;
-  kernel_->SyscallExit(core, nullptr);
+  kernel_->SyscallExit(core);
   return collected;
 }
 

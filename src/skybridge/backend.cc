@@ -49,9 +49,8 @@ class EptpBackend : public CrossingBackend {
 
   sb::Status Enter(CallContext& ctx) const override {
     hw::Core& core = *ctx.core;
-    const uint64_t before = core.cycles();
+    hw::CycleScope vmfunc(core, hw::Bucket::kVmfunc);
     SB_RETURN_IF_ERROR(core.Vmfunc(0, ctx.route_slot));
-    ctx.pbd->vmfunc += core.cycles() - before;
     SB_TRACE_EVENT(TraceEventType::kVmfuncSwitch, core.cycles(), core.id(), ctx.route_slot);
     SB_TRACE_EVENT(TraceEventType::kSpanVmfunc, core.cycles(), core.id(), ctx.call_id,
                    ctx.route_slot);
@@ -60,9 +59,8 @@ class EptpBackend : public CrossingBackend {
 
   sb::Status Return(CallContext& ctx) const override {
     hw::Core& core = *ctx.core;
-    const uint64_t t0 = core.cycles();
+    hw::CycleScope vmfunc(core, hw::Bucket::kVmfunc);
     SB_RETURN_IF_ERROR(core.Vmfunc(0, static_cast<uint32_t>(ctx.return_index)));
-    ctx.pbd->vmfunc += core.cycles() - t0;
     SB_TRACE_EVENT(TraceEventType::kVmfuncSwitch, core.cycles(), core.id(), ctx.return_index);
     SB_TRACE_EVENT(TraceEventType::kSpanReturn, core.cycles(), core.id(), ctx.call_id,
                    ctx.return_index);
@@ -71,12 +69,11 @@ class EptpBackend : public CrossingBackend {
 
   sb::Status Abort(CallContext& ctx) const override {
     hw::Core& core = *ctx.core;
-    const uint64_t abort_start = core.cycles();
+    hw::CycleScope others(core, hw::Bucket::kOthers);
     if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kAbortToView),
                     static_cast<uint64_t>(ctx.return_index)) == vmm::kHypercallError) {
       return sb::Internal("rootkernel refused the abort view restore");
     }
-    ctx.pbd->others += core.cycles() - abort_start;
     return sb::OkStatus();
   }
 };
@@ -112,10 +109,9 @@ class MpkBackend : public CrossingBackend {
 
   sb::Status Enter(CallContext& ctx) const override {
     hw::Core& core = *ctx.core;
-    const uint64_t before = core.cycles();
+    hw::CycleScope vmfunc(core, hw::Bucket::kVmfunc);
     core.Wrpkru(PkruAllow(ctx.route->pkey));
     SB_RETURN_IF_ERROR(SwitchView(core, ctx.route_slot));
-    ctx.pbd->vmfunc += core.cycles() - before;
     SB_TRACE_EVENT(TraceEventType::kVmfuncSwitch, core.cycles(), core.id(), ctx.route_slot);
     SB_TRACE_EVENT(TraceEventType::kSpanVmfunc, core.cycles(), core.id(), ctx.call_id,
                    ctx.route_slot);
@@ -124,10 +120,9 @@ class MpkBackend : public CrossingBackend {
 
   sb::Status Return(CallContext& ctx) const override {
     hw::Core& core = *ctx.core;
-    const uint64_t t0 = core.cycles();
+    hw::CycleScope vmfunc(core, hw::Bucket::kVmfunc);
     core.Wrpkru(kPkruDefault);
     SB_RETURN_IF_ERROR(SwitchView(core, static_cast<uint32_t>(ctx.return_index)));
-    ctx.pbd->vmfunc += core.cycles() - t0;
     SB_TRACE_EVENT(TraceEventType::kVmfuncSwitch, core.cycles(), core.id(), ctx.return_index);
     SB_TRACE_EVENT(TraceEventType::kSpanReturn, core.cycles(), core.id(), ctx.call_id,
                    ctx.return_index);
@@ -140,12 +135,11 @@ class MpkBackend : public CrossingBackend {
     // recovery stays Rootkernel-mediated so the abort counters and
     // invariants match the EPTP backend exactly.
     core.Wrpkru(kPkruDefault);
-    const uint64_t abort_start = core.cycles();
+    hw::CycleScope others(core, hw::Bucket::kOthers);
     if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kAbortToView),
                     static_cast<uint64_t>(ctx.return_index)) == vmm::kHypercallError) {
       return sb::Internal("rootkernel refused the abort view restore");
     }
-    ctx.pbd->others += core.cycles() - abort_start;
     return sb::OkStatus();
   }
 
@@ -187,20 +181,20 @@ class SyscallBackend : public CrossingBackend {
 
   sb::Status Enter(CallContext& ctx) const override {
     hw::Core& core = *ctx.core;
-    kernel_->SyscallEnter(core, ctx.pbd);
-    kernel_->ChargeIpcLogic(core, /*fastpath=*/true, ctx.pbd);
-    SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.server->process, ctx.pbd));
-    kernel_->SyscallExit(core, ctx.pbd);
+    kernel_->SyscallEnter(core);
+    kernel_->ChargeIpcLogic(core, /*fastpath=*/true);
+    SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.server->process));
+    kernel_->SyscallExit(core);
     SB_TRACE_EVENT(TraceEventType::kSpanVmfunc, core.cycles(), core.id(), ctx.call_id, 0);
     return sb::OkStatus();
   }
 
   sb::Status Return(CallContext& ctx) const override {
     hw::Core& core = *ctx.core;
-    kernel_->SyscallEnter(core, ctx.pbd);
-    kernel_->ChargeIpcLogic(core, /*fastpath=*/true, ctx.pbd);
-    SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.proc, ctx.pbd));
-    kernel_->SyscallExit(core, ctx.pbd);
+    kernel_->SyscallEnter(core);
+    kernel_->ChargeIpcLogic(core, /*fastpath=*/true);
+    SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.proc));
+    kernel_->SyscallExit(core);
     SB_TRACE_EVENT(TraceEventType::kSpanReturn, core.cycles(), core.id(), ctx.call_id, 0);
     return sb::OkStatus();
   }
@@ -209,9 +203,9 @@ class SyscallBackend : public CrossingBackend {
     // The kernel reaped the dead server thread and reschedules the blocked
     // caller in its own address space — no hypervisor involved.
     hw::Core& core = *ctx.core;
-    kernel_->SyscallEnter(core, ctx.pbd);
-    SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.proc, ctx.pbd));
-    kernel_->SyscallExit(core, ctx.pbd);
+    kernel_->SyscallEnter(core);
+    SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.proc));
+    kernel_->SyscallExit(core);
     return sb::OkStatus();
   }
 };

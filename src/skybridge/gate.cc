@@ -9,9 +9,12 @@ namespace skybridge {
 namespace {
 
 // Section 6.3: the non-VMFUNC trampoline work costs 64 cycles per direction.
-// The charged memory traffic (trampoline i-fetch, calling-key table read,
-// stack install) accounts for ~20 of those when warm, so the flat charge is
-// the remainder — the measured roundtrip lands on 2 x (134 + 64) = 396.
+// Warm, the rest of that work is charged as it happens, 40 cycles per
+// roundtrip (Figure 7's gate column): 16 of trampoline i-fetch (8 per leg),
+// 12 for the calling-key check (4 table read + 8 compare), 8 for the
+// client's key-echo compare and 4 for the server stack install. The flat
+// charge is the remainder, 2 x 44 + 40 = 2 x 64, so the measured roundtrip
+// lands on 2 x (134 + 64) = 396.
 constexpr uint64_t kTrampolineLegCycles = 44;
 
 // Batch drain (DESIGN.md section 13): per-entry ring work on the server
@@ -43,17 +46,9 @@ Gate::Gate(mk::Kernel& kernel, const SkyBridgeConfig& config)
   phase_total_ = &reg.GetHistogram("skybridge.phase.total");
 }
 
-void Gate::ChargeTrampolineLeg(hw::Core& core, mk::CostBreakdown* bd) const {
-  ChargeTrampolineLeg(core, bd, mk::kTrampolineVa);
-}
-
-void Gate::ChargeTrampolineLeg(hw::Core& core, mk::CostBreakdown* bd,
-                               hw::Gva trampoline_va) const {
-  core.AdvanceCycles(kTrampolineLegCycles);
+void Gate::ChargeTrampolineLeg(hw::Core& core, hw::Gva trampoline_va) const {
+  core.AdvanceCycles(kTrampolineLegCycles, hw::Bucket::kOthers);
   (void)core.FetchCode(trampoline_va, 128);
-  if (bd != nullptr) {
-    bd->others += kTrampolineLegCycles;
-  }
 }
 
 sb::Status Gate::EnterServer(CallContext& ctx) const {
@@ -67,7 +62,7 @@ sb::Status Gate::ReturnToEntry(CallContext& ctx) const {
   const uint64_t before = ctx.core->cycles();
   SB_RETURN_IF_ERROR(ctx.backend->Return(ctx));
   if (ctx.backend->caps().uses_trampoline) {
-    ChargeTrampolineLeg(*ctx.core, ctx.pbd, ctx.backend->trampoline_va());
+    ChargeTrampolineLeg(*ctx.core, ctx.backend->trampoline_va());
   }
   ctx.backend->RecordReturn(ctx.core->cycles() - before);
   return sb::OkStatus();
@@ -111,9 +106,9 @@ sb::Status Gate::AbortServerCrash(CallContext& ctx) const {
   SB_RETURN_IF_ERROR(ctx.backend->Abort(ctx));
   if (ctx.backend->caps().uses_trampoline) {
     // The popped frame's restore leg.
-    ChargeTrampolineLeg(core, ctx.pbd, ctx.backend->trampoline_va());
+    ChargeTrampolineLeg(core, ctx.backend->trampoline_va());
   }
-  kernel_->FinishAbortedCall(core, ctx.caller, ctx.pbd);
+  kernel_->FinishAbortedCall(core, ctx.caller);
   RecordPhases(ctx);
   return sb::Aborted("server thread crashed mid-handler; call aborted");
 }
@@ -196,7 +191,10 @@ Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
       env.reply_buffer_va = ring.PayloadVa(token);
       SB_TRACE_EVENT(TraceEventType::kHandlerEnter, core.cycles(), core.id(),
                      server.process->pid());
-      mk::Message reply = server.handler(env);
+      mk::Message reply = [&] {
+        OutsideGate outside(ctx);
+        return server.handler(env);
+      }();
       SB_TRACE_EVENT(TraceEventType::kHandlerExit, core.cycles(), core.id(),
                      server.process->pid(), 0);
 
@@ -223,9 +221,8 @@ Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
         reply_len = static_cast<uint32_t>(reply.size());
         if (!in_place && reply_len > 0) {
           // Completion posting: owned reply bytes land in the entry's span.
-          const uint64_t before = core.cycles();
+          hw::CycleScope copy(core, hw::Bucket::kCopy);
           (void)core.WriteVirt(ring.PayloadVa(token), reply.payload());
-          ctx.pbd->copy += core.cycles() - before;
         }
       }
       ring.StoreU64(desc + BatchRingView::kDescReplyTag, reply.tag);
@@ -237,6 +234,7 @@ Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
       ++out.completed;
     }
     if (rounds_left > 0 && refill) {
+      OutsideGate outside(ctx);
       refill();
     }
   }
@@ -245,11 +243,13 @@ Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
 }
 
 void Gate::RecordPhases(const CallContext& ctx) const {
-  phase_vmfunc_->Record(ctx.pbd->vmfunc - ctx.bd_before.vmfunc);
-  phase_trampoline_->Record(ctx.pbd->others - ctx.bd_before.others);
-  phase_copy_->Record(ctx.pbd->copy - ctx.bd_before.copy);
-  phase_syscall_->Record(ctx.pbd->syscall_sysret - ctx.bd_before.syscall_sysret);
-  phase_total_->Record(ctx.core->cycles() - ctx.start_cycles);
+  const hw::CycleLedger all = ctx.core->ledger() - ctx.ledger_before;
+  const hw::CycleLedger own = all - ctx.outside;
+  phase_vmfunc_->Record(own[hw::Bucket::kVmfunc]);
+  phase_trampoline_->Record(own[hw::Bucket::kOthers]);
+  phase_copy_->Record(own[hw::Bucket::kCopy]);
+  phase_syscall_->Record(own[hw::Bucket::kSyscall]);
+  phase_total_->Record(all.total());
 }
 
 void Gate::RecordSlotFault(uint64_t cycles) const { phase_slot_fault_->Record(cycles); }

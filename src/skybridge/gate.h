@@ -71,12 +71,25 @@ struct CallContext {
   bool timed_out = false;
 
   // ---- Phase attribution ----
-  // Deltas against bd_before feed the per-phase histograms; pbd points at
-  // the caller's breakdown when one was passed, else at local_bd.
-  mk::CostBreakdown local_bd;
-  mk::CostBreakdown* pbd = nullptr;
-  mk::CostBreakdown bd_before;
-  uint64_t start_cycles = 0;
+  // The per-phase histograms record the caller core's ledger delta since
+  // entry minus `outside`: the cycles of every call out of the gate, so a
+  // nested call's cycles count only in its own phases.
+  hw::CycleLedger ledger_before;
+  hw::CycleLedger outside;
+};
+
+// Runs a call out of the gate (a server handler, the drain's refill hook) in
+// app scope and adds its ledger delta to ctx.outside.
+class OutsideGate {
+ public:
+  explicit OutsideGate(CallContext& ctx)
+      : ctx_(ctx), before_(ctx.core->ledger()), app_(*ctx.core, hw::Bucket::kApp) {}
+  ~OutsideGate() { ctx_.outside += ctx_.core->ledger() - before_; }
+
+ private:
+  CallContext& ctx_;
+  hw::CycleLedger before_;
+  hw::CycleScope app_;
 };
 
 class Gate {
@@ -89,11 +102,9 @@ class Gate {
   }
 
   // The trampoline leg costs: 64 cycles of save/restore + stack install per
-  // direction (Section 6.3) plus the i-side traffic of the trampoline page.
-  // The two-argument form charges the EPTP trampoline; pass the backend's
-  // trampoline_va() for other view-switch backends.
-  void ChargeTrampolineLeg(hw::Core& core, mk::CostBreakdown* bd) const;
-  void ChargeTrampolineLeg(hw::Core& core, mk::CostBreakdown* bd, hw::Gva trampoline_va) const;
+  // direction (Section 6.3) plus the i-side traffic of the backend's
+  // trampoline page at `trampoline_va`.
+  void ChargeTrampolineLeg(hw::Core& core, hw::Gva trampoline_va) const;
 
   // Entry leg: cross into the routed binding's server domain via the call's
   // backend (VMFUNC / WRPKRU / kernel fastpath).

@@ -657,7 +657,7 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
     // region and EPT id are reused as-is, and the next call faults the EPT
     // back into a slot.
     hw::Core& core = kernel_->machine().core(0);
-    kernel_->SyscallEnter(core, nullptr);
+    kernel_->SyscallEnter(core);
     const uint64_t key = key_rng_.Next();
     const hw::GuestWalk table = server.process->address_space().WalkVa(mk::kCallingKeyTableVa);
     SB_CHECK(table.ok);
@@ -674,7 +674,7 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
                   client->cr3(), server.process->cr3());
     }
     existing->swept = false;
-    kernel_->SyscallExit(core, nullptr);
+    kernel_->SyscallExit(core);
     return sb::OkStatus();
   }
   if (server.next_connection >= static_cast<uint64_t>(server.max_connections)) {
@@ -684,7 +684,7 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
 
   hw::Core& core = kernel_->machine().core(0);
   // Registration is a syscall: charge the kernel path.
-  kernel_->SyscallEnter(core, nullptr);
+  kernel_->SyscallEnter(core);
 
   // Binding-EPT consolidation (DESIGN.md section 15): all direct clients of
   // one server share a single binding EPT — each client only adds its own
@@ -697,19 +697,19 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
     ept_id = server.shared_ept_id;
     if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kAddCr3Remap), ept_id,
                     client->cr3(), server.process->cr3()) != 0) {
-      kernel_->SyscallExit(core, nullptr);
+      kernel_->SyscallExit(core);
       return sb::Internal("rootkernel refused CR3 remap into the shared EPT");
     }
   } else {
     ept_id = core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kCreateBindingEpt),
                          client->cr3(), server.process->cr3());
     if (ept_id == vmm::kHypercallError) {
-      kernel_->SyscallExit(core, nullptr);
+      kernel_->SyscallExit(core);
       return sb::Internal("rootkernel refused binding EPT");
     }
     if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kRemapIdentityPage), ept_id,
                     kernel_->identity_gpa(), server.process->identity_frame()) != 0) {
-      kernel_->SyscallExit(core, nullptr);
+      kernel_->SyscallExit(core);
       return sb::Internal("rootkernel refused identity remap");
     }
     if (config_.consolidate_bindings) {
@@ -720,7 +720,7 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
   // non-executable through this binding EPT too, so the first call through
   // it faults into the rewrite slow path instead of running unscanned code.
   if (sb::Status ps = ProtectServerPagesInEpt(core, server.process, ept_id); !ps.ok()) {
-    kernel_->SyscallExit(core, nullptr);
+    kernel_->SyscallExit(core);
     return ps;
   }
 
@@ -753,13 +753,12 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
   binding->num_slices = region.num_slices;
   binding->host_base = region.host_base;
   routes_.Adopt(std::move(binding));
-  kernel_->SyscallExit(core, nullptr);
+  kernel_->SyscallExit(core);
   return sb::OkStatus();
 }
 
 sb::StatusOr<Binding*> SkyBridge::GetOrCreateChainBinding(hw::Core& core, mk::Process* origin,
-                                                          ServerId server_id,
-                                                          mk::CostBreakdown* bd) {
+                                                          ServerId server_id) {
   Binding* existing = routes_.Find(origin, server_id);
   if (existing != nullptr) {
     return existing;
@@ -795,8 +794,8 @@ sb::StatusOr<Binding*> SkyBridge::GetOrCreateChainBinding(hw::Core& core, mk::Pr
   Binding* b = routes_.Adopt(std::move(binding));
   if (b->view_slots) {
     // The kernel entry that admits a new view onto the caller's EPTP list.
-    kernel_->SyscallEnter(core, bd);
-    kernel_->SyscallExit(core, bd);
+    kernel_->SyscallEnter(core);
+    kernel_->SyscallExit(core);
   }
   return b;
 }

@@ -145,22 +145,19 @@ sb::StatusOr<std::span<uint8_t>> SkyBridge::AcquireSendBuffer(mk::Thread* caller
 }
 
 sb::StatusOr<mk::Message> SkyBridge::DirectServerCall(mk::Thread* caller, ServerId server_id,
-                                                      const mk::Message& msg,
-                                                      mk::CostBreakdown* bd) {
-  return CallCommon(caller, server_id, &msg, 0, 0, /*in_place=*/false, bd);
+                                                      const mk::Message& msg) {
+  return CallCommon(caller, server_id, &msg, 0, 0, /*in_place=*/false);
 }
 
 sb::StatusOr<mk::Message> SkyBridge::DirectServerCallInPlace(mk::Thread* caller,
                                                              ServerId server_id, uint64_t tag,
-                                                             uint64_t len,
-                                                             mk::CostBreakdown* bd) {
-  return CallCommon(caller, server_id, nullptr, tag, len, /*in_place=*/true, bd);
+                                                             uint64_t len) {
+  return CallCommon(caller, server_id, nullptr, tag, len, /*in_place=*/true);
 }
 
 sb::StatusOr<mk::Message> SkyBridge::CallCommon(mk::Thread* caller, ServerId server_id,
                                                 const mk::Message* msg_in, uint64_t inplace_tag,
-                                                uint64_t inplace_len, bool in_place,
-                                                mk::CostBreakdown* bd) {
+                                                uint64_t inplace_len, bool in_place) {
   if (server_id >= servers_.size()) {
     return sb::NotFound("no such server");
   }
@@ -171,12 +168,9 @@ sb::StatusOr<mk::Message> SkyBridge::CallCommon(mk::Thread* caller, ServerId ser
   ctx.proc = caller->process();
   ctx.core = &kernel_->machine().core(caller->core_id());
   ctx.in_place = in_place;
-  // Phase attribution: always measured, even when the caller did not ask for
-  // a breakdown — the per-phase histograms are fed from the deltas. The
-  // local breakdown records only; it charges no cycles.
-  ctx.pbd = bd != nullptr ? bd : &ctx.local_bd;
-  ctx.bd_before = *ctx.pbd;
-  ctx.start_cycles = ctx.core->cycles();
+  // Cycles the call charges outside a named bucket are gate overhead.
+  hw::CycleScope gate_scope(*ctx.core, hw::Bucket::kGate);
+  ctx.ledger_before = ctx.core->ledger();
   ctx.call_id = sb::telemetry::TakeCallId();
   SB_TRACE_EVENT(TraceEventType::kCallStart, ctx.core->cycles(), ctx.core->id(),
                  ctx.proc->pid(), ctx.server->process->pid());
@@ -281,14 +275,14 @@ sb::Status SkyBridge::BindOrigin(CallContext& ctx) {
       ctx.nested = true;  // Entered via a prior VMFUNC; origin's CR3 is live.
     } else {
       // Plain scheduling mismatch: dispatch the caller.
-      SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.proc, ctx.pbd));
+      SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.proc));
       ctx.origin = ctx.proc;
     }
   }
   ctx.route = ctx.perm;
   if (ctx.nested) {
     SB_ASSIGN_OR_RETURN(ctx.route,
-                        GetOrCreateChainBinding(core, ctx.origin, ctx.server_id, ctx.pbd));
+                        GetOrCreateChainBinding(core, ctx.origin, ctx.server_id));
   }
   return sb::OkStatus();
 }
@@ -314,10 +308,10 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
     if (routes_.ResidentSlot(core.id(), ctx.route->ept_id) == kNoEptpSlot) {
       metrics_.slot_faults->Add();
       const uint64_t fault_start = core.cycles();
-      kernel_->SyscallEnter(core, ctx.pbd);
+      kernel_->SyscallEnter(core);
       const auto slot_or =
           routes_.EnsureResident(core, ctx.route->ept_id, /*faultable=*/true);
-      kernel_->SyscallExit(core, ctx.pbd);
+      kernel_->SyscallExit(core);
       gate_.RecordSlotFault(core.cycles() - fault_start);
       if (!slot_or.ok()) {
         metrics_.rejected_calls->Add();
@@ -333,7 +327,7 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
 
   // ---- Client-side trampoline (view-switch backends only) ----
   if (ctx.backend->caps().uses_trampoline) {
-    gate_.ChargeTrampolineLeg(core, ctx.pbd, ctx.backend->trampoline_va());
+    gate_.ChargeTrampolineLeg(core, ctx.backend->trampoline_va());
   }
   ctx.long_msg = ctx.in_place || ctx.request->size() > kernel_->profile().register_msg_capacity;
   if (ctx.long_msg) {
@@ -346,9 +340,8 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
       // The client already built the payload in its slice: no request copy.
       metrics_.inplace_calls->Add();
     } else {
-      const uint64_t before = core.cycles();
+      hw::CycleScope copy(core, hw::Bucket::kCopy);
       SB_RETURN_IF_ERROR(core.WriteVirt(ctx.slice.va, ctx.request->payload()));
-      ctx.pbd->copy += core.cycles() - before;
     }
   }
   // The client's per-call key; the server must echo it on return.
@@ -383,10 +376,10 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
     SB_TRACE_EVENT(TraceEventType::kStaleSlotRetry, core.cycles(), core.id(),
                    ctx.server->process->pid(), attempt);
     core.AdvanceCycles(kStaleBackoffCycles << attempt);
-    kernel_->SyscallEnter(core, ctx.pbd);
+    kernel_->SyscallEnter(core);
     const sb::Status rearm =
         routes_.EnsureResident(core, ctx.route->ept_id, /*faultable=*/false).status();
-    kernel_->SyscallExit(core, ctx.pbd);
+    kernel_->SyscallExit(core);
     SB_RETURN_IF_ERROR(rearm);
   }
   // Pin both gate slots for the life of the call: slot faults taken by other
@@ -443,7 +436,10 @@ sb::StatusOr<mk::Message> SkyBridge::ServeAndReturn(CallContext& ctx) {
   if (SB_FAULT_POINT(kFaultHandlerCrash)) {
     return gate_.AbortServerCrash(ctx);
   }
-  mk::Message reply = server.handler(env);
+  mk::Message reply = [&] {
+    OutsideGate outside(ctx);
+    return server.handler(env);
+  }();
   if (SB_FAULT_POINT(kFaultRevokeInflight)) {
     // Revocation racing a live call: this reply still returns; the EPTP
     // surgery defers to the drain and subsequent calls are refused.
@@ -482,9 +478,8 @@ sb::StatusOr<mk::Message> SkyBridge::ServeAndReturn(CallContext& ctx) {
     if (verdict.in_place) {
       metrics_.inplace_replies->Add();
     } else {
-      const uint64_t before = core.cycles();
+      hw::CycleScope copy(core, hw::Bucket::kCopy);
       SB_RETURN_IF_ERROR(core.WriteVirt(ctx.slice.va, reply.payload()));
-      ctx.pbd->copy += core.cycles() - before;
     }
   }
 
@@ -496,10 +491,9 @@ sb::StatusOr<mk::Message> SkyBridge::ServeAndReturn(CallContext& ctx) {
       // Two-copy ablation: charged read-out, and the returned message
       // carries the bytes read from the buffer — the simulated dataflow
       // matches the modeled cost.
-      const uint64_t before = core.cycles();
+      hw::CycleScope copy(core, hw::Bucket::kCopy);
       std::vector<uint8_t> out(reply.size());
       SB_RETURN_IF_ERROR(core.ReadVirt(ctx.slice.va, out));
-      ctx.pbd->copy += core.cycles() - before;
       reply.view = std::span<const uint8_t>();
       reply.data = std::move(out);
     } else if (!verdict.in_place) {
@@ -671,8 +665,7 @@ void SkyBridge::FailPendingClientSide(BatchConn& conn, sb::ErrorCode code) {
   }
 }
 
-sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id,
-                                 mk::CostBreakdown* bd) {
+sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
   if (server_id >= servers_.size()) {
     return sb::NotFound("no such server");
   }
@@ -699,6 +692,8 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id,
     return sb::OkStatus();
   }
   hw::Core& core = kernel_->machine().core(caller->core_id());
+  // Cycles the flush charges outside a named bucket are gate overhead.
+  hw::CycleScope gate_scope(core, hw::Bucket::kGate);
   if (perm->revoked) {
     // Revoked binding: no crossing. The pending entries complete client-side
     // with PermissionDenied so pollers see a per-entry verdict, not a hang.
@@ -719,9 +714,7 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id,
   ctx.server = &servers_[server_id];
   ctx.proc = caller->process();
   ctx.core = &core;
-  ctx.pbd = bd != nullptr ? bd : &ctx.local_bd;
-  ctx.bd_before = *ctx.pbd;
-  ctx.start_cycles = core.cycles();
+  ctx.ledger_before = core.ledger();
   ctx.call_id = sb::telemetry::TakeCallId();
   SB_TRACE_EVENT(TraceEventType::kCallStart, core.cycles(), core.id(), ctx.proc->pid(),
                  ctx.server->process->pid());
@@ -789,7 +782,7 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id,
 }
 
 sb::StatusOr<mk::Message> SkyBridge::WaitCompletion(mk::Thread* caller, ServerId server_id,
-                                                    uint64_t token, mk::CostBreakdown* bd) {
+                                                    uint64_t token) {
   // Progress argument: every iteration either resolves the poll, flushes
   // (posting >= 1 completion, or Aborted with the crashed entry posted), or
   // parks on the notification; the bound only guards against a pathological
@@ -799,7 +792,7 @@ sb::StatusOr<mk::Message> SkyBridge::WaitCompletion(mk::Thread* caller, ServerId
     if (reply.ok() || reply.status().code() != sb::ErrorCode::kUnavailable) {
       return reply;
     }
-    const sb::Status flushed = FlushBatch(caller, server_id, bd);
+    const sb::Status flushed = FlushBatch(caller, server_id);
     if (flushed.code() == sb::ErrorCode::kAborted) {
       continue;  // Crash mid-drain: re-poll; our entry may need another flush.
     }
@@ -827,8 +820,7 @@ sb::StatusOr<mk::Message> SkyBridge::WaitCompletion(mk::Thread* caller, ServerId
 }
 
 sb::StatusOr<std::vector<SkyBridge::BatchEntryResult>> SkyBridge::CallBatch(
-    mk::Thread* caller, ServerId server_id, std::span<const mk::Message> msgs,
-    mk::CostBreakdown* bd) {
+    mk::Thread* caller, ServerId server_id, std::span<const mk::Message> msgs) {
   std::vector<BatchEntryResult> out(msgs.size());
   size_t i = 0;
   while (i < msgs.size()) {
@@ -850,7 +842,7 @@ sb::StatusOr<std::vector<SkyBridge::BatchEntryResult>> SkyBridge::CallBatch(
     if (chunk.empty()) {
       continue;
     }
-    sb::Status flushed = FlushBatch(caller, server_id, bd);
+    sb::Status flushed = FlushBatch(caller, server_id);
     for (auto& [idx, token] : chunk) {
       for (int attempt = 0;; ++attempt) {
         auto reply = PollCompletion(caller, server_id, token);
@@ -865,7 +857,7 @@ sb::StatusOr<std::vector<SkyBridge::BatchEntryResult>> SkyBridge::CallBatch(
           break;
         }
         // Untouched by a crashed crossing: flush again.
-        flushed = FlushBatch(caller, server_id, bd);
+        flushed = FlushBatch(caller, server_id);
         if (!flushed.ok() && flushed.code() != sb::ErrorCode::kAborted) {
           out[idx].status = flushed;
           break;
@@ -953,6 +945,13 @@ sb::Status SkyBridge::RevokeServer(ServerId server_id) {
 
 sb::Status SkyBridge::CheckInvariants() const {
   SB_RETURN_IF_ERROR(routes_.CheckInvariants());
+  // Cycle conservation: every cycle a core's clock moved is in its ledger.
+  for (int c = 0; c < kernel_->machine().num_cores(); ++c) {
+    const hw::Core& core = kernel_->machine().core(c);
+    if (core.ledger().total() != core.cycles()) {
+      return sb::Internal("core " + std::to_string(c) + " ledger does not sum to its clock");
+    }
+  }
   // The Rootkernel's per-core EPTP mirrors must agree with the VMCS state
   // the library's installs produced.
   return kernel_->rootkernel()->CheckInvariants();

@@ -114,8 +114,7 @@ class SkyBridge {
   // Executes the requested procedure in the server's address space on the
   // caller's core without entering the kernel.
   sb::StatusOr<mk::Message> DirectServerCall(mk::Thread* caller, ServerId server_id,
-                                             const mk::Message& msg,
-                                             mk::CostBreakdown* bd = nullptr);
+                                             const mk::Message& msg);
 
   // ---- In-place long-message API (zero-copy path) ----
   // Returns a host-writable view of the caller's per-connection slice of the
@@ -132,8 +131,7 @@ class SkyBridge {
   // reply in env.reply_buffer (same slice) and return Message::Borrowed —
   // then no reply copy is charged either and the roundtrip moves zero bytes.
   sb::StatusOr<mk::Message> DirectServerCallInPlace(mk::Thread* caller, ServerId server_id,
-                                                    uint64_t tag, uint64_t len,
-                                                    mk::CostBreakdown* bd = nullptr);
+                                                    uint64_t tag, uint64_t len);
 
   // ---- Batched + asynchronous IPC (DESIGN.md section 13) ----
   // A submission/completion ring carved from the caller's per-connection
@@ -165,7 +163,7 @@ class SkyBridge {
   // notification path (mk::Notification) until a concurrent flush posts the
   // completion.
   sb::StatusOr<mk::Message> WaitCompletion(mk::Thread* caller, ServerId server_id,
-                                           uint64_t token, mk::CostBreakdown* bd = nullptr);
+                                           uint64_t token);
 
   // Drains every pending submission of the caller's connection in ONE
   // VMFUNC crossing (the batch-dispatch leg). With submissions arriving
@@ -175,8 +173,7 @@ class SkyBridge {
   // already posted stay posted, untouched entries complete on the next
   // flush. On a revoked binding, posts PermissionDenied completions
   // client-side without crossing.
-  sb::Status FlushBatch(mk::Thread* caller, ServerId server_id,
-                        mk::CostBreakdown* bd = nullptr);
+  sb::Status FlushBatch(mk::Thread* caller, ServerId server_id);
 
   // Synchronous convenience: submit all of `msgs` (flushing in ring-sized
   // chunks when needed), flush, and collect every completion. Per-entry
@@ -187,8 +184,7 @@ class SkyBridge {
     mk::Message reply;  // Valid when status.ok().
   };
   sb::StatusOr<std::vector<BatchEntryResult>> CallBatch(mk::Thread* caller, ServerId server_id,
-                                                        std::span<const mk::Message> msgs,
-                                                        mk::CostBreakdown* bd = nullptr);
+                                                        std::span<const mk::Message> msgs);
 
   // Hook invoked between server drain rounds — models the client core
   // producing new submissions while the server drains (the adaptive-drain
@@ -234,8 +230,9 @@ class SkyBridge {
 
   // Structural invariants the stress runner asserts between events: every
   // binding recorded under its own client, revoked bindings swept once
-  // drained, in-flight accounting, the per-core slot caches, and the
-  // Rootkernel's per-core EPTP mirrors. Returns the first violation.
+  // drained, in-flight accounting, the per-core slot caches, the
+  // Rootkernel's per-core EPTP mirrors, and cycle conservation (every core's
+  // ledger sums to its clock). Returns the first violation.
   sb::Status CheckInvariants() const;
 
   // Calls currently between entry and return across all bindings. Zero at
@@ -306,18 +303,17 @@ class SkyBridge {
   // faulting page through the cache and flips it executable everywhere.
   sb::Status HandleExecFault(hw::Core& core, hw::Gpa gpa);
   // Lazily creates the chain binding (origin's CR3 -> target server) used by
-  // nested calls; kernel- and Rootkernel-mediated. Creation charges the
-  // kernel entry/exit pair to `bd` on view-slot backends.
+  // nested calls; kernel- and Rootkernel-mediated. Creation pays a kernel
+  // entry/exit pair on view-slot backends.
   sb::StatusOr<Binding*> GetOrCreateChainBinding(hw::Core& core, mk::Process* origin,
-                                                 ServerId server_id, mk::CostBreakdown* bd);
+                                                 ServerId server_id);
 
   // ---- The call pipeline (shared by DirectServerCall / ...InPlace) ----
   // CallCommon builds a CallContext and drives it through the stages below;
   // the fault-recovery and gate logic lives once, in the shared pipeline.
   sb::StatusOr<mk::Message> CallCommon(mk::Thread* caller, ServerId server_id,
                                        const mk::Message* msg_in, uint64_t inplace_tag,
-                                       uint64_t inplace_len, bool in_place,
-                                       mk::CostBreakdown* bd);
+                                       uint64_t inplace_len, bool in_place);
   // Stage 1 — authorization: resolve the caller's binding through the
   // per-thread cache / hash index; reject unregistered or revoked pairs.
   sb::Status ResolveRoute(CallContext& ctx);

@@ -1049,5 +1049,89 @@ TEST(Machine, VmcallDispatchesToHandler) {
   EXPECT_EQ(machine.telemetry().Value("hw.vmexit.total"), 1u);
 }
 
+// ---- Cycle ledger ----
+
+TEST(CycleLedger, InnermostScopeWins) {
+  Machine machine(MachineWith(1, 1 * kGiB));
+  Core& core = machine.core(0);
+  {
+    CycleScope copy(core, Bucket::kCopy);
+    core.AdvanceCycles(3);
+    {
+      CycleScope vmfunc(core, Bucket::kVmfunc);
+      core.AdvanceCycles(5);
+      core.AdvanceCycles(2, Bucket::kOthers);  // An explicit bucket beats any scope.
+    }
+    core.AdvanceCycles(11);
+  }
+  core.AdvanceCycles(1);  // Unscoped: the default bucket.
+  EXPECT_EQ(core.ledger()[Bucket::kCopy], 14u);
+  EXPECT_EQ(core.ledger()[Bucket::kVmfunc], 5u);
+  EXPECT_EQ(core.ledger()[Bucket::kOthers], 2u);
+  EXPECT_EQ(core.ledger()[Bucket::kApp], 1u);
+  EXPECT_EQ(core.ledger().total(), core.cycles());
+}
+
+TEST(CycleLedger, TagIsRestoredOnEarlyReturn) {
+  Machine machine(MachineWith(1, 1 * kGiB));
+  Core& core = machine.core(0);
+  CycleScope gate(core, Bucket::kGate);
+  const auto charge = [&core](bool bail) {
+    CycleScope syscall(core, Bucket::kSyscall);
+    core.AdvanceCycles(4);
+    if (bail) {
+      return;
+    }
+    core.AdvanceCycles(100);
+  };
+  charge(/*bail=*/true);
+  core.AdvanceCycles(9);
+  EXPECT_EQ(core.ledger()[Bucket::kSyscall], 4u);
+  EXPECT_EQ(core.ledger()[Bucket::kGate], 9u);
+}
+
+TEST(CycleLedger, SyncClockToBooksWait) {
+  Machine machine(MachineWith(1, 1 * kGiB));
+  Core& core = machine.core(0);
+  CycleScope copy(core, Bucket::kCopy);
+  core.AdvanceCycles(10);
+  core.SyncClockTo(250);
+  core.SyncClockTo(100);  // Already past: no-op.
+  EXPECT_EQ(core.cycles(), 250u);
+  EXPECT_EQ(core.ledger()[Bucket::kWait], 240u);
+  EXPECT_EQ(core.ledger()[Bucket::kCopy], 10u);
+  EXPECT_EQ(core.ledger().total(), core.cycles());
+}
+
+TEST(CycleLedger, NestedScopesWithTheSameBucket) {
+  Machine machine(MachineWith(1, 1 * kGiB));
+  Core& core = machine.core(0);
+  {
+    CycleScope outer(core, Bucket::kSchedule);
+    core.AdvanceCycles(6);
+    {
+      CycleScope inner(core, Bucket::kSchedule);
+      core.AdvanceCycles(8);
+    }
+    core.AdvanceCycles(1);  // The inner exit restores the same tag.
+  }
+  core.AdvanceCycles(2);
+  EXPECT_EQ(core.ledger()[Bucket::kSchedule], 15u);
+  EXPECT_EQ(core.ledger()[Bucket::kApp], 2u);
+}
+
+TEST(CycleLedger, DeltasSubtractPerBucket) {
+  CycleLedger a;
+  a[Bucket::kCopy] = 10;
+  a[Bucket::kWait] = 4;
+  CycleLedger b = a;
+  b[Bucket::kCopy] += 5;
+  b += a;
+  const CycleLedger d = b - a;
+  EXPECT_EQ(d[Bucket::kCopy], 15u);
+  EXPECT_EQ(d[Bucket::kWait], 4u);
+  EXPECT_EQ(d.total(), 19u);
+}
+
 }  // namespace
 }  // namespace hw

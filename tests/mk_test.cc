@@ -128,20 +128,22 @@ IpcFixture MakeIpcPair(Kernel& kernel, hw::Machine& machine, std::vector<int> se
 }
 
 // Measures the warm roundtrip cost of an empty-message IPC.
+// With `ledger_out`, also returns the caller core's ledger delta over the
+// measured calls.
 uint64_t WarmRoundtrip(Kernel& kernel, hw::Machine& machine, IpcFixture& f,
-                       CostBreakdown* bd_out = nullptr) {
+                       hw::CycleLedger* ledger_out = nullptr) {
   for (int i = 0; i < 50; ++i) {
     SB_CHECK(kernel.IpcCall(f.thread, f.slot, Message(0)).ok());
   }
   hw::Core& core = machine.core(0);
   const uint64_t start = core.cycles();
-  CostBreakdown bd;
+  const hw::CycleLedger before = core.ledger();
   const int kIters = 100;
   for (int i = 0; i < kIters; ++i) {
-    SB_CHECK(kernel.IpcCall(f.thread, f.slot, Message(0), &bd).ok());
+    SB_CHECK(kernel.IpcCall(f.thread, f.slot, Message(0)).ok());
   }
-  if (bd_out != nullptr) {
-    *bd_out = bd;
+  if (ledger_out != nullptr) {
+    *ledger_out = core.ledger() - before;
   }
   return (core.cycles() - start) / kIters;
 }
@@ -217,16 +219,14 @@ TEST_F(KernelTest, CrossCoreZirconNear20099) {
 TEST_F(KernelTest, BreakdownBucketsAddUp) {
   BootKernel(Sel4Profile());
   IpcFixture f = MakeIpcPair(*kernel_, *machine_, {}, EchoHandler());
-  CostBreakdown bd;
+  hw::CycleLedger bd;
   const uint64_t rt = WarmRoundtrip(*kernel_, *machine_, f, &bd);
   // Per-roundtrip buckets: 2 mode switches (>= 418), 2 CR3 writes (372).
-  EXPECT_GE(bd.syscall_sysret / 100, 418u);
-  EXPECT_EQ(bd.context_switch / 100, 372u);
-  EXPECT_EQ(bd.vmfunc, 0u);
-  // The buckets approximately cover the measured total.
-  const uint64_t bucket_total = bd.total() / 100;
-  EXPECT_GE(bucket_total, rt * 9 / 10);
-  EXPECT_LE(bucket_total, rt);
+  EXPECT_GE(bd[hw::Bucket::kSyscall] / 100, 418u);
+  EXPECT_EQ(bd[hw::Bucket::kCtxSwitch] / 100, 372u);
+  EXPECT_EQ(bd[hw::Bucket::kVmfunc], 0u);
+  // The buckets cover the measured total exactly.
+  EXPECT_EQ(bd.total() / 100, rt);
 }
 
 TEST_F(KernelTest, CapabilityTransferOverIpc) {

@@ -211,9 +211,11 @@ TEST_F(LongIpcTest, InPlaceCallChargesNoCopyCycles) {
   ASSERT_TRUE(buf.ok());
   ASSERT_TRUE(sky_->DirectServerCallInPlace(p.thread, p.sid, 1, 16384).ok());
 
-  mk::CostBreakdown bd;
-  ASSERT_TRUE(sky_->DirectServerCallInPlace(p.thread, p.sid, 1, 16384, &bd).ok());
-  EXPECT_EQ(bd.copy, 0u);  // Neither request nor reply was copied.
+  const hw::Core& core = machine_->core(0);
+  const uint64_t copy_before = core.ledger()[hw::Bucket::kCopy];
+  ASSERT_TRUE(sky_->DirectServerCallInPlace(p.thread, p.sid, 1, 16384).ok());
+  // Neither request nor reply was copied.
+  EXPECT_EQ(core.ledger()[hw::Bucket::kCopy], copy_before);
 }
 
 TEST_F(LongIpcTest, InPlaceCallOverCapacityRejected) {
@@ -300,13 +302,14 @@ TEST_F(LongIpcTest, CopyModesOrderAsExpected) {
         SB_CHECK(sky_->DirectServerCall(p.thread, p.sid, msg).ok());
       }
     }
-    mk::CostBreakdown bd;
+    const hw::Core& core = machine_->core(0);
+    const uint64_t copy_before = core.ledger()[hw::Bucket::kCopy];
     if (in_place) {
-      SB_CHECK(sky_->DirectServerCallInPlace(p.thread, p.sid, 1, len, &bd).ok());
+      SB_CHECK(sky_->DirectServerCallInPlace(p.thread, p.sid, 1, len).ok());
     } else {
-      SB_CHECK(sky_->DirectServerCall(p.thread, p.sid, msg, &bd).ok());
+      SB_CHECK(sky_->DirectServerCall(p.thread, p.sid, msg).ok());
     }
-    return bd.copy;
+    return core.ledger()[hw::Bucket::kCopy] - copy_before;
   };
 
   const uint64_t two_copy = measure(/*legacy=*/true, /*in_place=*/false);

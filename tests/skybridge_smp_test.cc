@@ -83,9 +83,7 @@ TEST_F(SkyBridgeSmpTest, MigrateWhileInFlight) {
       [this](CallEnv& env) {
         if (env.request.tag == 42) {
           // Mid-handler migration: the scheduler moves the calling thread.
-          SB_CHECK(kernel_->MigrateThread(roamer_, /*dest_core=*/3, nullptr,
-                                          /*eager_install=*/true)
-                       .ok());
+          SB_CHECK(kernel_->MigrateThread(roamer_, /*dest_core=*/3, /*eager_install=*/true).ok());
         }
         return env.request;
       },
@@ -120,9 +118,7 @@ TEST_F(SkyBridgeSmpTest, RevokeDuringMigration) {
   Pair p = MakePair(
       [this](CallEnv& env) {
         if (env.request.tag == 42) {
-          SB_CHECK(kernel_->MigrateThread(roamer_, /*dest_core=*/2, nullptr,
-                                          /*eager_install=*/true)
-                       .ok());
+          SB_CHECK(kernel_->MigrateThread(roamer_, /*dest_core=*/2, /*eager_install=*/true).ok());
           SB_CHECK(sky_->RevokeBinding(roamer_client_, roamer_sid_).ok());
         }
         return env.request;
@@ -179,7 +175,7 @@ TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
         const int dest = (p.thread->core_id() + 1) % machine_->num_cores();
         // Another process ran on the destination since the last visit.
         SB_CHECK(kernel_->ContextSwitchTo(machine_->core(dest), other).ok());
-        SB_CHECK(kernel_->MigrateThread(p.thread, dest, nullptr, eager).ok());
+        SB_CHECK(kernel_->MigrateThread(p.thread, dest, eager).ok());
       }
       auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(i));
       SB_CHECK(reply.ok()) << reply.status().ToString();

@@ -131,34 +131,35 @@ TEST_P(SkyBridgeTest, WarmRoundtripMatchesTheBackendCostModel) {
   }
   hw::Core& core = machine_->core(0);
   const uint64_t start = core.cycles();
-  mk::CostBreakdown bd;
+  const hw::CycleLedger before = core.ledger();
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0), &bd).ok());
+    ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   }
   const uint64_t rt = (core.cycles() - start) / 100;
+  const hw::CycleLedger bd = core.ledger() - before;
   const hw::CostModel& costs = machine_->costs();
   if (IsEptp()) {
     EXPECT_GE(rt, 396u);
     EXPECT_LE(rt, 500u);  // 396 + warm key-table/trampoline traffic.
-    EXPECT_EQ(bd.vmfunc / 100, 2 * costs.vmfunc);
-    EXPECT_EQ(bd.syscall_sysret, 0u);   // No kernel involvement.
-    EXPECT_EQ(bd.context_switch, 0u);   // No CR3 write.
+    EXPECT_EQ(bd[hw::Bucket::kVmfunc] / 100, 2 * costs.vmfunc);
+    EXPECT_EQ(bd[hw::Bucket::kSyscall], 0u);    // No kernel involvement.
+    EXPECT_EQ(bd[hw::Bucket::kCtxSwitch], 0u);  // No CR3 write.
   } else if (IsMpk()) {
     // WRPKRU (~20 cycles) replaces VMFUNC (~134): cheaper than the paper's
     // roundtrip, still fully user-mode.
     EXPECT_LT(rt, 396u);
-    EXPECT_EQ(bd.vmfunc / 100, 2 * costs.wrpkru);
-    EXPECT_EQ(bd.syscall_sysret, 0u);
-    EXPECT_EQ(bd.context_switch, 0u);
+    EXPECT_EQ(bd[hw::Bucket::kVmfunc] / 100, 2 * costs.wrpkru);
+    EXPECT_EQ(bd[hw::Bucket::kSyscall], 0u);
+    EXPECT_EQ(bd[hw::Bucket::kCtxSwitch], 0u);
   } else {
     // The kernel fastpath traps and switches CR3 on every leg: no gate
     // cycles, but strictly dearer than either user-mode switch.
     EXPECT_GT(rt, 500u);
-    EXPECT_EQ(bd.vmfunc, 0u);
-    EXPECT_GT(bd.syscall_sysret, 0u);
-    EXPECT_GT(bd.context_switch, 0u);
+    EXPECT_EQ(bd[hw::Bucket::kVmfunc], 0u);
+    EXPECT_GT(bd[hw::Bucket::kSyscall], 0u);
+    EXPECT_GT(bd[hw::Bucket::kCtxSwitch], 0u);
   }
-  EXPECT_EQ(bd.ipi, 0u);
+  EXPECT_EQ(bd[hw::Bucket::kWait], 0u);  // Same-core call: no IPI wait.
 }
 
 TEST_P(SkyBridgeTest, NoVmExitsInSteadyState) {
@@ -703,6 +704,49 @@ TEST_P(SkyBridgeTest, NestedDirectCallsAcrossThreeProcesses) {
   auto reply = sky_->DirectServerCall(t, middle_sid, Message(5));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, (5u + 1) * 2 + 100);
+}
+
+TEST_P(SkyBridgeTest, NestedCallPhasesExcludeTheInnerCall) {
+  // client -> middle -> backend, where middle's handler makes the inner call
+  // with a long message. Each call's phase samples hold its own cycles only:
+  // the outer sample leaves out everything middle's handler ran, the inner
+  // crossing and its copies included.
+  Boot();
+  auto* backend = kernel_->CreateProcess("backend").value();
+  const ServerId backend_sid =
+      sky_->RegisterServer(backend, 4, [](CallEnv& env) { return env.request.ToOwned(); })
+          .value();
+  auto* middle = kernel_->CreateProcess("middle").value();
+  mk::Thread* middle_thread = middle->AddThread(0);
+  SkyBridge* sky = sky_.get();
+  const Message long_msg(7, std::vector<uint8_t>(1024, 0xab));
+  const ServerId middle_sid =
+      sky_->RegisterServer(middle, 4, [sky, middle_thread, backend_sid, &long_msg](CallEnv&) {
+        auto inner = sky->DirectServerCall(middle_thread, backend_sid, long_msg);
+        SB_CHECK(inner.ok());
+        return Message(inner->tag);
+      }).value();
+  ASSERT_TRUE(sky_->RegisterClient(middle, backend_sid).ok());
+  auto* client = kernel_->CreateProcess("client").value();
+  mk::Thread* t = client->AddThread(0);
+  ASSERT_TRUE(sky_->RegisterClient(client, middle_sid).ok());
+  ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
+
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(sky_->DirectServerCall(t, middle_sid, Message(1)).ok());
+  }
+  sb::telemetry::Registry& reg = machine_->telemetry();
+  const sb::telemetry::LatencyHistogram& vmfunc = reg.GetHistogram("skybridge.phase.vmfunc");
+  const sb::telemetry::LatencyHistogram& copy = reg.GetHistogram("skybridge.phase.copy");
+  EXPECT_EQ(vmfunc.Count(), 20u);  // One sample per call, outer and inner.
+  const hw::CostModel& costs = machine_->costs();
+  const uint64_t leg = IsEptp() ? costs.vmfunc : IsMpk() ? costs.wrpkru : 0;
+  // Every call's own entry and return legs; an outer sample that swallowed
+  // the inner crossing would read 4 legs.
+  EXPECT_EQ(vmfunc.Max(), 2 * leg);
+  // Only the inner calls copy (request and reply); the outer samples are 0.
+  EXPECT_GT(copy.Max(), 0u);
+  EXPECT_EQ(copy.Percentile(0), 0u);
 }
 
 }  // namespace
