@@ -44,23 +44,7 @@ sb::StatusOr<mk::Message> SqliteStack::CallSky(mk::Thread* thread, skybridge::Se
 
 sb::StatusOr<mk::Message> SqliteStack::CallBdevFromFs(const mk::Message& msg) {
   if (setup_mode_) {
-    // Direct, uncharged device access while formatting/preloading.
-    const std::span<const uint8_t> p = msg.payload();
-    uint32_t block = 0;
-    if (p.size() >= 4) {
-      std::memcpy(&block, p.data(), 4);
-    }
-    if (msg.tag == fsys::kBlockRead) {
-      mk::Message reply(1);
-      reply.data.resize(fsys::kBlockSize);
-      SB_RETURN_IF_ERROR(ramdisk_->Read(nullptr, block, reply.data));
-      return reply;
-    }
-    if (msg.tag == fsys::kBlockWrite && p.size() >= 4 + fsys::kBlockSize) {
-      SB_RETURN_IF_ERROR(ramdisk_->Write(nullptr, block, p.subspan(4, fsys::kBlockSize)));
-      return mk::Message(1);
-    }
-    return sb::InvalidArgument("bad setup block op");
+    return setup_bdev_(msg);  // Direct, uncharged device access.
   }
   mk::Thread* fs_thread = fs_threads_[static_cast<size_t>(current_fs_core_)];
   if (config_.transport == StackTransport::kSkyBridge) {
@@ -127,6 +111,7 @@ sb::Status SqliteStack::Setup(const SqliteStackConfig& config) {
   }
 
   ramdisk_ = std::make_unique<fsys::RamDisk>(config.disk_blocks, bdev_proc_, bdev_heap_);
+  setup_bdev_ = fsys::DirectBlockTransport(ramdisk_.get());
   fs_ = std::make_unique<fsys::Xv6Fs>(
       [this](const mk::Message& msg) { return CallBdevFromFs(msg); },
       fsys::Xv6Fs::Config{config.disk_blocks, 512, fsys::kLogCapacity + 1, 64});

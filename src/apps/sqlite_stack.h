@@ -105,6 +105,7 @@ class SqliteStack {
   std::vector<mk::Thread*> fs_threads_;  // One per core (server-side calls).
 
   std::unique_ptr<fsys::RamDisk> ramdisk_;
+  fsys::BlockTransport setup_bdev_;  // Serves the fs while setup_mode_.
   std::unique_ptr<fsys::Xv6Fs> fs_;
   std::unique_ptr<fsys::FsClient> fs_client_;
   std::unique_ptr<minisql::Database> db_;

@@ -127,9 +127,8 @@ bool Database::RowCacheGet(uint64_t key, std::vector<uint8_t>* value) {
   if (it == row_cache_.end()) {
     return false;
   }
-  row_lru_.remove(key);
-  row_lru_.push_front(key);
-  *value = it->second;
+  row_lru_.splice(row_lru_.begin(), row_lru_, it->second.lru_pos);
+  *value = it->second.value;
   if (core_ != nullptr && heap_base_ != 0) {
     (void)core_->TouchData(heap_base_ + 4096 + (key % 1024) * 64, 64, false);
   }
@@ -137,18 +136,27 @@ bool Database::RowCacheGet(uint64_t key, std::vector<uint8_t>* value) {
 }
 
 void Database::RowCachePut(uint64_t key, std::vector<uint8_t> value) {
+  // A full cache drops its LRU row before looking `key` up (a kept quirk).
   if (row_cache_.size() >= config_.row_cache_entries && !row_lru_.empty()) {
     row_cache_.erase(row_lru_.back());
     row_lru_.pop_back();
   }
-  row_cache_[key] = std::move(value);
-  row_lru_.remove(key);
-  row_lru_.push_front(key);
+  auto [it, inserted] = row_cache_.try_emplace(key);
+  it->second.value = std::move(value);
+  if (inserted) {
+    row_lru_.push_front(key);
+    it->second.lru_pos = row_lru_.begin();
+  } else {
+    row_lru_.splice(row_lru_.begin(), row_lru_, it->second.lru_pos);
+  }
 }
 
 void Database::RowCacheErase(uint64_t key) {
-  row_cache_.erase(key);
-  row_lru_.remove(key);
+  auto it = row_cache_.find(key);
+  if (it != row_cache_.end()) {
+    row_lru_.erase(it->second.lru_pos);
+    row_cache_.erase(it);
+  }
 }
 
 sb::StatusOr<Table*> Database::CreateTable(const std::string& name) {

@@ -123,8 +123,12 @@ class Database {
   std::vector<CatalogEntry> catalog_;
   std::vector<std::unique_ptr<Table>> tables_;
   DbStats stats_;
-  std::unordered_map<uint64_t, std::vector<uint8_t>> row_cache_;
-  std::list<uint64_t> row_lru_;
+  struct CachedRow {
+    std::vector<uint8_t> value;
+    std::list<uint64_t>::iterator lru_pos;  // This row's node in row_lru_.
+  };
+  std::unordered_map<uint64_t, CachedRow> row_cache_;
+  std::list<uint64_t> row_lru_;  // Front = most recent.
   hw::Core* core_ = nullptr;
   hw::Gva heap_base_ = 0;
 };

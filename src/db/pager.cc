@@ -43,8 +43,7 @@ sb::StatusOr<std::vector<uint8_t>*> Pager::GetPage(uint32_t pgno) {
   auto it = cache_.find(pgno);
   if (it != cache_.end()) {
     ++cache_hits_;
-    lru_.remove(pgno);
-    lru_.push_front(pgno);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return &it->second.data;
   }
   ++page_faults_;
@@ -53,9 +52,9 @@ sb::StatusOr<std::vector<uint8_t>*> Pager::GetPage(uint32_t pgno) {
   if (data.size() != kDbPageSize) {
     data.resize(kDbPageSize, 0);
   }
-  auto [pos, inserted] = cache_.emplace(pgno, Entry{std::move(data), false});
-  SB_CHECK(inserted);
   lru_.push_front(pgno);
+  auto [pos, inserted] = cache_.emplace(pgno, Entry{std::move(data), false, lru_.begin()});
+  SB_CHECK(inserted);
   return &pos->second.data;
 }
 
@@ -68,9 +67,10 @@ void Pager::MarkDirty(uint32_t pgno) {
 sb::StatusOr<uint32_t> Pager::AllocatePage() {
   SB_RETURN_IF_ERROR(EvictIfNeeded());
   const uint32_t pgno = num_pages_++;
-  auto [pos, inserted] = cache_.emplace(pgno, Entry{std::vector<uint8_t>(kDbPageSize, 0), true});
-  SB_CHECK(inserted);
   lru_.push_front(pgno);
+  auto [pos, inserted] =
+      cache_.emplace(pgno, Entry{std::vector<uint8_t>(kDbPageSize, 0), true, lru_.begin()});
+  SB_CHECK(inserted);
   return pgno;
 }
 

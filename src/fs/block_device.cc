@@ -1,6 +1,8 @@
 #include "src/fs/block_device.h"
 
+#include <array>
 #include <cstring>
+#include <memory>
 
 #include "src/base/logging.h"
 
@@ -86,26 +88,34 @@ mk::Handler RamDisk::MakeHandler() {
   };
 }
 
-mk::Message EncodeBlockRead(uint32_t block) {
-  mk::Message msg(kBlockRead);
-  msg.data.resize(4);
-  std::memcpy(msg.data.data(), &block, 4);
-  return msg;
-}
-
-mk::Message EncodeBlockWrite(uint32_t block, std::span<const uint8_t> data) {
-  SB_CHECK(data.size() == kBlockSize);
-  mk::Message msg(kBlockWrite);
-  msg.data.resize(4 + kBlockSize);
-  std::memcpy(msg.data.data(), &block, 4);
-  std::memcpy(msg.data.data() + 4, data.data(), kBlockSize);
-  return msg;
+BlockTransport DirectBlockTransport(RamDisk* disk) {
+  // Read replies borrow one per-transport block, valid until the next call.
+  auto block_buf = std::make_shared<std::array<uint8_t, kBlockSize>>();
+  return [disk, block_buf](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
+    const std::span<const uint8_t> p = msg.payload();
+    uint32_t block = 0;
+    if (p.size() >= 4) {
+      std::memcpy(&block, p.data(), 4);
+    }
+    if (msg.tag == kBlockRead && p.size() >= 4) {
+      SB_RETURN_IF_ERROR(disk->Read(nullptr, block, *block_buf));
+      return mk::Message::Borrowed(1, *block_buf);
+    }
+    if (msg.tag == kBlockWrite && p.size() >= 4 + kBlockSize) {
+      SB_RETURN_IF_ERROR(disk->Write(nullptr, block, p.subspan(4, kBlockSize)));
+      return mk::Message(1);
+    }
+    return sb::InvalidArgument("bad block op");
+  };
 }
 
 sb::Status TransportReadBlock(const BlockTransport& transport, uint32_t block,
                               std::span<uint8_t> out) {
   SB_CHECK(out.size() == kBlockSize);
-  SB_ASSIGN_OR_RETURN(const mk::Message reply, transport(EncodeBlockRead(block)));
+  std::array<uint8_t, 4> req{};
+  std::memcpy(req.data(), &block, 4);
+  SB_ASSIGN_OR_RETURN(const mk::Message reply,
+                      transport(mk::Message::Borrowed(kBlockRead, req)));
   if (reply.tag != 1 || reply.size() != kBlockSize) {
     return sb::Internal("block read failed");
   }
@@ -115,7 +125,12 @@ sb::Status TransportReadBlock(const BlockTransport& transport, uint32_t block,
 
 sb::Status TransportWriteBlock(const BlockTransport& transport, uint32_t block,
                                std::span<const uint8_t> in) {
-  SB_ASSIGN_OR_RETURN(const mk::Message reply, transport(EncodeBlockWrite(block, in)));
+  SB_CHECK(in.size() == kBlockSize);
+  std::array<uint8_t, 4 + kBlockSize> req{};
+  std::memcpy(req.data(), &block, 4);
+  std::memcpy(req.data() + 4, in.data(), kBlockSize);
+  SB_ASSIGN_OR_RETURN(const mk::Message reply,
+                      transport(mk::Message::Borrowed(kBlockWrite, req)));
   if (reply.tag != 1) {
     return sb::Internal("block write failed");
   }

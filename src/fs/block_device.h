@@ -56,15 +56,16 @@ class RamDisk {
 // How a component issues block requests: returns the reply message.
 using BlockTransport = std::function<sb::StatusOr<mk::Message>(const mk::Message&)>;
 
-// Client-side wrappers over a BlockTransport.
+// A transport straight to `disk`: no kernel and no charged core. A read's
+// reply borrows a block owned by the transport, valid until its next call.
+BlockTransport DirectBlockTransport(RamDisk* disk);
+
+// Client-side wrappers over a BlockTransport. Requests are built on the stack
+// and sent borrowed, so a transport must read them through payload().
 sb::Status TransportReadBlock(const BlockTransport& transport, uint32_t block,
                               std::span<uint8_t> out);
 sb::Status TransportWriteBlock(const BlockTransport& transport, uint32_t block,
                                std::span<const uint8_t> in);
-
-// Encoding helpers (shared by handler and client).
-mk::Message EncodeBlockRead(uint32_t block);
-mk::Message EncodeBlockWrite(uint32_t block, std::span<const uint8_t> data);
 
 }  // namespace fsys
 

@@ -1,5 +1,6 @@
 #include "src/fs/fs_rpc.h"
 
+#include <array>
 #include <cstring>
 
 #include "src/base/logging.h"
@@ -7,9 +8,7 @@
 namespace fsys {
 namespace {
 
-void PutU32(std::vector<uint8_t>& buf, uint32_t v) {
-  const size_t off = buf.size();
-  buf.resize(off + 4);
+void PutU32(std::span<uint8_t> buf, size_t off, uint32_t v) {
   std::memcpy(buf.data() + off, &v, 4);
 }
 
@@ -54,25 +53,30 @@ mk::Handler MakeFsHandler(Xv6Fs* fs, hw::Gva cache_base) {
         const uint32_t inum = GetU32(p, 0);
         const uint32_t off = GetU32(p, 4);
         const uint32_t len = GetU32(p, 8);
-        if (len <= 1 << 20) {
-          std::vector<uint8_t> out(len);
-          if (auto n = fs->ReadFile(inum, off, out); n.ok()) {
-            // Large reads land in the connection's slice when the transport
-            // offers one: the bridge then skips the reply copy.
-            if (!env.reply_buffer.empty() &&
-                *n > env.kernel.profile().register_msg_capacity &&
-                *n <= env.reply_buffer.size()) {
-              std::memcpy(env.reply_buffer.data(), out.data(), *n);
-              reply = mk::Message::Borrowed(
-                  *n, std::span<const uint8_t>(env.reply_buffer.data(), *n));
-            } else {
-              out.resize(*n);
-              reply.tag = *n;
-              reply.data = std::move(out);
-            }
-          } else {
-            SB_LOG(kWarning) << "fs read inum=" << inum << ": " << n.status().ToString();
+        if (len > 1 << 20) {
+          break;
+        }
+        // With a slice on offer, read straight into it when `len` fits (the
+        // request is fully decoded, so the slice may be overwritten).
+        const std::span<uint8_t> slice = env.reply_buffer;
+        const bool in_slice = !slice.empty() && len <= slice.size();
+        std::vector<uint8_t> out(in_slice ? 0 : len);
+        const std::span<uint8_t> dst = in_slice ? slice.first(len) : std::span<uint8_t>(out);
+        auto n = fs->ReadFile(inum, off, dst);
+        if (!n.ok()) {
+          SB_LOG(kWarning) << "fs read inum=" << inum << ": " << n.status().ToString();
+          break;
+        }
+        if (!slice.empty() && *n > env.kernel.profile().register_msg_capacity &&
+            *n <= slice.size()) {
+          // A long reply stays in the slice: the bridge skips the reply copy.
+          if (!in_slice) {
+            std::memcpy(slice.data(), dst.data(), *n);
           }
+          reply = mk::Message::Borrowed(*n, slice.first(*n));
+        } else {
+          reply.tag = *n;
+          reply.data.assign(dst.begin(), dst.begin() + *n);
         }
         break;
       }
@@ -124,25 +128,24 @@ sb::StatusOr<mk::Message> FsClient::Call(const mk::Message& msg) {
 }
 
 sb::StatusOr<uint32_t> FsClient::Open(const std::string& path) {
-  mk::Message msg(static_cast<uint64_t>(FsOp::kOpen));
-  msg.data.assign(path.begin(), path.end());
-  SB_ASSIGN_OR_RETURN(const mk::Message reply, Call(msg));
+  SB_ASSIGN_OR_RETURN(const mk::Message reply,
+                      Call(mk::Message::FromString(static_cast<uint64_t>(FsOp::kOpen), path)));
   return static_cast<uint32_t>(reply.tag);
 }
 
 sb::StatusOr<uint32_t> FsClient::Create(const std::string& path) {
-  mk::Message msg(static_cast<uint64_t>(FsOp::kCreate));
-  msg.data.assign(path.begin(), path.end());
-  SB_ASSIGN_OR_RETURN(const mk::Message reply, Call(msg));
+  SB_ASSIGN_OR_RETURN(const mk::Message reply,
+                      Call(mk::Message::FromString(static_cast<uint64_t>(FsOp::kCreate), path)));
   return static_cast<uint32_t>(reply.tag);
 }
 
 sb::StatusOr<std::vector<uint8_t>> FsClient::Read(uint32_t inum, uint32_t offset, uint32_t len) {
-  mk::Message msg(static_cast<uint64_t>(FsOp::kRead));
-  PutU32(msg.data, inum);
-  PutU32(msg.data, offset);
-  PutU32(msg.data, len);
-  SB_ASSIGN_OR_RETURN(mk::Message reply, Call(msg));
+  std::array<uint8_t, 12> req{};
+  PutU32(req, 0, inum);
+  PutU32(req, 4, offset);
+  PutU32(req, 8, len);
+  SB_ASSIGN_OR_RETURN(mk::Message reply,
+                      Call(mk::Message::Borrowed(static_cast<uint64_t>(FsOp::kRead), req)));
   if (reply.borrowed()) {
     const std::span<const uint8_t> view = reply.payload();
     return std::vector<uint8_t>(view.begin(), view.end());
@@ -151,24 +154,25 @@ sb::StatusOr<std::vector<uint8_t>> FsClient::Read(uint32_t inum, uint32_t offset
 }
 
 sb::Status FsClient::Write(uint32_t inum, uint32_t offset, std::span<const uint8_t> data) {
-  mk::Message msg(static_cast<uint64_t>(FsOp::kWrite));
-  PutU32(msg.data, inum);
-  PutU32(msg.data, offset);
-  msg.data.insert(msg.data.end(), data.begin(), data.end());
-  return Call(msg).status();
+  wire_.resize(8 + data.size());
+  PutU32(wire_, 0, inum);
+  PutU32(wire_, 4, offset);
+  if (!data.empty()) {
+    std::memcpy(wire_.data() + 8, data.data(), data.size());
+  }
+  return Call(mk::Message::Borrowed(static_cast<uint64_t>(FsOp::kWrite), wire_)).status();
 }
 
 sb::StatusOr<uint32_t> FsClient::Size(uint32_t inum) {
-  mk::Message msg(static_cast<uint64_t>(FsOp::kSize));
-  PutU32(msg.data, inum);
-  SB_ASSIGN_OR_RETURN(const mk::Message reply, Call(msg));
+  std::array<uint8_t, 4> req{};
+  PutU32(req, 0, inum);
+  SB_ASSIGN_OR_RETURN(const mk::Message reply,
+                      Call(mk::Message::Borrowed(static_cast<uint64_t>(FsOp::kSize), req)));
   return static_cast<uint32_t>(reply.tag);
 }
 
 sb::Status FsClient::Unlink(const std::string& path) {
-  mk::Message msg(static_cast<uint64_t>(FsOp::kUnlink));
-  msg.data.assign(path.begin(), path.end());
-  return Call(msg).status();
+  return Call(mk::Message::FromString(static_cast<uint64_t>(FsOp::kUnlink), path)).status();
 }
 
 }  // namespace fsys

@@ -48,6 +48,7 @@ class FsClient {
 
   Transport transport_;
   uint64_t rpcs_ = 0;
+  std::vector<uint8_t> wire_;  // Write's request bytes, reused across calls.
 };
 
 }  // namespace fsys

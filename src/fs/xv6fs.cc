@@ -14,11 +14,11 @@ constexpr uint32_t kDirentSize = 32;  // u16 inum + 30-char name.
 
 static_assert(sizeof(DiskInode) == 64, "DiskInode must be 64 bytes");
 
-void PutU32(std::vector<uint8_t>& buf, size_t off, uint32_t v) {
+void PutU32(std::span<uint8_t> buf, size_t off, uint32_t v) {
   std::memcpy(buf.data() + off, &v, 4);
 }
 
-uint32_t GetU32(const std::vector<uint8_t>& buf, size_t off) {
+uint32_t GetU32(std::span<const uint8_t> buf, size_t off) {
   uint32_t v = 0;
   std::memcpy(&v, buf.data() + off, 4);
   return v;
@@ -45,21 +45,23 @@ sb::StatusOr<Xv6Fs::Buf*> Xv6Fs::GetBlock(uint32_t block) {
   auto it = cache_.find(block);
   if (it != cache_.end()) {
     ++stats_.cache_hits;
-    cache_lru_.remove(block);
-    cache_lru_.push_front(block);
+    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second.lru_pos);
     ChargeCacheTouch(block, false);
     return &it->second;
   }
   SB_RETURN_IF_ERROR(EvictIfNeeded());
-  Buf buf;
-  buf.data.resize(kBlockSize);
-  SB_RETURN_IF_ERROR(TransportReadBlock(transport_, block, buf.data));
+  // Read straight into the new entry; a failed read leaves no entry behind.
+  it = cache_.try_emplace(block).first;
+  if (const sb::Status read = TransportReadBlock(transport_, block, it->second.data);
+      !read.ok()) {
+    cache_.erase(it);
+    return read;
+  }
   ++stats_.block_reads;
   ChargeCacheTouch(block, true);
-  auto [pos, inserted] = cache_.emplace(block, std::move(buf));
-  SB_CHECK(inserted);
   cache_lru_.push_front(block);
-  return &pos->second;
+  it->second.lru_pos = cache_lru_.begin();
+  return &it->second;
 }
 
 void Xv6Fs::MarkDirty(uint32_t block) {
@@ -98,8 +100,8 @@ sb::Status Xv6Fs::EvictIfNeeded() {
     auto it = cache_.find(victim);
     SB_CHECK(it != cache_.end());
     SB_RETURN_IF_ERROR(FlushBlock(victim, it->second));
+    cache_lru_.erase(it->second.lru_pos);
     cache_.erase(it);
-    cache_lru_.remove(victim);
   }
   return sb::OkStatus();
 }
@@ -142,7 +144,7 @@ sb::Status Xv6Fs::Commit() {
     ++stats_.block_writes;
   }
   // 2. Write the log header: the commit point.
-  std::vector<uint8_t> header(kBlockSize, 0);
+  std::array<uint8_t, kBlockSize> header{};
   PutU32(header, 0, static_cast<uint32_t>(op_blocks_.size()));
   for (size_t i = 0; i < op_blocks_.size(); ++i) {
     PutU32(header, 4 + i * 4, op_blocks_[i]);
@@ -156,7 +158,7 @@ sb::Status Xv6Fs::Commit() {
     SB_RETURN_IF_ERROR(FlushBlock(block, it->second));
   }
   // 4. Clear the header.
-  std::fill(header.begin(), header.end(), 0);
+  header.fill(0);
   SB_RETURN_IF_ERROR(TransportWriteBlock(transport_, sb_.log_start, header));
   ++stats_.block_writes;
   return sb::OkStatus();
@@ -174,20 +176,20 @@ sb::Status Xv6Fs::EndOp() {
 }
 
 sb::Status Xv6Fs::RecoverLog() {
-  std::vector<uint8_t> header(kBlockSize);
+  std::array<uint8_t, kBlockSize> header{};
   SB_RETURN_IF_ERROR(TransportReadBlock(transport_, sb_.log_start, header));
   const uint32_t n = GetU32(header, 0);
   if (n == 0 || n > kLogCapacity) {
     return sb::OkStatus();  // Nothing committed (or garbage): done.
   }
   // Replay: install logged blocks to their home locations.
-  std::vector<uint8_t> block(kBlockSize);
+  std::array<uint8_t, kBlockSize> block{};
   for (uint32_t i = 0; i < n; ++i) {
     const uint32_t home = GetU32(header, 4 + i * 4);
     SB_RETURN_IF_ERROR(TransportReadBlock(transport_, sb_.log_start + 1 + i, block));
     SB_RETURN_IF_ERROR(TransportWriteBlock(transport_, home, block));
   }
-  std::fill(header.begin(), header.end(), 0);
+  header.fill(0);
   return TransportWriteBlock(transport_, sb_.log_start, header);
 }
 
@@ -210,12 +212,12 @@ sb::Status Xv6Fs::Mkfs() {
   }
 
   // Zero the metadata area.
-  std::vector<uint8_t> zero(kBlockSize, 0);
+  const std::array<uint8_t, kBlockSize> zero{};
   for (uint32_t b = 0; b < sb.data_start; ++b) {
     SB_RETURN_IF_ERROR(TransportWriteBlock(transport_, b, zero));
   }
   // Superblock.
-  std::vector<uint8_t> sbblock(kBlockSize, 0);
+  std::array<uint8_t, kBlockSize> sbblock{};
   std::memcpy(sbblock.data(), &sb, sizeof(sb));
   SB_RETURN_IF_ERROR(TransportWriteBlock(transport_, 0, sbblock));
 
@@ -241,7 +243,7 @@ sb::Status Xv6Fs::Mkfs() {
 }
 
 sb::Status Xv6Fs::Mount() {
-  std::vector<uint8_t> sbblock(kBlockSize);
+  std::array<uint8_t, kBlockSize> sbblock{};
   SB_RETURN_IF_ERROR(TransportReadBlock(transport_, 0, sbblock));
   std::memcpy(&sb_, sbblock.data(), sizeof(sb_));
   if (sb_.magic != kFsMagic) {
@@ -309,7 +311,7 @@ sb::StatusOr<uint32_t> Xv6Fs::AllocBlock() {
       SB_RETURN_IF_ERROR(LogWrite(bmap_block));
       // Zero the new block.
       SB_ASSIGN_OR_RETURN(Buf * data_buf, GetBlock(b));
-      std::fill(data_buf->data.begin(), data_buf->data.end(), 0);
+      data_buf->data.fill(0);
       SB_RETURN_IF_ERROR(LogWrite(b));
       return b;
     }

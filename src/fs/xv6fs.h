@@ -21,6 +21,7 @@
 #ifndef SRC_FS_XV6FS_H_
 #define SRC_FS_XV6FS_H_
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <string>
@@ -126,9 +127,12 @@ class Xv6Fs {
   }
 
  private:
+  friend class Xv6FsTestPeer;  // Drives the buffer cache in unit tests.
+
   struct Buf {
-    std::vector<uint8_t> data;
+    std::array<uint8_t, kBlockSize> data;
     bool dirty = false;
+    std::list<uint32_t>::iterator lru_pos;  // This block's node in cache_lru_.
   };
 
   // ---- Buffer cache ----

@@ -4,6 +4,12 @@
 #include "src/db/minisql.h"
 
 #include <algorithm>
+#include <cstring>
+#include <list>
+#include <map>
+#include <unordered_map>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
@@ -13,85 +19,38 @@
 namespace minisql {
 namespace {
 
-// FS stack with a direct (kernel-free) transport for unit testing.
+// FS stack for unit testing: the fs server's handler, called directly on a
+// standalone machine (no kernel IPC), over an uncharged RAM disk.
 struct DirectFs {
-  DirectFs() : disk(32768), fs(MakeTransport(), fsys::Xv6Fs::Config{32768, 512, fsys::kLogCapacity + 1, 64}), client(MakeFsTransport()) {
+  DirectFs()
+      : disk(32768),
+        fs(fsys::DirectBlockTransport(&disk),
+           fsys::Xv6Fs::Config{32768, 512, fsys::kLogCapacity + 1, 64}),
+        machine([] {
+          hw::MachineConfig mc;
+          mc.num_cores = 1;
+          mc.ram_bytes = 1ULL << 30;
+          return mc;
+        }()),
+        kernel(machine, mk::Sel4Profile(),
+               mk::KernelOptions{false, {}, 1 << 20, 1 << 20, 1 << 20}),
+        handler(fsys::MakeFsHandler(&fs)),
+        client([this](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
+          mk::CallEnv env{kernel, machine.core(0), *server, msg};
+          return handler(env);
+        }) {
     SB_CHECK(fs.Mkfs().ok());
     SB_CHECK(fs.Mount().ok());
-  }
-
-  fsys::BlockTransport MakeTransport() {
-    return [this](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
-      uint32_t block = 0;
-      std::memcpy(&block, msg.data.data(), 4);
-      if (msg.tag == fsys::kBlockRead) {
-        mk::Message reply(1);
-        reply.data.resize(fsys::kBlockSize);
-        SB_RETURN_IF_ERROR(disk.Read(nullptr, block, reply.data));
-        return reply;
-      }
-      SB_RETURN_IF_ERROR(disk.Write(
-          nullptr, block, std::span<const uint8_t>(msg.data.data() + 4, fsys::kBlockSize)));
-      return mk::Message(1);
-    };
-  }
-
-  fsys::FsClient::Transport MakeFsTransport() {
-    return [this](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
-      // Run the FS operation directly (no kernel context needed for tests).
-      switch (static_cast<fsys::FsOp>(msg.tag)) {
-        case fsys::FsOp::kOpen: {
-          auto inum = fs.Lookup(std::string(msg.data.begin(), msg.data.end()));
-          return inum.ok() ? mk::Message(*inum) : mk::Message(fsys::kFsError);
-        }
-        case fsys::FsOp::kCreate: {
-          auto inum = fs.Create(std::string(msg.data.begin(), msg.data.end()));
-          return inum.ok() ? mk::Message(*inum) : mk::Message(fsys::kFsError);
-        }
-        case fsys::FsOp::kRead: {
-          uint32_t inum = 0;
-          uint32_t off = 0;
-          uint32_t len = 0;
-          std::memcpy(&inum, msg.data.data(), 4);
-          std::memcpy(&off, msg.data.data() + 4, 4);
-          std::memcpy(&len, msg.data.data() + 8, 4);
-          std::vector<uint8_t> out(len);
-          auto n = fs.ReadFile(inum, off, out);
-          if (!n.ok()) {
-            return mk::Message(fsys::kFsError);
-          }
-          out.resize(*n);
-          mk::Message reply(*n);
-          reply.data = std::move(out);
-          return reply;
-        }
-        case fsys::FsOp::kWrite: {
-          uint32_t inum = 0;
-          uint32_t off = 0;
-          std::memcpy(&inum, msg.data.data(), 4);
-          std::memcpy(&off, msg.data.data() + 4, 4);
-          const std::span<const uint8_t> payload(msg.data.data() + 8, msg.data.size() - 8);
-          return fs.WriteFile(inum, off, payload).ok() ? mk::Message(1)
-                                                       : mk::Message(fsys::kFsError);
-        }
-        case fsys::FsOp::kSize: {
-          uint32_t inum = 0;
-          std::memcpy(&inum, msg.data.data(), 4);
-          auto size = fs.FileSize(inum);
-          return size.ok() ? mk::Message(*size) : mk::Message(fsys::kFsError);
-        }
-        case fsys::FsOp::kUnlink: {
-          return fs.Unlink(std::string(msg.data.begin(), msg.data.end())).ok()
-                     ? mk::Message(1)
-                     : mk::Message(fsys::kFsError);
-        }
-      }
-      return mk::Message(fsys::kFsError);
-    };
+    SB_CHECK(kernel.Boot().ok());
+    server = kernel.CreateProcess("fs").value();
   }
 
   fsys::RamDisk disk;
   fsys::Xv6Fs fs;
+  hw::Machine machine;
+  mk::Kernel kernel;
+  mk::Process* server = nullptr;
+  mk::Handler handler;
   fsys::FsClient client;
 };
 
@@ -166,6 +125,189 @@ TEST(Pager, EvictionWritesDirtyPages) {
     auto page = pager2.GetPage(i);
     ASSERT_TRUE(page.ok());
     EXPECT_EQ((**page)[0], static_cast<uint8_t>(i));
+  }
+}
+
+// A file held in memory behind an FsClient, logging each RPC.
+struct MemFile {
+  explicit MemFile(std::vector<uint8_t> initial) : bytes(std::move(initial)) {}
+
+  fsys::FsClient::Transport Transport() {
+    return [this](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
+      const std::span<const uint8_t> p = msg.payload();
+      uint32_t off = 0;
+      if (p.size() >= 8) {
+        std::memcpy(&off, p.data() + 4, 4);
+      }
+      rpcs.emplace_back(static_cast<fsys::FsOp>(msg.tag), off);
+      switch (static_cast<fsys::FsOp>(msg.tag)) {
+        case fsys::FsOp::kSize:
+          return mk::Message(bytes.size());
+        case fsys::FsOp::kRead: {
+          uint32_t len = 0;
+          std::memcpy(&len, p.data() + 8, 4);
+          const size_t n = off >= bytes.size() ? 0 : std::min<size_t>(len, bytes.size() - off);
+          return mk::Message(n, std::vector<uint8_t>(bytes.begin() + off,
+                                                     bytes.begin() + off + n));
+        }
+        case fsys::FsOp::kWrite: {
+          const std::span<const uint8_t> data = p.subspan(8);
+          bytes.resize(std::max<size_t>(bytes.size(), off + data.size()));
+          std::copy(data.begin(), data.end(), bytes.begin() + off);
+          return mk::Message(1);
+        }
+        default:
+          return mk::Message(fsys::kFsError);
+      }
+    };
+  }
+
+  std::vector<uint8_t> bytes;
+  std::vector<std::pair<fsys::FsOp, uint32_t>> rpcs;  // (op, file offset)
+};
+
+// The pager as it was written before its LRU kept list iterators:
+// std::list::remove on every hit.
+class ReferencePager {
+ public:
+  ReferencePager(fsys::FsClient* fs, uint32_t num_pages, size_t capacity)
+      : fs_(fs), capacity_(capacity), num_pages_(num_pages) {}
+
+  sb::StatusOr<std::vector<uint8_t>*> GetPage(uint32_t pgno) {
+    auto it = cache_.find(pgno);
+    if (it != cache_.end()) {
+      ++cache_hits_;
+      lru_.remove(pgno);
+      lru_.push_front(pgno);
+      return &it->second.data;
+    }
+    ++page_faults_;
+    SB_RETURN_IF_ERROR(EvictIfNeeded());
+    SB_ASSIGN_OR_RETURN(std::vector<uint8_t> data, fs_->Read(1, pgno * kDbPageSize, kDbPageSize));
+    data.resize(kDbPageSize, 0);
+    auto [pos, inserted] = cache_.emplace(pgno, Entry{std::move(data), false});
+    lru_.push_front(pgno);
+    return &pos->second.data;
+  }
+
+  void MarkDirty(uint32_t pgno) { cache_.at(pgno).dirty = true; }
+
+  sb::StatusOr<uint32_t> AllocatePage() {
+    SB_RETURN_IF_ERROR(EvictIfNeeded());
+    const uint32_t pgno = num_pages_++;
+    cache_.emplace(pgno, Entry{std::vector<uint8_t>(kDbPageSize, 0), true});
+    lru_.push_front(pgno);
+    return pgno;
+  }
+
+  sb::Status Flush() {
+    for (auto& [pgno, entry] : cache_) {
+      if (entry.dirty) {
+        SB_RETURN_IF_ERROR(fs_->Write(1, pgno * kDbPageSize, entry.data));
+        entry.dirty = false;
+      }
+    }
+    return sb::OkStatus();
+  }
+
+  uint32_t num_pages() const { return num_pages_; }
+  uint64_t page_faults() const { return page_faults_; }
+  uint64_t cache_hits() const { return cache_hits_; }
+
+ private:
+  struct Entry {
+    std::vector<uint8_t> data;
+    bool dirty = false;
+  };
+
+  sb::Status EvictIfNeeded() {
+    while (cache_.size() >= capacity_) {
+      const uint32_t victim = lru_.back();
+      Entry& entry = cache_.at(victim);
+      if (entry.dirty) {
+        SB_RETURN_IF_ERROR(fs_->Write(1, victim * kDbPageSize, entry.data));
+      }
+      cache_.erase(victim);
+      lru_.remove(victim);
+    }
+    return sb::OkStatus();
+  }
+
+  fsys::FsClient* fs_;
+  size_t capacity_;
+  uint32_t num_pages_;
+  std::unordered_map<uint32_t, Entry> cache_;
+  std::list<uint32_t> lru_;  // Front = most recent.
+  uint64_t page_faults_ = 0;
+  uint64_t cache_hits_ = 0;
+};
+
+void RunPagerDifferential(size_t capacity, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "capacity " << capacity << " seed " << seed);
+  sb::Rng rng(seed);
+  std::vector<uint8_t> initial(3 * kDbPageSize);
+  for (uint8_t& b : initial) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  MemFile file(initial);
+  MemFile ref_file(initial);
+  fsys::FsClient client(file.Transport());
+  fsys::FsClient ref_client(ref_file.Transport());
+  Pager pager(&client, 1, capacity);
+  ASSERT_TRUE(pager.Open().ok());
+  ReferencePager ref(&ref_client, pager.num_pages(), capacity);
+  file.rpcs.clear();
+
+  const uint32_t max_pages = static_cast<uint32_t>(2 * capacity + 4);
+  uint64_t flushes = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t kind = rng.Below(20);
+    if (kind == 0 && pager.num_pages() < max_pages) {
+      auto got = pager.AllocatePage();
+      auto want = ref.AllocatePage();
+      ASSERT_TRUE(got.ok() && want.ok());
+      ASSERT_EQ(*got, *want) << "op " << op;
+    } else if (kind == 1) {
+      ASSERT_TRUE(pager.Flush().ok());
+      ASSERT_TRUE(ref.Flush().ok());
+      ++flushes;
+    } else {
+      const uint32_t pgno = static_cast<uint32_t>(rng.Below(pager.num_pages()));
+      auto got = pager.GetPage(pgno);
+      auto want = ref.GetPage(pgno);
+      ASSERT_TRUE(got.ok() && want.ok());
+      ASSERT_EQ(**got, **want) << "op " << op;
+      if (rng.OneIn(2)) {
+        const size_t at = rng.Below(kDbPageSize);
+        const auto byte = static_cast<uint8_t>(rng.Next());
+        (**got)[at] = byte;
+        (**want)[at] = byte;
+        pager.MarkDirty(pgno);
+        ref.MarkDirty(pgno);
+      }
+    }
+    // Hits, misses, eviction write-backs and flush order, op by op.
+    ASSERT_EQ(file.rpcs.size(), ref_file.rpcs.size()) << "op " << op;
+    if (!file.rpcs.empty()) {
+      ASSERT_EQ(file.rpcs.back(), ref_file.rpcs.back()) << "op " << op;
+    }
+  }
+  ASSERT_TRUE(pager.Flush().ok());
+  ASSERT_TRUE(ref.Flush().ok());
+  EXPECT_EQ(file.rpcs, ref_file.rpcs);
+  EXPECT_EQ(file.bytes, ref_file.bytes);
+  EXPECT_GT(flushes, 0u);
+  EXPECT_GT(ref.cache_hits(), 0u);
+  EXPECT_GT(ref.page_faults(), capacity);
+  EXPECT_EQ(pager.cache_hits(), ref.cache_hits());
+  EXPECT_EQ(pager.page_faults(), ref.page_faults());
+}
+
+TEST(PagerDifferential, MatchesReferenceModel) {
+  for (const size_t capacity : {size_t{1}, size_t{3}, size_t{48}}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      RunPagerDifferential(capacity, seed);
+    }
   }
 }
 
@@ -375,6 +517,136 @@ TEST(Database, QueryUsesRowCache) {
   }
   EXPECT_EQ(env.client.rpcs(), rpcs);
   EXPECT_GE((*db)->stats().row_cache_hits, 10u);
+}
+
+// The row cache as it was written before its LRU kept list iterators.
+class ReferenceRowCache {
+ public:
+  explicit ReferenceRowCache(size_t capacity) : capacity_(capacity) {}
+
+  const std::vector<uint8_t>* Get(uint64_t key) {
+    auto it = rows_.find(key);
+    if (it == rows_.end()) {
+      return nullptr;
+    }
+    lru_.remove(key);
+    lru_.push_front(key);
+    return &it->second;
+  }
+
+  void Put(uint64_t key, std::vector<uint8_t> value) {
+    if (rows_.size() >= capacity_ && !lru_.empty()) {
+      rows_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    rows_[key] = std::move(value);
+    lru_.remove(key);
+    lru_.push_front(key);
+  }
+
+  void Erase(uint64_t key) {
+    rows_.erase(key);
+    lru_.remove(key);
+  }
+
+ private:
+  size_t capacity_;
+  std::unordered_map<uint64_t, std::vector<uint8_t>> rows_;
+  std::list<uint64_t> lru_;  // Front = most recent.
+};
+
+void RunRowCacheDifferential(size_t capacity, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "capacity " << capacity << " seed " << seed);
+  DirectFs env;
+  Database::Config config;
+  config.row_cache_entries = capacity;
+  config.use_journal = false;
+  auto db = Database::Open(&env.client, "/rc.db", config);
+  ASSERT_TRUE(db.ok());
+  auto table = (*db)->CreateTable("t");
+  ASSERT_TRUE(table.ok());
+  ReferenceRowCache ref(capacity);
+  std::map<uint64_t, std::vector<uint8_t>> rows;  // The table's contents.
+
+  sb::Rng rng(seed);
+  const uint64_t keys = 2 * capacity + 2;
+  uint64_t hits = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const uint64_t key = rng.Below(keys);
+    const bool present = rows.count(key) != 0;
+    std::vector<uint8_t> value(1 + rng.Below(40), static_cast<uint8_t>(rng.Next()));
+    const uint64_t kind = rng.Below(10);
+    if (kind < 2) {
+      ASSERT_EQ((*table)->Insert(key, value).ok(), !present) << "op " << op;
+      if (!present) {
+        ref.Put(key, value);
+        rows[key] = std::move(value);
+      }
+    } else if (kind < 4) {
+      ASSERT_EQ((*table)->Update(key, value).ok(), present) << "op " << op;
+      if (present) {
+        ref.Put(key, value);
+        rows[key] = std::move(value);
+      }
+    } else if (kind < 9) {
+      const uint64_t hits_before = (*db)->stats().row_cache_hits;
+      auto got = (*table)->Query(key);
+      ASSERT_EQ(got.ok(), present) << "op " << op;
+      const std::vector<uint8_t>* cached = ref.Get(key);
+      ASSERT_EQ((*db)->stats().row_cache_hits - hits_before, cached != nullptr ? 1u : 0u)
+          << "op " << op;
+      if (cached != nullptr) {
+        ++hits;
+        ASSERT_EQ(*got, *cached) << "op " << op;
+      } else if (present) {
+        ref.Put(key, rows[key]);
+      }
+      if (present) {
+        ASSERT_EQ(*got, rows[key]) << "op " << op;
+      }
+    } else {
+      ASSERT_EQ((*table)->Delete(key).ok(), present) << "op " << op;
+      if (present) {
+        ref.Erase(key);
+        rows.erase(key);
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u);
+}
+
+TEST(RowCacheDifferential, MatchesReferenceModel) {
+  for (const size_t capacity : {size_t{1}, size_t{4}, size_t{96}}) {
+    for (const uint64_t seed : {1u, 2u}) {
+      RunRowCacheDifferential(capacity, seed);
+    }
+  }
+}
+
+// A full row cache drops its LRU row before RowCachePut looks the key up, so
+// rewriting a row that is already cached still costs another row its slot.
+// Kept on purpose: the simulated YCSB numbers depend on it.
+TEST(RowCache, FullCachePutEvictsTailBeforeUpdate) {
+  DirectFs env;
+  Database::Config config;
+  config.row_cache_entries = 2;
+  config.use_journal = false;
+  auto db = Database::Open(&env.client, "/q.db", config);
+  ASSERT_TRUE(db.ok());
+  auto table = (*db)->CreateTable("t");
+  ASSERT_TRUE(table.ok());
+  auto query_hits = [&](uint64_t key) {
+    const uint64_t before = (*db)->stats().row_cache_hits;
+    EXPECT_TRUE((*table)->Query(key).ok());
+    return (*db)->stats().row_cache_hits - before;
+  };
+
+  // Cache {2, 1}: full. Updating the cached row 2 still evicts row 1.
+  ASSERT_TRUE((*table)->Insert(1, Value("a")).ok());
+  ASSERT_TRUE((*table)->Insert(2, Value("b")).ok());
+  ASSERT_TRUE((*table)->Update(2, Value("B")).ok());
+  EXPECT_EQ(query_hits(2), 1u);
+  EXPECT_EQ(query_hits(1), 0u);  // An exact LRU would still hold row 1.
 }
 
 TEST(Database, WritesGoThroughJournal) {

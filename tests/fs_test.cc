@@ -3,36 +3,47 @@
 
 #include "src/fs/xv6fs.h"
 
+#include <algorithm>
+#include <cstring>
+#include <list>
+#include <unordered_map>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "src/base/rng.h"
 #include "src/fs/block_device.h"
 #include "src/fs/fs_rpc.h"
 
 namespace fsys {
+
+// Reaches the buffer cache behind Xv6Fs's file API.
+class Xv6FsTestPeer {
+ public:
+  static sb::Status GetBlock(Xv6Fs& fs, uint32_t block) { return fs.GetBlock(block).status(); }
+  static sb::Status LogWrite(Xv6Fs& fs, uint32_t block) { return fs.LogWrite(block); }
+  static bool Cached(const Xv6Fs& fs, uint32_t block) { return fs.cache_.contains(block); }
+  static std::vector<uint32_t> LruOrder(const Xv6Fs& fs) {
+    return {fs.cache_lru_.begin(), fs.cache_lru_.end()};
+  }
+};
+
 namespace {
 
-// A transport that talks straight to a RamDisk (no kernel, no charging).
-BlockTransport DirectTransport(RamDisk* disk) {
-  return [disk](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
-    switch (msg.tag) {
-      case kBlockRead: {
-        uint32_t block = 0;
-        std::memcpy(&block, msg.data.data(), 4);
-        mk::Message reply(1);
-        reply.data.resize(kBlockSize);
-        SB_RETURN_IF_ERROR(disk->Read(nullptr, block, reply.data));
-        return reply;
-      }
-      case kBlockWrite: {
-        uint32_t block = 0;
-        std::memcpy(&block, msg.data.data(), 4);
-        SB_RETURN_IF_ERROR(disk->Write(
-            nullptr, block, std::span<const uint8_t>(msg.data.data() + 4, kBlockSize)));
-        return mk::Message(1);
-      }
-      default:
-        return sb::InvalidArgument("bad block op");
+// Block traffic as (request tag, block number), in issue order.
+using BlockTrace = std::vector<std::pair<uint64_t, uint32_t>>;
+
+// DirectBlockTransport that records every request and can fail reads.
+BlockTransport RecordingTransport(RamDisk* disk, BlockTrace* trace, const bool* fail_reads) {
+  return [inner = DirectBlockTransport(disk), trace, fail_reads](
+             const mk::Message& msg) -> sb::StatusOr<mk::Message> {
+    uint32_t block = 0;
+    std::memcpy(&block, msg.payload().data(), 4);
+    if (msg.tag == kBlockRead && *fail_reads) {
+      return sb::Unavailable("injected block read failure");
     }
+    trace->emplace_back(msg.tag, block);
+    return inner(msg);
   };
 }
 
@@ -40,7 +51,7 @@ class FsTest : public ::testing::Test {
  protected:
   FsTest()
       : disk_(4096),
-        fs_(DirectTransport(&disk_), Xv6Fs::Config{4096, 512, kLogCapacity + 1, 64}) {}
+        fs_(DirectBlockTransport(&disk_), Xv6Fs::Config{4096, 512, kLogCapacity + 1, 64}) {}
 
   void Format() {
     ASSERT_TRUE(fs_.Mkfs().ok());
@@ -230,7 +241,7 @@ TEST_F(FsTest, LogRecoveryReplaysCommittedTransaction) {
   ASSERT_TRUE(disk_.Write(nullptr, sb.log_start, header).ok());
 
   // Remount: recovery must reinstall the logged block.
-  Xv6Fs fs2(DirectTransport(&disk_));
+  Xv6Fs fs2(DirectBlockTransport(&disk_));
   ASSERT_TRUE(fs2.Mount().ok());
   std::vector<uint8_t> out(kBlockSize);
   ASSERT_TRUE(fs2.ReadFile(*inum, 0, out).ok());
@@ -329,9 +340,195 @@ TEST_F(FsTest, FsckDetectsBitmapCorruption) {
   ASSERT_TRUE(disk_.Write(nullptr, sb.bmap_start + victim / (kBlockSize * 8), bmap).ok());
 
   // Remount so the corruption is visible through the cache.
-  Xv6Fs fs2(DirectTransport(&disk_), Xv6Fs::Config{4096, 512, kLogCapacity + 1, 64});
+  Xv6Fs fs2(DirectBlockTransport(&disk_), Xv6Fs::Config{4096, 512, kLogCapacity + 1, 64});
   ASSERT_TRUE(fs2.Mount().ok());
   EXPECT_FALSE(fs2.Fsck().ok());
+}
+
+// The buffer cache as it was written before its LRU kept list iterators:
+// std::list::remove on every hit and eviction. It mirrors GetBlock, LogWrite
+// and the log commit, and records the block traffic they issue.
+class ReferenceBufferCache {
+ public:
+  ReferenceBufferCache(size_t capacity, uint32_t log_start)
+      : capacity_(capacity), log_start_(log_start) {}
+
+  void Get(uint32_t block) {
+    if (cache_.find(block) != cache_.end()) {
+      ++hits_;
+      lru_.remove(block);
+      lru_.push_front(block);
+      return;
+    }
+    Evict();
+    trace_.emplace_back(kBlockRead, block);
+    cache_.emplace(block, false);
+    lru_.push_front(block);
+  }
+
+  void LogWrite(uint32_t block) {
+    cache_.at(block) = true;
+    if (std::find(op_blocks_.begin(), op_blocks_.end(), block) == op_blocks_.end()) {
+      op_blocks_.push_back(block);
+    }
+  }
+
+  void EndOp() {
+    if (!op_blocks_.empty()) {
+      for (size_t i = 0; i < op_blocks_.size(); ++i) {
+        trace_.emplace_back(kBlockWrite, log_start_ + 1 + static_cast<uint32_t>(i));
+      }
+      trace_.emplace_back(kBlockWrite, log_start_);
+      for (const uint32_t block : op_blocks_) {
+        Flush(block);
+      }
+      trace_.emplace_back(kBlockWrite, log_start_);
+    }
+    op_blocks_.clear();
+  }
+
+  const BlockTrace& trace() const { return trace_; }
+  const std::list<uint32_t>& lru() const { return lru_; }
+  uint64_t hits() const { return hits_; }
+
+ private:
+  void Flush(uint32_t block) {
+    bool& dirty = cache_.at(block);
+    if (dirty) {
+      trace_.emplace_back(kBlockWrite, block);
+      dirty = false;
+    }
+  }
+
+  void Evict() {
+    while (cache_.size() >= capacity_) {
+      uint32_t victim = UINT32_MAX;
+      for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+        if (std::find(op_blocks_.begin(), op_blocks_.end(), *it) == op_blocks_.end()) {
+          victim = *it;
+          break;
+        }
+      }
+      ASSERT_NE(victim, UINT32_MAX) << "the test keeps an op smaller than the cache";
+      Flush(victim);
+      cache_.erase(victim);
+      lru_.remove(victim);
+    }
+  }
+
+  size_t capacity_;
+  uint32_t log_start_;
+  std::unordered_map<uint32_t, bool> cache_;  // block -> dirty
+  std::list<uint32_t> lru_;                   // Front = most recent.
+  std::vector<uint32_t> op_blocks_;
+  BlockTrace trace_;
+  uint64_t hits_ = 0;
+};
+
+void RunBufferCacheDifferential(size_t capacity, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "capacity " << capacity << " seed " << seed);
+  RamDisk disk(4096);
+  BlockTrace trace;
+  bool fail_reads = false;
+  Xv6Fs fs(RecordingTransport(&disk, &trace, &fail_reads),
+           Xv6Fs::Config{4096, 512, kLogCapacity + 1, capacity});
+  ASSERT_TRUE(fs.Mkfs().ok());
+  ASSERT_TRUE(fs.Mount().ok());
+  trace.clear();
+  const FsStats before = fs.stats();
+  ReferenceBufferCache ref(capacity, fs.superblock().log_start);
+
+  sb::Rng rng(seed);
+  // A block pool 1.5x the cache, so hits and evictions both happen.
+  const uint32_t first = fs.superblock().data_start;
+  const uint64_t pool = capacity + capacity / 2 + 1;
+  // Blocks dirtied per op stay below the capacity: an op can always evict.
+  const size_t max_op_blocks = std::min<size_t>(capacity - 1, kLogCapacity);
+  size_t op_blocks = 0;
+  ASSERT_TRUE(fs.BeginOp().ok());
+  for (int op = 0; op < 20000; ++op) {
+    const uint32_t block = first + static_cast<uint32_t>(rng.Below(pool));
+    const uint64_t kind = rng.Below(10);
+    if (kind < 6 || op_blocks >= max_op_blocks) {
+      ASSERT_TRUE(Xv6FsTestPeer::GetBlock(fs, block).ok());
+      ref.Get(block);
+    } else if (kind < 9) {
+      ASSERT_TRUE(Xv6FsTestPeer::GetBlock(fs, block).ok());
+      ASSERT_TRUE(Xv6FsTestPeer::LogWrite(fs, block).ok());
+      ref.Get(block);
+      ref.LogWrite(block);
+      ++op_blocks;  // An upper bound: rewrites of a block are absorbed.
+    }
+    if (kind == 9 || op_blocks >= max_op_blocks) {
+      ASSERT_TRUE(fs.EndOp().ok());
+      ASSERT_TRUE(fs.BeginOp().ok());
+      ref.EndOp();
+      op_blocks = 0;
+    }
+    ASSERT_EQ(trace.size(), ref.trace().size()) << "op " << op;
+    ASSERT_EQ(Xv6FsTestPeer::LruOrder(fs),
+              std::vector<uint32_t>(ref.lru().begin(), ref.lru().end()))
+        << "op " << op;
+  }
+  ASSERT_TRUE(fs.EndOp().ok());
+  ref.EndOp();
+  EXPECT_EQ(trace, ref.trace());
+  EXPECT_GT(ref.hits(), 0u);
+  EXPECT_EQ(fs.stats().cache_hits - before.cache_hits, ref.hits());
+  EXPECT_EQ(fs.stats().block_reads - before.block_reads,
+            static_cast<uint64_t>(std::count_if(trace.begin(), trace.end(), [](const auto& t) {
+              return t.first == kBlockRead;
+            })));
+}
+
+TEST(BufferCacheDifferential, MatchesReferenceModel) {
+  for (const size_t capacity : {size_t{2}, size_t{5}, size_t{64}}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      RunBufferCacheDifferential(capacity, seed);
+    }
+  }
+}
+
+TEST(BufferCache, FailedReadLeavesNoEntryAndIsRetried) {
+  RamDisk disk(4096);
+  BlockTrace trace;
+  bool fail_reads = false;
+  Xv6Fs fs(RecordingTransport(&disk, &trace, &fail_reads),
+           Xv6Fs::Config{4096, 512, kLogCapacity + 1, 8});
+  ASSERT_TRUE(fs.Mkfs().ok());
+  ASSERT_TRUE(fs.Mount().ok());
+  const uint32_t block = fs.superblock().data_start;
+  const uint64_t reads = fs.stats().block_reads;
+
+  fail_reads = true;
+  EXPECT_FALSE(Xv6FsTestPeer::GetBlock(fs, block).ok());
+  EXPECT_FALSE(Xv6FsTestPeer::Cached(fs, block));
+  EXPECT_TRUE(Xv6FsTestPeer::LruOrder(fs).empty());
+  EXPECT_EQ(fs.stats().block_reads, reads);
+
+  fail_reads = false;
+  trace.clear();
+  ASSERT_TRUE(Xv6FsTestPeer::GetBlock(fs, block).ok());
+  EXPECT_EQ(trace, (BlockTrace{{kBlockRead, block}}));
+  EXPECT_TRUE(Xv6FsTestPeer::Cached(fs, block));
+  EXPECT_EQ(fs.stats().block_reads, reads + 1);
+}
+
+TEST(FsRpc, ClientWriteSendsExactlyTheNewLength) {
+  std::vector<std::vector<uint8_t>> sent;
+  FsClient client([&](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
+    const std::span<const uint8_t> p = msg.payload();
+    sent.emplace_back(p.begin(), p.end());
+    return mk::Message(1);
+  });
+  const std::vector<uint8_t> large(300, 0xaa);
+  const std::vector<uint8_t> small = {1, 2, 3};
+  ASSERT_TRUE(client.Write(7, 100, large).ok());
+  ASSERT_TRUE(client.Write(9, 4, small).ok());
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0].size(), 8 + large.size());
+  const std::vector<uint8_t> want = {9, 0, 0, 0, 4, 0, 0, 0, 1, 2, 3};
+  EXPECT_EQ(sent[1], want);
 }
 
 TEST(RamDisk, ReadWriteRoundTrip) {
@@ -348,7 +545,7 @@ TEST(RamDisk, ReadWriteRoundTrip) {
 
 TEST(FsRpc, ClientServerRoundTripOverDirectHandler) {
   RamDisk disk(4096);
-  Xv6Fs fs(DirectTransport(&disk));
+  Xv6Fs fs(DirectBlockTransport(&disk));
   ASSERT_TRUE(fs.Mkfs().ok());
   ASSERT_TRUE(fs.Mount().ok());
 

@@ -105,27 +105,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EptPropertyTest, ::testing::Range(0, 8));
 
 // ---- File system vs a reference model, with a remount mid-way ----
 
-fsys::BlockTransport DiskTransport(fsys::RamDisk* disk) {
-  return [disk](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
-    uint32_t block = 0;
-    std::memcpy(&block, msg.data.data(), 4);
-    if (msg.tag == fsys::kBlockRead) {
-      mk::Message reply(1);
-      reply.data.resize(fsys::kBlockSize);
-      SB_RETURN_IF_ERROR(disk->Read(nullptr, block, reply.data));
-      return reply;
-    }
-    SB_RETURN_IF_ERROR(disk->Write(
-        nullptr, block, std::span<const uint8_t>(msg.data.data() + 4, fsys::kBlockSize)));
-    return mk::Message(1);
-  };
-}
-
 class FsPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FsPropertyTest, RandomOpsMatchReferenceModel) {
   fsys::RamDisk disk(8192);
-  auto fs = std::make_unique<fsys::Xv6Fs>(DiskTransport(&disk));
+  auto fs = std::make_unique<fsys::Xv6Fs>(fsys::DirectBlockTransport(&disk));
   ASSERT_TRUE(fs->Mkfs().ok());
   ASSERT_TRUE(fs->Mount().ok());
 
@@ -136,7 +120,7 @@ TEST_P(FsPropertyTest, RandomOpsMatchReferenceModel) {
   for (int step = 0; step < 250; ++step) {
     if (step == 125) {
       // Remount mid-run: everything must persist.
-      fs = std::make_unique<fsys::Xv6Fs>(DiskTransport(&disk));
+      fs = std::make_unique<fsys::Xv6Fs>(fsys::DirectBlockTransport(&disk));
       ASSERT_TRUE(fs->Mount().ok());
     }
     const std::string path = random_path();

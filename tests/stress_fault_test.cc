@@ -71,24 +71,6 @@ bool IsAllowedOutcome(const sb::Status& status) {
   }
 }
 
-// Block transport straight to a RamDisk: the stress target is the SkyBridge
-// RPC hop in front of the fs, not block-device charging.
-fsys::BlockTransport RamTransport(fsys::RamDisk* disk) {
-  return [disk](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
-    uint32_t block = 0;
-    std::memcpy(&block, msg.data.data(), 4);
-    if (msg.tag == fsys::kBlockRead) {
-      mk::Message reply(1);
-      reply.data.resize(fsys::kBlockSize);
-      SB_RETURN_IF_ERROR(disk->Read(nullptr, block, reply.data));
-      return reply;
-    }
-    SB_RETURN_IF_ERROR(disk->Write(
-        nullptr, block, std::span<const uint8_t>(msg.data.data() + 4, fsys::kBlockSize)));
-    return mk::Message(1);
-  };
-}
-
 // The full SkyBridge fault catalog plus the rootkernel registration fault.
 const char* const kCatalog[] = {kFaultPreVmfunc,      kFaultHandlerCrash,
                                 kFaultReplyCorrupt,   kFaultRevokeInflight,
@@ -165,8 +147,10 @@ class StressScenario {
                    .value();
 
     // xv6fs behind a SkyBridge RPC hop, crossing via MPK.
+    // Uncharged block device: the stress target is the RPC hop in front of
+    // the fs, not block-device charging.
     disk_ = std::make_unique<fsys::RamDisk>(4096);
-    fs_ = std::make_unique<fsys::Xv6Fs>(RamTransport(disk_.get()));
+    fs_ = std::make_unique<fsys::Xv6Fs>(fsys::DirectBlockTransport(disk_.get()));
     SB_CHECK(fs_->Mkfs().ok());
     SB_CHECK(fs_->Mount().ok());
     fs_server_ = kernel_->CreateProcess("stress-fs-server").value();
