@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/apps/corpus.h"
+#include "src/apps/kv.h"
 #include "src/base/rng.h"
 #include "src/base/telemetry/trace.h"
 #include "src/base/units.h"
@@ -215,6 +216,40 @@ void BM_VmfuncScanSerial(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * image.size()));
 }
 BENCHMARK(BM_VmfuncScanSerial);
+
+// The KV pipeline's cipher over one 64-byte value (kv_open's value size):
+// host time only — the simulated charge is a fixed 8 cycles per byte.
+constexpr uint32_t kXteaKey[4] = {0x13572468, 0xdeadbeef, 0x0badcafe, 0x87654321};
+
+std::vector<uint8_t> XteaValue() {
+  std::vector<uint8_t> value(64);
+  for (size_t i = 0; i < value.size(); ++i) {
+    value[i] = static_cast<uint8_t>('a' + i % 26);
+  }
+  return value;
+}
+
+void BM_XteaEncrypt64(benchmark::State& state) {
+  std::vector<uint8_t> value = XteaValue();
+  for (auto _ : state) {
+    apps::XteaEncrypt(value, kXteaKey);
+    benchmark::DoNotOptimize(value.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * value.size()));
+}
+BENCHMARK(BM_XteaEncrypt64);
+
+void BM_XteaDecrypt64(benchmark::State& state) {
+  std::vector<uint8_t> value = XteaValue();
+  for (auto _ : state) {
+    apps::XteaDecrypt(value, kXteaKey);
+    benchmark::DoNotOptimize(value.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * value.size()));
+}
+BENCHMARK(BM_XteaDecrypt64);
 
 // Records every finished run so the custom main below can emit the shared
 // --json format next to google-benchmark's own console output.
