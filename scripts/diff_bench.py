@@ -31,9 +31,8 @@ SUFFIXES = ("cycles_per_op", "cycles_per_get", "cycles_per_call", "cycles",
 TAIL_SUFFIXES = (".p99", ".p999")
 TAIL_THRESHOLD = 10.0
 
-# Benches the exact gate leaves out: bench_gbench_micro reports host time,
-# and CI runs bench_openloop with a different --events than run_all.sh.
-EXACT_SKIP = ("bench_gbench_micro", "bench_openloop")
+# Benches the exact gate leaves out: bench_gbench_micro reports host time.
+EXACT_SKIP = ("bench_gbench_micro",)
 
 
 def series(merged, suffixes=SUFFIXES):

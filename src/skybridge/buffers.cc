@@ -1,6 +1,7 @@
 #include "src/skybridge/buffers.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "src/base/logging.h"
@@ -8,24 +9,60 @@
 
 namespace skybridge {
 
-uint32_t BatchRingView::LoadU32(uint64_t off) const {
-  uint32_t v = 0;
-  std::memcpy(&v, base + off, sizeof(v));
+static_assert(offsetof(BatchRingView::Desc, call_id) == 40);  // DESIGN.md section 13.
+
+namespace {
+
+template <typename T>
+T Load(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-void BatchRingView::StoreU32(uint64_t off, uint32_t v) const {
-  std::memcpy(base + off, &v, sizeof(v));
+template <typename T>
+void Store(uint8_t* p, const T& v) {
+  std::memcpy(p, &v, sizeof(v));
 }
 
-uint64_t BatchRingView::LoadU64(uint64_t off) const {
-  uint64_t v = 0;
-  std::memcpy(&v, base + off, sizeof(v));
-  return v;
+}  // namespace
+
+uint64_t BatchRingView::LoadTail() const {
+  return Load<uint64_t>(base + offsetof(Header, sq_tail));
 }
 
-void BatchRingView::StoreU64(uint64_t off, uint64_t v) const {
-  std::memcpy(base + off, &v, sizeof(v));
+void BatchRingView::PublishTail(uint64_t tail) const {
+  Store(base + offsetof(Header, sq_tail), tail);
+}
+
+uint64_t BatchRingView::LoadHead() const {
+  return Load<uint64_t>(base + offsetof(Header, sq_head));
+}
+
+void BatchRingView::PublishHead(uint64_t head) const {
+  Store(base + offsetof(Header, sq_head), head);
+}
+
+BatchRingView::Desc BatchRingView::LoadDesc(uint64_t token) const {
+  return Load<Desc>(base + DescOff(token));
+}
+
+void BatchRingView::PublishRequest(uint64_t token, uint64_t tag, uint32_t req_len,
+                                   uint64_t call_id) const {
+  Desc desc{};
+  desc.tag = tag;
+  desc.req_len = req_len;
+  desc.call_id = call_id;
+  Store(base + DescOff(token), desc);
+}
+
+void BatchRingView::PostCompletion(uint64_t token, uint64_t reply_tag, uint32_t reply_len,
+                                   sb::ErrorCode code) const {
+  uint8_t* desc = base + DescOff(token);
+  Store(desc + offsetof(Desc, reply_tag), reply_tag);
+  Store(desc + offsetof(Desc, reply_len), reply_len);
+  // Publish order: reply fields first, status word last.
+  Store(desc + offsetof(Desc, status), 1u + static_cast<uint32_t>(code));
 }
 
 BufferPool::BufferPool(mk::Kernel& kernel, const SkyBridgeConfig& config)

@@ -160,7 +160,6 @@ struct SkyBridgeConfig {
   size_t rewrite_cache_entries = 4096;
   // DoS defence: force return to the client if a handler runs longer.
   uint64_t timeout_cycles = 1ULL << 32;
-  uint64_t key_seed = 0x5eedULL;
   // Bounded backoff for re-arming a binding whose cached EPTP slot went
   // stale between lookup and VMFUNC (concurrent eviction). After this many
   // slowpath re-installs the call fails Unavailable.

@@ -24,9 +24,6 @@ constexpr uint64_t kDrainEntryCycles = 4;
 
 using sb::telemetry::TraceEventType;
 
-// Completion status word: 0 = pending, else 1 + ErrorCode so kOk posts as 1.
-uint32_t StatusWord(sb::ErrorCode code) { return 1u + static_cast<uint32_t>(code); }
-
 }  // namespace
 
 Gate::Gate(mk::Kernel& kernel, const SkyBridgeConfig& config)
@@ -137,10 +134,9 @@ Gate::ReplyVerdict Gate::ClassifyReply(const CallContext& ctx, const mk::Message
   return verdict;
 }
 
-Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
+Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring, uint64_t& head,
                                     const std::function<void()>& refill) const {
   hw::Core& core = *ctx.core;
-  ServerEntry& server = *ctx.server;
   DrainOutcome out;
   const uint64_t drain_start = core.cycles();
   // One server stack install per crossing — not per entry; that is the
@@ -149,89 +145,36 @@ Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
                            ctx.perm->key_slot * kServerStackBytes;
   (void)core.TouchData(stack_va + kServerStackBytes - 64, 64, true);
 
-  uint64_t sq_head = ring.LoadU64(BatchRingView::kSqHeadOff);
   uint32_t rounds_left = std::max<uint32_t>(1, config_->max_drain_rounds);
   while (rounds_left-- > 0) {
     // Re-poll the doorbell: submissions that arrived during the previous
-    // round drain on this crossing too (adaptive drain).
-    const uint64_t sq_tail = ring.LoadU64(BatchRingView::kSqTailOff);
-    if (sq_head == sq_tail) {
+    // round drain on this crossing too (adaptive drain). The client writes
+    // the tail, so it is read once per round and accepted only within one
+    // ring of the drain's own head.
+    const uint64_t tail = ring.LoadTail();
+    if (tail - head > ring.entries) {
+      gate_rejections_->Add();
+      out.bad_tail = true;
+      break;
+    }
+    if (head == tail) {
       break;
     }
     ++out.rounds;
-    while (sq_head != sq_tail) {
-      const uint64_t token = sq_head;
-      const uint64_t desc = ring.DescOff(token);
-      core.AdvanceCycles(kDrainEntryCycles);
-      (void)core.TouchData(ring.va + desc, BatchRingView::kDescBytes, true);
-      const uint64_t tag = ring.LoadU64(desc + BatchRingView::kDescTag);
-      const uint32_t req_len = ring.LoadU32(desc + BatchRingView::kDescReqLen);
-      const std::span<uint8_t> payload = ring.Payload(token);
-      const mk::Message request = mk::Message::Borrowed(
-          tag, std::span<const uint8_t>(payload.data(), req_len));
-      SB_TRACE_EVENT(TraceEventType::kBatchDrain, core.cycles(), core.id(),
-                     ring.LoadU64(desc + BatchRingView::kDescCallId), token);
-
-      if (SB_FAULT_POINT(kFaultHandlerCrash)) {
-        // Server thread dies on this entry: post its Aborted completion,
-        // leave the rest of the ring untouched (a later flush drains them)
-        // and tell the facade to abort the crossing.
-        ring.StoreU64(desc + BatchRingView::kDescReplyTag, 0);
-        ring.StoreU32(desc + BatchRingView::kDescReplyLen, 0);
-        ring.StoreU32(desc + BatchRingView::kDescStatus, StatusWord(sb::ErrorCode::kAborted));
-        ring.StoreU64(BatchRingView::kSqHeadOff, ++sq_head);
-        ++out.completed;
-        out.crashed = true;
-        phase_drain_->Record(core.cycles() - drain_start);
-        return out;
+    while (head != tail && !out.crashed) {
+      // DoS defence: stop between entries once the drain overruns the
+      // timeout; the rest stay pending for the next flush.
+      if (out.completed > 0 && core.cycles() - drain_start > config_->timeout_cycles) {
+        out.timed_out = true;
+        break;
       }
-
-      mk::CallEnv env{*kernel_, core, *server.process, request};
-      env.reply_buffer = payload;
-      env.reply_buffer_va = ring.PayloadVa(token);
-      SB_TRACE_EVENT(TraceEventType::kHandlerEnter, core.cycles(), core.id(),
-                     server.process->pid());
-      mk::Message reply = [&] {
-        OutsideGate outside(ctx);
-        return server.handler(env);
-      }();
-      SB_TRACE_EVENT(TraceEventType::kHandlerExit, core.cycles(), core.id(),
-                     server.process->pid(), 0);
-
-      // Per-entry return gate: the reply must live within (or fit into) the
-      // ENTRY's payload span. A borrowed descriptor that escapes it is
-      // corrupt, exactly like the single-call return gate — the entry is
-      // rejected, the batch continues.
-      sb::ErrorCode code = sb::ErrorCode::kOk;
-      uint32_t reply_len = 0;
-      bool in_place = false;
-      bool corrupt = SB_FAULT_POINT(kFaultReplyCorrupt);
-      if (!corrupt && reply.borrowed() && !reply.view.empty()) {
-        const uint8_t* base = payload.data();
-        const uint8_t* p = reply.view.data();
-        in_place = p >= base && p + reply.view.size() <= base + payload.size();
-        corrupt = !in_place && !ctx.slice.host.empty() &&
-                  p < ctx.slice.host.data() + ctx.slice.host.size() &&
-                  p + reply.view.size() > ctx.slice.host.data();
-      }
-      if (corrupt || reply.size() > payload.size()) {
-        code = sb::ErrorCode::kOutOfRange;
-        gate_rejections_->Add();
-      } else {
-        reply_len = static_cast<uint32_t>(reply.size());
-        if (!in_place && reply_len > 0) {
-          // Completion posting: owned reply bytes land in the entry's span.
-          hw::CycleScope copy(core, hw::Bucket::kCopy);
-          (void)core.WriteVirt(ring.PayloadVa(token), reply.payload());
-        }
-      }
-      ring.StoreU64(desc + BatchRingView::kDescReplyTag, reply.tag);
-      ring.StoreU32(desc + BatchRingView::kDescReplyLen, reply_len);
-      // Publish order: reply fields first, status word last (the ring's
-      // phase bit; see DESIGN.md section 13 for the ordering rules).
-      ring.StoreU32(desc + BatchRingView::kDescStatus, StatusWord(code));
-      ring.StoreU64(BatchRingView::kSqHeadOff, ++sq_head);
+      const Completion done = DrainEntry(ctx, ring, head, out);
+      ring.PostCompletion(head, done.reply_tag, done.reply_len, done.code);
+      ring.PublishHead(++head);
       ++out.completed;
+    }
+    if (out.crashed || out.timed_out) {
+      break;
     }
     if (rounds_left > 0 && refill) {
       OutsideGate outside(ctx);
@@ -240,6 +183,69 @@ Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
   }
   phase_drain_->Record(core.cycles() - drain_start);
   return out;
+}
+
+Gate::Completion Gate::DrainEntry(CallContext& ctx, const BatchRingView& ring, uint64_t token,
+                                  DrainOutcome& out) const {
+  hw::Core& core = *ctx.core;
+  ServerEntry& server = *ctx.server;
+  core.AdvanceCycles(kDrainEntryCycles);
+  (void)core.TouchData(ring.DescVa(token), BatchRingView::kDescBytes, true);
+  const BatchRingView::Desc desc = ring.LoadDesc(token);
+  const std::span<uint8_t> payload = ring.Payload(token);
+  SB_TRACE_EVENT(TraceEventType::kBatchDrain, core.cycles(), core.id(), desc.call_id, token);
+  if (desc.req_len > payload.size()) {
+    // The client wrote a request longer than its entry's span: fail the
+    // entry before any handler sees bytes past it.
+    gate_rejections_->Add();
+    return {.code = sb::ErrorCode::kOutOfRange};
+  }
+  if (SB_FAULT_POINT(kFaultHandlerCrash)) {
+    // Server thread dies on this entry: post its Aborted completion, leave
+    // the rest of the ring untouched (a later flush drains them) and tell
+    // the facade to abort the crossing.
+    out.crashed = true;
+    return {.code = sb::ErrorCode::kAborted};
+  }
+
+  const mk::Message request =
+      mk::Message::Borrowed(desc.tag, std::span<const uint8_t>(payload.data(), desc.req_len));
+  mk::CallEnv env{*kernel_, core, *server.process, request};
+  env.reply_buffer = payload;
+  env.reply_buffer_va = ring.PayloadVa(token);
+  SB_TRACE_EVENT(TraceEventType::kHandlerEnter, core.cycles(), core.id(), server.process->pid());
+  mk::Message reply = [&] {
+    OutsideGate outside(ctx);
+    return server.handler(env);
+  }();
+  SB_TRACE_EVENT(TraceEventType::kHandlerExit, core.cycles(), core.id(), server.process->pid(),
+                 0);
+
+  // Per-entry return gate: the reply must live within (or fit into) the
+  // ENTRY's payload span. A borrowed descriptor that escapes it is corrupt,
+  // exactly like the single-call return gate — the entry is rejected, the
+  // batch continues.
+  bool in_place = false;
+  bool corrupt = SB_FAULT_POINT(kFaultReplyCorrupt);
+  if (!corrupt && reply.borrowed() && !reply.view.empty()) {
+    const uint8_t* base = payload.data();
+    const uint8_t* p = reply.view.data();
+    in_place = p >= base && p + reply.view.size() <= base + payload.size();
+    corrupt = !in_place && !ctx.slice.host.empty() &&
+              p < ctx.slice.host.data() + ctx.slice.host.size() &&
+              p + reply.view.size() > ctx.slice.host.data();
+  }
+  if (corrupt || reply.size() > payload.size()) {
+    gate_rejections_->Add();
+    return {.reply_tag = reply.tag, .code = sb::ErrorCode::kOutOfRange};
+  }
+  const auto reply_len = static_cast<uint32_t>(reply.size());
+  if (!in_place && reply_len > 0) {
+    // Completion posting: owned reply bytes land in the entry's span.
+    hw::CycleScope copy(core, hw::Bucket::kCopy);
+    (void)core.WriteVirt(ring.PayloadVa(token), reply.payload());
+  }
+  return {.reply_tag = reply.tag, .reply_len = reply_len};
 }
 
 void Gate::RecordPhases(const CallContext& ctx) const {

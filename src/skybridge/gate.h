@@ -137,19 +137,25 @@ class Gate {
 
   // ---- Batch-dispatch leg (DESIGN.md section 13) ----
   // Runs server-side between the entry and return VMFUNCs of a FlushBatch
-  // crossing: drains every pending submission in the ring, invoking the
-  // handler per entry and posting each completion (reply bytes in the
-  // entry's payload span, then the nonzero status word) without a per-call
-  // return crossing. After each round it invokes `refill` — submissions
-  // that arrived while the server drained (the client's core keeps
-  // producing in real hardware) — and keeps draining while new entries
-  // appear, bounded by config.max_drain_rounds (adaptive drain).
+  // crossing: drains the ring from `head` — the drain's own head, never
+  // re-read from the client-writable header — invoking the handler per
+  // entry and posting each completion (reply bytes in the entry's payload
+  // span, then the nonzero status word) without a per-call return crossing.
+  // After each round it invokes `refill` — submissions that arrived while
+  // the server drained (the client's core keeps producing in real hardware)
+  // — and keeps draining while new entries appear, bounded by
+  // config.max_drain_rounds (adaptive drain) and config.timeout_cycles.
+  // Advances `head` past every entry it completes. A tail outside
+  // [head, head + entries] stops the drain (bad_tail); a request longer
+  // than its entry's span fails only that entry with OutOfRange.
   struct DrainOutcome {
     uint32_t completed = 0;  // Completions posted this crossing.
     uint32_t rounds = 0;     // Drain rounds that processed >= 1 entry.
     bool crashed = false;    // Handler died mid-drain; crossing must abort.
+    bool timed_out = false;  // Stopped at timeout_cycles; the rest stay pending.
+    bool bad_tail = false;   // Client-written tail out of bounds; refused.
   };
-  DrainOutcome DrainBatch(CallContext& ctx, const BatchRingView& ring,
+  DrainOutcome DrainBatch(CallContext& ctx, const BatchRingView& ring, uint64_t& head,
                           const std::function<void()>& refill) const;
 
   // Folds this call's phase deltas into the per-phase histograms at exit.
@@ -165,6 +171,17 @@ class Gate {
   static uint64_t PerCallKey(const mk::Thread& caller, uint64_t cycles);
 
  private:
+  // One drain entry: bounds the descriptor copy, runs the handler and
+  // applies the per-entry return gate. Returns the completion to post; sets
+  // out.crashed when the handler dies.
+  struct Completion {
+    uint64_t reply_tag = 0;
+    uint32_t reply_len = 0;
+    sb::ErrorCode code = sb::ErrorCode::kOk;
+  };
+  Completion DrainEntry(CallContext& ctx, const BatchRingView& ring, uint64_t token,
+                        DrainOutcome& out) const;
+
   mk::Kernel* kernel_;
   const SkyBridgeConfig* config_;
   std::unique_ptr<CrossingBackend> backends_[kNumCrossingBackends];

@@ -440,9 +440,6 @@ sb::Status RouteTable::CheckInvariants() const {
       if (b->revoked && !b->swept && state.inflight == 0) {
         return sb::Internal("drained revoked binding left unswept");
       }
-      if (b->queued_submissions > config_->batch_ring_entries) {
-        return sb::Internal("queued batch submissions exceed the ring geometry");
-      }
       if (b->slices_carved) {
         // Free-list slice allocator: every slice is either free or owned by
         // exactly one connection, and owners never alias.
@@ -570,14 +567,6 @@ uint64_t RouteTable::InFlightCalls() const {
   uint64_t total = 0;
   for (const auto& entry : clients_) {
     total += entry.second.inflight;
-  }
-  return total;
-}
-
-uint64_t RouteTable::QueuedSubmissions() const {
-  uint64_t total = 0;
-  for (const auto& binding : bindings_) {
-    total += binding->queued_submissions;
   }
   return total;
 }

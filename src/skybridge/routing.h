@@ -96,10 +96,6 @@ struct Binding {
   std::unordered_map<int, uint32_t> slice_of_tid;  // tid -> owned slice.
   std::vector<uint32_t> free_slices;               // LIFO free list.
   bool slices_carved = false;                      // free_slices populated.
-  // Batched IPC: submissions sitting in this binding's rings that have not
-  // had a completion posted yet (DESIGN.md section 13). Bounded by the ring
-  // geometry; drained by FlushBatch / the adaptive drain leg.
-  uint64_t queued_submissions = 0;
   // Revoked bindings refuse new calls; their residency is dropped when the
   // client drains. The record itself persists ("bindings are never
   // destroyed") and re-registration revives it.
@@ -239,10 +235,6 @@ class RouteTable {
   // maps to a live EPT holder and vice versa).
   sb::Status CheckInvariants() const;
   uint64_t InFlightCalls() const;
-  // Batch submissions enqueued across all bindings with no completion
-  // posted yet. Zero at quiesce (every submitted entry was flushed or
-  // failed); nonzero with no ring holding entries is leaked accounting.
-  uint64_t QueuedSubmissions() const;
 
   // The route-cache invalidation epoch (relaxed; see the header comment).
   uint64_t generation() const { return generation_.load(std::memory_order_relaxed); }

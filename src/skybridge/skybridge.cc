@@ -17,6 +17,9 @@ namespace {
 // Base backoff before a stale-slot slowpath re-arm; doubles per attempt.
 constexpr uint64_t kStaleBackoffCycles = 32;
 
+// Seed of the registration-time calling-key stream.
+constexpr uint64_t kRegistrationKeySeed = 0x5eed;
+
 using sb::telemetry::TraceEventType;
 
 }  // namespace
@@ -24,7 +27,7 @@ using sb::telemetry::TraceEventType;
 SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
     : kernel_(&kernel),
       config_(config),
-      key_rng_(config.key_seed),
+      key_rng_(kRegistrationKeySeed),
       trampoline_(BuildTrampoline()),
       rewrite_cache_(config.rewrite_cache_entries),
       routes_(kernel, config_),
@@ -547,11 +550,10 @@ sb::StatusOr<SkyBridge::BatchConn*> SkyBridge::GetBatchConn(mk::Thread* caller,
   SB_ASSIGN_OR_RETURN(const BatchRingView ring, buffers_.CarveRing(*perm, caller));
   std::lock_guard<std::mutex> lock(batch_mu_);
   BatchConn& conn = batch_conns_[{perm, caller->tid()}];
-  if (conn.binding == nullptr) {
-    conn.binding = perm;
+  if (conn.notify == nullptr) {
     conn.slice = slice;
     conn.ring = ring;
-    conn.busy.assign(ring.entries, 0);
+    conn.slot_token.assign(ring.entries, kFreeSlot);
     conn.notify = kernel_->CreateNotification();
   }
   return &conn;
@@ -572,7 +574,7 @@ sb::StatusOr<uint64_t> SkyBridge::SubmitCall(mk::Thread* caller, ServerId server
     return sb::OutOfRange("message exceeds the ring's per-entry capacity");
   }
   const uint32_t slot = ring.Slot(conn->sq_tail);
-  if (conn->busy[slot] != 0) {
+  if (conn->slot_token[slot] != kFreeSlot) {
     return sb::ResourceExhausted("batch ring full");
   }
   hw::Core& core = kernel_->machine().core(caller->core_id());
@@ -583,18 +585,10 @@ sb::StatusOr<uint64_t> SkyBridge::SubmitCall(mk::Thread* caller, ServerId server
   if (msg.size() > 0) {
     SB_RETURN_IF_ERROR(core.WriteVirt(ring.PayloadVa(token), msg.payload()));
   }
-  const uint64_t desc = ring.DescOff(token);
-  (void)core.TouchData(ring.va + desc, BatchRingView::kDescBytes, true);
-  ring.StoreU64(desc + BatchRingView::kDescToken, token);
-  ring.StoreU64(desc + BatchRingView::kDescTag, msg.tag);
-  ring.StoreU64(desc + BatchRingView::kDescReplyTag, 0);
-  ring.StoreU32(desc + BatchRingView::kDescReqLen, static_cast<uint32_t>(msg.size()));
-  ring.StoreU32(desc + BatchRingView::kDescReplyLen, 0);
-  ring.StoreU32(desc + BatchRingView::kDescStatus, 0);
-  ring.StoreU64(desc + BatchRingView::kDescCallId, call_id);
-  ring.StoreU64(BatchRingView::kSqTailOff, conn->sq_tail);
-  conn->busy[slot] = 1;
-  ++conn->binding->queued_submissions;
+  (void)core.TouchData(ring.DescVa(token), BatchRingView::kDescBytes, true);
+  ring.PublishRequest(token, msg.tag, static_cast<uint32_t>(msg.size()), call_id);
+  ring.PublishTail(conn->sq_tail);
+  conn->slot_token[slot] = token;
   metrics_.batched_calls->Add();
   SB_TRACE_EVENT(TraceEventType::kBatchEnqueue, core.cycles(), core.id(), call_id, token);
   return token;
@@ -617,51 +611,43 @@ sb::StatusOr<mk::Message> SkyBridge::PollCompletion(mk::Thread* caller, ServerId
   if (token >= conn->sq_tail) {
     return sb::InvalidArgument("token was never submitted");
   }
-  const uint64_t desc = ring.DescOff(token);
   hw::Core& core = kernel_->machine().core(caller->core_id());
-  (void)core.TouchData(ring.va + desc, BatchRingView::kDescBytes, false);
-  if (ring.LoadU64(desc + BatchRingView::kDescToken) != token) {
+  (void)core.TouchData(ring.DescVa(token), BatchRingView::kDescBytes, false);
+  uint64_t& owner = conn->slot_token[ring.Slot(token)];
+  if (owner != token) {
     return sb::InvalidArgument("completion already consumed (slot recycled)");
   }
-  const uint32_t status_word = ring.LoadU32(desc + BatchRingView::kDescStatus);
-  if (status_word == 0) {
+  // The server can write every descriptor field: the copy is read once
+  // and checked before it shapes the result.
+  const BatchRingView::Desc desc = ring.LoadDesc(token);
+  if (desc.status == 0) {
     return sb::Unavailable("completion pending; flush the batch");
   }
-  const uint64_t reply_tag = ring.LoadU64(desc + BatchRingView::kDescReplyTag);
-  const uint32_t reply_len = ring.LoadU32(desc + BatchRingView::kDescReplyLen);
-  SB_TRACE_EVENT(TraceEventType::kBatchPoll, core.cycles(), core.id(),
-                 ring.LoadU64(desc + BatchRingView::kDescCallId), token);
-  // Reap: clobber the descriptor's token (a second poll of the same token
-  // is an explicit error, not a stale replay) and free the slot.
-  ring.StoreU64(desc + BatchRingView::kDescToken, ~0ULL);
-  conn->busy[ring.Slot(token)] = 0;
-  // The server can write every descriptor field: each was read once above
-  // and is checked before it shapes the result.
-  if (status_word - 1 > static_cast<uint32_t>(sb::kLastErrorCode) ||
-      reply_len > ring.Payload(token).size()) {
+  SB_TRACE_EVENT(TraceEventType::kBatchPoll, core.cycles(), core.id(), desc.call_id, token);
+  // Reap: free the slot, so a second poll of the same token is an explicit
+  // error, not a stale replay.
+  owner = kFreeSlot;
+  if (desc.status - 1 > static_cast<uint32_t>(sb::kLastErrorCode) ||
+      desc.reply_len > ring.payload_cap) {
     metrics_.gate_rejections->Add();
     return sb::OutOfRange("corrupt completion descriptor rejected");
   }
-  const auto code = static_cast<sb::ErrorCode>(status_word - 1);
+  const auto code = static_cast<sb::ErrorCode>(desc.status - 1);
   if (code != sb::ErrorCode::kOk) {
     return sb::Status(code, "batched call failed");
   }
   // Like the in-place API, the reply is a borrowed view of the entry's
   // payload span — valid until the slot is resubmitted.
   return mk::Message::Borrowed(
-      reply_tag, std::span<const uint8_t>(ring.Payload(token).data(), reply_len));
+      desc.reply_tag, std::span<const uint8_t>(ring.Payload(token).data(), desc.reply_len));
 }
 
 void SkyBridge::FailPendingClientSide(BatchConn& conn, sb::ErrorCode code) {
-  const BatchRingView& ring = conn.ring;
-  const uint32_t word = 1u + static_cast<uint32_t>(code);
-  while (conn.sq_head != conn.sq_tail) {
-    const uint64_t desc = ring.DescOff(conn.sq_head);
-    ring.StoreU64(desc + BatchRingView::kDescReplyTag, 0);
-    ring.StoreU32(desc + BatchRingView::kDescReplyLen, 0);
-    ring.StoreU32(desc + BatchRingView::kDescStatus, word);
-    ring.StoreU64(BatchRingView::kSqHeadOff, ++conn.sq_head);
-    --conn.binding->queued_submissions;
+  // No server runs on a revoked binding, so the client side posts in the
+  // drain's place: the one writer of the server's words besides the drain.
+  while (conn.drain_head != conn.sq_tail) {
+    conn.ring.PostCompletion(conn.drain_head, 0, 0, code);
+    conn.ring.PublishHead(++conn.drain_head);
   }
 }
 
@@ -679,15 +665,14 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
     return sb::OkStatus();  // Nothing was ever submitted.
   }
   const BatchRingView& ring = conn->ring;
-  // The server can write the header: its sq_head must lie between the last
-  // head this client accepted and the tail it published.
-  const uint64_t sq_head = ring.LoadU64(BatchRingView::kSqHeadOff);
-  if (sq_head < conn->sq_head || sq_head > conn->sq_tail) {
+  // The server can write the header: its head must lie between the drain's
+  // last head and the tail this client published.
+  const uint64_t published_head = ring.LoadHead();
+  if (published_head < conn->drain_head || published_head > conn->sq_tail) {
     metrics_.gate_rejections->Add();
     return sb::OutOfRange("corrupt batch ring head rejected");
   }
-  conn->sq_head = sq_head;
-  const uint64_t pending = conn->sq_tail - sq_head;
+  const uint64_t pending = conn->sq_tail - conn->drain_head;
   if (pending == 0) {
     return sb::OkStatus();
   }
@@ -743,11 +728,13 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
     SB_RETURN_IF_ERROR(gate_.ReturnToEntry(ctx));
     return sb::PermissionDenied("calling key rejected");
   }
-  const Gate::DrainOutcome outcome = gate_.DrainBatch(ctx, ring, batch_refill_);
+  const Gate::DrainOutcome outcome =
+      gate_.DrainBatch(ctx, ring, conn->drain_head, batch_refill_);
   metrics_.batch_flushes->Add();
   metrics_.drain_rounds->Add(outcome.rounds);
-  perm->queued_submissions -= outcome.completed;
-  conn->sq_head += outcome.completed;
+  if (outcome.timed_out) {
+    metrics_.timeouts->Add();
+  }
   if (SB_FAULT_POINT(kFaultRevokeInflight)) {
     // Revocation racing a live flush: this crossing's completions stand;
     // subsequent submits and flushes are refused.
@@ -777,6 +764,9 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
     // parked — the poll-only fast path never pays the syscall.
     conn->wait_armed = false;
     (void)conn->notify->Signal(core, 1);
+  }
+  if (outcome.bad_tail) {
+    return sb::OutOfRange("batch ring tail outside the drain's bounds; crossing refused");
   }
   return sb::OkStatus();
 }
@@ -945,6 +935,20 @@ sb::Status SkyBridge::RevokeServer(ServerId server_id) {
 
 sb::Status SkyBridge::CheckInvariants() const {
   SB_RETURN_IF_ERROR(routes_.CheckInvariants());
+  {
+    // Batch slot ownership: a held slot records a token its connection
+    // submitted within the last ring's worth of tokens.
+    std::lock_guard<std::mutex> lock(batch_mu_);
+    for (const auto& [key, conn] : batch_conns_) {
+      for (uint32_t slot = 0; slot < conn.slot_token.size(); ++slot) {
+        const uint64_t token = conn.slot_token[slot];
+        if (token != kFreeSlot && (conn.ring.Slot(token) != slot || token >= conn.sq_tail ||
+                                   conn.sq_tail - token > conn.ring.entries)) {
+          return sb::Internal("batch slot holds a token outside its ring window");
+        }
+      }
+    }
+  }
   // Cycle conservation: every cycle a core's clock moved is in its ledger.
   for (int c = 0; c < kernel_->machine().num_cores(); ++c) {
     const hw::Core& core = kernel_->machine().core(c);
