@@ -107,10 +107,9 @@ sb::StatusOr<Process*> Kernel::CreateProcessWithImage(const std::string& name,
   // Code (user-executable, read-only after the image is written).
   hw::PageFlags code_flags;
   code_flags.writable = false;
-  SB_ASSIGN_OR_RETURN(const hw::Gpa code_gpa,
-                      p->address_space_->MapAnonymous(kCodeVa, kCodeSize, code_flags));
-  machine_->mem().Write(code_gpa, code_image);
-  p->set_code_image(std::move(code_image));
+  SB_RETURN_IF_ERROR(
+      p->address_space_->MapAnonymous(kCodeVa, kCodeSize, code_flags).status());
+  p->WriteCode(code_image);
 
   // Heap and stack.
   p->heap_limit_ = options_.process_heap_bytes;

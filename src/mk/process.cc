@@ -1,6 +1,46 @@
 #include "src/mk/process.h"
 
+#include <optional>
+
+#include "src/base/logging.h"
+
 namespace mk {
+
+namespace {
+
+// Guest-physical base of the code window, or nullopt without one.
+// MapAnonymous backs the window with contiguous frames, so
+// [gpa, gpa + kCodeSize) is the whole window.
+std::optional<hw::Gpa> CodeGpa(const hw::AddressSpace& as) {
+  const hw::GuestWalk walk = as.WalkVa(kCodeVa);
+  return walk.ok ? std::optional<hw::Gpa>(walk.gpa) : std::nullopt;
+}
+
+}  // namespace
+
+std::vector<uint8_t> Process::code_image() const {
+  const std::optional<hw::Gpa> gpa = CodeGpa(*address_space_);
+  if (!gpa) {
+    return {};
+  }
+  std::vector<uint8_t> image(code_size_);
+  address_space_->mem().Read(*gpa, image);
+  return image;
+}
+
+void Process::WriteCode(std::span<const uint8_t> image) {
+  SB_CHECK(image.size() <= kCodeSize) << "code image larger than the code window";
+  const std::optional<hw::Gpa> code_gpa = CodeGpa(*address_space_);
+  SB_CHECK(code_gpa.has_value()) << "process has no code mapping";
+  const hw::Gpa gpa = *code_gpa;
+  hw::HostPhysMem& mem = address_space_->mem();
+  mem.Write(gpa, image);
+  if (image.size() < code_size_) {
+    const std::vector<uint8_t> zeros(code_size_ - image.size(), 0);
+    mem.Write(gpa + image.size(), zeros);
+  }
+  code_size_ = image.size();
+}
 
 sb::StatusOr<hw::Gva> Process::AllocHeap(uint64_t bytes, uint64_t align) {
   uint64_t offset = (heap_used_ + align - 1) & ~(align - 1);

@@ -250,12 +250,17 @@ class SkyBridge {
                                uint32_t core_id) const;
 
  private:
+  friend class SkyBridgeTestPeer;  // Inspects pristine-image sharing in unit tests.
+
   // ---- Staged registration pipeline state (DESIGN.md section 17) ----
   // Per prepared process. Guarded by reg_mu_ (slow path only: registration,
   // code update, snapshot, exec-fault resolution).
+  // Read-only image bytes shared by content (see pristine_images_).
+  using SharedImage = std::shared_ptr<const std::vector<uint8_t>>;
+
   struct RegState {
-    uint64_t pristine_hash = 0;           // x86::HashBytes(pristine_image).
-    std::vector<uint8_t> pristine_image;  // Pre-rewrite bytes (update diff).
+    uint64_t pristine_hash = 0;  // x86::HashBytes(*pristine_image).
+    SharedImage pristine_image;  // Pre-rewrite bytes, interned.
     size_t image_pages = 0;
     uint64_t nonexec_mask = 0;  // Bit p set: page p awaits its lazy rewrite.
     std::vector<hw::Gpa> page_gpas;
@@ -279,6 +284,11 @@ class SkyBridge {
   // Finds-or-creates the process's RegState (pristine capture, page GPAs,
   // gpa_to_page_ index). reg_mu_ held.
   sb::StatusOr<RegState*> EnsureRegStateLocked(mk::Process* process);
+  // The shared buffer holding `image` (hash `hash`): an interned one with the
+  // same bytes, else a new one, interned unless another live image already
+  // holds the hash (a collision keeps a private copy). Prunes entries whose
+  // buffer nothing references any more. reg_mu_ held.
+  SharedImage InternPristineLocked(std::vector<uint8_t> image, uint64_t hash);
   // The per-page scrub engine: runs every page in `page_mask` through the
   // content-hashed rewrite cache for `backend`'s pattern, applies patches,
   // maps/fills the per-page snippet sub-windows and writes the image back.
@@ -427,6 +437,10 @@ class SkyBridge {
   // call path (EnsureCallExecutable bails on lazy_pending_ first).
   mutable std::mutex reg_mu_;
   std::unordered_map<const mk::Process*, RegState> reg_states_;
+  // Pristine-image intern table, keyed by x86::HashBytes of the bytes:
+  // clones of one template share one pristine buffer. Holds weak references
+  // only, so an image lives exactly as long as some RegState uses it.
+  std::unordered_map<uint64_t, std::weak_ptr<const std::vector<uint8_t>>> pristine_images_;
   // Page-aligned code GPA -> (process, page index) for exec-fault routing.
   std::unordered_map<uint64_t, std::pair<mk::Process*, size_t>> gpa_to_page_;
   // Processes that still have >= 1 non-executable code page. Zero in eager /
