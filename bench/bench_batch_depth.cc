@@ -210,5 +210,9 @@ int main(int argc, char** argv) {
     std::printf("FAIL: batching must amortize the crossing >= 3x at depth 16\n");
     return 1;
   }
+  if (eptp.depth1_overhead > 1.05) {
+    std::printf("FAIL: a depth-1 ring must cost within 5%% of DirectServerCall\n");
+    return 1;
+  }
   return 0;
 }

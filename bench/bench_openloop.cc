@@ -316,5 +316,13 @@ int main(int argc, char** argv) {
   std::printf("\nbreaches @0.5x across stacks: %llu (bound: 0)   fault goodput ratio: %.3f "
               "(bound: >= 0.9)\n",
               static_cast<unsigned long long>(breaches_at_half), fault_ratio_min);
+  if (breaches_at_half != 0) {
+    std::printf("FAIL: no stack may breach its SLO at 0.5x saturation\n");
+    return 1;
+  }
+  if (fault_ratio_min < 0.9) {
+    std::printf("FAIL: the fault-catalog rerun must keep >= 90%% of fault-free goodput\n");
+    return 1;
+  }
   return 0;
 }

@@ -368,7 +368,7 @@ int main(int argc, char** argv) {
   }
   flat.Print();
 
-  // Self-checks (CI gates these from the JSON). The hot-set claim is about the
+  // Self-checks. The hot-set claim is about the
   // calls that dominate the zipf mass: under LRU they stay resident and pay the
   // all-resident price, while naive round-robin replacement keeps re-evicting
   // them. Aggregate ops/s cannot separate the policies (the zipf tail faults
@@ -386,5 +386,14 @@ int main(int argc, char** argv) {
               lru_vs_naive);
   std::printf("hot-set cycles/op, ws=16 LRU over all-resident: %.2fx (target <= 1.5x)\n",
               ws16_over_resident);
+  if (flat_epts < 10000) {
+    std::printf("FAIL: the consolidation-off ablation must serve >= 10k EPTs\n");
+    return 1;
+  }
+  if (lru_vs_naive < 1.5 || ws16_over_resident > 1.5) {
+    std::printf("FAIL: the LRU hot set must beat naive rotation >= 1.5x and stay within "
+                "1.5x of all-resident\n");
+    return 1;
+  }
   return 0;
 }

@@ -159,6 +159,7 @@ int main(int argc, char** argv) {
   std::printf("Eager: the scheduler re-installs the EPTP list at migration time.\n");
   std::printf("Lazy: the next call dispatches (and installs) on the new core.\n\n");
   sb::Table mig({"Period", "Mode", "ops/s", "MigrationInstalls", "StaleRetries"});
+  bool installs_ok = true;  // Migrating runs: eager installs, lazy never does.
   for (const uint64_t period : {uint64_t{0}, uint64_t{64}, uint64_t{16}, uint64_t{4}}) {
     for (const bool eager : {true, false}) {
       if (period == 0 && !eager) {
@@ -171,11 +172,24 @@ int main(int argc, char** argv) {
       reporter.Add(key + "ops_per_sec", r.ops_per_sec);
       reporter.Add(key + "migration_installs", r.migration_installs);
       reporter.Add(key + "stale_slot_retries", r.stale_slot_retries);
+      if (period != 0 && (r.migration_installs > 0) != eager) {
+        installs_ok = false;
+      }
       mig.AddRow({period == 0 ? "never" : sb::Table::Int(period), mode,
                   bench::Humanize(r.ops_per_sec), sb::Table::Int(r.migration_installs),
                   sb::Table::Int(r.stale_slot_retries)});
     }
   }
   mig.Print();
+
+  // ---- Self-checks ----
+  if (speedup8 < 6.0) {
+    std::printf("FAIL: disjoint pairs must scale >= 6x on 8 cores\n");
+    return 1;
+  }
+  if (!installs_ok) {
+    std::printf("FAIL: migrations must install eagerly in eager mode and never in lazy mode\n");
+    return 1;
+  }
   return 0;
 }

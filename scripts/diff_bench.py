@@ -8,10 +8,12 @@ Default (trend report): prints every cycles/op-style metric whose relative
 change exceeds the threshold (default 2%), plus metrics that appear or
 disappear. Exit code is always 0: this is for humans reading the CI log.
 
---exact (gate): every `metrics` value of every bench in the current file
-must equal the baseline's — a changed, added or missing key exits 1. Only
-the benches present in the current file are checked, minus EXACT_SKIP. A PR
-that changes a simulated number on purpose regenerates the baseline.
+--exact (gate): every `metrics` value and every run-header field (seed,
+event count, offered loads, mesh shape: all top-level keys but `metrics`
+and `registry`) of every bench must equal the baseline's — a changed, added
+or missing key exits 1, and so does a baseline bench with no entry in the
+current file. EXACT_SKIP is left out. A PR that changes a simulated number
+on purpose regenerates the baseline.
 """
 
 import argparse
@@ -47,12 +49,21 @@ def series(merged, suffixes=SUFFIXES):
 def exact(base_merged, cur_merged) -> int:
     problems = []
     checked = 0
+    for bench in sorted(base_merged.keys() - cur_merged.keys()):
+        if bench not in EXACT_SKIP:
+            problems.append(f"  [missing] {bench}: no entry in the current file")
     for bench in sorted(cur_merged):
         if bench in EXACT_SKIP:
             continue
         checked += 1
-        base = base_merged.get(bench, {}).get("metrics", {})
-        cur = cur_merged[bench].get("metrics", {})
+        base_obj = base_merged.get(bench, {})
+        cur_obj = cur_merged[bench]
+        for key in sorted((base_obj.keys() | cur_obj.keys()) - {"metrics", "registry"}):
+            if base_obj.get(key) != cur_obj.get(key):
+                problems.append(f"  [header]  {bench}:{key}: {base_obj.get(key)!r} -> "
+                                f"{cur_obj.get(key)!r}")
+        base = base_obj.get("metrics", {})
+        cur = cur_obj.get("metrics", {})
         for key in sorted(base.keys() | cur.keys()):
             if key not in base:
                 problems.append(f"  [added]   {bench}:{key} = {cur[key]!r}")
@@ -62,7 +73,7 @@ def exact(base_merged, cur_merged) -> int:
                 problems.append(f"  [changed] {bench}:{key}: {base[key]!r} -> {cur[key]!r}")
     if problems:
         print("\n".join(problems))
-        print(f"diff_bench --exact: {len(problems)} metrics differ from the baseline "
+        print(f"diff_bench --exact: {len(problems)} differences from the baseline "
               f"across {checked} benches; regenerate and commit BENCH_results.json "
               f"if the change is intended")
         return 1

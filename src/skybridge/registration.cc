@@ -10,6 +10,7 @@
 // snapshot of an identical template).
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/faultpoint.h"
 #include "src/base/logging.h"
@@ -24,15 +25,14 @@ namespace skybridge {
 
 namespace {
 
-// Which bit of the per-process rewritten_patterns_ mask a backend's gate
-// pattern occupies (kSyscall has no pattern: needs_rewrite is false).
-uint8_t PatternBit(CrossingBackendKind backend) {
-  return backend == CrossingBackendKind::kMpk ? 0x2 : 0x1;
-}
+// Gate pattern ids, also RegState::prepared bit indices and cache pattern
+// ids: 0 = VMFUNC (EPTP backend), 1 = WRPKRU (MPK backend).
+constexpr uint32_t kVmfuncPattern = 0;
+constexpr uint32_t kWrpkruPattern = 1;
+constexpr uint32_t kPatternCount = 2;
 
-// Cache pattern id: 0 = VMFUNC (EPTP), 1 = WRPKRU (MPK).
 uint32_t PatternId(CrossingBackendKind backend) {
-  return backend == CrossingBackendKind::kMpk ? 1 : 0;
+  return backend == CrossingBackendKind::kMpk ? kWrpkruPattern : kVmfuncPattern;
 }
 
 // Each pattern owns a fixed 16-page snippet window — VMFUNC at window 0,
@@ -41,9 +41,8 @@ uint32_t PatternId(CrossingBackendKind backend) {
 // every other page's (the property the content-hashed cache and the lazy
 // per-page scrub rely on). Page 0's sub-window is the historical rewrite
 // page address.
-hw::Gva WindowVa(CrossingBackendKind backend, size_t page_index) {
-  return mk::kRewritePageVa +
-         (16 * PatternId(backend) + page_index) * sb::kPageSize;
+hw::Gva WindowVa(uint32_t pattern_id, size_t page_index) {
+  return mk::kRewritePageVa + (16 * pattern_id + page_index) * sb::kPageSize;
 }
 
 size_t ImagePages(size_t image_bytes) {
@@ -55,16 +54,16 @@ uint64_t AllPagesMask(size_t pages) {
   return pages >= 64 ? ~0ULL : (1ULL << pages) - 1;
 }
 
-CrossingBackendKind BackendForBit(uint8_t bit) {
-  return bit == 0x2 ? CrossingBackendKind::kMpk : CrossingBackendKind::kEptp;
-}
-
 }  // namespace
 
-sb::StatusOr<SkyBridge::RegState*> SkyBridge::EnsureRegStateLocked(mk::Process* process) {
+SkyBridge::RegState* SkyBridge::FindRegStateLocked(const mk::Process* process) {
   auto it = reg_states_.find(process);
-  if (it != reg_states_.end()) {
-    return &it->second;
+  return it == reg_states_.end() ? nullptr : &it->second;
+}
+
+sb::StatusOr<SkyBridge::RegState*> SkyBridge::EnsureRegStateLocked(mk::Process* process) {
+  if (RegState* st = FindRegStateLocked(process); st != nullptr) {
+    return st;
   }
   const hw::GuestWalk code_walk = process->address_space().WalkVa(mk::kCodeVa);
   if (!code_walk.ok) {
@@ -75,14 +74,9 @@ sb::StatusOr<SkyBridge::RegState*> SkyBridge::EnsureRegStateLocked(mk::Process* 
   st.pristine_hash = x86::HashBytes(image);
   st.image_pages = ImagePages(image.size());
   st.pristine_image = InternPristineLocked(std::move(image), st.pristine_hash);
-  st.page_gpas.resize(st.image_pages);
-  for (size_t p = 0; p < st.image_pages; ++p) {
-    st.page_gpas[p] = code_walk.gpa + p * sb::kPageSize;
-    gpa_to_page_[st.page_gpas[p]] = {process, p};
-  }
-  auto [nit, inserted] = reg_states_.emplace(process, std::move(st));
-  (void)inserted;
-  return &nit->second;
+  st.code_gpa = code_walk.gpa;
+  code_ranges_[st.code_gpa] = process;
+  return &reg_states_.emplace(process, std::move(st)).first->second;
 }
 
 SkyBridge::SharedImage SkyBridge::InternPristineLocked(std::vector<uint8_t> image,
@@ -100,10 +94,8 @@ SkyBridge::SharedImage SkyBridge::InternPristineLocked(std::vector<uint8_t> imag
   return fresh;
 }
 
-sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
-                                       CrossingBackendKind backend, uint64_t page_mask,
-                                       hw::Core& core) {
-  const uint32_t pattern_id = PatternId(backend);
+sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st, uint32_t pattern_id,
+                                       uint64_t page_mask, hw::Core& core) {
   const hw::CostModel& costs = core.costs();
   const bool cached = config_.rewrite_cache_entries > 0;
   // The scrub reads the bytes the process executes — its code frames — and
@@ -141,10 +133,9 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
     if (!replayed) {
       x86::RewriteConfig rw;
       rw.code_base = mk::kCodeVa;
-      rw.rewrite_page_base = WindowVa(backend, p);
+      rw.rewrite_page_base = WindowVa(pattern_id, p);
       rw.rewrite_page_capacity = sb::kPageSize;
-      rw.pattern = backend == CrossingBackendKind::kMpk ? x86::kWrpkruBytes
-                                                        : x86::kVmfuncBytes;
+      rw.pattern = pattern_id == kVmfuncPattern ? x86::kVmfuncBytes : x86::kWrpkruBytes;
       SB_ASSIGN_OR_RETURN(pr, x86::RewriteVmfuncPage(image, p, rw, starts));
       core.AdvanceCycles(costs.rewrite_scan_page);
       metrics_.pages_rescanned->Add();
@@ -170,18 +161,7 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
       std::copy(patch.bytes.begin(), patch.bytes.end(), image.begin() + patch.code_off);
     }
     if (!pr.snippets.empty()) {
-      const hw::Gva wva = WindowVa(backend, p);
-      hw::Gpa wgpa = 0;
-      if (const hw::GuestWalk ww = process->address_space().WalkVa(wva); ww.ok) {
-        wgpa = ww.gpa;
-      } else {
-        hw::PageFlags flags;
-        flags.writable = false;
-        SB_ASSIGN_OR_RETURN(
-            wgpa, process->address_space().MapAnonymous(wva, sb::kPageSize, flags));
-      }
-      kernel_->machine().mem().Write(wgpa, pr.snippets);
-      st.window_pages[wva] = pr.snippets;
+      SB_RETURN_IF_ERROR(WriteWindowPageLocked(process, st, WindowVa(pattern_id, p), pr.snippets));
     }
   }
   // Write the (partially) rewritten image back over the code pages.
@@ -189,22 +169,53 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
   return sb::OkStatus();
 }
 
-sb::Status SkyBridge::EagerPassLocked(mk::Process* process, CrossingBackendKind backend) {
-  if (!config_.rewrite_binaries || backend == CrossingBackendKind::kSyscall) {
-    return sb::OkStatus();
+sb::Status SkyBridge::WriteWindowPageLocked(mk::Process* process, RegState& st, hw::Gva wva,
+                                            const std::vector<uint8_t>& bytes) {
+  hw::Gpa wgpa = 0;
+  if (const hw::GuestWalk ww = process->address_space().WalkVa(wva); ww.ok) {
+    wgpa = ww.gpa;
+  } else {
+    hw::PageFlags flags;
+    flags.writable = false;
+    SB_ASSIGN_OR_RETURN(wgpa,
+                        process->address_space().MapAnonymous(wva, sb::kPageSize, flags));
   }
-  const uint8_t bit = PatternBit(backend);
-  if ((rewritten_patterns_[process] & bit) != 0) {
+  kernel_->machine().mem().Write(wgpa, bytes);
+  st.window_pages[wva] = bytes;
+  return sb::OkStatus();
+}
+
+sb::Status SkyBridge::SetCodeExecLocked(hw::Core& core, const RegState& st, uint64_t page_mask,
+                                        std::span<const uint64_t> epts, bool exec) {
+  for (size_t p = 0; p < st.image_pages; ++p) {
+    if (((page_mask >> p) & 1) == 0) {
+      continue;
+    }
+    for (uint64_t ept : epts) {
+      if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kProtectGpaExec), ept,
+                      st.code_gpa + p * sb::kPageSize, exec ? 1 : 0) != 0) {
+        return sb::Internal("rootkernel refused exec protection");
+      }
+    }
+  }
+  return sb::OkStatus();
+}
+
+sb::Status SkyBridge::EagerPassLocked(mk::Process* process, uint32_t pattern_id) {
+  if (!config_.rewrite_binaries) {
     return sb::OkStatus();
   }
   SB_ASSIGN_OR_RETURN(RegState * st, EnsureRegStateLocked(process));
+  const uint8_t bit = static_cast<uint8_t>(1u << pattern_id);
+  if ((st->prepared & bit) != 0) {
+    return sb::OkStatus();
+  }
   hw::Core& core = kernel_->machine().core(0);
   SB_RETURN_IF_ERROR(
-      ScrubPagesLocked(process, *st, backend, AllPagesMask(st->image_pages), core));
-  rewritten_patterns_[process] |= bit;
+      ScrubPagesLocked(process, *st, pattern_id, AllPagesMask(st->image_pages), core));
+  st->prepared |= bit;
   SB_LOG(kDebug) << "rewrite " << sb::kv("pid", process->pid()) << " "
-                 << sb::kv("pattern", CrossingBackendName(backend)) << " "
-                 << sb::kv("pages", st->image_pages);
+                 << sb::kv("pattern", pattern_id) << " " << sb::kv("pages", st->image_pages);
   if (st->nonexec_mask == 0 && !process->code_rewritten()) {
     process->set_code_rewritten(true);
     metrics_.processes_rewritten->Add();
@@ -212,12 +223,12 @@ sb::Status SkyBridge::EagerPassLocked(mk::Process* process, CrossingBackendKind 
   return sb::OkStatus();
 }
 
-sb::Status SkyBridge::ArmLazyLocked(mk::Process* process, CrossingBackendKind backend) {
-  const uint8_t bit = PatternBit(backend);
-  if ((rewritten_patterns_[process] & bit) != 0) {
+sb::Status SkyBridge::ArmLazyLocked(mk::Process* process, uint32_t pattern_id) {
+  SB_ASSIGN_OR_RETURN(RegState * st, EnsureRegStateLocked(process));
+  const uint8_t bit = static_cast<uint8_t>(1u << pattern_id);
+  if ((st->prepared & bit) != 0) {
     return sb::OkStatus();
   }
-  SB_ASSIGN_OR_RETURN(RegState * st, EnsureRegStateLocked(process));
   if (st->protect_epts.empty()) {
     st->protect_epts.push_back(process->ept_id());
   }
@@ -225,38 +236,17 @@ sb::Status SkyBridge::ArmLazyLocked(mk::Process* process, CrossingBackendKind ba
   // exec-fault slow path scrubs pages one by one as they first run. Arming a
   // second pattern re-protects already-scrubbed pages so the fault re-scrubs
   // them for the union of prepared patterns.
-  hw::Core& core = kernel_->machine().core(0);
   const bool was_pending = st->nonexec_mask != 0;
-  for (size_t p = 0; p < st->image_pages; ++p) {
-    if (((st->nonexec_mask >> p) & 1) != 0) {
-      continue;  // Already protected.
-    }
-    for (uint64_t ept : st->protect_epts) {
-      if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kProtectGpaExec), ept,
-                      st->page_gpas[p], 0) != 0) {
-        return sb::Internal("rootkernel refused exec protection");
-      }
-    }
-  }
+  SB_RETURN_IF_ERROR(SetCodeExecLocked(kernel_->machine().core(0), *st, ~st->nonexec_mask,
+                                       st->protect_epts, false));
   st->nonexec_mask = AllPagesMask(st->image_pages);
   if (!was_pending && st->nonexec_mask != 0) {
     lazy_pending_.fetch_add(1, std::memory_order_relaxed);
   }
-  rewritten_patterns_[process] |= bit;
+  st->prepared |= bit;
   SB_LOG(kDebug) << "lazy-arm " << sb::kv("pid", process->pid()) << " "
-                 << sb::kv("pattern", CrossingBackendName(backend)) << " "
-                 << sb::kv("pages", st->image_pages);
+                 << sb::kv("pattern", pattern_id) << " " << sb::kv("pages", st->image_pages);
   return sb::OkStatus();
-}
-
-sb::Status SkyBridge::RewriteProcessImage(mk::Process* process, CrossingBackendKind backend) {
-  if (!config_.rewrite_binaries || backend == CrossingBackendKind::kSyscall) {
-    return sb::OkStatus();
-  }
-  if (config_.registration_mode == RegistrationMode::kLazy) {
-    return ArmLazyLocked(process, backend);
-  }
-  return EagerPassLocked(process, backend);
 }
 
 sb::Status SkyBridge::UpdateProcessCode(mk::Process* process, std::vector<uint8_t> new_image) {
@@ -265,8 +255,7 @@ sb::Status SkyBridge::UpdateProcessCode(mk::Process* process, std::vector<uint8_
   }
   // The generation phase: code pages are writable and non-executable; the
   // new bytes land in place.
-  const hw::GuestWalk code_walk = process->address_space().WalkVa(mk::kCodeVa);
-  if (!code_walk.ok) {
+  if (!process->address_space().WalkVa(mk::kCodeVa).ok) {
     return sb::FailedPrecondition("process has no code mapping");
   }
   std::lock_guard<std::mutex> lock(reg_mu_);
@@ -277,53 +266,32 @@ sb::Status SkyBridge::UpdateProcessCode(mk::Process* process, std::vector<uint8_
   // Remap executable: the Subkernel rescans before the pages may run again.
   process->set_code_rewritten(false);
 
-  if (auto rit = reg_states_.find(process); rit != reg_states_.end()) {
-    RegState& st = rit->second;
+  uint8_t prepared = 0;
+  if (RegState* st = FindRegStateLocked(process); st != nullptr) {
     // Updates are always eager (the new code must be scrub-verified before
     // it may run), so a lazy registration mid-flight lifts its exec
     // protection here and the rescan below covers everything.
-    if (st.nonexec_mask != 0) {
-      hw::Core& core = kernel_->machine().core(0);
-      for (size_t p = 0; p < st.image_pages; ++p) {
-        if (((st.nonexec_mask >> p) & 1) == 0) {
-          continue;
-        }
-        for (uint64_t ept : st.protect_epts) {
-          core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kProtectGpaExec), ept,
-                      st.page_gpas[p], 1);
-        }
-      }
-      st.nonexec_mask = 0;
+    if (st->nonexec_mask != 0) {
+      SB_RETURN_IF_ERROR(SetCodeExecLocked(kernel_->machine().core(0), *st, st->nonexec_mask,
+                                           st->protect_epts, true));
+      st->nonexec_mask = 0;
       lazy_pending_.fetch_sub(1, std::memory_order_relaxed);
     }
-    // Re-pristine against the new image; page GPAs are position-stable.
-    // st.page_keys is deliberately retained: ScrubPagesLocked diffs each
-    // page's fresh key against it and invalidates exactly the dirtied
-    // pages' cache entries — clean pages replay from the cache.
-    const size_t new_pages = ImagePages(new_image.size());
-    st.pristine_hash = x86::HashBytes(new_image);
-    st.pristine_image = InternPristineLocked(std::move(new_image), st.pristine_hash);
-    if (new_pages != st.image_pages) {
-      for (size_t p = new_pages; p < st.image_pages; ++p) {
-        gpa_to_page_.erase(st.page_gpas[p]);
-      }
-      st.page_gpas.resize(new_pages);
-      for (size_t p = 0; p < new_pages; ++p) {
-        st.page_gpas[p] = code_walk.gpa + p * sb::kPageSize;
-        gpa_to_page_[st.page_gpas[p]] = {process, p};
-      }
-      st.image_pages = new_pages;
-    }
-    st.window_pages.clear();
+    // Re-pristine against the new image; the code GPA is position-stable and
+    // image_pages bounds the exec-fault range lookup. st->page_keys is
+    // deliberately retained: ScrubPagesLocked diffs each page's fresh key
+    // against it and invalidates exactly the dirtied pages' cache entries —
+    // clean pages replay from the cache.
+    st->image_pages = ImagePages(new_image.size());
+    st->pristine_hash = x86::HashBytes(new_image);
+    st->pristine_image = InternPristineLocked(std::move(new_image), st->pristine_hash);
+    st->window_pages.clear();
+    prepared = std::exchange(st->prepared, 0);
   }
-
-  const uint8_t prepared = rewritten_patterns_[process];
-  rewritten_patterns_[process] = 0;
   // Drop any previous rewrite pages so the rescan can lay out fresh
   // snippets. Sweep both fixed windows (VMFUNC at 0, WRPKRU at 1) — either
   // may be sparsely mapped depending on which patterns the old image hit.
-  for (hw::Gva va = mk::kRewritePageVa; va < mk::kRewritePageVa + 32 * sb::kPageSize;
-       va += sb::kPageSize) {
+  for (hw::Gva va = mk::kRewritePageVa; va < WindowVa(kPatternCount, 0); va += sb::kPageSize) {
     if (process->address_space().WalkVa(va).ok) {
       SB_RETURN_IF_ERROR(process->address_space().Unmap(va));
     }
@@ -331,11 +299,13 @@ sb::Status SkyBridge::UpdateProcessCode(mk::Process* process, std::vector<uint8_
   // Re-run every pattern pass the process had been prepared with; a process
   // never prepared (or prepared for kSyscall only) gets the VMFUNC pass, the
   // historical W^X contract. Always eager, whatever the registration mode.
-  if (prepared == 0 || (prepared & PatternBit(CrossingBackendKind::kEptp)) != 0) {
-    SB_RETURN_IF_ERROR(EagerPassLocked(process, CrossingBackendKind::kEptp));
+  if (prepared == 0) {
+    prepared = 1u << kVmfuncPattern;
   }
-  if ((prepared & PatternBit(CrossingBackendKind::kMpk)) != 0) {
-    SB_RETURN_IF_ERROR(EagerPassLocked(process, CrossingBackendKind::kMpk));
+  for (uint32_t id = 0; id < kPatternCount; ++id) {
+    if (((prepared >> id) & 1) != 0) {
+      SB_RETURN_IF_ERROR(EagerPassLocked(process, id));
+    }
   }
   return sb::OkStatus();
 }
@@ -346,15 +316,11 @@ sb::Status SkyBridge::EnsureProcessPrepared(mk::Process* process, CrossingBacken
     // Every view-slot process gets the VMFUNC scrub (its EPTP list entries
     // are reachable by a planted 0f 01 d4 regardless of backend); MPK
     // additionally scrubs WRPKRU so only its trampoline can switch keys.
-    uint8_t needed = 0;
-    if (be.caps().uses_view_slots) {
-      needed |= PatternBit(CrossingBackendKind::kEptp);
-    }
-    if (backend != CrossingBackendKind::kEptp) {
-      needed |= PatternBit(backend);
-    }
+    const uint8_t needed = static_cast<uint8_t>(
+        (be.caps().uses_view_slots ? 1u << kVmfuncPattern : 0u) | 1u << PatternId(backend));
     std::lock_guard<std::mutex> lock(reg_mu_);
-    const uint8_t have = rewritten_patterns_[process];
+    const RegState* st = FindRegStateLocked(process);
+    const uint8_t have = st == nullptr ? 0 : st->prepared;
     if ((needed & ~have) != 0) {
       bool restored = false;
       if (config_.registration_mode == RegistrationMode::kSnapshot && have == 0) {
@@ -370,9 +336,11 @@ sb::Status SkyBridge::EnsureProcessPrepared(mk::Process* process, CrossingBacken
         }
       }
       if (!restored) {
-        for (uint8_t bit : {uint8_t{0x1}, uint8_t{0x2}}) {
-          if ((needed & bit) != 0) {
-            SB_RETURN_IF_ERROR(RewriteProcessImage(process, BackendForBit(bit)));
+        for (uint32_t id = 0; id < kPatternCount; ++id) {
+          if (((needed >> id) & 1) != 0) {
+            SB_RETURN_IF_ERROR(config_.registration_mode == RegistrationMode::kLazy
+                                   ? ArmLazyLocked(process, id)
+                                   : EagerPassLocked(process, id));
           }
         }
         if (config_.registration_mode == RegistrationMode::kSnapshot) {
@@ -410,30 +378,27 @@ sb::Status SkyBridge::EnsureProcessPrepared(mk::Process* process, CrossingBacken
 // ---- Registration snapshot / restore (DESIGN.md section 17) ----
 
 sb::StatusOr<SkyBridge::RegistrationSnapshot> SkyBridge::SnapshotLocked(mk::Process* process) {
-  auto mit = rewritten_patterns_.find(process);
-  const uint8_t mask = mit == rewritten_patterns_.end() ? 0 : mit->second;
-  auto rit = reg_states_.find(process);
-  if (rit == reg_states_.end() || mask == 0) {
+  const RegState* st = FindRegStateLocked(process);
+  if (st == nullptr || st->prepared == 0) {
     return sb::FailedPrecondition("process is not a prepared registration");
   }
-  RegState& st = rit->second;
-  if (st.nonexec_mask != 0) {
+  if (st->nonexec_mask != 0) {
     return sb::FailedPrecondition(
         "lazy rewrite incomplete: execute the image (or register eagerly) before capturing");
   }
   RegistrationSnapshot snap;
-  snap.pristine_hash = st.pristine_hash;
-  snap.pristine_image = *st.pristine_image;
-  snap.prepared_mask = mask;
+  snap.pristine_hash = st->pristine_hash;
+  snap.pristine_image = *st->pristine_image;
+  snap.prepared_mask = st->prepared;
   snap.code = process->code_image();
-  snap.window_pages.assign(st.window_pages.begin(), st.window_pages.end());
+  snap.window_pages.assign(st->window_pages.begin(), st->window_pages.end());
   return snap;
 }
 
 sb::Status SkyBridge::RestoreLocked(mk::Process* process,
                                     const RegistrationSnapshot& snapshot) {
-  if (auto mit = rewritten_patterns_.find(process);
-      mit != rewritten_patterns_.end() && mit->second != 0) {
+  if (const RegState* prior = FindRegStateLocked(process);
+      prior != nullptr && prior->prepared != 0) {
     return sb::FailedPrecondition("process already prepared; restore targets fresh clones");
   }
   if (snapshot.prepared_mask == 0 || snapshot.code.empty()) {
@@ -450,23 +415,13 @@ sb::Status SkyBridge::RestoreLocked(mk::Process* process,
   uint64_t bytes = snapshot.code.size();
   process->WriteCode(snapshot.code);
   for (const auto& [wva, page] : snapshot.window_pages) {
-    hw::Gpa wgpa = 0;
-    if (const hw::GuestWalk ww = process->address_space().WalkVa(wva); ww.ok) {
-      wgpa = ww.gpa;
-    } else {
-      hw::PageFlags flags;
-      flags.writable = false;
-      SB_ASSIGN_OR_RETURN(
-          wgpa, process->address_space().MapAnonymous(wva, sb::kPageSize, flags));
-    }
-    kernel_->machine().mem().Write(wgpa, page);
-    st->window_pages[wva] = page;
+    SB_RETURN_IF_ERROR(WriteWindowPageLocked(process, *st, wva, page));
     bytes += page.size();
   }
   hw::Core& core = kernel_->machine().core(0);
   const hw::CostModel& costs = core.costs();
   core.AdvanceCycles(costs.bulk_startup + (bytes / 64) * costs.bulk_line);
-  rewritten_patterns_[process] = snapshot.prepared_mask;
+  st->prepared = snapshot.prepared_mask;
   metrics_.snapshot_restores->Add();
   if (!process->code_rewritten()) {
     process->set_code_rewritten(true);
@@ -492,25 +447,15 @@ sb::Status SkyBridge::RestoreRegistration(mk::Process* process,
 sb::Status SkyBridge::ProtectServerPagesInEpt(hw::Core& core, mk::Process* server,
                                               uint64_t ept_id) {
   std::lock_guard<std::mutex> lock(reg_mu_);
-  auto it = reg_states_.find(server);
-  if (it == reg_states_.end() || it->second.nonexec_mask == 0) {
+  RegState* st = FindRegStateLocked(server);
+  if (st == nullptr || st->nonexec_mask == 0 ||
+      std::find(st->protect_epts.begin(), st->protect_epts.end(), ept_id) !=
+          st->protect_epts.end()) {
     return sb::OkStatus();
   }
-  RegState& st = it->second;
-  if (std::find(st.protect_epts.begin(), st.protect_epts.end(), ept_id) !=
-      st.protect_epts.end()) {
-    return sb::OkStatus();
-  }
-  for (size_t p = 0; p < st.image_pages; ++p) {
-    if (((st.nonexec_mask >> p) & 1) == 0) {
-      continue;
-    }
-    if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kProtectGpaExec), ept_id,
-                    st.page_gpas[p], 0) != 0) {
-      return sb::Internal("rootkernel refused exec protection in binding EPT");
-    }
-  }
-  st.protect_epts.push_back(ept_id);
+  SB_RETURN_IF_ERROR(
+      SetCodeExecLocked(core, *st, st->nonexec_mask, std::span(&ept_id, 1), false));
+  st->protect_epts.push_back(ept_id);
   return sb::OkStatus();
 }
 
@@ -529,11 +474,11 @@ sb::Status SkyBridge::EnsureCallExecutable(CallContext& ctx) {
   size_t tag_page = 0;
   {
     std::lock_guard<std::mutex> lock(reg_mu_);
-    auto it = reg_states_.find(server_proc);
-    if (it == reg_states_.end() || it->second.image_pages == 0) {
+    const RegState* st = FindRegStateLocked(server_proc);
+    if (st == nullptr || st->image_pages == 0) {
       return sb::OkStatus();
     }
-    tag_page = ctx.request->tag % it->second.image_pages;
+    tag_page = ctx.request->tag % st->image_pages;
   }
   return TouchExecPage(core, server_proc, tag_page);
 }
@@ -543,16 +488,12 @@ sb::Status SkyBridge::TouchExecPage(hw::Core& core, mk::Process* process,
   hw::Gpa gpa = 0;
   {
     std::lock_guard<std::mutex> lock(reg_mu_);
-    auto it = reg_states_.find(process);
-    if (it == reg_states_.end()) {
+    const RegState* st = FindRegStateLocked(process);
+    if (st == nullptr || page_index >= st->image_pages ||
+        ((st->nonexec_mask >> page_index) & 1) == 0) {
       return sb::OkStatus();
     }
-    RegState& st = it->second;
-    if (page_index >= st.image_pages ||
-        ((st.nonexec_mask >> page_index) & 1) == 0) {
-      return sb::OkStatus();
-    }
-    gpa = st.page_gpas[page_index];
+    gpa = st->code_gpa + page_index * sb::kPageSize;
   }
   // Deliver the exec-violation exit with reg_mu_ released — the handler
   // (HandleExecFault, via Rootkernel and mk) re-acquires it.
@@ -563,22 +504,21 @@ sb::Status SkyBridge::HandleExecFault(hw::Core& core, hw::Gpa gpa) {
   const uint64_t t0 = core.cycles();
   metrics_.exec_faults->Add();
   std::lock_guard<std::mutex> lock(reg_mu_);
-  auto it = gpa_to_page_.find(sb::PageDown(gpa));
-  if (it == gpa_to_page_.end()) {
+  // The owner is the process with the greatest code base at or below `gpa`,
+  // if `gpa` falls inside its image.
+  auto it = code_ranges_.upper_bound(gpa);
+  if (it == code_ranges_.begin()) {
     return sb::NotFound("exec fault on an untracked page");
   }
-  mk::Process* process = it->second.first;
-  const size_t page = it->second.second;
-  auto rit = reg_states_.find(process);
-  if (rit == reg_states_.end()) {
-    return sb::NotFound("exec fault on an unprepared process");
+  mk::Process* process = std::prev(it)->second;
+  RegState& st = *FindRegStateLocked(process);
+  const size_t page = static_cast<size_t>((gpa - st.code_gpa) / sb::kPageSize);
+  if (page >= st.image_pages) {
+    return sb::NotFound("exec fault on an untracked page");
   }
-  RegState& st = rit->second;
   if (((st.nonexec_mask >> page) & 1) == 0) {
     return sb::OkStatus();  // Raced: a concurrent fault already rewrote it.
   }
-  auto mit = rewritten_patterns_.find(process);
-  const uint8_t prepared = mit == rewritten_patterns_.end() ? 0 : mit->second;
   // Bounded retry around the scrub (the kFaultExecScan recovery contract):
   // a failed attempt leaves the page non-executable and the next execution
   // re-enters this slow path.
@@ -589,13 +529,9 @@ sb::Status SkyBridge::HandleExecFault(hw::Core& core, hw::Gpa gpa) {
       continue;
     }
     status = sb::OkStatus();
-    for (uint8_t bit : {uint8_t{0x1}, uint8_t{0x2}}) {
-      if ((prepared & bit) == 0) {
-        continue;
-      }
-      status = ScrubPagesLocked(process, st, BackendForBit(bit), 1ULL << page, core);
-      if (!status.ok()) {
-        break;
+    for (uint32_t id = 0; id < kPatternCount && status.ok(); ++id) {
+      if (((st.prepared >> id) & 1) != 0) {
+        status = ScrubPagesLocked(process, st, id, 1ULL << page, core);
       }
     }
     if (status.ok()) {
@@ -610,7 +546,7 @@ sb::Status SkyBridge::HandleExecFault(hw::Core& core, hw::Gpa gpa) {
   // directly, no nested hypercall.
   vmm::Rootkernel* rk = kernel_->rootkernel();
   for (uint64_t ept : st.protect_epts) {
-    SB_RETURN_IF_ERROR(rk->ProtectGpaExec(ept, st.page_gpas[page], true));
+    SB_RETURN_IF_ERROR(rk->ProtectGpaExec(ept, st.code_gpa + page * sb::kPageSize, true));
   }
   metrics_.lazy_rewrites->Add();
   if (st.nonexec_mask == 0) {
@@ -673,13 +609,8 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
     // back into a slot.
     hw::Core& core = kernel_->machine().core(0);
     kernel_->SyscallEnter(core);
-    const uint64_t key = key_rng_.Next();
-    const hw::GuestWalk table = server.process->address_space().WalkVa(mk::kCallingKeyTableVa);
-    SB_CHECK(table.ok);
-    kernel_->machine().mem().WriteU64(table.gpa + existing->key_slot * kKeySlotBytes, key);
-    kernel_->machine().mem().WriteU64(table.gpa + existing->key_slot * kKeySlotBytes + 8,
-                                      client->pid());
-    existing->server_key = key;
+    existing->server_key = key_rng_.Next();
+    WriteKeySlot(server, existing->key_slot, existing->server_key, client->pid());
     existing->revoked = false;
     // A swept consolidated binding had its CR3 translation restored to
     // identity by the revocation scrub: re-add the remap into the shared EPT.
@@ -705,38 +636,24 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
   // one server share a single binding EPT — each client only adds its own
   // CR3 remap to it — collapsing O(clients x servers) EPTs to O(servers).
   // Without consolidation every pair gets its own shallow copy of the base
-  // EPT with the client's CR3 GPA remapped to the server's page-table root
-  // and the identity GPA remapped to the server's identity frame.
-  uint64_t ept_id = 0;
+  // EPT.
+  uint64_t shared_ept_id = 0;
   if (config_.consolidate_bindings && server.shared_ept_id != 0) {
-    ept_id = server.shared_ept_id;
-    if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kAddCr3Remap), ept_id,
+    shared_ept_id = server.shared_ept_id;
+    if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kAddCr3Remap), shared_ept_id,
                     client->cr3(), server.process->cr3()) != 0) {
       kernel_->SyscallExit(core);
       return sb::Internal("rootkernel refused CR3 remap into the shared EPT");
     }
-  } else {
-    ept_id = core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kCreateBindingEpt),
-                         client->cr3(), server.process->cr3());
-    if (ept_id == vmm::kHypercallError) {
-      kernel_->SyscallExit(core);
-      return sb::Internal("rootkernel refused binding EPT");
-    }
-    if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kRemapIdentityPage), ept_id,
-                    kernel_->identity_gpa(), server.process->identity_frame()) != 0) {
-      kernel_->SyscallExit(core);
-      return sb::Internal("rootkernel refused identity remap");
-    }
-    if (config_.consolidate_bindings) {
-      server.shared_ept_id = ept_id;
-    }
   }
-  // Lazy registration: the server's still-unscrubbed pages must be
-  // non-executable through this binding EPT too, so the first call through
-  // it faults into the rewrite slow path instead of running unscanned code.
-  if (sb::Status ps = ProtectServerPagesInEpt(core, server.process, ept_id); !ps.ok()) {
+  sb::StatusOr<std::unique_ptr<Binding>> made = NewBinding(core, client, server_id, shared_ept_id);
+  if (!made.ok()) {
     kernel_->SyscallExit(core);
-    return ps;
+    return made.status();
+  }
+  std::unique_ptr<Binding> binding = std::move(made).value();
+  if (config_.consolidate_bindings) {
+    server.shared_ept_id = binding->ept_id;
   }
 
   // Shared buffer region for long messages, carved into per-connection
@@ -745,31 +662,57 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
                       buffers_.CreateRegion(client, server.process));
 
   // Calling key: random 8 bytes, written into the server's key table.
-  const uint64_t key = key_rng_.Next();
-  const uint64_t slot = server.next_connection++;
-  const hw::GuestWalk table = server.process->address_space().WalkVa(mk::kCallingKeyTableVa);
-  SB_CHECK(table.ok);
-  kernel_->machine().mem().WriteU64(table.gpa + slot * kKeySlotBytes, key);
-  kernel_->machine().mem().WriteU64(table.gpa + slot * kKeySlotBytes + 8, client->pid());
-
-  auto binding = std::make_unique<Binding>();
-  binding->client = client;
-  binding->server = server_id;
-  binding->ept_id = ept_id;
-  binding->server_key = key;
-  binding->backend = server.backend;
-  binding->view_slots = gate_.backend(server.backend).caps().uses_view_slots;
-  if (server.backend == CrossingBackendKind::kMpk) {
-    binding->pkey = static_cast<uint8_t>(1 + (next_pkey_++ % 15));
-  }
+  binding->server_key = key_rng_.Next();
+  binding->key_slot = server.next_connection++;
+  WriteKeySlot(server, binding->key_slot, binding->server_key, client->pid());
   binding->shared_buf = region.va;
-  binding->key_slot = slot;
   binding->slice_stride = region.slice_stride;
   binding->num_slices = region.num_slices;
   binding->host_base = region.host_base;
   routes_.Adopt(std::move(binding));
   kernel_->SyscallExit(core);
   return sb::OkStatus();
+}
+
+sb::StatusOr<std::unique_ptr<Binding>> SkyBridge::NewBinding(hw::Core& core, mk::Process* client,
+                                                             ServerId server_id,
+                                                             uint64_t shared_ept_id) {
+  const ServerEntry& server = servers_[server_id];
+  uint64_t ept_id = shared_ept_id;
+  if (ept_id == 0) {
+    ept_id = core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kCreateBindingEpt),
+                         client->cr3(), server.process->cr3());
+    if (ept_id == vmm::kHypercallError) {
+      return sb::Internal("rootkernel refused binding EPT");
+    }
+    if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kRemapIdentityPage), ept_id,
+                    kernel_->identity_gpa(), server.process->identity_frame()) != 0) {
+      return sb::Internal("rootkernel refused identity remap");
+    }
+  }
+  // Lazy registration: the server's still-unscrubbed pages must be
+  // non-executable through this EPT too, so the first call through it
+  // faults into the rewrite slow path instead of running unscanned code.
+  SB_RETURN_IF_ERROR(ProtectServerPagesInEpt(core, server.process, ept_id));
+  auto binding = std::make_unique<Binding>();
+  binding->client = client;
+  binding->server = server_id;
+  binding->ept_id = ept_id;
+  binding->backend = server.backend;
+  binding->view_slots = gate_.backend(server.backend).caps().uses_view_slots;
+  if (server.backend == CrossingBackendKind::kMpk) {
+    binding->pkey = static_cast<uint8_t>(1 + (next_pkey_++ % 15));
+  }
+  return binding;
+}
+
+void SkyBridge::WriteKeySlot(const ServerEntry& server, uint64_t slot, uint64_t key,
+                             uint64_t pid) {
+  const hw::GuestWalk table = server.process->address_space().WalkVa(mk::kCallingKeyTableVa);
+  SB_CHECK(table.ok);
+  hw::HostPhysMem& mem = kernel_->machine().mem();
+  mem.WriteU64(table.gpa + slot * kKeySlotBytes, key);
+  mem.WriteU64(table.gpa + slot * kKeySlotBytes + 8, pid);
 }
 
 sb::StatusOr<Binding*> SkyBridge::GetOrCreateChainBinding(hw::Core& core, mk::Process* origin,
@@ -779,32 +722,7 @@ sb::StatusOr<Binding*> SkyBridge::GetOrCreateChainBinding(hw::Core& core, mk::Pr
     return existing;
   }
   // Lazy chain setup: kernel + Rootkernel mediated (slow path).
-  ServerEntry& server = servers_[server_id];
-  const uint64_t ept_id =
-      core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kCreateBindingEpt), origin->cr3(),
-                  server.process->cr3());
-  if (ept_id == vmm::kHypercallError) {
-    return sb::Internal("rootkernel refused chain binding EPT");
-  }
-  if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kRemapIdentityPage), ept_id,
-                  kernel_->identity_gpa(), server.process->identity_frame()) != 0) {
-    return sb::Internal("rootkernel refused identity remap");
-  }
-  // Same lazy-registration contract as direct bindings: unscrubbed server
-  // pages stay non-executable through the chain EPT.
-  SB_RETURN_IF_ERROR(ProtectServerPagesInEpt(core, server.process, ept_id));
-  auto binding = std::make_unique<Binding>();
-  binding->client = origin;
-  binding->server = server_id;
-  binding->ept_id = ept_id;
-  binding->server_key = 0;
-  binding->backend = server.backend;
-  binding->view_slots = gate_.backend(server.backend).caps().uses_view_slots;
-  if (server.backend == CrossingBackendKind::kMpk) {
-    binding->pkey = static_cast<uint8_t>(1 + (next_pkey_++ % 15));
-  }
-  binding->shared_buf = 0;
-  binding->key_slot = 0;
+  SB_ASSIGN_OR_RETURN(std::unique_ptr<Binding> binding, NewBinding(core, origin, server_id, 0));
   binding->chain = true;
   Binding* b = routes_.Adopt(std::move(binding));
   if (b->view_slots) {

@@ -67,10 +67,10 @@ struct ServerEntry {
 struct ClientState;
 
 struct Binding {
-  mk::Process* client;      // The process whose CR3 is live when used.
-  ServerId server;
-  uint64_t ept_id;          // Rootkernel EPT id (shared under consolidation).
-  uint64_t server_key;      // Client -> server calling key.
+  mk::Process* client = nullptr;  // The process whose CR3 is live when used.
+  ServerId server = 0;
+  uint64_t ept_id = 0;      // Rootkernel EPT id (shared under consolidation).
+  uint64_t server_key = 0;  // Client -> server calling key (0 on chain bindings).
   // Crossing backend, inherited from the server entry at registration.
   CrossingBackendKind backend = CrossingBackendKind::kEptp;
   // The backend's caps().uses_view_slots: crossings go through a per-core
@@ -79,8 +79,8 @@ struct Binding {
   // MPK backend only: the protection key guarding the server domain this
   // binding crosses into (1..15, round-robin allocated; 0 = unset).
   uint8_t pkey = 0;
-  hw::Gva shared_buf;       // Region base, mapped at the same VA in both.
-  uint64_t key_slot;        // Index in the server's calling-key table.
+  hw::Gva shared_buf = 0;   // Region base, mapped at the same VA in both.
+  uint64_t key_slot = 0;    // Index in the server's calling-key table.
   // ---- Buffer carving (long-message path) ----
   // The region is num_slices page-aligned slices of slice_stride bytes,
   // each with shared_buffer_bytes of capacity. host_base is the

@@ -92,13 +92,7 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
       return;
     }
     ServerEntry& server = servers_[binding.server];
-    const hw::GuestWalk table =
-        server.process->address_space().WalkVa(mk::kCallingKeyTableVa);
-    if (table.ok) {
-      hw::HostPhysMem& mem = kernel_->machine().mem();
-      mem.WriteU64(table.gpa + binding.key_slot * kKeySlotBytes, 0);
-      mem.WriteU64(table.gpa + binding.key_slot * kKeySlotBytes + 8, 0);
-    }
+    WriteKeySlot(server, binding.key_slot, 0, 0);
     if (config_.consolidate_bindings && binding.ept_id == server.shared_ept_id) {
       hw::Core& core = kernel_->machine().core(0);
       core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kAddCr3Remap), binding.ept_id,

@@ -258,12 +258,20 @@ class SkyBridge {
   // Read-only image bytes shared by content (see pristine_images_).
   using SharedImage = std::shared_ptr<const std::vector<uint8_t>>;
 
+  // The one registration record of a prepared process.
   struct RegState {
     uint64_t pristine_hash = 0;  // x86::HashBytes(*pristine_image).
     SharedImage pristine_image;  // Pre-rewrite bytes, interned.
     size_t image_pages = 0;
+    // Guest-physical base of the code frames: page p sits at
+    // code_gpa + p * kPageSize (the code window is contiguous).
+    hw::Gpa code_gpa = 0;
+    // Gate patterns scrubbed (eager, restored) or armed (lazy), a bit per
+    // pattern id: bit 0 = VMFUNC (EPTP backend), bit 1 = WRPKRU (MPK
+    // backend). A process serving/calling both backends gets both passes;
+    // UpdateProcessCode re-runs every prepared pass on the new image.
+    uint8_t prepared = 0;
     uint64_t nonexec_mask = 0;  // Bit p set: page p awaits its lazy rewrite.
-    std::vector<hw::Gpa> page_gpas;
     // EPTs mirroring the non-exec bits: the process's own EPT plus every
     // binding/chain EPT created while pages were still pending. A page's
     // rewrite flips it executable in all of them.
@@ -276,35 +284,56 @@ class SkyBridge {
     std::map<uint32_t, std::vector<x86::RewriteCacheKey>> page_keys;
   };
 
+  // Prepares `process` for `backend`: scrubs (eager), arms (lazy) or
+  // restores (snapshot) the gate patterns it needs, then maps the
+  // trampoline and calling-key table.
   sb::Status EnsureProcessPrepared(mk::Process* process, CrossingBackendKind backend);
-  // Mode dispatch: eager scrub, lazy arm, or (for UpdateProcessCode and the
-  // snapshot fallback) the unconditional eager pass. reg_mu_ held.
-  sb::Status RewriteProcessImage(mk::Process* process, CrossingBackendKind backend);
-  sb::Status EagerPassLocked(mk::Process* process, CrossingBackendKind backend);
-  // Finds-or-creates the process's RegState (pristine capture, page GPAs,
-  // gpa_to_page_ index). reg_mu_ held.
+  // The process's RegState, or null when it was never prepared. reg_mu_ held.
+  RegState* FindRegStateLocked(const mk::Process* process);
+  // Finds-or-creates the process's RegState (pristine capture, code GPA,
+  // code_ranges_ entry). reg_mu_ held.
   sb::StatusOr<RegState*> EnsureRegStateLocked(mk::Process* process);
   // The shared buffer holding `image` (hash `hash`): an interned one with the
   // same bytes, else a new one, interned unless another live image already
   // holds the hash (a collision keeps a private copy). Prunes entries whose
   // buffer nothing references any more. reg_mu_ held.
   SharedImage InternPristineLocked(std::vector<uint8_t> image, uint64_t hash);
+  // Scrubs every code page for gate pattern `pattern_id` now, unless already
+  // prepared for it; a no-op when rewrite_binaries is off. reg_mu_ held.
+  sb::Status EagerPassLocked(mk::Process* process, uint32_t pattern_id);
+  // Lazy mode: records `pattern_id` as prepared and drops exec from every
+  // code page in the enrolled EPTs instead of scanning. reg_mu_ held.
+  sb::Status ArmLazyLocked(mk::Process* process, uint32_t pattern_id);
   // The per-page scrub engine: runs every page in `page_mask` through the
-  // content-hashed rewrite cache for `backend`'s pattern, applies patches,
-  // maps/fills the per-page snippet sub-windows and writes the image back.
-  // Charges rewrite_scan_page or rewrite_cache_replay per page on `core`.
-  // reg_mu_ held.
-  sb::Status ScrubPagesLocked(mk::Process* process, RegState& st,
-                              CrossingBackendKind backend, uint64_t page_mask,
-                              hw::Core& core);
-  // Lazy mode: record RegState and drop exec from every code page in the
-  // process's own EPT instead of scanning. reg_mu_ held.
-  sb::Status ArmLazyLocked(mk::Process* process, CrossingBackendKind backend);
+  // content-hashed rewrite cache for gate pattern `pattern_id`, applies
+  // patches, fills the per-page snippet sub-windows and writes the image
+  // back. Charges rewrite_scan_page or rewrite_cache_replay per page on
+  // `core`. reg_mu_ held.
+  sb::Status ScrubPagesLocked(mk::Process* process, RegState& st, uint32_t pattern_id,
+                              uint64_t page_mask, hw::Core& core);
+  // Maps snippet sub-window page `wva` read-only on first use, writes `bytes`
+  // into it and records them for snapshot capture. reg_mu_ held.
+  sb::Status WriteWindowPageLocked(mk::Process* process, RegState& st, hw::Gva wva,
+                                   const std::vector<uint8_t>& bytes);
+  // Sets the exec permission of the code pages in `page_mask` in every EPT
+  // of `epts`, by hypercall. reg_mu_ held.
+  sb::Status SetCodeExecLocked(hw::Core& core, const RegState& st, uint64_t page_mask,
+                               std::span<const uint64_t> epts, bool exec);
   // Drops exec on the server's still-pending pages in a freshly created
   // binding/chain EPT and enrolls it in protect_epts. No-op when the server
   // has no pending pages.
   sb::Status ProtectServerPagesInEpt(hw::Core& core, mk::Process* server,
                                      uint64_t ept_id);
+  // A new binding record for `client` -> `server_id` with the server's
+  // backend, view_slots and pkey filled in. Its EPT is `shared_ept_id`, or
+  // when that is 0 a freshly created one: the client's CR3 GPA remapped to
+  // the server's page-table root and the identity GPA to the server's
+  // identity frame. Either way the server's pending lazy pages are made
+  // non-executable in it.
+  sb::StatusOr<std::unique_ptr<Binding>> NewBinding(hw::Core& core, mk::Process* client,
+                                                    ServerId server_id, uint64_t shared_ept_id);
+  // Writes (key, pid) into calling-key table slot `slot` of `server`.
+  void WriteKeySlot(const ServerEntry& server, uint64_t slot, uint64_t key, uint64_t pid);
   // reg_mu_-held bodies of the public snapshot API.
   sb::StatusOr<RegistrationSnapshot> SnapshotLocked(mk::Process* process);
   sb::Status RestoreLocked(mk::Process* process, const RegistrationSnapshot& snapshot);
@@ -427,11 +456,6 @@ class SkyBridge {
   // mk::kMpkTrampolineVa alongside the VMFUNC one.
   TrampolineLayout mpk_trampoline_;
   hw::Gpa mpk_trampoline_gpa_ = 0;
-  // Which gate patterns have been scrubbed from each prepared process:
-  // bit 0 = VMFUNC (EPTP backend), bit 1 = WRPKRU (MPK backend). A process
-  // serving/calling both backends gets both passes; UpdateProcessCode
-  // re-runs every prepared pass on the new image.
-  std::unordered_map<const mk::Process*, uint8_t> rewritten_patterns_;
   // ---- Staged registration pipeline (DESIGN.md section 17) ----
   // Slow-path lock for registration state; never taken on the steady-state
   // call path (EnsureCallExecutable bails on lazy_pending_ first).
@@ -441,8 +465,10 @@ class SkyBridge {
   // clones of one template share one pristine buffer. Holds weak references
   // only, so an image lives exactly as long as some RegState uses it.
   std::unordered_map<uint64_t, std::weak_ptr<const std::vector<uint8_t>>> pristine_images_;
-  // Page-aligned code GPA -> (process, page index) for exec-fault routing.
-  std::unordered_map<uint64_t, std::pair<mk::Process*, size_t>> gpa_to_page_;
+  // Code GPA base -> process, one entry per prepared process, for exec-fault
+  // routing: a fault's owner is the greatest base at or below its GPA,
+  // bounded by that process's image_pages.
+  std::map<hw::Gpa, mk::Process*> code_ranges_;
   // Processes that still have >= 1 non-executable code page. Zero in eager /
   // snapshot / drained-lazy steady state, making EnsureCallExecutable one
   // relaxed load.

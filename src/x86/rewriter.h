@@ -48,9 +48,10 @@ struct RewriteConfig {
   uint64_t rewrite_page_base = 0x1000;  // VA of the rewrite page (paper 5.1).
   size_t rewrite_page_capacity = 16 * 4096;
   int max_iterations = 64;
-  // The gate-instruction triple this pass scrubs: kVmfuncBytes for the EPTP
-  // backend, kWrpkruBytes for the MPK backend (same 0F 01 /r shape, so every
-  // Table 3 rewrite case applies unchanged).
+  // The gate-instruction triple whose hits this pass scrubs: kVmfuncBytes
+  // for the EPTP backend, kWrpkruBytes for the MPK backend (same 0F 01 /r
+  // shape, so every Table 3 rewrite case applies unchanged). Whatever the
+  // pass, no emitted snippet or code patch may hold either triple.
   const uint8_t* pattern = kVmfuncBytes;
 };
 
@@ -73,7 +74,8 @@ struct RewriteResult {
 sb::Status RewriteHit(std::vector<uint8_t>& code, std::vector<uint8_t>& page,
                       const RewriteConfig& config, const VmfuncHit& hit, RewriteStats& stats);
 
-// Rewrites until neither the code nor the rewrite page contains the pattern.
+// Rewrites until the code holds no `config.pattern` and the rewrite page no
+// gate pattern.
 sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
                                           const RewriteConfig& config);
 

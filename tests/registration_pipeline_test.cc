@@ -21,7 +21,8 @@
 
 namespace skybridge {
 
-// Reads SkyBridge's pristine-image intern state under its registration lock.
+// Reads SkyBridge's registration state (under its registration lock where it
+// has one) and reaches its exec-fault handler.
 class SkyBridgeTestPeer {
  public:
   // The pristine buffer a prepared process's RegState holds; null when the
@@ -41,6 +42,15 @@ class SkyBridgeTestPeer {
   static size_t InternEntries(SkyBridge& sky) {
     std::lock_guard<std::mutex> lock(sky.reg_mu_);
     return sky.pristine_images_.size();
+  }
+  // The EPT of the client -> server binding.
+  static uint64_t BindingEpt(SkyBridge& sky, const mk::Process* client, ServerId sid) {
+    return sky.routes_.Find(client, sid)->ept_id;
+  }
+  // The exec-violation handler itself, as the Rootkernel reaches it (the
+  // kernel's RaiseExecFault folds every failure into Unavailable).
+  static sb::Status HandleExecFault(SkyBridge& sky, hw::Core& core, hw::Gpa gpa) {
+    return sky.HandleExecFault(core, gpa);
   }
 };
 
@@ -114,6 +124,29 @@ class RegistrationPipelineTest : public ::testing::Test {
     const std::vector<uint8_t> image = process->code_image();
     EXPECT_EQ(image.size(), size) << when;
     EXPECT_EQ(image, GuestCode(process, size)) << when;
+  }
+
+  // Every gate pattern (VMFUNC or WRPKRU) in any mapped snippet sub-window
+  // page of the process, as "window page: offset" strings.
+  std::vector<std::string> WindowGateBytes(mk::Process* process) {
+    std::vector<std::string> found;
+    for (size_t w = 0; w < 32; ++w) {
+      const hw::GuestWalk walk =
+          process->address_space().WalkVa(mk::kRewritePageVa + w * kPageSize);
+      if (!walk.ok) {
+        continue;
+      }
+      std::vector<uint8_t> page(kPageSize);
+      machine_->mem().Read(walk.gpa, page);
+      for (const uint8_t* pattern : {x86::kVmfuncBytes, x86::kWrpkruBytes}) {
+        x86::ScanOptions options;
+        options.pattern = pattern;
+        for (size_t off : x86::FindVmfuncBytes(page, options)) {
+          found.push_back(std::to_string(w) + ": " + std::to_string(off));
+        }
+      }
+    }
+    return found;
   }
 
   // A counter or gauge on this world's telemetry registry.
@@ -672,6 +705,101 @@ TEST_F(RegistrationPipelineTest, RepeatedUpdatesKeepTheInternTableBounded) {
     EXPECT_LE(SkyBridgeTestPeer::InternEntries(*sky_), 3u) << i;
     EXPECT_EQ(*SkyBridgeTestPeer::PristineBuffer(*sky_, server), distinct);
   }
+}
+
+// Each pattern pass must emit no gate pattern at all, not only its own: an
+// MPK process is scrubbed twice (VMFUNC, then WRPKRU), and a `mov rax,
+// imm64` holding both triples has its VMFUNC pass split the immediate into
+// snippet bytes the WRPKRU pass never rescans. Registration either fails or
+// leaves the code and every mapped (executable) snippet page clean.
+TEST_F(RegistrationPipelineTest, NoPassEmitsAnyGatePattern) {
+  const std::vector<std::vector<uint8_t>> plants = {
+      {0x48, 0xb8, 0x0f, 0x01, 0xd4, 0x00, 0x0f, 0x01, 0xef, 0x00},
+      {0x48, 0xb8, 0x0f, 0x01, 0xef, 0x00, 0x0f, 0x01, 0xd4, 0x00},
+  };
+  x86::ScanOptions wrpkru;
+  wrpkru.pattern = x86::kWrpkruBytes;
+  for (size_t i = 0; i < plants.size(); ++i) {
+    for (CrossingBackendKind backend : {CrossingBackendKind::kEptp, CrossingBackendKind::kMpk}) {
+      Boot();
+      std::vector<uint8_t> image = NopImage(2);
+      std::copy(plants[i].begin(), plants[i].end(), image.begin() + 2048);
+      auto* server = kernel_->CreateProcessWithImage("server", image).value();
+      const auto sid = sky_->RegisterServer(server, 4, EchoHandler(), backend);
+      const std::string where =
+          std::string(CrossingBackendName(backend)) + " plant " + std::to_string(i);
+      if (!sid.ok()) {
+        EXPECT_EQ(sid.status().code(), sb::ErrorCode::kInternal) << where;
+        continue;
+      }
+      // The code holds no pattern its passes scrub (the EPTP backend leaves
+      // WRPKRU alone), and no snippet page holds any.
+      const std::vector<uint8_t> code = GuestCode(server);
+      EXPECT_TRUE(x86::FindVmfuncBytes(code).empty()) << where;
+      if (backend == CrossingBackendKind::kMpk) {
+        EXPECT_TRUE(x86::FindVmfuncBytes(code, wrpkru).empty()) << where;
+      }
+      const std::vector<std::string> found = WindowGateBytes(server);
+      EXPECT_TRUE(found.empty()) << where << ": " << ::testing::PrintToString(found);
+    }
+  }
+}
+
+// A lazy server whose code is replaced before its first call: the update's
+// eager rescan lifts the exec protection everywhere it was armed — the
+// server's own EPT and the binding EPT a client registered meanwhile.
+TEST_F(RegistrationPipelineTest, UpdateBeforeFirstCallLiftsLazyProtectionEverywhere) {
+  SkyBridgeConfig config;
+  config.registration_mode = RegistrationMode::kLazy;
+  Boot(config);
+  std::vector<uint8_t> image = NopImage(4);
+  PlantEmbedded(image, kPageSize + 2048, x86::kVmfuncBytes);
+  auto* server = kernel_->CreateProcessWithImage("server", image).value();
+  const ServerId sid =
+      sky_->RegisterServer(server, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
+  auto* client = kernel_->CreateProcess("client").value();
+  ASSERT_TRUE(sky_->RegisterClient(client, sid).ok());
+  const hw::Gpa code_gpa = server->address_space().WalkVa(mk::kCodeVa).gpa;
+  hw::Ept* own = kernel_->rootkernel()->ept(server->ept_id());
+  hw::Ept* binding = kernel_->rootkernel()->ept(SkyBridgeTestPeer::BindingEpt(*sky_, client, sid));
+  ASSERT_NE(own, nullptr);
+  ASSERT_NE(binding, nullptr);
+  ASSERT_NE(own, binding);
+  for (size_t page = 0; page < 4; ++page) {
+    EXPECT_FALSE(own->Walk(code_gpa + page * kPageSize, hw::kEptExec).ok) << page;
+    EXPECT_FALSE(binding->Walk(code_gpa + page * kPageSize, hw::kEptExec).ok) << page;
+  }
+
+  std::vector<uint8_t> updated = image;
+  PlantEmbedded(updated, 3 * kPageSize + 2048, x86::kVmfuncBytes);
+  ASSERT_TRUE(sky_->UpdateProcessCode(server, updated).ok());
+  for (size_t page = 0; page < 4; ++page) {
+    EXPECT_TRUE(own->Walk(code_gpa + page * kPageSize, hw::kEptExec).ok) << page;
+    EXPECT_TRUE(binding->Walk(code_gpa + page * kPageSize, hw::kEptExec).ok) << page;
+  }
+  EXPECT_TRUE(x86::FindVmfuncBytes(GuestCode(server)).empty());
+  EXPECT_TRUE(server->code_rewritten());
+  EXPECT_EQ(Metric("skybridge.registration.exec_faults"), 0u);
+}
+
+// Exec faults are routed by range: a shrinking update bounds the server's
+// range by its new length, so a fault on the old last page belongs to no
+// process.
+TEST_F(RegistrationPipelineTest, ExecFaultPastAShrunkImageIsUntracked) {
+  SkyBridgeConfig config;
+  config.registration_mode = RegistrationMode::kLazy;
+  Boot(config);
+  auto* server = kernel_->CreateProcessWithImage("server", NopImage(4)).value();
+  ASSERT_TRUE(sky_->RegisterServer(server, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
+  const hw::Gpa old_last = server->address_space().WalkVa(mk::kCodeVa).gpa + 3 * kPageSize;
+  ASSERT_TRUE(sky_->UpdateProcessCode(server, NopImage(2)).ok());
+
+  hw::Core& core = machine_->core(0);
+  EXPECT_EQ(SkyBridgeTestPeer::HandleExecFault(*sky_, core, old_last).code(),
+            sb::ErrorCode::kNotFound);
+  EXPECT_EQ(kernel_->RaiseExecFault(core, old_last).code(), sb::ErrorCode::kUnavailable);
+  // The new image's own pages are still tracked (and already scrubbed).
+  EXPECT_TRUE(SkyBridgeTestPeer::HandleExecFault(*sky_, core, old_last - 2 * kPageSize).ok());
 }
 
 }  // namespace
