@@ -53,80 +53,31 @@ void AppendJsonNumber(std::ostringstream& out, double v) {
 }  // namespace
 
 void LatencyHistogram::Record(uint64_t v) {
-  Shard& s = shards_[ThreadShardIndex()];
-  const size_t bucket = BucketIndex(v);
-  s.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  s.sum.fetch_add(v, std::memory_order_relaxed);
-  uint64_t cur = s.max.load(std::memory_order_relaxed);
-  while (v > cur && !s.max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void LatencyHistogram::Fold(std::array<uint64_t, kBuckets>& buckets, uint64_t& count) const {
-  buckets.fill(0);
-  count = 0;
-  for (const Shard& s : shards_) {
-    for (size_t i = 0; i < kBuckets; ++i) {
-      const uint64_t b = s.buckets[i].load(std::memory_order_relaxed);
-      buckets[i] += b;
-      count += b;
-    }
-  }
-}
-
-uint64_t LatencyHistogram::Count() const {
-  std::array<uint64_t, kBuckets> buckets;
-  uint64_t count = 0;
-  Fold(buckets, count);
-  return count;
+  ++buckets_[BucketIndex(v)];
+  ++count_;
+  sum_ += v;
+  max_ = std::max(max_, v);
 }
 
 double LatencyHistogram::Mean() const {
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  for (const Shard& s : shards_) {
-    sum += s.sum.load(std::memory_order_relaxed);
-    for (const auto& b : s.buckets) {
-      count += b.load(std::memory_order_relaxed);
-    }
-  }
-  if (count == 0) {
+  if (count_ == 0) {
     return 0.0;
   }
-  return static_cast<double>(sum) / static_cast<double>(count);
-}
-
-uint64_t LatencyHistogram::Max() const {
-  uint64_t max = 0;
-  for (const Shard& s : shards_) {
-    max = std::max(max, s.max.load(std::memory_order_relaxed));
-  }
-  return max;
-}
-
-uint64_t LatencyHistogram::OverflowCount() const {
-  uint64_t overflow = 0;
-  for (const Shard& s : shards_) {
-    overflow += s.buckets[kOverflowBucket].load(std::memory_order_relaxed);
-  }
-  return overflow;
+  return static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
 uint64_t LatencyHistogram::Percentile(double p) const {
-  std::array<uint64_t, kBuckets> buckets;
-  uint64_t count = 0;
-  Fold(buckets, count);
-  if (count == 0) {
+  if (count_ == 0) {
     return 0;
   }
   const double clamped = std::clamp(p, 0.0, 100.0);
-  // Nearest-rank over the folded buckets; rank is at least 1 so p=0 lands on
+  // Nearest-rank over the buckets; rank is at least 1 so p=0 lands on
   // the smallest populated bucket instead of reading an empty prefix.
   const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(clamped / 100.0 * static_cast<double>(count))));
+      1, static_cast<uint64_t>(std::ceil(clamped / 100.0 * static_cast<double>(count_))));
   uint64_t seen = 0;
   for (size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets[i];
+    seen += buckets_[i];
     if (seen >= rank) {
       if (i == kOverflowBucket) {
         return kOverflowValue;  // Over-range tail: +Inf, not a clamped max.
@@ -138,18 +89,14 @@ uint64_t LatencyHistogram::Percentile(double p) const {
 }
 
 uint64_t LatencyHistogram::Digest() const {
-  std::array<uint64_t, kBuckets> buckets;
-  uint64_t count = 0;
-  Fold(buckets, count);
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (const uint64_t b : buckets) {
+  for (const uint64_t b : buckets_) {
     h = (h ^ b) * 0x100000001b3ULL;
   }
   return h;
 }
 
 Counter& Registry::GetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), std::make_unique<Counter>(std::string(name))).first;
@@ -158,7 +105,6 @@ Counter& Registry::GetCounter(std::string_view name) {
 }
 
 Gauge& Registry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>(std::string(name))).first;
@@ -167,7 +113,6 @@ Gauge& Registry::GetGauge(std::string_view name) {
 }
 
 LatencyHistogram& Registry::GetHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
@@ -178,7 +123,6 @@ LatencyHistogram& Registry::GetHistogram(std::string_view name) {
 }
 
 uint64_t Registry::Value(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   if (auto it = counters_.find(name); it != counters_.end()) {
     return it->second->Value();
   }
@@ -188,7 +132,6 @@ uint64_t Registry::Value(std::string_view name) const {
 }
 
 std::vector<MetricValue> Registry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<MetricValue> out;
   out.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {

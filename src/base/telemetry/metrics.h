@@ -1,47 +1,29 @@
-// Process-wide metrics registry: named counters, gauges and log-bucketed
+// Per-machine metrics registry: named counters, gauges and log-bucketed
 // latency histograms.
-//
-// The hot path (Counter::Add, LatencyHistogram::Record) is lock-free: each
-// metric keeps a small array of cache-line-padded shards and a thread writes
-// only the shard its (cached) thread hash selects, with relaxed atomics.
-// Readers fold the shards at snapshot time; a snapshot is therefore a
-// consistent-enough view for reporting, never a linearization point.
 //
 // Naming convention: `layer.subsystem.name`, e.g. `skybridge.ipc.direct_calls`,
 // `mk.sched.context_switches`, `vmm.ept.created`, `hw.tlb.dtlb_misses`.
 //
 // The registry is not a process singleton: each simulated machine owns one
 // (hw::Machine::telemetry()), so two worlds in one test binary never share
-// counters. "Process-wide" refers to the simulated machine's processes, all
-// of which report into the machine's registry.
+// counters. Like everything reached from a machine, a registry and its
+// metrics belong to the one host thread that drives that machine, so they
+// are plain fields with no locks or atomics (DESIGN.md §11).
 
 #ifndef SRC_BASE_TELEMETRY_METRICS_H_
 #define SRC_BASE_TELEMETRY_METRICS_H_
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace sb::telemetry {
-
-// Shard count for the per-thread striping. Threads hash onto shards, so two
-// threads may share one — still race-free (atomics), just contended.
-inline constexpr size_t kMetricShards = 16;
-
-// Stable per-thread shard slot (hash of the thread id, cached thread-local).
-inline size_t ThreadShardIndex() {
-  thread_local const size_t idx =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kMetricShards;
-  return idx;
-}
 
 // Monotonically increasing count.
 class Counter {
@@ -52,24 +34,13 @@ class Counter {
 
   const std::string& name() const { return name_; }
 
-  void Add(uint64_t delta = 1) {
-    shards_[ThreadShardIndex()].v.fetch_add(delta, std::memory_order_relaxed);
-  }
+  void Add(uint64_t delta = 1) { value_ += delta; }
 
-  uint64_t Value() const {
-    uint64_t sum = 0;
-    for (const Shard& s : shards_) {
-      sum += s.v.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
+  uint64_t Value() const { return value_; }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> v{0};
-  };
   std::string name_;
-  std::array<Shard, kMetricShards> shards_;
+  uint64_t value_ = 0;
 };
 
 // Point-in-time value: last write wins, or a provider callback evaluated at
@@ -84,14 +55,10 @@ class Gauge {
 
   const std::string& name() const { return name_; }
 
-  void Set(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
+  void Set(uint64_t v) { value_ = v; }
 
   // Monotonic high-water mark.
-  void SetMax(uint64_t v) {
-    uint64_t cur = value_.load(std::memory_order_relaxed);
-    while (v > cur && !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
+  void SetMax(uint64_t v) { value_ = std::max(value_, v); }
 
   // The provider must outlive every snapshot of the owning registry. Only
   // use it for objects with the same lifetime as the registry (e.g. a
@@ -102,12 +69,12 @@ class Gauge {
     if (provider_) {
       return provider_();
     }
-    return value_.load(std::memory_order_relaxed);
+    return value_;
   }
 
  private:
   std::string name_;
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
   Provider provider_;
 };
 
@@ -117,7 +84,7 @@ class Gauge {
 // (instead of the 2x a pure power-of-two bucketing gives). Tracked range
 // ends at 2^48 cycles (~ a simulated day at GHz rates); anything beyond
 // lands in a distinct +Inf overflow bucket rather than silently clamping
-// into the top finite bucket. Sharded like Counter.
+// into the top finite bucket.
 class LatencyHistogram {
  public:
   static constexpr size_t kSubBuckets = 16;       // Linear splits per octave.
@@ -140,34 +107,30 @@ class LatencyHistogram {
 
   void Record(uint64_t v);
 
-  uint64_t Count() const;
+  uint64_t Count() const { return count_; }
   double Mean() const;
-  uint64_t Max() const;
+  uint64_t Max() const { return max_; }
   // Samples recorded beyond the tracked range (the +Inf bucket).
-  uint64_t OverflowCount() const;
+  uint64_t OverflowCount() const { return buckets_[kOverflowBucket]; }
   // Approximate percentile from bucket midpoints, clamped to the observed
   // max — except when the rank falls into the +Inf bucket, which returns
   // kOverflowValue. p <= 0 returns the smallest populated bucket's
   // representative; p >= 100 the largest. Returns 0 when empty.
   uint64_t Percentile(double p) const;
-  // FNV-1a over the folded bucket counts: a deterministic fingerprint of the
+  // FNV-1a over the bucket counts: a deterministic fingerprint of the
   // full distribution (not just the summary percentiles), used by replay /
   // determinism tests to compare two runs' histograms exactly.
   uint64_t Digest() const;
 
  private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<uint64_t>, kBuckets> buckets{};
-    std::atomic<uint64_t> sum{0};
-    std::atomic<uint64_t> max{0};
-  };
-  void Fold(std::array<uint64_t, kBuckets>& buckets, uint64_t& count) const;
-
   std::string name_;
-  std::array<Shard, kMetricShards> shards_;
+  std::array<uint64_t, kBuckets> buckets_{};
+  uint64_t count_ = 0;
+  uint64_t sum_ = 0;
+  uint64_t max_ = 0;
 };
 
-// One folded metric in a snapshot.
+// One metric in a snapshot.
 struct MetricValue {
   enum class Kind { kCounter, kGauge, kHistogram };
   std::string name;
@@ -186,8 +149,7 @@ struct MetricValue {
 };
 
 // Owns the named metrics. Get* registers on first use and returns the same
-// instance thereafter (pointers are stable for the registry's lifetime);
-// registration takes a lock, the returned handles' hot paths do not.
+// instance thereafter (pointers are stable for the registry's lifetime).
 class Registry {
  public:
   Registry() = default;
@@ -198,13 +160,12 @@ class Registry {
   Gauge& GetGauge(std::string_view name);
   LatencyHistogram& GetHistogram(std::string_view name);
 
-  // Folded value of the registered counter or gauge `name`. Unlike Get*,
-  // never registers: an unknown name (a typo would otherwise read a fresh
-  // zero counter) fails an SB_CHECK. Exact at its read, but reads of several
-  // metrics are not a consistent cut across them.
+  // Value of the registered counter or gauge `name`. Unlike Get*, never
+  // registers: an unknown name (a typo would otherwise read a fresh zero
+  // counter) fails an SB_CHECK.
   uint64_t Value(std::string_view name) const;
 
-  // Folded view of every registered metric, sorted by name within each kind.
+  // View of every registered metric, sorted by name within each kind.
   std::vector<MetricValue> Snapshot() const;
 
   // JSON object mapping metric name to value (counters/gauges) or to a
@@ -213,7 +174,6 @@ class Registry {
   std::string SnapshotJson() const;
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>> histograms_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/base/faultpoint.h"
 #include "src/base/logging.h"
 
 namespace hw {
@@ -19,35 +20,27 @@ HostPhysMem::HostPhysMem(uint64_t size_bytes)
 }
 
 HostPhysMem::~HostPhysMem() {
-  for (std::atomic<Leaf*>& entry : leaves_) {
-    Leaf* leaf = entry.load(std::memory_order_relaxed);
+  for (const std::unique_ptr<Leaf>& leaf : leaves_) {
     if (leaf == nullptr) {
       continue;
     }
     for (Slot& slot : leaf->slots) {
-      if (slot.contig_end.load(std::memory_order_relaxed) == 0) {
-        delete[] slot.host.load(std::memory_order_relaxed);  // Sparse frame.
+      if (slot.contig_end == 0) {
+        delete[] slot.host;  // Sparse frame.
       }
     }
-    delete leaf;
   }
 }
 
 const HostPhysMem::Slot* HostPhysMem::FindSlot(uint64_t frame) const {
-  const Leaf* leaf = leaves_[frame >> kLeafShift].load(std::memory_order_acquire);
+  const Leaf* leaf = leaves_[frame >> kLeafShift].get();
   return leaf != nullptr ? &leaf->slots[frame & (kLeafSlots - 1)] : nullptr;
 }
 
 HostPhysMem::Slot& HostPhysMem::SlotFor(uint64_t frame) {
-  std::atomic<Leaf*>& entry = leaves_[frame >> kLeafShift];
-  Leaf* leaf = entry.load(std::memory_order_acquire);
+  std::unique_ptr<Leaf>& leaf = leaves_[frame >> kLeafShift];
   if (leaf == nullptr) {
-    auto fresh = std::make_unique<Leaf>();
-    // On a lost race `leaf` receives the winner's leaf and ours is freed.
-    if (entry.compare_exchange_strong(leaf, fresh.get(), std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      leaf = fresh.release();
-    }
+    leaf = std::make_unique<Leaf>();
   }
   return leaf->slots[frame & (kLeafSlots - 1)];
 }
@@ -55,23 +48,17 @@ HostPhysMem::Slot& HostPhysMem::SlotFor(uint64_t frame) {
 uint8_t* HostPhysMem::FrameFor(Hpa addr) {
   SB_CHECK(Contains(addr)) << "HPA out of RAM: 0x" << std::hex << addr;
   Slot& slot = SlotFor(addr >> sb::kPageShift);
-  uint8_t* host = slot.host.load(std::memory_order_acquire);
-  if (host != nullptr) {
-    return host;
+  if (slot.host == nullptr) {
+    slot.host = new uint8_t[sb::kPageSize]();  // Zero-filled.
+    ++resident_;
   }
-  auto fresh = std::make_unique<uint8_t[]>(sb::kPageSize);  // Zero-filled.
-  if (!slot.host.compare_exchange_strong(host, fresh.get(), std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-    return host;  // Another host thread backed the frame first.
-  }
-  resident_.fetch_add(1, std::memory_order_relaxed);
-  return fresh.release();
+  return slot.host;
 }
 
 uint8_t* HostPhysMem::BackingOf(Hpa addr) const {
   SB_CHECK(Contains(addr)) << "HPA out of RAM: 0x" << std::hex << addr;
   const Slot* slot = FindSlot(addr >> sb::kPageShift);
-  return slot != nullptr ? slot->host.load(std::memory_order_acquire) : nullptr;
+  return slot != nullptr ? slot->host : nullptr;
 }
 
 void HostPhysMem::BackContiguous(Hpa base, uint64_t len) {
@@ -84,7 +71,7 @@ void HostPhysMem::BackContiguous(Hpa base, uint64_t len) {
   const uint64_t end = first + (sb::PageUp(len) >> sb::kPageShift);
   for (uint64_t frame = first; frame < end; ++frame) {
     const Slot* slot = FindSlot(frame);
-    SB_CHECK(slot == nullptr || slot->contig_end.load(std::memory_order_relaxed) == 0)
+    SB_CHECK(slot == nullptr || slot->contig_end == 0)
         << "BackContiguous range [0x" << std::hex << base << ", 0x" << base + len
         << ") overlaps an existing region without lying inside it";
   }
@@ -98,14 +85,14 @@ void HostPhysMem::BackContiguous(Hpa base, uint64_t len) {
     uint8_t* dst = storage.get() + (frame - first) * sb::kPageSize;
     // Preserve whatever was already written to this frame, then retire the
     // old backing so the region's storage is authoritative.
-    if (uint8_t* old = slot.host.load(std::memory_order_acquire)) {
-      std::memcpy(dst, old, sb::kPageSize);
-      delete[] old;
+    if (slot.host != nullptr) {
+      std::memcpy(dst, slot.host, sb::kPageSize);
+      delete[] slot.host;
     } else {
-      resident_.fetch_add(1, std::memory_order_relaxed);
+      ++resident_;
     }
-    slot.host.store(dst, std::memory_order_release);
-    slot.contig_end.store(end, std::memory_order_release);
+    slot.host = dst;
+    slot.contig_end = end;
   }
   regions_.push_back(std::move(storage));
 }
@@ -119,11 +106,10 @@ uint8_t* HostPhysMem::ContiguousSpan(Hpa addr, uint64_t len) {
     return nullptr;
   }
   // A sparse frame has contig_end 0, so the compare rejects it too.
-  const uint64_t end = slot->contig_end.load(std::memory_order_acquire);
-  if (addr + len > end << sb::kPageShift) {
+  if (addr + len > slot->contig_end << sb::kPageShift) {
     return nullptr;
   }
-  return slot->host.load(std::memory_order_relaxed) + (addr & kPageOffsetMask);
+  return slot->host + (addr & kPageOffsetMask);
 }
 
 void HostPhysMem::Read(Hpa addr, std::span<uint8_t> out) const {
@@ -225,7 +211,7 @@ sb::StatusOr<Hpa> FrameAllocator::Alloc(HostPhysMem& mem) {
 }
 
 sb::StatusOr<Hpa> FrameAllocator::AllocContiguous(HostPhysMem& mem, uint64_t count) {
-  if (next_ + count * sb::kPageSize > base_ + size_) {
+  if (SB_FAULT_POINT(kFaultFrameAlloc) || next_ + count * sb::kPageSize > base_ + size_) {
     return sb::ResourceExhausted("frame allocator exhausted (contiguous)");
   }
   const Hpa first = next_;

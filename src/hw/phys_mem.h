@@ -13,7 +13,6 @@
 #ifndef SRC_HW_PHYS_MEM_H_
 #define SRC_HW_PHYS_MEM_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -60,8 +59,7 @@ class HostPhysMem {
   // have backing are preserved; the range reads back unchanged. Idempotent
   // when the range lies inside one backing region; a range that overlaps a
   // region without lying inside it is a CHECK failure (the region's span
-  // would go stale). A set-up operation: not concurrent with accesses to the
-  // range.
+  // would go stale).
   void BackContiguous(Hpa base, uint64_t len);
 
   // Host pointer for [addr, addr + len) when the whole range lies inside one
@@ -70,18 +68,16 @@ class HostPhysMem {
   uint8_t* ContiguousSpan(Hpa addr, uint64_t len);
 
   // Number of frames with host backing (for tests / memory accounting).
-  size_t resident_frames() const { return resident_.load(std::memory_order_relaxed); }
+  size_t resident_frames() const { return resident_; }
 
  private:
   // One frame-table entry. `host` is the frame's backing, nullptr until the
   // first write. For a frame inside a BackContiguous region, `contig_end`
   // is the region's exclusive end frame: host memory is contiguous from
-  // `host` up to that frame. Zero for sparse frames. Slots are atomics so
-  // host threads driving different cores can give frames backing
-  // concurrently.
+  // `host` up to that frame. Zero for sparse frames.
   struct Slot {
-    std::atomic<uint8_t*> host{nullptr};
-    std::atomic<uint64_t> contig_end{0};
+    uint8_t* host = nullptr;
+    uint64_t contig_end = 0;
   };
   static constexpr uint64_t kLeafShift = 9;  // 512 frames: one 2 MiB chunk.
   static constexpr uint64_t kLeafSlots = 1ULL << kLeafShift;
@@ -110,11 +106,17 @@ class HostPhysMem {
   void Store(Hpa addr, T value);
 
   uint64_t size_;
-  std::vector<std::atomic<Leaf*>> leaves_;  // Indexed by 2 MiB chunk.
-  std::atomic<size_t> resident_{0};
+  std::vector<std::unique_ptr<Leaf>> leaves_;  // Indexed by 2 MiB chunk.
+  size_t resident_ = 0;
   // Storage of the BackContiguous regions; their slots point into it.
   std::vector<std::unique_ptr<uint8_t, FreeDeleter>> regions_;
 };
+
+// Fault point (src/base/faultpoint.h): FrameAllocator::AllocContiguous,
+// the allocation behind every anonymous guest mapping
+// (AddressSpace::MapAnonymous), reports exhaustion. Recovery: the mapping
+// and whatever requested it fail with ResourceExhausted.
+inline constexpr const char kFaultFrameAlloc[] = "hw.phys.alloc";
 
 // Bump-plus-freelist frame allocator over [base, base + size).
 class FrameAllocator {

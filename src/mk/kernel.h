@@ -222,6 +222,21 @@ class Kernel {
   // syscalls and by the microbenchmarks) ----
   void SyscallEnter(hw::Core& core);
   void SyscallExit(hw::Core& core);
+  // SyscallEnter on construction, SyscallExit on destruction: every return
+  // from a kernel-mediated path leaves the core back in user mode.
+  class SyscallScope {
+   public:
+    SyscallScope(Kernel& kernel, hw::Core& core) : kernel_(kernel), core_(core) {
+      kernel_.SyscallEnter(core_);
+    }
+    ~SyscallScope() { kernel_.SyscallExit(core_); }
+    SyscallScope(const SyscallScope&) = delete;
+    SyscallScope& operator=(const SyscallScope&) = delete;
+
+   private:
+    Kernel& kernel_;
+    hw::Core& core_;
+  };
   // A no-op syscall round trip, as measured in Table 2.
   void NoOpSyscall(hw::Core& core);
   void SwitchAddressSpace(hw::Core& core, Process* to);
@@ -256,7 +271,7 @@ class Kernel {
   // from the calibrated logic constants to avoid double counting.
   uint64_t warm_footprint_cycles_ = 0;
   // Telemetry handles on the machine's registry (mk.*), bound at
-  // construction; the call paths only do relaxed sharded adds.
+  // construction; the call paths only add.
   struct Metrics {
     sb::telemetry::Counter* ipc_calls;
     sb::telemetry::Counter* cross_core_calls;

@@ -8,8 +8,7 @@
 //
 // One typed CallContext threads the per-call state through the pipeline —
 // every field lives on the caller's stack, so the gate itself holds no
-// per-call mutable state and concurrent calls on different simulated cores
-// only share the (sharded, atomic) telemetry handles.
+// per-call mutable state.
 
 #ifndef SRC_SKYBRIDGE_GATE_H_
 #define SRC_SKYBRIDGE_GATE_H_

@@ -344,7 +344,7 @@ sb::Status RouteTable::Revoke(mk::Process* client, ServerId server) {
   if (!binding->revoked) {
     binding->revoked = true;
     binding->swept = false;
-    generation_.fetch_add(1, std::memory_order_relaxed);  // Drop cached routes.
+    ++generation_;  // Drop cached routes.
     bindings_revoked_->Add();
     hw::Core& core = kernel_->machine().core(0);
     SB_TRACE_EVENT(TraceEventType::kBindingRevoked, core.cycles(), core.id(), client->pid(),

@@ -3,16 +3,10 @@
 // the per-core EPTP slot caches — everything DirectServerCall consults to
 // turn a ServerId into an armed EPTP slot.
 //
-// Concurrency model (DESIGN.md section 11): the route table is read-mostly.
-// Steady-state calls on different cores touch only per-thread state (the
-// RouteCache embedded in mk::Thread), per-binding state of *their own*
-// disjoint binding (in-flight counters), *their own* core's
-// slot cache and sharded telemetry counters — no shared mutable word.
-// Mutation (registration, revocation, eviction, fault injection) is the
-// sanctioned slow path and is serialized by the caller. Revocation publishes
-// through `generation()`, an epoch every per-thread cache entry is stamped
-// with: bumping it drops every thread's cached Binding* at once without
-// touching the threads.
+// Like the rest of a machine, the route table belongs to one host thread
+// (DESIGN.md section 11). Revocation publishes through `generation()`, an
+// epoch every per-thread cache entry is stamped with: bumping it drops every
+// thread's cached Binding* at once without touching the threads.
 //
 // Slot virtualization (DESIGN.md section 15): the hardware EPTP list holds
 // at most hw::kEptpListCapacity views per core, but the table may carry tens
@@ -28,7 +22,6 @@
 #ifndef SRC_SKYBRIDGE_ROUTING_H_
 #define SRC_SKYBRIDGE_ROUTING_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -236,8 +229,8 @@ class RouteTable {
   sb::Status CheckInvariants() const;
   uint64_t InFlightCalls() const;
 
-  // The route-cache invalidation epoch (relaxed; see the header comment).
-  uint64_t generation() const { return generation_.load(std::memory_order_relaxed); }
+  // The route-cache invalidation epoch (see the header comment).
+  uint64_t generation() const { return generation_; }
 
  private:
   // Slot-index LRU surgery over a core's cache (slot must be linked /
@@ -267,7 +260,7 @@ class RouteTable {
   // Epoch for the per-thread route caches. Bindings are never destroyed, so
   // this only moves on revocation (and any future removal path); bumping it
   // invalidates every thread's cached Binding* at once.
-  std::atomic<uint64_t> generation_{1};
+  uint64_t generation_ = 1;
   sb::telemetry::Counter* lookup_hits_;
   sb::telemetry::Counter* lookup_misses_;
   sb::telemetry::Counter* bindings_revoked_;

@@ -542,19 +542,15 @@ sb::StatusOr<SkyBridge::BatchConn*> SkyBridge::GetBatchConn(mk::Thread* caller,
   // connection's slice and carve the ring from it.
   SB_ASSIGN_OR_RETURN(const SliceRef slice, buffers_.AcquireSlice(*perm, caller));
   SB_ASSIGN_OR_RETURN(const BatchRingView ring, buffers_.CarveRing(*perm, caller));
-  std::lock_guard<std::mutex> lock(batch_mu_);
   BatchConn& conn = batch_conns_[{perm, caller->tid()}];
-  if (conn.notify == nullptr) {
-    conn.slice = slice;
-    conn.ring = ring;
-    conn.slot_token.assign(ring.entries, kFreeSlot);
-    conn.notify = kernel_->CreateNotification();
-  }
+  conn.slice = slice;
+  conn.ring = ring;
+  conn.slot_token.assign(ring.entries, kFreeSlot);
+  conn.notify = kernel_->CreateNotification();
   return &conn;
 }
 
 SkyBridge::BatchConn* SkyBridge::FindBatchConn(const Binding* perm, int tid) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
   auto it = batch_conns_.find({perm, tid});
   return it != batch_conns_.end() ? &it->second : nullptr;
 }
@@ -929,17 +925,14 @@ sb::Status SkyBridge::RevokeServer(ServerId server_id) {
 
 sb::Status SkyBridge::CheckInvariants() const {
   SB_RETURN_IF_ERROR(routes_.CheckInvariants());
-  {
-    // Batch slot ownership: a held slot records a token its connection
-    // submitted within the last ring's worth of tokens.
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    for (const auto& [key, conn] : batch_conns_) {
-      for (uint32_t slot = 0; slot < conn.slot_token.size(); ++slot) {
-        const uint64_t token = conn.slot_token[slot];
-        if (token != kFreeSlot && (conn.ring.Slot(token) != slot || token >= conn.sq_tail ||
-                                   conn.sq_tail - token > conn.ring.entries)) {
-          return sb::Internal("batch slot holds a token outside its ring window");
-        }
+  // Batch slot ownership: a held slot records a token its connection
+  // submitted within the last ring's worth of tokens.
+  for (const auto& [key, conn] : batch_conns_) {
+    for (uint32_t slot = 0; slot < conn.slot_token.size(); ++slot) {
+      const uint64_t token = conn.slot_token[slot];
+      if (token != kFreeSlot && (conn.ring.Slot(token) != slot || token >= conn.sq_tail ||
+                                 conn.sq_tail - token > conn.ring.entries)) {
+        return sb::Internal("batch slot holds a token outside its ring window");
       }
     }
   }

@@ -27,20 +27,16 @@
 //                keys, abort/unwind, return-gate reply validation, phases.
 //   buffers.h  — shared-buffer regions and per-connection slice carving.
 //
-// Steady-state calls on different simulated cores share no mutable word
-// (DESIGN.md section 11): lookups hit per-thread caches, in-flight counters
-// live on the caller's own binding, and telemetry is sharded — so N disjoint
-// (client, server) pairs on N cores scale without serializing.
+// A SkyBridge, like the machine it runs on, belongs to one host thread
+// (DESIGN.md section 11); simulated cores are stepped on that thread.
 
 #ifndef SRC_SKYBRIDGE_SKYBRIDGE_H_
 #define SRC_SKYBRIDGE_SKYBRIDGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -253,8 +249,8 @@ class SkyBridge {
   friend class SkyBridgeTestPeer;  // Inspects pristine-image sharing in unit tests.
 
   // ---- Staged registration pipeline state (DESIGN.md section 17) ----
-  // Per prepared process. Guarded by reg_mu_ (slow path only: registration,
-  // code update, snapshot, exec-fault resolution).
+  // Per prepared process (slow path only: registration, code update,
+  // snapshot, exec-fault resolution).
   // Read-only image bytes shared by content (see pristine_images_).
   using SharedImage = std::shared_ptr<const std::vector<uint8_t>>;
 
@@ -288,37 +284,37 @@ class SkyBridge {
   // restores (snapshot) the gate patterns it needs, then maps the
   // trampoline and calling-key table.
   sb::Status EnsureProcessPrepared(mk::Process* process, CrossingBackendKind backend);
-  // The process's RegState, or null when it was never prepared. reg_mu_ held.
-  RegState* FindRegStateLocked(const mk::Process* process);
+  // The process's RegState, or null when it was never prepared.
+  RegState* FindRegState(const mk::Process* process);
   // Finds-or-creates the process's RegState (pristine capture, code GPA,
-  // code_ranges_ entry). reg_mu_ held.
-  sb::StatusOr<RegState*> EnsureRegStateLocked(mk::Process* process);
+  // code_ranges_ entry).
+  sb::StatusOr<RegState*> EnsureRegState(mk::Process* process);
   // The shared buffer holding `image` (hash `hash`): an interned one with the
   // same bytes, else a new one, interned unless another live image already
   // holds the hash (a collision keeps a private copy). Prunes entries whose
-  // buffer nothing references any more. reg_mu_ held.
-  SharedImage InternPristineLocked(std::vector<uint8_t> image, uint64_t hash);
+  // buffer nothing references any more.
+  SharedImage InternPristine(std::vector<uint8_t> image, uint64_t hash);
   // Scrubs every code page for gate pattern `pattern_id` now, unless already
-  // prepared for it; a no-op when rewrite_binaries is off. reg_mu_ held.
-  sb::Status EagerPassLocked(mk::Process* process, uint32_t pattern_id);
+  // prepared for it; a no-op when rewrite_binaries is off.
+  sb::Status EagerPass(mk::Process* process, uint32_t pattern_id);
   // Lazy mode: records `pattern_id` as prepared and drops exec from every
-  // code page in the enrolled EPTs instead of scanning. reg_mu_ held.
-  sb::Status ArmLazyLocked(mk::Process* process, uint32_t pattern_id);
+  // code page in the enrolled EPTs instead of scanning.
+  sb::Status ArmLazy(mk::Process* process, uint32_t pattern_id);
   // The per-page scrub engine: runs every page in `page_mask` through the
   // content-hashed rewrite cache for gate pattern `pattern_id`, applies
   // patches, fills the per-page snippet sub-windows and writes the image
   // back. Charges rewrite_scan_page or rewrite_cache_replay per page on
-  // `core`. reg_mu_ held.
-  sb::Status ScrubPagesLocked(mk::Process* process, RegState& st, uint32_t pattern_id,
-                              uint64_t page_mask, hw::Core& core);
+  // `core`.
+  sb::Status ScrubPages(mk::Process* process, RegState& st, uint32_t pattern_id,
+                        uint64_t page_mask, hw::Core& core);
   // Maps snippet sub-window page `wva` read-only on first use, writes `bytes`
-  // into it and records them for snapshot capture. reg_mu_ held.
-  sb::Status WriteWindowPageLocked(mk::Process* process, RegState& st, hw::Gva wva,
-                                   const std::vector<uint8_t>& bytes);
+  // into it and records them for snapshot capture.
+  sb::Status WriteWindowPage(mk::Process* process, RegState& st, hw::Gva wva,
+                             const std::vector<uint8_t>& bytes);
   // Sets the exec permission of the code pages in `page_mask` in every EPT
-  // of `epts`, by hypercall. reg_mu_ held.
-  sb::Status SetCodeExecLocked(hw::Core& core, const RegState& st, uint64_t page_mask,
-                               std::span<const uint64_t> epts, bool exec);
+  // of `epts`, by hypercall.
+  sb::Status SetCodeExec(hw::Core& core, const RegState& st, uint64_t page_mask,
+                         std::span<const uint64_t> epts, bool exec);
   // Drops exec on the server's still-pending pages in a freshly created
   // binding/chain EPT and enrolls it in protect_epts. No-op when the server
   // has no pending pages.
@@ -334,14 +330,10 @@ class SkyBridge {
                                                     ServerId server_id, uint64_t shared_ept_id);
   // Writes (key, pid) into calling-key table slot `slot` of `server`.
   void WriteKeySlot(const ServerEntry& server, uint64_t slot, uint64_t key, uint64_t pid);
-  // reg_mu_-held bodies of the public snapshot API.
-  sb::StatusOr<RegistrationSnapshot> SnapshotLocked(mk::Process* process);
-  sb::Status RestoreLocked(mk::Process* process, const RegistrationSnapshot& snapshot);
   // Hot-path guard: when any process still has non-executable pages, touch
   // the pages this call is about to execute (client call site, server
   // handler entry, the tag-dispatched code path) and deliver exec faults.
   sb::Status EnsureCallExecutable(CallContext& ctx);
-  sb::Status TouchExecPage(hw::Core& core, mk::Process* process, size_t page_index);
   // The exec-violation exit handler (Rootkernel -> mk -> here): rewrites the
   // faulting page through the cache and flips it executable everywhere.
   sb::Status HandleExecFault(hw::Core& core, hw::Gpa gpa);
@@ -377,7 +369,7 @@ class SkyBridge {
 
   // Handles on the machine's telemetry registry (skybridge.*), the only
   // store of these counts: registered once in the constructor, the hot path
-  // only does relaxed sharded adds, and readers use Registry::Value. The
+  // only adds, and readers use Registry::Value. The
   // routing/gate modules register and bump the lookup, revocation and abort
   // counters themselves.
   struct Metrics {
@@ -457,9 +449,6 @@ class SkyBridge {
   TrampolineLayout mpk_trampoline_;
   hw::Gpa mpk_trampoline_gpa_ = 0;
   // ---- Staged registration pipeline (DESIGN.md section 17) ----
-  // Slow-path lock for registration state; never taken on the steady-state
-  // call path (EnsureCallExecutable bails on lazy_pending_ first).
-  mutable std::mutex reg_mu_;
   std::unordered_map<const mk::Process*, RegState> reg_states_;
   // Pristine-image intern table, keyed by x86::HashBytes of the bytes:
   // clones of one template share one pristine buffer. Holds weak references
@@ -471,8 +460,8 @@ class SkyBridge {
   std::map<hw::Gpa, mk::Process*> code_ranges_;
   // Processes that still have >= 1 non-executable code page. Zero in eager /
   // snapshot / drained-lazy steady state, making EnsureCallExecutable one
-  // relaxed load.
-  std::atomic<uint64_t> lazy_pending_{0};
+  // compare.
+  uint64_t lazy_pending_ = 0;
   x86::RewriteCache rewrite_cache_;
   // Latency of the exec-fault slow path (fault delivery through rewrite).
   sb::telemetry::LatencyHistogram* phase_exec_fault_ = nullptr;
@@ -486,12 +475,8 @@ class SkyBridge {
   BufferPool buffers_;
   Gate gate_;
   // Batch connections, keyed by (binding, tid). std::map keeps BatchConn
-  // addresses stable across inserts; the mutex guards map shape only —
-  // steady-state submit/poll/flush on an established connection touch only
-  // that connection's own state (one host thread per connection, like the
-  // slice it is carved from).
+  // addresses stable across inserts.
   std::map<std::pair<const Binding*, int>, BatchConn> batch_conns_;
-  mutable std::mutex batch_mu_;
   std::function<void()> batch_refill_;
 };
 

@@ -42,7 +42,6 @@ std::span<const uint8_t> CodePageContext(std::span<const uint8_t> image, size_t 
 
 std::optional<PageRewrite> RewriteCache::Lookup(const RewriteCacheKey& key,
                                                 std::span<const uint8_t> context) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end() || !std::ranges::equal(it->second->context, context)) {
     ++stats_.misses;
@@ -55,7 +54,6 @@ std::optional<PageRewrite> RewriteCache::Lookup(const RewriteCacheKey& key,
 
 void RewriteCache::Insert(const RewriteCacheKey& key, std::span<const uint8_t> context,
                           PageRewrite value) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->context.assign(context.begin(), context.end());
@@ -73,7 +71,6 @@ void RewriteCache::Insert(const RewriteCacheKey& key, std::span<const uint8_t> c
 }
 
 void RewriteCache::Invalidate(const RewriteCacheKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     return;
@@ -81,16 +78,6 @@ void RewriteCache::Invalidate(const RewriteCacheKey& key) {
   lru_.erase(it->second);
   index_.erase(it);
   ++stats_.invalidations;
-}
-
-size_t RewriteCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-RewriteCacheStats RewriteCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace x86

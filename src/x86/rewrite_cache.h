@@ -20,16 +20,14 @@
 // miss: a client controls its code image, so a crafted hash collision must
 // not replay another page's patches and leave a gate instruction unscrubbed.
 //
-// Entries are LRU-evicted under a bounded budget. All methods are
-// thread-safe; Lookup returns the entry by value so callers never hold
-// references across an eviction.
+// Entries are LRU-evicted under a bounded budget. Lookup returns the entry
+// by value so callers never hold references across an eviction.
 
 #ifndef SRC_X86_REWRITE_CACHE_H_
 #define SRC_X86_REWRITE_CACHE_H_
 
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -86,9 +84,9 @@ class RewriteCache {
   // Drops the entry if present (UpdateProcessCode dirty-page invalidation).
   void Invalidate(const RewriteCacheKey& key);
 
-  size_t size() const;
+  size_t size() const { return lru_.size(); }
   size_t max_entries() const { return max_entries_; }
-  RewriteCacheStats stats() const;
+  RewriteCacheStats stats() const { return stats_; }
 
  private:
   struct KeyHash {
@@ -106,7 +104,6 @@ class RewriteCache {
   };
 
   const size_t max_entries_;
-  mutable std::mutex mu_;
   std::list<Entry> lru_;  // Front = most recently used.
   std::unordered_map<RewriteCacheKey, std::list<Entry>::iterator, KeyHash> index_;
   RewriteCacheStats stats_;

@@ -18,7 +18,7 @@ std::vector<size_t> FindVmfuncBytes(std::span<const uint8_t> code, const ScanOpt
   }
   if (options.stats != nullptr) {
     const size_t chunk = options.chunk_bytes == 0 ? 4096 : options.chunk_bytes;
-    options.stats->AddPages((code.size() + chunk - 1) / chunk);
+    options.stats->pages += (code.size() + chunk - 1) / chunk;
   }
   // memchr-hop between 0x0F candidates; every candidate below limit has its
   // two trailing bytes inside the image.

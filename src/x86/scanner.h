@@ -14,7 +14,6 @@
 #ifndef SRC_X86_SCANNER_H_
 #define SRC_X86_SCANNER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -36,14 +35,9 @@ struct VmfuncHit {
   VmfuncOverlap overlap = VmfuncOverlap::kUndecodable;
 };
 
-// Accounting for one or more scans (accumulated across calls). The counter
-// is atomic so one ScanStats can be shared as the sink of scans running
-// concurrently on different threads (relaxed ordering: the total is read
-// after the scans join).
+// Accounting for one or more scans (accumulated across calls).
 struct ScanStats {
-  std::atomic<uint64_t> pages{0};  // Chunks (code pages) scanned.
-
-  void AddPages(uint64_t n) { pages.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t pages = 0;  // Chunks (code pages) scanned.
 };
 
 struct ScanOptions {

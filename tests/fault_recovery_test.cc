@@ -17,6 +17,7 @@
 
 #include "src/base/faultpoint.h"
 #include "src/base/telemetry/trace.h"
+#include "src/hw/phys_mem.h"
 #include "src/mk/scheduler.h"
 #include "src/vmm/rootkernel.h"
 #include "tests/crossing_grid.h"
@@ -39,7 +40,7 @@ class FaultRecoveryTest : public CrossingGridTest {
     sb::telemetry::TraceClear();
   }
 
-  void Boot(SkyBridgeConfig config = {}) {
+  void Boot(SkyBridgeConfig config = {}, const mk::KernelProfile& profile = mk::Sel4Profile()) {
     Apply(config);
     sky_.reset();
     kernel_.reset();
@@ -48,9 +49,17 @@ class FaultRecoveryTest : public CrossingGridTest {
     mc.num_cores = 4;
     mc.ram_bytes = 4 * kGiB;
     machine_ = std::make_unique<hw::Machine>(mc);
-    kernel_ = std::make_unique<mk::Kernel>(*machine_, mk::Sel4Profile());
+    kernel_ = std::make_unique<mk::Kernel>(*machine_, profile);
     ASSERT_TRUE(kernel_->Boot().ok());
     sky_ = std::make_unique<SkyBridge>(*kernel_, config);
+  }
+
+  // seL4 with KPTI: every kernel entry switches core 0 to the kernel's page
+  // tables, so a path that forgets its kernel exit shows in the CR3.
+  static mk::KernelProfile KptiProfile() {
+    mk::KernelProfile profile = mk::Sel4Profile();
+    profile.kpti = true;
+    return profile;
   }
 
   // Aborts route through the Rootkernel hypercall on view-switch backends
@@ -378,6 +387,69 @@ TEST_P(FaultRecoveryTest, RootkernelRefusingBindingEptFailsRegistrationCleanly) 
   mk::Thread* thread = client->AddThread(0);
   ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
   ASSERT_TRUE(sky_->DirectServerCall(thread, sid, Message(1)).ok());
+}
+
+// ---- hw.phys.alloc: a registration that fails inside the kernel path ----
+
+TEST_P(FaultRecoveryTest, FailedBufferRegionLeavesTheKernelAndRetrySucceeds) {
+  Boot({}, KptiProfile());
+  auto* client = kernel_->CreateProcess("client").value();
+  auto* first = kernel_->CreateProcess("first").value();
+  auto* second = kernel_->CreateProcess("second").value();
+  const ServerId first_sid = sky_->RegisterServer(first, 4, EchoHandler()).value();
+  const ServerId sid = sky_->RegisterServer(second, 4, EchoHandler()).value();
+  // The first registration prepares the client (scrub, trampoline, key
+  // table), so the next one's first anonymous mapping is its buffer region.
+  ASSERT_TRUE(sky_->RegisterClient(client, first_sid).ok());
+  mk::Thread* thread = client->AddThread(0);
+  hw::Core& core = machine_->core(0);
+  ASSERT_TRUE(kernel_->ContextSwitchTo(core, client).ok());
+  ASSERT_EQ(core.mode(), hw::CpuMode::kUser);
+
+  sb::fault::FaultSpec spec;
+  spec.nth_hit = 1;
+  sb::fault::Arm(hw::kFaultFrameAlloc, spec);
+  const sb::Status failed = sky_->RegisterClient(client, sid);
+  EXPECT_EQ(sb::fault::StatsFor(hw::kFaultFrameAlloc).fires, 1u);
+  sb::fault::DisarmAll();
+  EXPECT_EQ(failed.code(), ErrorCode::kResourceExhausted) << failed.ToString();
+  EXPECT_EQ(core.mode(), hw::CpuMode::kUser);
+  EXPECT_EQ(core.cr3(), client->cr3());
+  ExpectHealthy();
+
+  ASSERT_TRUE(sky_->RegisterClient(client, sid).ok());
+  auto reply = sky_->DirectServerCall(thread, sid, Message(5));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->tag, 5u);
+  ExpectHealthy();
+}
+
+// ---- vmm.rootkernel.binding_ept_refused on revival ----
+
+TEST_P(FaultRecoveryTest, RefusedRemapOnRevivalKeepsTheBindingRevoked) {
+  Boot({}, KptiProfile());
+  Pair p = MakePair(EchoHandler());
+  ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(1)).ok());
+  ASSERT_TRUE(sky_->RevokeBinding(p.client, p.sid).ok());
+  hw::Core& core = machine_->core(0);
+
+  // Under consolidation a revival re-adds the client's CR3 remap into the
+  // server's shared EPT; the Rootkernel refuses it.
+  sb::fault::Arm(vmm::kFaultBindingEptRefused);
+  const sb::Status refused = sky_->RegisterClient(p.client, p.sid);
+  EXPECT_GE(sb::fault::StatsFor(vmm::kFaultBindingEptRefused).fires, 1u);
+  sb::fault::DisarmAll();
+  EXPECT_EQ(refused.code(), ErrorCode::kInternal) << refused.ToString();
+  EXPECT_EQ(core.mode(), hw::CpuMode::kUser);
+  EXPECT_EQ(core.cr3(), p.client->cr3());
+  EXPECT_EQ(sky_->DirectServerCall(p.thread, p.sid, Message(2)).status().code(),
+            ErrorCode::kPermissionDenied);
+  ExpectHealthy();
+
+  ASSERT_TRUE(sky_->RegisterClient(p.client, p.sid).ok());
+  auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(3));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ExpectHealthy();
 }
 
 // ---- The whole catalog is survivable ----

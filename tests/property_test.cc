@@ -3,7 +3,6 @@
 // remount in the middle), and executor determinism.
 
 #include <map>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -212,34 +211,6 @@ TEST(ScanParityProperty, PatternsStraddlingChunkBoundariesAreFound) {
   options.stats = &stats;
   EXPECT_EQ(x86::FindVmfuncBytes(code, options), expected);
   EXPECT_EQ(stats.pages, 8u);
-}
-
-// Regression test for the scan-accounting data race: one ScanStats shared as
-// the sink of scans running concurrently on different host threads (the
-// shape RewriteProcessImage produces when registrations overlap). The fields
-// are atomics; under TSan this test is the witness, and the folded totals
-// must be exact.
-TEST(ScanParityProperty, SharedScanStatsAcrossConcurrentScansIsExact) {
-  const size_t chunk = 256;
-  const std::vector<uint8_t> code(chunk * 16, 0x90);
-  x86::ScanStats stats;
-  constexpr int kScanners = 4;
-  constexpr int kScansEach = 8;
-  std::vector<std::thread> scanners;
-  for (int t = 0; t < kScanners; ++t) {
-    scanners.emplace_back([&code, &stats, chunk] {
-      x86::ScanOptions options;
-      options.chunk_bytes = chunk;
-      options.stats = &stats;
-      for (int i = 0; i < kScansEach; ++i) {
-        EXPECT_TRUE(x86::FindVmfuncBytes(code, options).empty());
-      }
-    });
-  }
-  for (std::thread& t : scanners) {
-    t.join();
-  }
-  EXPECT_EQ(stats.pages, static_cast<uint64_t>(kScanners) * kScansEach * 16);
 }
 
 // ---- Scanner fuzz: random byte streams vs a naive reference search ----

@@ -21,26 +21,22 @@
 
 namespace skybridge {
 
-// Reads SkyBridge's registration state (under its registration lock where it
-// has one) and reaches its exec-fault handler.
+// Reads SkyBridge's registration state and reaches its exec-fault handler.
 class SkyBridgeTestPeer {
  public:
   // The pristine buffer a prepared process's RegState holds; null when the
   // process was never prepared.
   static const std::vector<uint8_t>* PristineBuffer(SkyBridge& sky, const mk::Process* p) {
-    std::lock_guard<std::mutex> lock(sky.reg_mu_);
     auto it = sky.reg_states_.find(p);
     return it == sky.reg_states_.end() ? nullptr : it->second.pristine_image.get();
   }
   // Interns `image` under a caller-chosen hash (a forged collision).
   static SkyBridge::SharedImage Intern(SkyBridge& sky, std::vector<uint8_t> image,
                                        uint64_t hash) {
-    std::lock_guard<std::mutex> lock(sky.reg_mu_);
-    return sky.InternPristineLocked(std::move(image), hash);
+    return sky.InternPristine(std::move(image), hash);
   }
   // Intern-table entries, expired ones included.
   static size_t InternEntries(SkyBridge& sky) {
-    std::lock_guard<std::mutex> lock(sky.reg_mu_);
     return sky.pristine_images_.size();
   }
   // The EPT of the client -> server binding.

@@ -1,11 +1,12 @@
 // Cross-core control-plane tests (DESIGN.md section 11): thread migration
 // racing in-flight calls, revocation racing migration, eager-vs-lazy EPTP
-// re-install parity, and true host-thread concurrency over disjoint pairs
-// (the ThreadSanitizer target) including the registry-read consistency rule.
+// re-install parity, and calls on several simulated cores interleaved
+// round-robin on the one host thread that owns the machine.
 
-#include <atomic>
+#include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -204,11 +205,9 @@ TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
   EXPECT_EQ(lazy.migration_installs, 0u);
 }
 
-// The ThreadSanitizer target: disjoint (client, server) pairs hammered from
-// real host threads, one per simulated core, with a concurrent registry
-// reader. Steady-state calls share no mutable control-plane word, so this
-// must be race-free; the reader checks the documented Registry::Value
-// consistency rule (each counter monotonic and exact at its read).
+// Disjoint (client, server) pairs, one per simulated core, called
+// round-robin with batches mixed in. After every round each counter is
+// monotonic and within its bound; at the end the counts are exact.
 TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   Boot();
   constexpr int kPairs = 4;
@@ -217,75 +216,53 @@ TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   for (int i = 0; i < kPairs; ++i) {
     pairs.push_back(MakePair(EchoHandler(), /*core=*/i, std::to_string(i)));
   }
-  // Pre-warm on the owning core so every slow path (rewrite, dispatch, index
-  // fill, EPTP install) runs before host threads exist.
   for (const Pair& p : pairs) {
     ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   }
   const uint64_t warm_calls = Metric("skybridge.ipc.direct_calls");
 
   // Every kBatchEvery direct calls, each caller also pushes one batch of
-  // kBatchDepth through its submission ring, so the batch counters mutate
-  // concurrently with the reader below.
+  // kBatchDepth through its submission ring.
   constexpr uint64_t kBatchEvery = 100;
   constexpr uint64_t kBatchDepth = 4;
   constexpr uint64_t kBatchesPerPair = kCallsPerPair / kBatchEvery;
 
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    uint64_t last_calls = 0;
-    uint64_t last_batched = 0;
-    uint64_t last_flushes = 0;
-    uint64_t last_rounds = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      const uint64_t calls = Metric("skybridge.ipc.direct_calls");
-      const uint64_t batched = Metric("skybridge.ipc.batched_calls");
-      const uint64_t flushes = Metric("skybridge.ipc.batch_flushes");
-      const uint64_t rounds = Metric("skybridge.ipc.drain_rounds");
-      // Per-counter monotonicity under concurrent mutation.
-      ASSERT_GE(calls, last_calls);
-      ASSERT_LE(calls, warm_calls + kPairs * kCallsPerPair);
-      ASSERT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
-      ASSERT_GE(batched, last_batched);
-      ASSERT_LE(batched, kPairs * kBatchesPerPair * kBatchDepth);
-      ASSERT_GE(flushes, last_flushes);
-      ASSERT_GE(rounds, last_rounds);
-      // No bound across two counters here: nothing orders one counter's
-      // increment against another's. Those bounds are checked after join.
-      last_calls = calls;
-      last_batched = batched;
-      last_flushes = flushes;
-      last_rounds = rounds;
-    }
-  });
-
-  std::vector<std::thread> callers;
-  for (int i = 0; i < kPairs; ++i) {
-    callers.emplace_back([&, i] {
-      const Pair& p = pairs[static_cast<size_t>(i)];
-      for (uint64_t n = 0; n < kCallsPerPair; ++n) {
-        auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(n));
-        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-        ASSERT_EQ(reply->tag, n);
-        if ((n + 1) % kBatchEvery == 0) {
-          std::vector<Message> msgs(kBatchDepth, Message(n));
-          auto batched = sky_->CallBatch(p.thread, p.sid, msgs);
-          ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-          for (const auto& entry : *batched) {
-            ASSERT_TRUE(entry.status.ok()) << entry.status.ToString();
-            ASSERT_EQ(entry.reply.tag, n);
-          }
+  uint64_t last_calls = 0;
+  uint64_t last_batched = 0;
+  uint64_t last_flushes = 0;
+  uint64_t last_rounds = 0;
+  for (uint64_t n = 0; n < kCallsPerPair; ++n) {
+    for (const Pair& p : pairs) {
+      auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(n));
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      ASSERT_EQ(reply->tag, n);
+      if ((n + 1) % kBatchEvery == 0) {
+        std::vector<Message> msgs(kBatchDepth, Message(n));
+        auto batched = sky_->CallBatch(p.thread, p.sid, msgs);
+        ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+        for (const auto& entry : *batched) {
+          ASSERT_TRUE(entry.status.ok()) << entry.status.ToString();
+          ASSERT_EQ(entry.reply.tag, n);
         }
       }
-    });
+    }
+    const uint64_t calls = Metric("skybridge.ipc.direct_calls");
+    const uint64_t batched = Metric("skybridge.ipc.batched_calls");
+    const uint64_t flushes = Metric("skybridge.ipc.batch_flushes");
+    const uint64_t rounds = Metric("skybridge.ipc.drain_rounds");
+    ASSERT_GE(calls, last_calls);
+    ASSERT_LE(calls, warm_calls + kPairs * kCallsPerPair);
+    ASSERT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
+    ASSERT_GE(batched, last_batched);
+    ASSERT_LE(batched, kPairs * kBatchesPerPair * kBatchDepth);
+    ASSERT_GE(flushes, last_flushes);
+    ASSERT_GE(rounds, last_rounds);
+    last_calls = calls;
+    last_batched = batched;
+    last_flushes = flushes;
+    last_rounds = rounds;
   }
-  for (std::thread& t : callers) {
-    t.join();
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
 
-  // Quiesced: exact counts.
   EXPECT_EQ(Metric("skybridge.ipc.direct_calls"), warm_calls + kPairs * kCallsPerPair);
   EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
   EXPECT_EQ(Metric("skybridge.ipc.batched_calls"), kPairs * kBatchesPerPair * kBatchDepth);
@@ -295,13 +272,11 @@ TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 }
 
-// Consolidation under true concurrency (DESIGN.md section 15): eight clients
-// on eight cores all translate through ONE shared server EPT, but steady-state
-// calls touch only their own core's slot cache, their own binding's in-flight
-// counter and their own buffer slice — so the siblings may hammer the shared
-// view from concurrent host threads (the ThreadSanitizer target). Afterwards,
-// revoking one sibling leaves the others served, and revoking the server
-// drains the shared EPT's residency on every core.
+// Consolidation across cores (DESIGN.md section 15): eight clients on eight
+// cores all translate through ONE shared server EPT and call it round-robin,
+// each through its own buffer slice. Afterwards, revoking one sibling leaves
+// the others served, and revoking the server drains the shared EPT's
+// residency on every core.
 TEST_F(SkyBridgeSmpTest, ConsolidatedSiblingsCallConcurrentlyAcrossCores) {
   Boot();
   constexpr int kSiblings = 8;
@@ -319,26 +294,18 @@ TEST_F(SkyBridgeSmpTest, ConsolidatedSiblingsCallConcurrentlyAcrossCores) {
     clients.push_back(c);
     threads.push_back(c->AddThread(i));
     ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(i), c).ok());
-    // Pre-warm on the owning core so every slow path (rewrite, slice carve,
-    // per-core EPTP install) runs before host threads exist.
     ASSERT_TRUE(sky_->DirectServerCall(threads.back(), sid, Message(7)).ok());
   }
   // One process-view EPT per client plus exactly ONE shared binding EPT.
   EXPECT_EQ(kernel_->rootkernel()->ept_count(), epts_before + kSiblings + 1);
 
-  std::vector<std::thread> callers;
-  for (int i = 0; i < kSiblings; ++i) {
-    callers.emplace_back([&, i] {
-      for (uint64_t n = 0; n < kCallsEach; ++n) {
-        const uint64_t tag = static_cast<uint64_t>(i) * kCallsEach + n;
-        auto reply = sky_->DirectServerCall(threads[static_cast<size_t>(i)], sid, Message(tag));
-        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-        ASSERT_EQ(reply->tag, tag);  // Distinct slices: no cross-sibling bleed.
-      }
-    });
-  }
-  for (std::thread& t : callers) {
-    t.join();
+  for (uint64_t n = 0; n < kCallsEach; ++n) {
+    for (int i = 0; i < kSiblings; ++i) {
+      const uint64_t tag = static_cast<uint64_t>(i) * kCallsEach + n;
+      auto reply = sky_->DirectServerCall(threads[static_cast<size_t>(i)], sid, Message(tag));
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      ASSERT_EQ(reply->tag, tag);  // Distinct slices: no cross-sibling bleed.
+    }
   }
   EXPECT_EQ(sky_->InFlightCalls(), 0u);
   EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
@@ -365,6 +332,63 @@ TEST_F(SkyBridgeSmpTest, ConsolidatedSiblingsCallConcurrentlyAcrossCores) {
               kNoEptpSlot);
   }
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
+}
+
+// Every counter and gauge value, and every histogram's Digest(), of one
+// world's telemetry registry, by name.
+using WorldReport = std::vector<std::pair<std::string, uint64_t>>;
+
+// Builds a world, registers one client, calls across two cores with a batch
+// in between, registers a second client mid-run and calls through it too.
+WorldReport RunWorld(RegistrationMode mode) {
+  hw::Machine machine(SmpMachine());
+  mk::Kernel kernel(machine, mk::Sel4Profile());
+  SB_CHECK(kernel.Boot().ok());
+  SkyBridgeConfig config;
+  config.registration_mode = mode;
+  SkyBridge sky(kernel, config);
+  mk::Process* server = kernel.CreateProcess("server").value();
+  const ServerId sid = sky.RegisterServer(server, /*max_connections=*/4, EchoHandler()).value();
+  std::vector<mk::Thread*> threads;
+  for (int core = 0; core < 2; ++core) {
+    mk::Process* client = kernel.CreateProcess("client" + std::to_string(core)).value();
+    SB_CHECK(sky.RegisterClient(client, sid).ok());
+    threads.push_back(client->AddThread(core));
+    SB_CHECK(kernel.ContextSwitchTo(machine.core(core), client).ok());
+    for (uint64_t n = 0; n < 200; ++n) {
+      for (mk::Thread* t : threads) {
+        SB_CHECK(sky.DirectServerCall(t, sid, Message(n)).ok());
+      }
+    }
+    SB_CHECK(sky.CallBatch(threads.back(), sid, std::vector<Message>(4, Message(1))).ok());
+  }
+  SB_CHECK(sky.CheckInvariants().ok());
+  WorldReport report;
+  sb::telemetry::Registry& registry = machine.telemetry();
+  for (const sb::telemetry::MetricValue& m : registry.Snapshot()) {
+    report.emplace_back(m.name, m.kind == sb::telemetry::MetricValue::Kind::kHistogram
+                                    ? registry.GetHistogram(m.name).Digest()
+                                    : m.value);
+  }
+  return report;
+}
+
+// A machine belongs to one host thread, and only process-global state (fault
+// points, trace rings, call ids, logging) is shared between machines: two
+// worlds run on two host threads report exactly what they report when run one
+// after the other. Under ThreadSanitizer this is the cross-machine race check.
+TEST(CrossMachine, TwoWorldsOnTwoHostThreadsMatchSerialRuns) {
+  const WorldReport serial_eager = RunWorld(RegistrationMode::kEager);
+  const WorldReport serial_lazy = RunWorld(RegistrationMode::kLazy);
+  ASSERT_NE(serial_eager, serial_lazy);  // Lazy mode takes exec faults.
+  WorldReport eager;
+  WorldReport lazy;
+  std::thread eager_world([&eager] { eager = RunWorld(RegistrationMode::kEager); });
+  std::thread lazy_world([&lazy] { lazy = RunWorld(RegistrationMode::kLazy); });
+  eager_world.join();
+  lazy_world.join();
+  EXPECT_EQ(eager, serial_eager);
+  EXPECT_EQ(lazy, serial_lazy);
 }
 
 }  // namespace
