@@ -9,8 +9,7 @@
 // on first use and keeps it, with explicit exhaustion when more live
 // connections than slices exist — the old `tid % num_slices` mapping let
 // two threads silently share (and corrupt the ordering of) one slice.
-// Steady-state calls only read the established assignment, so slice
-// resolution stays safe under concurrent calls on different cores.
+// Steady-state calls only read the established assignment.
 
 #ifndef SRC_SKYBRIDGE_BUFFERS_H_
 #define SRC_SKYBRIDGE_BUFFERS_H_
@@ -96,8 +95,9 @@ struct BatchRingView {
   // Memory-ordering rules (DESIGN.md section 13): the producer writes the
   // payload and descriptor first and publishes with the index or status
   // store; the consumer reads the index or status first and the fields
-  // after. In the simulator all accesses run in virtual time on one host
-  // thread per connection, so plain loads and stores implement the protocol.
+  // after. In the simulator all accesses run in virtual time on the
+  // machine's one host thread (DESIGN.md section 11), so plain loads and
+  // stores implement the protocol.
   uint64_t LoadTail() const;
   void PublishTail(uint64_t tail) const;
   uint64_t LoadHead() const;
