@@ -121,7 +121,8 @@ class Process {
   std::vector<uint8_t> code_image() const;
   // Writes `image` (at most kCodeSize bytes) over the code frames and records
   // its length. The bytes a longer previous image held past the new end are
-  // zeroed, so no tail of old code stays in the executable window.
+  // zeroed, so no tail of old code stays in the executable window. Pages go
+  // through HostPhysMem::WriteShared, so clones of one image share host pages.
   void WriteCode(std::span<const uint8_t> image);
   bool code_rewritten() const { return code_rewritten_; }
   void set_code_rewritten(bool v) { code_rewritten_ = v; }

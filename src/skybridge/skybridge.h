@@ -307,8 +307,9 @@ class SkyBridge {
   // `core`.
   sb::Status ScrubPages(mk::Process* process, RegState& st, uint32_t pattern_id,
                         uint64_t page_mask, hw::Core& core);
-  // Maps snippet sub-window page `wva` read-only on first use, writes `bytes`
-  // into it and records them for snapshot capture.
+  // Maps snippet sub-window page `wva` read-only on first use, writes the
+  // whole page (`bytes`, at most one page, then zeros) through
+  // HostPhysMem::WriteShared and records `bytes` for snapshot capture.
   sb::Status WriteWindowPage(mk::Process* process, RegState& st, hw::Gva wva,
                              const std::vector<uint8_t>& bytes);
   // Sets the exec permission of the code pages in `page_mask` in every EPT

@@ -34,6 +34,7 @@
 #include "src/fs/block_device.h"
 #include "src/fs/fs_rpc.h"
 #include "src/fs/xv6fs.h"
+#include "src/hw/phys_mem.h"
 #include "src/sim/executor.h"
 #include "src/skybridge/skybridge.h"
 #include "src/vmm/rootkernel.h"
@@ -75,7 +76,7 @@ bool IsAllowedOutcome(const sb::Status& status) {
 const char* const kCatalog[] = {kFaultPreVmfunc,      kFaultHandlerCrash,
                                 kFaultReplyCorrupt,   kFaultRevokeInflight,
                                 kFaultSlotInstall,    vmm::kFaultBindingEptRefused,
-                                kFaultExecScan};
+                                kFaultExecScan,       hw::kFaultFrameAlloc};
 
 struct ScenarioResult {
   std::string trace_json;  // Chrome-trace replay of the whole run.
@@ -255,6 +256,16 @@ class StressScenario {
     sb::fault::DisarmAll();
     EXPECT_TRUE(sky_->RegisterClient(late, echo_sid_).ok());
     ExpectHealthy("binding_ept_refused");
+
+    // Guest frames run out mid-registration: `late` is already prepared, so
+    // the first anonymous mapping of its next binding is the buffer region.
+    arm_first_hit(hw::kFaultFrameAlloc);
+    EXPECT_EQ(sky_->RegisterClient(late, slot_sid).code(), ErrorCode::kResourceExhausted);
+    RecordFires(hw::kFaultFrameAlloc);
+    sb::fault::DisarmAll();
+    ExpectHealthy("phys.alloc");
+    EXPECT_TRUE(sky_->RegisterClient(late, slot_sid).ok());
+    ExpectHealthy("phys.alloc retry");
 
     ExecScanSweep();
 
