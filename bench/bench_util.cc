@@ -1,10 +1,8 @@
 #include "bench/bench_util.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "src/base/faultpoint.h"
 #include "src/base/logging.h"
@@ -96,13 +94,7 @@ JsonReporter::JsonReporter(std::string bench_name, int argc, char** argv)
 JsonReporter::~JsonReporter() { Write(); }
 
 void JsonReporter::Add(const std::string& name, double value) {
-  std::ostringstream v;
-  if (std::isfinite(value)) {
-    v << value;
-  } else {
-    v << 0;
-  }
-  metrics_.emplace_back(name, v.str());
+  metrics_.emplace_back(name, sb::telemetry::JsonNumber(value));
 }
 
 void JsonReporter::Add(const std::string& name, uint64_t value) {

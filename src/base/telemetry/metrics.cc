@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -42,15 +43,20 @@ uint64_t BucketRepresentative(size_t bucket) {
   return lo + (uint64_t{1} << (w - 5)) / 2;
 }
 
-void AppendJsonNumber(std::ostringstream& out, double v) {
-  if (std::isfinite(v)) {
-    out << v;
-  } else {
-    out << 0;
-  }
-}
-
 }  // namespace
+
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) {
+    return "0";
+  }
+  // Below 2^53 every integral double is an exact int64.
+  if (std::trunc(v) == v && std::fabs(v) < 0x1p53) {
+    return std::to_string(static_cast<int64_t>(v));
+  }
+  char buf[32];
+  char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  return std::string(buf, end);
+}
 
 void LatencyHistogram::Record(uint64_t v) {
   ++buckets_[BucketIndex(v)];
@@ -179,7 +185,7 @@ std::string Registry::SnapshotJson() const {
     out << "\"" << m.name << "\":";
     if (m.kind == MetricValue::Kind::kHistogram) {
       out << "{\"count\":" << m.count << ",\"mean\":";
-      AppendJsonNumber(out, m.mean);
+      out << JsonNumber(m.mean);
       out << ",\"p50\":" << m.p50 << ",\"p90\":" << m.p90 << ",\"p99\":" << m.p99
           << ",\"p999\":" << m.p999 << ",\"p9999\":" << m.p9999 << ",\"max\":" << m.max
           << ",\"overflow\":" << m.overflow << "}";

@@ -130,6 +130,11 @@ class LatencyHistogram {
   uint64_t max_ = 0;
 };
 
+// `v` as a JSON number that reads back as exactly `v`: an integral value as
+// an integer, any other finite value in its shortest round-trip form
+// (std::to_chars), and a non-finite one as 0.
+std::string JsonNumber(double v);
+
 // One metric in a snapshot.
 struct MetricValue {
   enum class Kind { kCounter, kGauge, kHistogram };

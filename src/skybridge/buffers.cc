@@ -81,12 +81,17 @@ sb::StatusOr<BufferPool::Region> BufferPool::CreateRegion(mk::Process* client,
   region.num_slices = static_cast<uint32_t>(num_slices);
   const uint64_t region_bytes = region.slice_stride * num_slices;
   region.va = next_va_;
-  next_va_ += region_bytes;
+  hw::AddressSpace& client_space = client->address_space();
   SB_ASSIGN_OR_RETURN(const hw::Gpa buf_gpa,
-                      client->address_space().MapAnonymous(
-                          region.va, region_bytes, hw::PageFlags{}));
-  SB_RETURN_IF_ERROR(server->address_space().MapRange(
-      region.va, buf_gpa, region_bytes, hw::PageFlags{}));
+                      client_space.MapAnonymous(region.va, region_bytes, hw::PageFlags{}));
+  if (const sb::Status mapped = server->address_space().MapRange(region.va, buf_gpa, region_bytes,
+                                                                 hw::PageFlags{});
+      !mapped.ok()) {
+    // Leave nothing half-made: a retry gets this VA again.
+    client_space.UnmapAnonymous(region.va, buf_gpa, region_bytes);
+    return mapped;
+  }
+  next_va_ += region_bytes;
   // Give the region one host-contiguous backing so in-place messages can be
   // exposed as a single span. Guest frames are identity-mapped by the base
   // EPT (GPA == HPA), so the GPA range addresses host memory directly.

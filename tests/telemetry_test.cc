@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -181,6 +183,18 @@ TEST(Registry, SnapshotJsonIsWellFormed) {
   // Balanced braces (no parser available; the CI job validates with python).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
+}
+
+TEST(Registry, JsonNumbersReadBackExactly) {
+  EXPECT_EQ(JsonNumber(1305847.0), "1305847");  // Six significant digits would give 1.30585e+06.
+  EXPECT_EQ(JsonNumber(1e6), "1000000");
+  EXPECT_EQ(JsonNumber(-3.0), "-3");
+  EXPECT_EQ(JsonNumber(0.1), "0.1");
+  EXPECT_EQ(JsonNumber(std::nan("")), "0");
+  EXPECT_EQ(JsonNumber(HUGE_VAL), "0");
+  for (const double v : {89914.123456789, 1.0 / 3.0, 2.5e-7, 1e300, 0x1p53 + 2.0}) {
+    EXPECT_EQ(std::strtod(JsonNumber(v).c_str(), nullptr), v) << JsonNumber(v);
+  }
 }
 
 TEST(Registry, MachinesDoNotShareMetrics) {
