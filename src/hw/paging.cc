@@ -49,7 +49,7 @@ sb::StatusOr<Gpa> AddressSpace::EnsureTable(Gpa table, int index, bool user) {
   return entry & kPteFrameMask;
 }
 
-void AddressSpace::UnmapPages(Gva va, uint64_t len) {
+void AddressSpace::UnmapRange(Gva va, uint64_t len) {
   for (uint64_t off = 0; off < len; off += sb::kPageSize) {
     SB_CHECK(Unmap(va + off).ok()) << "page not mapped";
   }
@@ -135,7 +135,7 @@ sb::StatusOr<Gpa> AddressSpace::MapAnonymous(Gva va, uint64_t len, const PageFla
 }
 
 void AddressSpace::UnmapAnonymous(Gva va, Gpa first, uint64_t len) {
-  UnmapPages(va, sb::PageUp(len));
+  UnmapRange(va, sb::PageUp(len));
   frames_->FreeContiguous(first, sb::PageUp(len) / sb::kPageSize);
 }
 
@@ -145,7 +145,7 @@ sb::Status AddressSpace::MapRange(Gva va, Gpa pa, uint64_t len, const PageFlags&
   }
   for (uint64_t off = 0; off < len; off += sb::kPageSize) {
     if (const sb::Status mapped = Map(va + off, pa + off, sb::kPageSize, flags); !mapped.ok()) {
-      UnmapPages(va, off);
+      UnmapRange(va, off);
       FreeEmptyTables(va + off);  // The failed page may have made tables too.
       return mapped;
     }

@@ -72,6 +72,10 @@ class AddressSpace {
   // failure nothing of the range is left mapped, and the lower-half tables
   // the undone pages leave empty are freed.
   sb::Status MapRange(Gva va, Gpa pa, uint64_t len, const PageFlags& flags);
+  // Undoes a MapRange(va, pa, len): unmaps the 4K pages of [va, va + len),
+  // each of which must be mapped, then frees the tables that held them and
+  // now hold no entry. The frames stay allocated.
+  void UnmapRange(Gva va, uint64_t len);
 
   sb::Status Unmap(Gva va);
 
@@ -89,9 +93,6 @@ class AddressSpace {
       : mem_(&mem), frames_(&frames), root_(root), pcid_(pcid) {}
 
   sb::StatusOr<Gpa> EnsureTable(Gpa table, int index, bool user);
-  // Unmaps the 4K pages of [va, va + len), each of which must be mapped, then
-  // frees the tables that held them and now hold no entry.
-  void UnmapPages(Gva va, uint64_t len);
   // Frees the tables on the walk to `va` that hold no present entry, bottom
   // up. The PML4 stays, and so do upper-half tables: ShareUpperHalf shares
   // them with every process.

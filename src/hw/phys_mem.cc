@@ -424,16 +424,40 @@ sb::StatusOr<Hpa> FrameAllocator::Alloc(HostPhysMem& mem) {
 }
 
 sb::StatusOr<Hpa> FrameAllocator::AllocContiguous(HostPhysMem& mem, uint64_t count) {
-  if (SB_FAULT_POINT(kFaultFrameAlloc) || next_ + count * sb::kPageSize > base_ + size_) {
+  if (SB_FAULT_POINT(kFaultFrameAlloc)) {
     return sb::ResourceExhausted("frame allocator exhausted (contiguous)");
   }
-  const Hpa first = next_;
-  next_ += count * sb::kPageSize;
+  std::optional<Hpa> first = TakeFreeRun(count);
+  if (!first.has_value()) {
+    if (next_ + count * sb::kPageSize > base_ + size_) {
+      return sb::ResourceExhausted("frame allocator exhausted (contiguous)");
+    }
+    first = next_;
+    next_ += count * sb::kPageSize;
+  }
   for (uint64_t i = 0; i < count; ++i) {
-    mem.ZeroFrame(first + i * sb::kPageSize);
+    mem.ZeroFrame(*first + i * sb::kPageSize);
   }
   allocated_ += count;
-  return first;
+  return *first;
+}
+
+std::optional<Hpa> FrameAllocator::TakeFreeRun(uint64_t count) {
+  // Walk back from the most recently freed frame; [i, end) is the ascending
+  // run of consecutive frames that ends at free_list_[end - 1].
+  size_t end = free_list_.size();
+  for (size_t i = end; i-- > 0;) {
+    if (i + 1 < end && free_list_[i] + sb::kPageSize != free_list_[i + 1]) {
+      end = i + 1;
+    }
+    if (end - i == count) {
+      const Hpa first = free_list_[i];
+      free_list_.erase(free_list_.begin() + static_cast<std::ptrdiff_t>(i),
+                       free_list_.begin() + static_cast<std::ptrdiff_t>(end));
+      return first;
+    }
+  }
+  return std::nullopt;
 }
 
 void FrameAllocator::Free(Hpa frame) {

@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -215,7 +216,11 @@ class FrameAllocator {
   // Allocates one 4 KiB frame that reads as zero.
   sb::StatusOr<Hpa> Alloc(HostPhysMem& mem);
 
-  // Allocates `count` physically contiguous frames; returns the first HPA.
+  // Allocates `count` physically contiguous frames that read as zero;
+  // returns the first HPA. A run of freed frames is reused before fresh
+  // frames are taken: the most recently freed run of `count` consecutive
+  // frames that lie in ascending order on the free list, as FreeContiguous
+  // leaves them.
   sb::StatusOr<Hpa> AllocContiguous(HostPhysMem& mem, uint64_t count);
 
   void Free(Hpa frame);
@@ -228,6 +233,10 @@ class FrameAllocator {
   uint64_t capacity_frames() const { return size_ / sb::kPageSize; }
 
  private:
+  // Removes the run AllocContiguous reuses from the free list and returns
+  // its first frame; nullopt when the list holds no such run.
+  std::optional<Hpa> TakeFreeRun(uint64_t count);
+
   Hpa base_;
   uint64_t size_;
   Hpa next_;

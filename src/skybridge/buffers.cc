@@ -82,23 +82,37 @@ sb::StatusOr<BufferPool::Region> BufferPool::CreateRegion(mk::Process* client,
   const uint64_t region_bytes = region.slice_stride * num_slices;
   region.va = next_va_;
   hw::AddressSpace& client_space = client->address_space();
-  SB_ASSIGN_OR_RETURN(const hw::Gpa buf_gpa,
+  SB_ASSIGN_OR_RETURN(region.gpa,
                       client_space.MapAnonymous(region.va, region_bytes, hw::PageFlags{}));
-  if (const sb::Status mapped = server->address_space().MapRange(region.va, buf_gpa, region_bytes,
-                                                                 hw::PageFlags{});
+  if (const sb::Status mapped = server->address_space().MapRange(region.va, region.gpa,
+                                                                 region_bytes, hw::PageFlags{});
       !mapped.ok()) {
     // Leave nothing half-made: a retry gets this VA again.
-    client_space.UnmapAnonymous(region.va, buf_gpa, region_bytes);
+    client_space.UnmapAnonymous(region.va, region.gpa, region_bytes);
     return mapped;
   }
   next_va_ += region_bytes;
-  // Give the region one host-contiguous backing so in-place messages can be
-  // exposed as a single span. Guest frames are identity-mapped by the base
-  // EPT (GPA == HPA), so the GPA range addresses host memory directly.
-  kernel_->machine().mem().BackContiguous(buf_gpa, region_bytes);
-  region.host_base = kernel_->machine().mem().ContiguousSpan(buf_gpa, region_bytes);
-  SB_CHECK(region.host_base != nullptr) << "shared buffer region not host-contiguous";
   return region;
+}
+
+void BufferPool::DestroyRegion(mk::Process* client, mk::Process* server, const Region& region) {
+  const uint64_t region_bytes = region.slice_stride * region.num_slices;
+  SB_CHECK(region.host_base == nullptr && region.va + region_bytes == next_va_)
+      << "only the last region, before its host backing, can be destroyed";
+  server->address_space().UnmapRange(region.va, region_bytes);
+  client->address_space().UnmapAnonymous(region.va, region.gpa, region_bytes);
+  next_va_ = region.va;
+}
+
+void BufferPool::BackRegion(Region& region) {
+  // One host-contiguous backing lets in-place messages be exposed as a
+  // single span. Guest frames are identity-mapped by the base EPT (GPA ==
+  // HPA), so the GPA range addresses host memory directly.
+  const uint64_t region_bytes = region.slice_stride * region.num_slices;
+  hw::HostPhysMem& mem = kernel_->machine().mem();
+  mem.BackContiguous(region.gpa, region_bytes);
+  region.host_base = mem.ContiguousSpan(region.gpa, region_bytes);
+  SB_CHECK(region.host_base != nullptr) << "shared buffer region not host-contiguous";
 }
 
 SliceRef BufferPool::SliceAt(const Binding& binding, uint32_t index) const {

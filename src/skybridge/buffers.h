@@ -118,18 +118,26 @@ class BufferPool {
   BufferPool(mk::Kernel& kernel, const SkyBridgeConfig& config);
 
   // A freshly mapped shared-buffer region: base VA (same in both address
-  // spaces), its slice geometry, and the host-contiguous view.
+  // spaces), its first frame, its slice geometry, and the host-contiguous
+  // view (set by BackRegion).
   struct Region {
     hw::Gva va = 0;
+    hw::Gpa gpa = 0;
     uint64_t slice_stride = 0;
     uint32_t num_slices = 0;
     uint8_t* host_base = nullptr;
   };
 
   // Registration-time (slow path): maps a region at the same VA in client
-  // and server, gives it one host-contiguous backing and carves it into
-  // `buffer_slices` page-aligned slices of shared_buffer_bytes capacity.
+  // and server, carved into `buffer_slices` page-aligned slices of
+  // shared_buffer_bytes capacity. On failure nothing of it is left.
   sb::StatusOr<Region> CreateRegion(mk::Process* client, mk::Process* server);
+  // Undoes the last CreateRegion, before BackRegion: unmaps it from both
+  // processes, frees its frames and tables, and hands its VA out again.
+  void DestroyRegion(mk::Process* client, mk::Process* server, const Region& region);
+  // Gives the region one host-contiguous backing. Host backing is never
+  // undone, so registration calls this once nothing can fail any more.
+  void BackRegion(Region& region);
 
   // The caller's slice of `binding`'s region: returns the established
   // assignment, or takes the next slice off the binding's free list on the

@@ -607,6 +607,16 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
   // Registration is a syscall: charge the kernel path.
   mk::Kernel::SyscallScope kernel_entry(*kernel_, core);
 
+  // Shared buffer region for long messages, carved into per-connection
+  // slices (buffers.cc owns the geometry). It is made before any EPT work,
+  // so a refused region leaves the Rootkernel untouched, and an EPT step
+  // that fails below undoes it.
+  SB_ASSIGN_OR_RETURN(BufferPool::Region region, buffers_.CreateRegion(client, server.process));
+  const auto undo_region = [&](const sb::Status& failed) {
+    buffers_.DestroyRegion(client, server.process, region);
+    return failed;
+  };
+
   // Binding-EPT consolidation (DESIGN.md section 15): all direct clients of
   // one server share a single binding EPT — each client only adds its own
   // CR3 remap to it — collapsing O(clients x servers) EPTs to O(servers).
@@ -617,19 +627,18 @@ sb::Status SkyBridge::RegisterClient(mk::Process* client, ServerId server_id) {
     shared_ept_id = server.shared_ept_id;
     if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kAddCr3Remap), shared_ept_id,
                     client->cr3(), server.process->cr3()) != 0) {
-      return sb::Internal("rootkernel refused CR3 remap into the shared EPT");
+      return undo_region(sb::Internal("rootkernel refused CR3 remap into the shared EPT"));
     }
   }
-  SB_ASSIGN_OR_RETURN(std::unique_ptr<Binding> binding,
-                      NewBinding(core, client, server_id, shared_ept_id));
+  sb::StatusOr<std::unique_ptr<Binding>> made = NewBinding(core, client, server_id, shared_ept_id);
+  if (!made.ok()) {
+    return undo_region(made.status());
+  }
+  std::unique_ptr<Binding> binding = std::move(*made);
   if (config_.consolidate_bindings) {
     server.shared_ept_id = binding->ept_id;
   }
-
-  // Shared buffer region for long messages, carved into per-connection
-  // slices (buffers.cc owns the geometry).
-  SB_ASSIGN_OR_RETURN(const BufferPool::Region region,
-                      buffers_.CreateRegion(client, server.process));
+  buffers_.BackRegion(region);
 
   // Calling key: random 8 bytes, written into the server's key table.
   binding->server_key = key_rng_.Next();
