@@ -1,5 +1,8 @@
 #include "src/skybridge/gate.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "src/base/faultpoint.h"
 #include "src/base/logging.h"
 #include "src/base/telemetry/trace.h"
@@ -235,9 +238,17 @@ Gate::Completion Gate::DrainEntry(CallContext& ctx, const BatchRingView& ring, u
               p < ctx.slice.host.data() + ctx.slice.host.size() &&
               p + reply.view.size() > ctx.slice.host.data();
   }
-  if (corrupt || reply.size() > payload.size()) {
+  if (corrupt) {
     gate_rejections_->Add();
     return {.reply_tag = reply.tag, .code = sb::ErrorCode::kOutOfRange};
+  }
+  if (reply.size() > payload.size()) {
+    // Well formed but too large for the span: post the length it needed,
+    // more than any span holds, so the client can tell it from a corrupt one.
+    gate_rejections_->Add();
+    return {.reply_tag = reply.tag,
+            .reply_len = static_cast<uint32_t>(std::min<size_t>(reply.size(), UINT32_MAX)),
+            .code = sb::ErrorCode::kOutOfRange};
   }
   const auto reply_len = static_cast<uint32_t>(reply.size());
   if (!in_place && reply_len > 0) {

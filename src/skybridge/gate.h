@@ -175,7 +175,7 @@ class Gate {
   // out.crashed when the handler dies.
   struct Completion {
     uint64_t reply_tag = 0;
-    uint32_t reply_len = 0;
+    uint32_t reply_len = 0;  // For a reply too large for its span, the length it needed.
     sb::ErrorCode code = sb::ErrorCode::kOk;
   };
   Completion DrainEntry(CallContext& ctx, const BatchRingView& ring, uint64_t token,

@@ -586,6 +586,11 @@ sb::StatusOr<uint64_t> SkyBridge::SubmitCall(mk::Thread* caller, ServerId server
 
 sb::StatusOr<mk::Message> SkyBridge::PollCompletion(mk::Thread* caller, ServerId server_id,
                                                     uint64_t token) {
+  return ReapCompletion(caller, server_id, token, nullptr);
+}
+
+sb::StatusOr<mk::Message> SkyBridge::ReapCompletion(mk::Thread* caller, ServerId server_id,
+                                                    uint64_t token, bool* reply_too_large) {
   if (server_id >= servers_.size()) {
     return sb::NotFound("no such server");
   }
@@ -617,14 +622,23 @@ sb::StatusOr<mk::Message> SkyBridge::PollCompletion(mk::Thread* caller, ServerId
   // Reap: free the slot, so a second poll of the same token is an explicit
   // error, not a stale replay.
   owner = kFreeSlot;
-  if (desc.status - 1 > static_cast<uint32_t>(sb::kLastErrorCode) ||
-      desc.reply_len > ring.payload_cap) {
+  auto corrupt = [&] {
     metrics_.gate_rejections->Add();
     return sb::OutOfRange("corrupt completion descriptor rejected");
+  };
+  if (desc.status - 1 > static_cast<uint32_t>(sb::kLastErrorCode)) {
+    return corrupt();
   }
   const auto code = static_cast<sb::ErrorCode>(desc.status - 1);
   if (code != sb::ErrorCode::kOk) {
+    // The return gate posts an oversize reply's length, which no span holds.
+    if (reply_too_large != nullptr) {
+      *reply_too_large = code == sb::ErrorCode::kOutOfRange && desc.reply_len > ring.payload_cap;
+    }
     return sb::Status(code, "batched call failed");
+  }
+  if (desc.reply_len > ring.payload_cap) {
+    return corrupt();
   }
   // Like the in-place API, the reply is a borrowed view of the entry's
   // payload span — valid until the slot is resubmitted.
@@ -825,7 +839,7 @@ sb::StatusOr<std::vector<SkyBridge::BatchEntryResult>> SkyBridge::CallBatch(
     sb::Status flushed = FlushBatch(caller, server_id);
     for (auto& [idx, token] : chunk) {
       for (int attempt = 0;; ++attempt) {
-        auto reply = PollCompletion(caller, server_id, token);
+        auto reply = ReapCompletion(caller, server_id, token, &out[idx].reply_too_large);
         if (reply.ok()) {
           // Own the reply: the next chunk recycles the slot it borrows from.
           out[idx].status = sb::OkStatus();

@@ -146,7 +146,8 @@ class SkyBridge {
   // Non-blocking completion check for `token`. Unavailable while the entry
   // is still pending (submit not yet flushed, or left untouched by a
   // crashed crossing); the entry's own error (Aborted for a handler crash,
-  // OutOfRange for a reply rejected at the per-entry return gate,
+  // OutOfRange for a reply rejected at the per-entry return gate (corrupt,
+  // or too large for the entry's payload span),
   // PermissionDenied for a revoked-binding flush) once posted. A successful
   // poll frees the entry's slot; like the in-place API, the returned reply
   // is a borrowed view of the entry's payload span, valid until the slot is
@@ -182,6 +183,9 @@ class SkyBridge {
   struct BatchEntryResult {
     sb::Status status;
     mk::Message reply;  // Valid when status.ok().
+    // Set with OutOfRange when the reply was well formed but did not fit the
+    // entry's payload span; a corrupt reply leaves it false.
+    bool reply_too_large = false;
   };
   sb::StatusOr<std::vector<BatchEntryResult>> CallBatch(mk::Thread* caller, ServerId server_id,
                                                         std::span<const mk::Message> msgs);
@@ -436,6 +440,10 @@ class SkyBridge {
   // Posts `code` completions client-side for every entry in
   // [conn.drain_head, conn.sq_tail) (revoked-binding flush: no crossing).
   void FailPendingClientSide(BatchConn& conn, sb::ErrorCode code);
+  // PollCompletion, which also reports through `reply_too_large` (when not
+  // null) whether an OutOfRange entry's reply only outgrew its span.
+  sb::StatusOr<mk::Message> ReapCompletion(mk::Thread* caller, ServerId server_id,
+                                           uint64_t token, bool* reply_too_large);
 
   mk::Kernel* kernel_;
   SkyBridgeConfig config_;
