@@ -8,6 +8,21 @@
 #include "src/base/units.h"
 
 namespace apps {
+namespace {
+
+// The stack runs on the paper's 8-core machine.
+constexpr int kNumCores = 8;
+constexpr uint32_t kDiskBlocks = 16384;
+// Cost of migrating the DB lock + hot working set to another core.
+constexpr uint64_t kLockMigrationCycles = 2500;
+// A contended acquisition blocks: the waiter sleeps and is woken through the
+// kernel scheduler (syscall + IPI + dispatch), and the convoy and cache-line
+// bouncing grow with the number of waiters. Charged per contending thread;
+// this is what makes YCSB throughput *fall* roughly 2x per thread doubling
+// (Figures 9-11).
+constexpr uint64_t kBlockedWakeupCyclesPerWaiter = 20000;
+
+}  // namespace
 
 std::string_view StackTransportName(StackTransport transport) {
   switch (transport) {
@@ -72,7 +87,7 @@ sb::StatusOr<mk::Message> SqliteStack::CallFs(const mk::Message& msg) {
 sb::Status SqliteStack::Setup(const SqliteStackConfig& config) {
   config_ = config;
   hw::MachineConfig mc;
-  mc.num_cores = config.num_cores;
+  mc.num_cores = kNumCores;
   mc.ram_bytes = 4 * sb::kGiB;
   machine_ = std::make_unique<hw::Machine>(mc);
 
@@ -101,20 +116,20 @@ sb::Status SqliteStack::Setup(const SqliteStackConfig& config) {
   SB_ASSIGN_OR_RETURN(fs_cache_heap_, fs_proc_->AllocHeap(1 * sb::kMiB, 4096));
   SB_ASSIGN_OR_RETURN(bdev_heap_,
                       bdev_proc_->AllocHeap(
-                          static_cast<uint64_t>(config.disk_blocks) * fsys::kBlockSize, 4096));
+                          static_cast<uint64_t>(kDiskBlocks) * fsys::kBlockSize, 4096));
 
   for (int t = 0; t < config.num_client_threads; ++t) {
-    client_threads_.push_back(client_->AddThread(t % config.num_cores));
+    client_threads_.push_back(client_->AddThread(t % kNumCores));
   }
-  for (int c = 0; c < config.num_cores; ++c) {
+  for (int c = 0; c < kNumCores; ++c) {
     fs_threads_.push_back(fs_proc_->AddThread(c));
   }
 
-  ramdisk_ = std::make_unique<fsys::RamDisk>(config.disk_blocks, bdev_proc_, bdev_heap_);
+  ramdisk_ = std::make_unique<fsys::RamDisk>(kDiskBlocks, bdev_proc_, bdev_heap_);
   setup_bdev_ = fsys::DirectBlockTransport(ramdisk_.get());
   fs_ = std::make_unique<fsys::Xv6Fs>(
       [this](const mk::Message& msg) { return CallBdevFromFs(msg); },
-      fsys::Xv6Fs::Config{config.disk_blocks, 512, fsys::kLogCapacity + 1, 64});
+      fsys::Xv6Fs::Config{kDiskBlocks, 64});
 
   // Wire the servers.
   if (config.transport == StackTransport::kSkyBridge) {
@@ -134,10 +149,10 @@ sb::Status SqliteStack::Setup(const SqliteStackConfig& config) {
     std::vector<int> bdev_cores;
     if (config.transport == StackTransport::kIpcStServer) {
       // One worker thread each, pinned away from the clients.
-      fs_cores = {config.num_cores - 2};
-      bdev_cores = {config.num_cores - 1};
+      fs_cores = {kNumCores - 2};
+      bdev_cores = {kNumCores - 1};
     } else {
-      for (int c = 0; c < config.num_cores; ++c) {
+      for (int c = 0; c < kNumCores; ++c) {
         fs_cores.push_back(c);
         bdev_cores.push_back(c);
       }
@@ -179,7 +194,7 @@ sb::Status SqliteStack::Setup(const SqliteStackConfig& config) {
   setup_mode_ = false;
 
   // Dispatch the client on its cores.
-  for (int c = 0; c < std::min(config.num_client_threads, config.num_cores); ++c) {
+  for (int c = 0; c < std::min(config.num_client_threads, kNumCores); ++c) {
     SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(machine_->core(c), client_));
   }
   return sb::OkStatus();
@@ -195,12 +210,12 @@ uint64_t SqliteStack::AcquireDbLock(int t) {
     // Contended: the thread blocked and was woken through the kernel
     // scheduler (sleep syscall, wakeup IPI, dispatch); convoying and
     // cache-line bouncing scale with the number of waiters.
-    core.AdvanceCycles(config_.blocked_wakeup_cycles_per_waiter *
+    core.AdvanceCycles(kBlockedWakeupCyclesPerWaiter *
                        static_cast<uint64_t>(config_.num_client_threads - 1));
   }
   if (db_lock_last_core_ != -1 && db_lock_last_core_ != thread->core_id()) {
     // Lock and working-set migration between cores.
-    core.AdvanceCycles(config_.lock_migration_cycles);
+    core.AdvanceCycles(kLockMigrationCycles);
   }
   db_lock_last_core_ = thread->core_id();
   return core.cycles();

@@ -42,18 +42,8 @@ struct SqliteStackConfig {
   StackTransport transport = StackTransport::kIpcMtServer;
   bool boot_rootkernel = true;  // false => the "Native" row of Table 5.
   int num_client_threads = 1;
-  int num_cores = 8;
-  uint32_t disk_blocks = 16384;
   uint64_t preload_records = 0;  // Rows inserted (uncharged) before runs.
   minisql::Database::Config db;
-  // Cost of migrating the DB lock + hot working set to another core.
-  uint64_t lock_migration_cycles = 2500;
-  // A contended acquisition blocks: the waiter sleeps and is woken through
-  // the kernel scheduler (syscall + IPI + dispatch), and the convoy and
-  // cache-line bouncing grow with the number of waiters. Charged per
-  // contending thread; this is what makes YCSB throughput *fall* roughly 2x
-  // per thread doubling (Figures 9-11).
-  uint64_t blocked_wakeup_cycles_per_waiter = 20000;
 };
 
 class SqliteStack {

@@ -5,6 +5,12 @@
 #include "src/base/logging.h"
 
 namespace apps {
+namespace {
+
+// Bytes in every row's value.
+constexpr size_t kYcsbValueBytes = 100;
+
+}  // namespace
 
 YcsbConfig YcsbA() {
   YcsbConfig c;
@@ -73,7 +79,7 @@ YcsbOp YcsbWorkload::NextOp() {
 }
 
 std::vector<uint8_t> YcsbWorkload::ValueFor(uint64_t key) const {
-  std::vector<uint8_t> value(config_.value_len);
+  std::vector<uint8_t> value(kYcsbValueBytes);
   sb::Rng value_rng(key * 0x9e3779b97f4a7c15ULL + config_.seed);
   for (auto& byte : value) {
     byte = static_cast<uint8_t>(value_rng.Next());

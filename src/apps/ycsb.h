@@ -22,7 +22,6 @@ struct YcsbConfig {
   uint64_t record_count = 10000;  // Paper: "a table with 10,000 records".
   double read_fraction = 0.5;     // A: 0.5, B: 0.95, C: 1.0.
   double zipfian_theta = 0.99;
-  uint32_t value_len = 100;
   uint64_t seed = 42;
 };
 

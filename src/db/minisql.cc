@@ -12,6 +12,8 @@ constexpr size_t kNameLen = 16;
 constexpr size_t kCatalogEntrySize = kNameLen + 4 + 8;  // name, root, rows.
 constexpr size_t kCatalogHeader = 8;                    // magic + count.
 constexpr size_t kMaxTables = (kDbPageSize - kCatalogHeader) / kCatalogEntrySize;
+// Cycles charged per statement for parse/plan (SQLite-ish overhead).
+constexpr uint64_t kStatementCycles = 1500;
 
 }  // namespace
 
@@ -115,7 +117,7 @@ void Database::ChargeStatement(bool write) {
   if (core_ == nullptr) {
     return;
   }
-  core_->AdvanceCycles(config_.statement_cycles);
+  core_->AdvanceCycles(kStatementCycles);
   if (heap_base_ != 0) {
     // Parser/planner working set plus a slice of the page cache's VA range.
     (void)core_->TouchData(heap_base_, 512, write);

@@ -63,8 +63,6 @@ class Database {
   struct Config {
     size_t pager_cache_pages = 64;
     size_t row_cache_entries = 1024;
-    // Cycles charged per statement for parse/plan (SQLite-ish overhead).
-    uint64_t statement_cycles = 1500;
     // Rollback journal (SQLite-style): write transactions bracket their page
     // flush with journal writes to a sibling "-journal" file, adding the FS
     // round trips a real SQLite commit performs.

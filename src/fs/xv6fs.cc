@@ -10,6 +10,9 @@ namespace {
 
 constexpr uint32_t kInodesPerBlock = kBlockSize / sizeof(DiskInode);
 constexpr uint32_t kBitsPerBlock = kBlockSize * 8;
+// Geometry Mkfs formats: inode count, and log blocks (header + data).
+constexpr uint32_t kNumInodes = 512;
+constexpr uint32_t kLogBlocks = kLogCapacity + 1;
 constexpr uint32_t kDirentSize = 32;  // u16 inum + 30-char name.
 
 static_assert(sizeof(DiskInode) == 64, "DiskInode must be 64 bytes");
@@ -199,8 +202,8 @@ sb::Status Xv6Fs::Mkfs() {
   Superblock sb;
   sb.magic = kFsMagic;
   sb.size = config_.total_blocks;
-  sb.nlog = config_.nlog;
-  sb.ninodes = config_.ninodes;
+  sb.nlog = kLogBlocks;
+  sb.ninodes = kNumInodes;
   sb.log_start = 1;
   sb.inode_start = sb.log_start + sb.nlog;
   const uint32_t ninode_blocks = (sb.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;

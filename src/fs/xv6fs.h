@@ -76,8 +76,6 @@ class Xv6Fs {
  public:
   struct Config {
     uint32_t total_blocks = 8192;
-    uint32_t ninodes = 512;
-    uint32_t nlog = kLogCapacity + 1;  // Header + data.
     size_t buffer_cache_entries = 64;
   };
 

@@ -25,11 +25,13 @@
 
 namespace hw {
 
+// Every cache in the hierarchy tracks 64-byte lines.
+inline constexpr uint64_t kCacheLineBytes = 64;
+
 struct CacheConfig {
   std::string name;
   uint64_t size_bytes = 0;
   uint32_t ways = 8;
-  uint32_t line_size = 64;
 };
 
 // Skylake-class defaults.

@@ -10,14 +10,22 @@
 
 namespace hw {
 
+namespace {
+
+// Skylake-class TLB reach per core.
+constexpr size_t kItlbEntries = 128;
+constexpr size_t kDtlbEntries = 1536;  // dTLB + STLB combined.
+
+}  // namespace
+
 Core::Core(int id, Machine* machine)
     : id_(id),
       machine_(machine),
       l1i_(L1iConfig()),
       l1d_(L1dConfig()),
       l2_(L2Config()),
-      itlb_(machine->config().itlb_entries),
-      dtlb_(machine->config().dtlb_entries) {}
+      itlb_(kItlbEntries),
+      dtlb_(kDtlbEntries) {}
 
 const CostModel& Core::costs() const { return machine_->costs(); }
 
@@ -128,13 +136,13 @@ uint64_t Core::ChargeAccess(Hpa hpa, bool ifetch) {
 
 void Core::ChargeLines(Hpa hpa, uint64_t len, bool streaming) {
   if (!streaming) {
-    for (uint64_t line = hpa & ~63ULL; line < hpa + len; line += 64) {
+    for (Hpa line = hpa & ~(kCacheLineBytes - 1); line < hpa + len; line += kCacheLineBytes) {
       ChargeAccess(line, /*ifetch=*/false);
     }
     return;
   }
   const CostModel& cm = costs();
-  for (uint64_t line = hpa & ~63ULL; line < hpa + len; line += 64) {
+  for (Hpa line = hpa & ~(kCacheLineBytes - 1); line < hpa + len; line += kCacheLineBytes) {
     const uint64_t latency = ProbeAccess(line, /*ifetch=*/false);
     uint64_t charge = cm.bulk_line;
     if (latency > cm.l1_hit) {
@@ -344,7 +352,7 @@ sb::Status Core::TouchData(Gva va, uint64_t len, bool write) {
     SB_ASSIGN_OR_RETURN(const Hpa hpa_base, Translate(page, /*ifetch=*/false, write));
     const Gva lo = std::max(va, page);
     const Gva hi = std::min(va + len, page + sb::kPageSize);
-    for (Gva line = lo & ~63ULL; line < hi; line += 64) {
+    for (Gva line = lo & ~(kCacheLineBytes - 1); line < hi; line += kCacheLineBytes) {
       ChargeAccess(hpa_base + (line - page), /*ifetch=*/false);
     }
   }
@@ -356,7 +364,7 @@ sb::Status Core::FetchCode(Gva va, uint64_t len) {
     SB_ASSIGN_OR_RETURN(const Hpa hpa_base, Translate(page, /*ifetch=*/true, /*write=*/false));
     const Gva lo = std::max(va, page);
     const Gva hi = std::min(va + len, page + sb::kPageSize);
-    for (Gva line = lo & ~63ULL; line < hi; line += 64) {
+    for (Gva line = lo & ~(kCacheLineBytes - 1); line < hi; line += kCacheLineBytes) {
       ChargeAccess(hpa_base + (line - page), /*ifetch=*/true);
     }
   }

@@ -20,8 +20,6 @@ namespace hw {
 struct MachineConfig {
   int num_cores = 8;  // 4 cores x 2 hyperthreads on the paper's i7-6700K.
   uint64_t ram_bytes = 16 * sb::kGiB;
-  size_t itlb_entries = 128;
-  size_t dtlb_entries = 1536;  // dTLB + STLB combined.
   CostModel costs;
 };
 

@@ -13,6 +13,10 @@ namespace {
 // come from above it.
 constexpr hw::Hpa kGuestPoolBase = 16 * sb::kMiB;
 
+// Sizes of the kernel image's code and data mappings.
+constexpr uint64_t kKernelCodeBytes = 2 * sb::kMiB;
+constexpr uint64_t kKernelDataBytes = 4 * sb::kMiB;
+
 using sb::telemetry::TraceEventType;
 
 }  // namespace
@@ -72,10 +76,8 @@ sb::Status Kernel::SetupKernelAddressSpace() {
   hw::PageFlags kflags;
   kflags.user = false;
   kflags.global = !profile_.kpti;
-  SB_RETURN_IF_ERROR(
-      kernel_as_->MapAnonymous(kKernelCodeVa, options_.kernel_code_bytes, kflags).status());
-  SB_RETURN_IF_ERROR(
-      kernel_as_->MapAnonymous(kKernelDataVa, options_.kernel_data_bytes, kflags).status());
+  SB_RETURN_IF_ERROR(kernel_as_->MapAnonymous(kKernelCodeVa, kKernelCodeBytes, kflags).status());
+  SB_RETURN_IF_ERROR(kernel_as_->MapAnonymous(kKernelDataVa, kKernelDataBytes, kflags).status());
 
   // The shared identity GPA page: one fixed guest-physical page whose EPT
   // translation is remapped per process (Section 4.2).

@@ -104,8 +104,6 @@ struct KernelOptions {
   bool boot_rootkernel = true;
   vmm::RootkernelConfig rootkernel_config;
   uint64_t process_heap_bytes = 8ULL * 1024 * 1024;
-  uint64_t kernel_code_bytes = 2ULL * 1024 * 1024;
-  uint64_t kernel_data_bytes = 4ULL * 1024 * 1024;
 };
 
 class Kernel {

@@ -212,8 +212,10 @@ sb::StatusOr<LoadGenReport> LoadGenerator::Run() {
     }
   };
 
+  // While tracing is on, each op's span starts at its intended arrival: the
+  // call id parked here is adopted by the target's next submission.
   const auto emit_arrival = [&](const Arrival& a, hw::Core& core) {
-    if (!config_.emit_spans) {
+    if (!sb::telemetry::TraceEnabled()) {
       return;
     }
     const uint64_t id = sb::telemetry::AllocCallId();

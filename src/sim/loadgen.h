@@ -52,9 +52,6 @@ struct LoadGenConfig {
   bool batched = false;
   uint32_t batch_depth = 16;  // Flush threshold (batched mode).
   std::vector<sb::telemetry::SloSpec> slos;
-  // Emit kSpanArrival per op and park the call id for the target's next
-  // submission (span tracing; needs SetTraceEnabled(true) to surface).
-  bool emit_spans = false;
 };
 
 struct Arrival {

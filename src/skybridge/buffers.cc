@@ -172,11 +172,11 @@ sb::StatusOr<BatchRingView> BufferPool::CarveRing(Binding& binding,
   if (slice.host.empty()) {
     return sb::FailedPrecondition("slice has no host-contiguous backing");
   }
-  const uint32_t entries = std::max<uint32_t>(1, config_->batch_ring_entries);
+  const uint32_t entries = kBatchRingEntries;
   const uint64_t fixed = BatchRingView::kHeaderBytes +
                          static_cast<uint64_t>(entries) * BatchRingView::kDescBytes;
   if (fixed + entries >= slice.host.size()) {
-    return sb::InvalidArgument("slice too small for the configured batch ring");
+    return sb::InvalidArgument("slice too small for the batch ring");
   }
   BatchRingView ring;
   ring.base = slice.host.data();

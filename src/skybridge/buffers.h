@@ -33,6 +33,12 @@ struct SliceRef {
   std::span<uint8_t> host;
 };
 
+// Submission/completion ring entries carved from a connection's slice (a
+// power of two). The rest of the slice is the per-entry payload arena, so
+// each entry carries up to (slice - header - entries * desc) / entries
+// payload bytes.
+inline constexpr uint32_t kBatchRingEntries = 64;
+
 // A submission/completion ring carved from one per-connection slice
 // (DESIGN.md section 13). Layout, from the slice base:
 //
@@ -152,9 +158,9 @@ class BufferPool {
   SliceRef SliceOf(const Binding& binding, const mk::Thread* caller) const;
 
   // Carves the caller's slice into a submission/completion ring with
-  // `batch_ring_entries` descriptors and an evenly divided payload arena.
+  // kBatchRingEntries descriptors and an evenly divided payload arena.
   // Same exhaustion rules as AcquireSlice; InvalidArgument when the slice
-  // is too small for the configured ring.
+  // is too small for the ring.
   sb::StatusOr<BatchRingView> CarveRing(Binding& binding, const mk::Thread* caller) const;
 
  private:

@@ -76,6 +76,16 @@ inline constexpr uint64_t kServerStackBytes = 64 * 1024;
 // Calling-key table entry: {key, client pid}.
 inline constexpr uint64_t kKeySlotBytes = 16;
 
+// ---- Call bounds ----
+// DoS defence: a handler (sync call) or a batch drain that runs longer than
+// this is forced back to the client.
+inline constexpr uint64_t kHandlerTimeoutCycles = 1ULL << 32;
+// Bounded backoff for re-arming a binding whose cached EPTP slot went stale
+// between lookup and VMFUNC (concurrent eviction): after this many slowpath
+// re-installs the call fails Unavailable. The lazy exec-fault scrub retries
+// as often.
+inline constexpr uint64_t kMaxStaleSlotRetries = 3;
+
 // ---- Fault-point catalog (src/base/faultpoint.h, DESIGN.md section 10) ----
 // Each point has a tested recovery path; arming one must never turn into an
 // SB_CHECK death.
@@ -83,7 +93,7 @@ inline constexpr uint64_t kKeySlotBytes = 16;
 // The caller's cached EPTP slot is evicted between route lookup and VMFUNC
 // (a concurrent registration LRU-evicted the binding). Recovery: detect the
 // stale slot, re-arm via the slowpath with bounded backoff; the call retries
-// transparently or fails Unavailable after max_stale_slot_retries.
+// transparently or fails Unavailable after kMaxStaleSlotRetries.
 inline constexpr const char kFaultPreVmfunc[] = "skybridge.call.pre_vmfunc";
 // The server thread crashes mid-handler, stranding the client in the
 // server's address space. Recovery: Rootkernel-mediated abort (kAbortToView)
@@ -158,24 +168,6 @@ struct SkyBridgeConfig {
   // disables caching — every page scan runs from scratch (the cold-start
   // ablation baseline).
   size_t rewrite_cache_entries = 4096;
-  // DoS defence: force return to the client if a handler runs longer.
-  uint64_t timeout_cycles = 1ULL << 32;
-  // Bounded backoff for re-arming a binding whose cached EPTP slot went
-  // stale between lookup and VMFUNC (concurrent eviction). After this many
-  // slowpath re-installs the call fails Unavailable.
-  uint64_t max_stale_slot_retries = 3;
-  // ---- Batched + asynchronous IPC (DESIGN.md section 13) ----
-  // Submission/completion ring entries carved from a connection's slice
-  // (power of two). The remainder of the slice is the per-entry payload
-  // arena, so each entry carries up to
-  // (slice - header - entries * desc) / entries payload bytes.
-  uint32_t batch_ring_entries = 64;
-  // Adaptive drain bound: after draining the submission ring, the server
-  // re-polls it up to this many further rounds for entries that arrived
-  // while it was draining (the client keeps producing on its own core in
-  // real hardware), amortizing their crossing too. 1 = drain exactly what
-  // was pending at VMFUNC time.
-  uint32_t max_drain_rounds = 4;
 };
 
 }  // namespace skybridge

@@ -148,7 +148,7 @@ Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
                            ctx.perm->key_slot * kServerStackBytes;
   (void)core.TouchData(stack_va + kServerStackBytes - 64, 64, true);
 
-  uint32_t rounds_left = std::max<uint32_t>(1, config_->max_drain_rounds);
+  uint32_t rounds_left = kMaxDrainRounds;
   while (rounds_left-- > 0) {
     // Re-poll the doorbell: submissions that arrived during the previous
     // round drain on this crossing too (adaptive drain). The client writes
@@ -167,7 +167,7 @@ Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
     while (head != tail && !out.crashed) {
       // DoS defence: stop between entries once the drain overruns the
       // timeout; the rest stay pending for the next flush.
-      if (out.completed > 0 && core.cycles() - drain_start > config_->timeout_cycles) {
+      if (out.completed > 0 && core.cycles() - drain_start > kHandlerTimeoutCycles) {
         out.timed_out = true;
         break;
       }

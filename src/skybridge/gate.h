@@ -91,6 +91,12 @@ class OutsideGate {
   hw::CycleScope app_;
 };
 
+// Adaptive drain bound: one crossing drains the submission ring for at most
+// this many rounds, re-polling it between rounds for entries that arrived
+// while the server drained (the client keeps producing on its own core in
+// real hardware), so they share the crossing too.
+inline constexpr uint32_t kMaxDrainRounds = 4;
+
 class Gate {
  public:
   Gate(mk::Kernel& kernel, const SkyBridgeConfig& config);
@@ -143,7 +149,7 @@ class Gate {
   // After each round it invokes `refill` — submissions that arrived while
   // the server drained (the client's core keeps producing in real hardware)
   // — and keeps draining while new entries appear, bounded by
-  // config.max_drain_rounds (adaptive drain) and config.timeout_cycles.
+  // kMaxDrainRounds (adaptive drain) and kHandlerTimeoutCycles.
   // Advances `head` past every entry it completes. A tail outside
   // [head, head + entries] stops the drain (bad_tail); a request longer
   // than its entry's span fails only that entry with OutOfRange.
@@ -151,7 +157,7 @@ class Gate {
     uint32_t completed = 0;  // Completions posted this crossing.
     uint32_t rounds = 0;     // Drain rounds that processed >= 1 entry.
     bool crashed = false;    // Handler died mid-drain; crossing must abort.
-    bool timed_out = false;  // Stopped at timeout_cycles; the rest stay pending.
+    bool timed_out = false;  // Stopped at the timeout; the rest stay pending.
     bool bad_tail = false;   // Client-written tail out of bounds; refused.
   };
   DrainOutcome DrainBatch(CallContext& ctx, const BatchRingView& ring, uint64_t& head,

@@ -497,7 +497,7 @@ sb::Status SkyBridge::HandleExecFault(hw::Core& core, hw::Gpa gpa) {
   // a failed attempt leaves the page non-executable and the next execution
   // re-enters this slow path.
   sb::Status status = sb::Unavailable("exec-fault rewrite not attempted");
-  for (uint64_t attempt = 0; attempt <= config_.max_stale_slot_retries; ++attempt) {
+  for (uint64_t attempt = 0; attempt <= kMaxStaleSlotRetries; ++attempt) {
     if (SB_FAULT_POINT(kFaultExecScan)) {
       status = sb::Unavailable("exec-fault page scan failed");
       continue;

@@ -474,9 +474,18 @@ sb::Status RouteTable::CheckInvariants() const {
     if (cache.ids.empty()) {
       continue;  // Core never initialized (no rootkernel at table birth).
     }
-    const auto& mirror = kernel_->rootkernel()->core_eptp_state(c).slot_ids;
-    if (cache.ids != mirror) {
-      return sb::Internal("per-core slot cache disagrees with the rootkernel mirror");
+    // The cache against what the Rootkernel programmed into the VMCS.
+    const hw::Vmcs& vmcs = kernel_->machine().core(c).vmcs();
+    if (cache.ids.size() != vmcs.eptp_list.size()) {
+      return sb::Internal("per-core slot cache length disagrees with the VMCS EPTP list");
+    }
+    for (size_t s = 0; s < cache.ids.size(); ++s) {
+      if (vmcs.eptp_list[s] != kernel_->rootkernel()->ept(cache.ids[s])) {
+        return sb::Internal("per-core slot cache disagrees with the VMCS EPTP list");
+      }
+    }
+    if (vmcs.active_index >= vmcs.eptp_list.size()) {
+      return sb::Internal("active EPTP view index outside the installed list");
     }
     if (cache.ids[0] != 0) {
       return sb::Internal("slot 0 no longer holds the base EPT");

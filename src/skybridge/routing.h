@@ -224,8 +224,8 @@ class RouteTable {
   // Structural invariants the stress runner asserts between events: every
   // binding recorded under its own client, revoked bindings swept once
   // drained, in-flight accounting, and the per-core residency cross-check
-  // against the Rootkernel's CoreEptpState mirrors (every resident slot
-  // maps to a live EPT holder and vice versa).
+  // against each core's VMCS EPTP list (every cached slot holds the EPT the
+  // VMCS slot points at, and the active view lies inside the list).
   sb::Status CheckInvariants() const;
   uint64_t InFlightCalls() const;
 

@@ -165,7 +165,7 @@ class SkyBridge {
   // Drains every pending submission of the caller's connection in ONE
   // VMFUNC crossing (the batch-dispatch leg). With submissions arriving
   // during the drain (SetBatchRefill), the server keeps draining up to
-  // config.max_drain_rounds rounds, and at most config.timeout_cycles,
+  // kMaxDrainRounds rounds, and at most kHandlerTimeoutCycles,
   // before returning; entries it did not reach complete on a later flush.
   // No-op when nothing is pending. Aborted when the handler crashed
   // mid-drain — completions already posted stay posted, untouched entries

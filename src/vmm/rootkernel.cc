@@ -70,11 +70,8 @@ sb::StatusOr<std::unique_ptr<Rootkernel>> Rootkernel::Boot(hw::Machine& machine,
   machine.SetVmExitHandler([raw](hw::Core& core, const hw::VmExitInfo& info) -> uint64_t {
     return raw->HandleExit(core, info);
   });
-  raw->core_eptp_.assign(static_cast<size_t>(machine.num_cores()), CoreEptpState{});
   for (int i = 0; i < machine.num_cores(); ++i) {
     machine.core(i).EnterNonRoot(raw->base_ept_, /*vpid=*/static_cast<uint16_t>(i + 1));
-    // EnterNonRoot seeds slot 0 with the base EPT (id 0); mirror it.
-    raw->core_eptp_[static_cast<size_t>(i)].slot_ids.assign(1, 0);
   }
   return rk;
 }
@@ -166,43 +163,6 @@ sb::Status Rootkernel::ProtectGpaExec(uint64_t ept_id, hw::Gpa page_gpa, bool ex
   return e->SetGpaPageExec(page_gpa, exec);
 }
 
-uint64_t Rootkernel::ActiveEptId(int core_id) const {
-  const CoreEptpState& state = core_eptp_[static_cast<size_t>(core_id)];
-  const size_t index = machine_->core(core_id).vmcs().active_index;
-  if (index >= state.slot_ids.size()) {
-    return kNoActiveEpt;
-  }
-  return state.slot_ids[index];
-}
-
-sb::Status Rootkernel::CheckInvariants() const {
-  if (core_eptp_.size() != static_cast<size_t>(machine_->num_cores())) {
-    return sb::Internal("per-core EPTP mirror not sized to the machine");
-  }
-  for (int i = 0; i < machine_->num_cores(); ++i) {
-    hw::Core& core = machine_->core(i);
-    if (!core.in_nonroot()) {
-      continue;
-    }
-    const hw::Vmcs& vmcs = core.vmcs();
-    const CoreEptpState& state = core_eptp_[static_cast<size_t>(i)];
-    if (state.slot_ids.size() != vmcs.eptp_list.size()) {
-      return sb::Internal("per-core EPTP mirror length disagrees with the VMCS");
-    }
-    for (size_t s = 0; s < state.slot_ids.size(); ++s) {
-      const uint64_t id = state.slot_ids[s];
-      const hw::Ept* e = id < epts_.size() ? epts_[id].get() : nullptr;
-      if (e == nullptr || vmcs.eptp_list[s] != e) {
-        return sb::Internal("per-core EPTP mirror slot disagrees with the VMCS");
-      }
-    }
-    if (!vmcs.eptp_list.empty() && vmcs.active_index >= vmcs.eptp_list.size()) {
-      return sb::Internal("active EPTP view index outside the installed list");
-    }
-  }
-  return sb::OkStatus();
-}
-
 uint64_t Rootkernel::HandleExit(hw::Core& core, const hw::VmExitInfo& info) {
   switch (info.reason) {
     case hw::VmExitReason::kCpuid:
@@ -247,9 +207,6 @@ uint64_t Rootkernel::HandleVmcall(hw::Core& core, const hw::VmExitInfo& info) {
       return RemapIdentityPage(info.arg1, info.arg2, info.arg3).ok() ? 0 : kHypercallError;
     }
     case Hypercall::kEptpListClear: {
-      CoreEptpState& state = core_eptp_[static_cast<size_t>(core.id())];
-      state.slot_ids.clear();
-      ++state.list_installs;
       core.vmcs().eptp_list.clear();
       core.vmcs().active_index = 0;
       return 0;
@@ -259,9 +216,6 @@ uint64_t Rootkernel::HandleVmcall(hw::Core& core, const hw::VmExitInfo& info) {
       if (e == nullptr || core.vmcs().eptp_list.size() >= hw::kEptpListCapacity) {
         return kHypercallError;
       }
-      CoreEptpState& state = core_eptp_[static_cast<size_t>(core.id())];
-      state.slot_ids.push_back(info.arg1);
-      ++state.appends;
       core.vmcs().eptp_list.push_back(e);
       return core.vmcs().eptp_list.size() - 1;
     }
@@ -272,9 +226,6 @@ uint64_t Rootkernel::HandleVmcall(hw::Core& core, const hw::VmExitInfo& info) {
           slot == core.vmcs().active_index) {
         return kHypercallError;
       }
-      CoreEptpState& state = core_eptp_[static_cast<size_t>(core.id())];
-      state.slot_ids[slot] = info.arg2;
-      ++state.replaces;
       core.vmcs().eptp_list[slot] = e;
       return slot;
     }
@@ -289,7 +240,6 @@ uint64_t Rootkernel::HandleVmcall(hw::Core& core, const hw::VmExitInfo& info) {
         return kHypercallError;
       }
       core.vmcs().active_index = static_cast<size_t>(info.arg1);
-      ++core_eptp_[static_cast<size_t>(core.id())].aborts;
       metrics_.aborts->Add();
       return 0;
     }

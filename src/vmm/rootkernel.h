@@ -116,36 +116,6 @@ class Rootkernel {
     exec_violation_handler_ = std::move(handler);
   }
 
-  // ---- Per-core EPTP-list control state (DESIGN.md section 11) ----
-  // The EPTP-list VMCALL ABI is implicitly "current core"; this materializes
-  // that as an explicit per-core mirror of what the Rootkernel has programmed
-  // into each core's VMCS EPTP list, plus per-core install accounting. The
-  // mirror is the hypervisor's own bookkeeping — CheckInvariants() proves it
-  // never drifts from the hardware (VMCS) state.
-  struct CoreEptpState {
-    std::vector<uint64_t> slot_ids;  // EPT id per slot; mirrors vmcs().eptp_list.
-    uint64_t list_installs = 0;      // kEptpListClear transitions (one per install).
-    uint64_t appends = 0;            // kEptpListAppend slots programmed.
-    uint64_t replaces = 0;           // kEptpListReplace in-place slot swaps.
-    uint64_t aborts = 0;             // kAbortToView view restores on this core.
-  };
-  const CoreEptpState& core_eptp_state(int core_id) const {
-    return core_eptp_[static_cast<size_t>(core_id)];
-  }
-
-  // The EPT id the core's active view translates through right now, per the
-  // per-core mirror (kNoActiveEpt when the list is empty / index is out of
-  // range). Tests use this to assert "the core is back in process P's own
-  // view" without caring which slot P's EPT happens to occupy.
-  static constexpr uint64_t kNoActiveEpt = ~0ULL;
-  uint64_t ActiveEptId(int core_id) const;
-
-  // Verifies every non-root core's mirror against the live VMCS: same
-  // length, every slot id resolves to the Ept* in that VMCS slot, and the
-  // active view index points inside the installed list. Returns the first
-  // violation.
-  sb::Status CheckInvariants() const;
-
   // Rough footprint accounting: the paper's Rootkernel is ~1.5 KLoC. Ours
   // reports the number of EPT table pages it holds.
   size_t ept_pages_allocated() const { return frames_.allocated_frames(); }
@@ -163,7 +133,6 @@ class Rootkernel {
   hw::FrameAllocator frames_;
   hw::Ept* base_ept_ = nullptr;
   std::vector<std::unique_ptr<hw::Ept>> epts_;  // id -> EPT (0 is the base).
-  std::vector<CoreEptpState> core_eptp_;  // Indexed by core id.
   ExecViolationHandler exec_violation_handler_;
   // Exit (Table 5) and abort counts live only on the machine's telemetry
   // (vmm.*); one vmm.exits.* counter per exit reason, so they sum to

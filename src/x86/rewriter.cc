@@ -894,7 +894,7 @@ sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
   scan_options.stats = &scan_stats;
   scan_options.pattern = config.pattern;
 
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxRewriteIterations; ++iter) {
     const std::vector<VmfuncHit> hits = ScanForVmfunc(result.code, scan_options);
     result.stats.scan_pages = scan_stats.pages;
     if (hits.empty()) {
@@ -923,7 +923,7 @@ sb::StatusOr<PageRewrite> RewriteVmfuncPage(std::span<const uint8_t> code, size_
   scan_options.stats = &scan_stats;
   scan_options.pattern = config.pattern;
 
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxRewriteIterations; ++iter) {
     const std::span<const uint8_t> current = edited ? std::span<const uint8_t>(working) : code;
     const std::vector<VmfuncHit> hits = ScanForVmfunc(current, scan_options, starts);
     result.stats.scan_pages = scan_stats.pages;

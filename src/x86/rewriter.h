@@ -43,11 +43,13 @@
 
 namespace x86 {
 
+// Scan-and-rewrite passes before a rewrite gives up as non-converging.
+inline constexpr int kMaxRewriteIterations = 64;
+
 struct RewriteConfig {
   uint64_t code_base = 0x400000;        // VA where the code is mapped.
   uint64_t rewrite_page_base = 0x1000;  // VA of the rewrite page (paper 5.1).
   size_t rewrite_page_capacity = 16 * 4096;
-  int max_iterations = 64;
   // The gate-instruction triple whose hits this pass scrubs: kVmfuncBytes
   // for the EPTP backend, kWrpkruBytes for the MPK backend (same 0F 01 /r
   // shape, so every Table 3 rewrite case applies unchanged). Whatever the

@@ -254,11 +254,10 @@ TEST_P(KvWiringTest, ValueLengthSweepRoundTrips) {
   ASSERT_TRUE(env.pipeline->FlushQueries().ok());
   // A reply larger than a ring entry's payload span is rejected at the
   // per-entry return gate (OutOfRange), as SkyBridge::PollCompletion documents.
-  const skybridge::SkyBridgeConfig& config = env.sky->config();
   const uint64_t entry_cap =
-      (config.shared_buffer_bytes - skybridge::BatchRingView::kHeaderBytes -
-       config.batch_ring_entries * skybridge::BatchRingView::kDescBytes) /
-      config.batch_ring_entries;
+      (env.sky->config().shared_buffer_bytes - skybridge::BatchRingView::kHeaderBytes -
+       skybridge::kBatchRingEntries * skybridge::BatchRingView::kDescBytes) /
+      skybridge::kBatchRingEntries;
   for (size_t i = 0; i < tokens.size(); ++i) {
     const size_t n = kSweepValueBytes[i];
     auto v = env.pipeline->PollQuery(tokens[i]);

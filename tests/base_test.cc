@@ -1,13 +1,11 @@
 // Tests for the base utilities.
 
 #include <sstream>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/base/logging.h"
 #include "src/base/rng.h"
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/table.h"
 #include "src/base/units.h"
@@ -96,104 +94,6 @@ TEST(Rng, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(Samples, MeanMinMax) {
-  Samples s;
-  s.Add(1);
-  s.Add(2);
-  s.Add(3);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(Samples, Percentile) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) {
-    s.Add(i);
-  }
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(99), 99.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
-}
-
-TEST(Samples, EmptySafe) {
-  Samples s;
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 0.0);
-}
-
-TEST(Histogram, MeanAndCount) {
-  Histogram h;
-  h.Add(100);
-  h.Add(300);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.mean(), 200.0);
-}
-
-TEST(Samples, SingleSamplePercentiles) {
-  Samples s;
-  s.Add(42.0);
-  // Every percentile of a one-sample distribution is that sample.
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 42.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 42.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 42.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(Samples, PercentileEndpoints) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) {
-    s.Add(i);
-  }
-  // p=0 is the minimum, p=100 the maximum; out-of-range p is clamped.
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(-5), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(200), 100.0);
-}
-
-TEST(Histogram, EmptySafe) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  EXPECT_EQ(h.Percentile(50), 0u);
-  EXPECT_EQ(h.Percentile(0), 0u);
-  EXPECT_EQ(h.Percentile(100), 0u);
-}
-
-TEST(Histogram, SingleSamplePercentiles) {
-  Histogram h;
-  h.Add(100);
-  // One sample: every percentile selects its (power-of-two) bucket, whose
-  // midpoint representative is within 2x of the true value.
-  const uint64_t p0 = h.Percentile(0);
-  EXPECT_EQ(p0, h.Percentile(50));
-  EXPECT_EQ(p0, h.Percentile(100));
-  EXPECT_GE(p0, 64u);
-  EXPECT_LE(p0, 200u);
-}
-
-TEST(Histogram, PercentileEndpointsOrdered) {
-  Histogram h;
-  for (uint64_t v = 1; v <= 1024; ++v) {
-    h.Add(v);
-  }
-  // p=0 must read the smallest populated bucket, not an empty prefix.
-  EXPECT_GE(h.Percentile(0), 1u);
-  EXPECT_LE(h.Percentile(0), h.Percentile(50));
-  EXPECT_LE(h.Percentile(50), h.Percentile(100));
-}
-
-TEST(Histogram, ValuesAboveMaxSaturateLastBucket) {
-  Histogram h(/*max_value=*/256);
-  h.Add(1ULL << 20);  // Far beyond max_value: clamps into the last bucket.
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.Percentile(100), 256u);
-  // The mean still uses the true value (only bucketing saturates).
-  EXPECT_DOUBLE_EQ(h.mean(), static_cast<double>(1ULL << 20));
 }
 
 TEST(Logging, KvFormatsKeyEqualsValue) {

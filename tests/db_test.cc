@@ -25,7 +25,7 @@ struct DirectFs {
   DirectFs()
       : disk(32768),
         fs(fsys::DirectBlockTransport(&disk),
-           fsys::Xv6Fs::Config{32768, 512, fsys::kLogCapacity + 1, 64}),
+           fsys::Xv6Fs::Config{32768, 64}),
         machine([] {
           hw::MachineConfig mc;
           mc.num_cores = 1;
@@ -33,7 +33,7 @@ struct DirectFs {
           return mc;
         }()),
         kernel(machine, mk::Sel4Profile(),
-               mk::KernelOptions{false, {}, 1 << 20, 1 << 20, 1 << 20}),
+               mk::KernelOptions{false, {}, 1 << 20}),
         handler(fsys::MakeFsHandler(&fs)),
         client([this](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
           mk::CallEnv env{kernel, machine.core(0), *server, msg};

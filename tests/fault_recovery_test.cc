@@ -93,7 +93,7 @@ class FaultRecoveryTest : public CrossingGridTest {
     EXPECT_EQ(sky_->InFlightCalls(), 0u);
     mk::Process* current = kernel_->current_process(0);
     ASSERT_NE(current, nullptr);
-    EXPECT_EQ(kernel_->rootkernel()->ActiveEptId(0), current->ept_id());
+    EXPECT_EQ(machine_->core(0).vmcs().active_ept(), kernel_->rootkernel()->ept(current->ept_id()));
   }
 
   // Both processes map a shared buffer at `va`, on the same frame.
@@ -260,9 +260,7 @@ TEST_P(FaultRecoveryTest, StaleSlotRetriesAreBoundedThenUnavailable) {
   if (IsSyscall()) {
     GTEST_SKIP() << "kSyscall has no view slots to go stale";
   }
-  SkyBridgeConfig config;
-  config.max_stale_slot_retries = 3;
-  Boot(config);
+  Boot();
   Pair p = MakePair(EchoHandler());
   ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(1)).ok());
 
@@ -270,7 +268,7 @@ TEST_P(FaultRecoveryTest, StaleSlotRetriesAreBoundedThenUnavailable) {
   auto starved = sky_->DirectServerCall(p.thread, p.sid, Message(2));
   ASSERT_FALSE(starved.ok());
   EXPECT_EQ(starved.status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(Metric("skybridge.ipc.stale_slot_retries"), 3u);
+  EXPECT_EQ(Metric("skybridge.ipc.stale_slot_retries"), kMaxStaleSlotRetries);
   ExpectHealthy();
 
   // Disarmed, the evicted binding faults back in through the ordinary
@@ -480,6 +478,51 @@ TEST_P(FaultRecoveryTest, FailedBufferRegionLeavesTheKernelAndRetrySucceeds) {
   auto reply = sky_->DirectServerCall(thread, sid, Message(5));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 5u);
+  ExpectHealthy();
+}
+
+// A RegisterServer refused on its stack mapping adds no server and no EPT;
+// the retry gets the ServerId the refused one would have had.
+TEST_P(FaultRecoveryTest, FailedServerStacksLeaveNoServerAndRetrySucceeds) {
+  Boot();
+  auto* client = kernel_->CreateProcess("client").value();
+  auto* first = kernel_->CreateProcess("first").value();
+  auto* server = kernel_->CreateProcess("server").value();
+  const ServerId first_sid = sky_->RegisterServer(first, 4, EchoHandler()).value();
+  // Registering the server process as a client prepares it (scrub,
+  // trampoline, key table), so its RegisterServer's first allocation is the
+  // stack mapping.
+  ASSERT_TRUE(sky_->RegisterClient(server, first_sid).ok());
+  mk::Thread* thread = client->AddThread(0);
+  ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
+  const ServerId sid = first_sid + 1;
+  const hw::Gva stacks_va = mk::kServerStacksVa + sid * 256 * kServerStackBytes;
+  hw::FrameAllocator& frames = server->address_space().frames();
+  const uint64_t allocated = frames.allocated_frames();
+  const size_t epts = kernel_->rootkernel()->ept_count();
+
+  sb::fault::FaultSpec spec;
+  spec.nth_hit = 1;
+  sb::fault::Arm(hw::kFaultFrameAlloc, spec);
+  const sb::StatusOr<ServerId> failed = sky_->RegisterServer(server, 4, EchoHandler());
+  EXPECT_EQ(sb::fault::StatsFor(hw::kFaultFrameAlloc).fires, 1u);
+  sb::fault::DisarmAll();
+  EXPECT_EQ(failed.status().code(), ErrorCode::kResourceExhausted) << failed.status().ToString();
+  EXPECT_EQ(kernel_->rootkernel()->ept_count(), epts);
+  EXPECT_FALSE(server->address_space().WalkVa(stacks_va).ok);
+  EXPECT_EQ(frames.allocated_frames(), allocated);
+  // The server list did not grow: the id it would have had names no server.
+  EXPECT_EQ(sky_->RegisterClient(client, sid).code(), ErrorCode::kNotFound);
+  ExpectHealthy();
+
+  const sb::StatusOr<ServerId> retried = sky_->RegisterServer(server, 4, EchoHandler());
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(*retried, sid);
+  EXPECT_TRUE(server->address_space().WalkVa(stacks_va).ok);
+  ASSERT_TRUE(sky_->RegisterClient(client, sid).ok());
+  auto reply = sky_->DirectServerCall(thread, sid, Message(9));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->tag, 9u);
   ExpectHealthy();
 }
 

@@ -51,7 +51,7 @@ class FsTest : public ::testing::Test {
  protected:
   FsTest()
       : disk_(4096),
-        fs_(DirectBlockTransport(&disk_), Xv6Fs::Config{4096, 512, kLogCapacity + 1, 64}) {}
+        fs_(DirectBlockTransport(&disk_), Xv6Fs::Config{4096, 64}) {}
 
   void Format() {
     ASSERT_TRUE(fs_.Mkfs().ok());
@@ -340,7 +340,7 @@ TEST_F(FsTest, FsckDetectsBitmapCorruption) {
   ASSERT_TRUE(disk_.Write(nullptr, sb.bmap_start + victim / (kBlockSize * 8), bmap).ok());
 
   // Remount so the corruption is visible through the cache.
-  Xv6Fs fs2(DirectBlockTransport(&disk_), Xv6Fs::Config{4096, 512, kLogCapacity + 1, 64});
+  Xv6Fs fs2(DirectBlockTransport(&disk_), Xv6Fs::Config{4096, 64});
   ASSERT_TRUE(fs2.Mount().ok());
   EXPECT_FALSE(fs2.Fsck().ok());
 }
@@ -431,7 +431,7 @@ void RunBufferCacheDifferential(size_t capacity, uint64_t seed) {
   BlockTrace trace;
   bool fail_reads = false;
   Xv6Fs fs(RecordingTransport(&disk, &trace, &fail_reads),
-           Xv6Fs::Config{4096, 512, kLogCapacity + 1, capacity});
+           Xv6Fs::Config{4096, capacity});
   ASSERT_TRUE(fs.Mkfs().ok());
   ASSERT_TRUE(fs.Mount().ok());
   trace.clear();
@@ -494,7 +494,7 @@ TEST(BufferCache, FailedReadLeavesNoEntryAndIsRetried) {
   BlockTrace trace;
   bool fail_reads = false;
   Xv6Fs fs(RecordingTransport(&disk, &trace, &fail_reads),
-           Xv6Fs::Config{4096, 512, kLogCapacity + 1, 8});
+           Xv6Fs::Config{4096, 8});
   ASSERT_TRUE(fs.Mkfs().ok());
   ASSERT_TRUE(fs.Mount().ok());
   const uint32_t block = fs.superblock().data_start;
@@ -554,7 +554,7 @@ TEST(FsRpc, ClientServerRoundTripOverDirectHandler) {
   mc.num_cores = 1;
   mc.ram_bytes = 1ULL << 30;
   hw::Machine machine(mc);
-  mk::Kernel kernel(machine, mk::Sel4Profile(), mk::KernelOptions{false, {}, 1 << 20, 1 << 20, 1 << 20});
+  mk::Kernel kernel(machine, mk::Sel4Profile(), mk::KernelOptions{false, {}, 1 << 20});
   ASSERT_TRUE(kernel.Boot().ok());
   auto proc = kernel.CreateProcess("fs");
   ASSERT_TRUE(proc.ok());

@@ -122,7 +122,7 @@ TEST(Cache, HitAfterMiss) {
 
 TEST(Cache, LruEviction) {
   // 2-way tiny cache: lines mapping to the same set evict LRU order.
-  CacheConfig config{"tiny", 2 * 64, 2, 64};  // 1 set, 2 ways.
+  CacheConfig config{"tiny", 2 * 64, 2};  // 1 set, 2 ways.
   Cache cache(config);
   EXPECT_FALSE(cache.Access(0x0));
   EXPECT_FALSE(cache.Access(0x40));
@@ -300,12 +300,12 @@ class ReferenceCache {
  public:
   explicit ReferenceCache(const CacheConfig& config)
       : config_(config),
-        num_sets_(config.size_bytes / config.line_size / config.ways),
-        lines_(config.size_bytes / config.line_size) {}
+        num_sets_(config.size_bytes / kCacheLineBytes / config.ways),
+        lines_(config.size_bytes / kCacheLineBytes) {}
 
   bool Access(Hpa paddr) {
-    Line* base = &lines_[(paddr / config_.line_size) % num_sets_ * config_.ways];
-    const uint64_t tag = paddr / config_.line_size / num_sets_;
+    Line* base = &lines_[(paddr / kCacheLineBytes) % num_sets_ * config_.ways];
+    const uint64_t tag = paddr / kCacheLineBytes / num_sets_;
     ++tick_;
     Line* victim = base;
     for (uint32_t w = 0; w < config_.ways; ++w) {
@@ -409,9 +409,9 @@ TEST(TlbDifferential, MatchesReferenceModel) {
 
 TEST(CacheDifferential, MatchesReferenceModel) {
   const CacheConfig configs[] = {
-      {"1x2", 2 * 64, 2, 64},
-      {"4x3", 12 * 64, 3, 64},
-      {"64x16", 64 * 16 * 64, 16, 64},
+      {"1x2", 2 * 64, 2},
+      {"4x3", 12 * 64, 3},
+      {"64x16", 64 * 16 * 64, 16},
       L1dConfig(),
       L2Config(),
       L3Config(),
@@ -422,7 +422,7 @@ TEST(CacheDifferential, MatchesReferenceModel) {
       sb::Rng rng(seed);
       Cache cache(config);
       ReferenceCache ref(config);
-      const uint64_t lines = config.size_bytes / config.line_size;
+      const uint64_t lines = config.size_bytes / kCacheLineBytes;
       // Enough accesses, and few enough flushes, for the L3's 8,192 sets to
       // fill and evict.
       const uint64_t ops = std::max<uint64_t>(50000, 4 * lines);
@@ -435,8 +435,8 @@ TEST(CacheDifferential, MatchesReferenceModel) {
           continue;
         }
         // A pool 1.5x the cache's lines, at a random offset within the line.
-        Hpa paddr = rng.Below(lines + lines / 2 + 1) * config.line_size;
-        paddr += rng.Below(config.line_size);
+        Hpa paddr = rng.Below(lines + lines / 2 + 1) * kCacheLineBytes;
+        paddr += rng.Below(kCacheLineBytes);
         paddr += rng.OneIn(4) ? 0x40000000 : 0;
         const bool hit = cache.Access(paddr);
         ASSERT_EQ(hit, ref.Access(paddr)) << "op " << op;

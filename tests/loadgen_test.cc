@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "src/base/telemetry/span.h"
 #include "src/hw/machine.h"
 #include "src/mk/kernel.h"
 #include "src/skybridge/skybridge.h"
@@ -211,6 +212,48 @@ TEST(LoadGenRun, BatchedModeDrainsEverything) {
     *out = report->Fingerprint();
   }
   EXPECT_EQ(first, second);  // Batched runs replay byte-identically too.
+}
+
+// While tracing is on, each op's span starts at its intended arrival: a
+// traced batched run rebuilds every op's full span chain, in pipeline order.
+TEST(LoadGenRun, TracedBatchedRunGivesEveryOpTheFullSpanChain) {
+  using sb::telemetry::SpanPhase;
+  EchoWorld w = MakeEchoWorld();
+  LoadGenConfig config = SmallConfig();
+  config.events = 64;  // Every record fits one trace ring.
+  config.batched = true;
+  config.batch_depth = 8;
+  config.offered_per_kcycle = 4.0;
+  LoadGenerator gen(*w.machine, config, w.target);
+  sb::telemetry::TraceClear();
+  sb::telemetry::SetTraceEnabled(true);
+  const auto report = gen.Run();
+  sb::telemetry::SetTraceEnabled(false);
+  const std::vector<sb::telemetry::CallSpan> spans =
+      sb::telemetry::BuildSpans(sb::telemetry::TraceSnapshot());
+  sb::telemetry::TraceClear();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->completed, 64u);
+  EXPECT_LT(report->batch_flushes, report->completed);
+
+  const SpanPhase chain[] = {SpanPhase::kArrival, SpanPhase::kEnqueue, SpanPhase::kFlush,
+                             SpanPhase::kVmfunc,  SpanPhase::kDrain,   SpanPhase::kReturn,
+                             SpanPhase::kPoll};
+  uint64_t ops = 0;
+  for (const sb::telemetry::CallSpan& span : spans) {
+    if (span.Find(SpanPhase::kArrival) == nullptr) {
+      continue;  // A flush crossing's own span.
+    }
+    ++ops;
+    EXPECT_NE(span.crossing_id, 0u) << span.call_id;
+    for (size_t i = 1; i < std::size(chain); ++i) {
+      const sb::telemetry::SpanEvent* prev = span.Find(chain[i - 1]);
+      const sb::telemetry::SpanEvent* cur = span.Find(chain[i]);
+      ASSERT_NE(cur, nullptr) << span.call_id << " " << SpanPhaseName(chain[i]);
+      EXPECT_LT(prev->seq, cur->seq) << span.call_id << " " << SpanPhaseName(chain[i]);
+    }
+  }
+  EXPECT_EQ(ops, 64u);
 }
 
 TEST(LoadGenRun, BurstFallbackWhenTargetHasNoRing) {

@@ -46,7 +46,7 @@ sb::StatusOr<x86::PageRewrite> ReferenceRewritePage(std::span<const uint8_t> cod
   scan_options.pattern = config.pattern;
   x86::ScanOptions snippet_scan;
   snippet_scan.pattern = config.pattern;
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  for (int iter = 0; iter < x86::kMaxRewriteIterations; ++iter) {
     const std::vector<x86::VmfuncHit> hits = x86::ScanForVmfunc(working, scan_options);
     result.stats.scan_pages = scan_stats.pages;
     const x86::VmfuncHit* owned = nullptr;

@@ -73,7 +73,7 @@ class BatchTest : public ::testing::Test {
     EXPECT_EQ(sky_->InFlightCalls(), 0u);
     mk::Process* current = kernel_->current_process(0);
     ASSERT_NE(current, nullptr);
-    EXPECT_EQ(kernel_->rootkernel()->ActiveEptId(0), current->ept_id());
+    EXPECT_EQ(machine_->core(0).vmcs().active_ept(), kernel_->rootkernel()->ept(current->ept_id()));
   }
 
   // A counter or gauge on this world's telemetry registry.
@@ -87,8 +87,7 @@ class BatchTest : public ::testing::Test {
     return *slice;
   }
   uint64_t DescOff(uint64_t token) const {
-    const uint32_t entries = sky_->config().batch_ring_entries;
-    return BatchRingView::kHeaderBytes + (token % entries) * BatchRingView::kDescBytes;
+    return BatchRingView::kHeaderBytes + (token % kBatchRingEntries) * BatchRingView::kDescBytes;
   }
   template <typename T>
   static void Poke(std::span<uint8_t> ring, uint64_t off, T value) {
@@ -168,25 +167,24 @@ TEST_F(BatchTest, CallBatchMatchesDirectCalls) {
 }
 
 TEST_F(BatchTest, RingWrapsAcrossManyRounds) {
-  SkyBridgeConfig config;
-  config.batch_ring_entries = 8;
-  Boot(config);
+  Boot();
   Pair p = MakePair(EchoHandler());
 
+  constexpr uint64_t kEntries = kBatchRingEntries;
   uint64_t expected_token = 0;
-  for (int round = 0; round < 5; ++round) {
+  for (uint64_t round = 0; round < 5; ++round) {
     std::vector<uint64_t> tokens;
-    for (int i = 0; i < 8; ++i) {
-      auto token = sky_->SubmitCall(p.thread, p.sid, Payload(round * 8 + i, "x"));
+    for (uint64_t i = 0; i < kEntries; ++i) {
+      auto token = sky_->SubmitCall(p.thread, p.sid, Payload(round * kEntries + i, "x"));
       ASSERT_TRUE(token.ok());
       EXPECT_EQ(*token, expected_token++);  // Tokens are monotone; slots wrap.
       tokens.push_back(*token);
     }
     ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
-    for (int i = 0; i < 8; ++i) {
+    for (uint64_t i = 0; i < kEntries; ++i) {
       auto reply = sky_->PollCompletion(p.thread, p.sid, tokens[i]);
       ASSERT_TRUE(reply.ok());
-      EXPECT_EQ(reply->tag, static_cast<uint64_t>(round * 8 + i));
+      EXPECT_EQ(reply->tag, round * kEntries + i);
     }
   }
   ExpectHealthy();
@@ -195,21 +193,19 @@ TEST_F(BatchTest, RingWrapsAcrossManyRounds) {
 // ---- Backpressure and per-entry capacity ----
 
 TEST_F(BatchTest, FullRingIsExplicitlyExhausted) {
-  SkyBridgeConfig config;
-  config.batch_ring_entries = 8;
-  Boot(config);
+  Boot();
   Pair p = MakePair(EchoHandler());
 
-  for (int i = 0; i < 8; ++i) {
+  for (uint64_t i = 0; i < kBatchRingEntries; ++i) {
     ASSERT_TRUE(sky_->SubmitCall(p.thread, p.sid, Message(i)).ok());
   }
-  auto overflow = sky_->SubmitCall(p.thread, p.sid, Message(9));
+  auto overflow = sky_->SubmitCall(p.thread, p.sid, Message(kBatchRingEntries + 1));
   EXPECT_EQ(overflow.status().code(), ErrorCode::kResourceExhausted);
 
   // Flush + reap one slot: submission works again.
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
   ASSERT_TRUE(sky_->PollCompletion(p.thread, p.sid, 0).ok());
-  EXPECT_TRUE(sky_->SubmitCall(p.thread, p.sid, Message(10)).ok());
+  EXPECT_TRUE(sky_->SubmitCall(p.thread, p.sid, Message(kBatchRingEntries + 2)).ok());
 }
 
 TEST_F(BatchTest, OversizedPayloadRejectedAtSubmit) {
@@ -321,7 +317,7 @@ TEST_F(BatchTest, CorruptReplyRejectsOneEntryAndBatchContinues) {
 // never as a reply span past the entry's payload arena.
 TEST_F(BatchTest, ScribbledCompletionDescriptorsRejectedAtPoll) {
   Boot();
-  const uint32_t entries = sky_->config().batch_ring_entries;
+  const uint32_t entries = kBatchRingEntries;
   uint8_t* first_arena = nullptr;  // Entry 0's payload span: ring slot 0.
   Handler handler = [&](CallEnv& env) {
     if (env.request.tag == 0) {
@@ -373,7 +369,7 @@ TEST_F(BatchTest, ScribbledCompletionDescriptorsRejectedAtPoll) {
 
 TEST_F(BatchTest, ScribbledRingHeadRejectedAtFlush) {
   Boot();
-  const uint32_t entries = sky_->config().batch_ring_entries;
+  const uint32_t entries = kBatchRingEntries;
   uint8_t* first_arena = nullptr;  // Entry 0's payload span: ring slot 0.
   Handler handler = [&](CallEnv& env) {
     if (env.request.tag == 0) {
@@ -479,7 +475,7 @@ TEST_F(BatchTest, RevokedBindingFailsPendingEntriesClientSide) {
 // drain's head refuses the whole crossing.
 TEST_F(BatchTest, TailOutsideOneRingOfTheHeadRefusesTheCrossing) {
   Boot();
-  const uint64_t entries = sky_->config().batch_ring_entries;
+  const uint64_t entries = kBatchRingEntries;
   int runs = 0;
   Pair p = MakePair([&](CallEnv& env) {
     ++runs;
@@ -583,7 +579,7 @@ TEST_F(BatchTest, ScribbledHeaderHeadDoesNotMoveTheDrainStart) {
 // a completed descriptor gets a clean error at poll and cannot leak the slot.
 TEST_F(BatchTest, ScribbledCompletedDescriptorLeaksNoSlot) {
   Boot();
-  const uint32_t entries = sky_->config().batch_ring_entries;
+  const uint32_t entries = kBatchRingEntries;
   Pair p = MakePair(EchoHandler());
   auto token = sky_->SubmitCall(p.thread, p.sid, Message(1));
   ASSERT_TRUE(token.ok());
@@ -615,14 +611,12 @@ TEST_F(BatchTest, ScribbledCompletedDescriptorLeaksNoSlot) {
 // call. A slow handler returns the crossing early; the entries it did not
 // reach stay pending and a later flush completes them.
 TEST_F(BatchTest, DrainStopsAtTheTimeoutAndLeavesTheRestPending) {
-  SkyBridgeConfig config;
-  config.timeout_cycles = 1000;
-  Boot(config);
-  const uint32_t entries = config.batch_ring_entries;
+  Boot();
+  const uint32_t entries = kBatchRingEntries;
   uint32_t runs = 0;
   Pair p = MakePair([&](CallEnv& env) {
     ++runs;
-    env.core.AdvanceCycles(400);
+    env.core.AdvanceCycles(kHandlerTimeoutCycles / 5 * 2);
     return env.request;
   });
   std::vector<uint64_t> tokens;
@@ -655,9 +649,7 @@ TEST_F(BatchTest, DrainStopsAtTheTimeoutAndLeavesTheRestPending) {
 // ---- Adaptive drain: submissions arriving during the drain ----
 
 TEST_F(BatchTest, AdaptiveDrainPicksUpRefillRounds) {
-  SkyBridgeConfig config;
-  config.max_drain_rounds = 4;
-  Boot(config);
+  Boot();
   Pair p = MakePair(EchoHandler());
 
   // The refill hook models the client core producing while the server
@@ -694,12 +686,10 @@ TEST_F(BatchTest, AdaptiveDrainPicksUpRefillRounds) {
 }
 
 TEST_F(BatchTest, DrainRoundsBoundedByConfig) {
-  SkyBridgeConfig config;
-  config.max_drain_rounds = 2;
-  Boot(config);
+  Boot();
   Pair p = MakePair(EchoHandler());
 
-  // An unbounded refill source: the drain must stop after max_drain_rounds
+  // An unbounded refill source: the drain must stop after kMaxDrainRounds
   // and leave the rest for the next flush.
   sky_->SetBatchRefill([&] {
     (void)sky_->SubmitCall(p.thread, p.sid, Message(7));
@@ -708,7 +698,7 @@ TEST_F(BatchTest, DrainRoundsBoundedByConfig) {
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
   sky_->SetBatchRefill(nullptr);
 
-  EXPECT_EQ(Metric("skybridge.ipc.drain_rounds"), 2u);
+  EXPECT_EQ(Metric("skybridge.ipc.drain_rounds"), kMaxDrainRounds);
   // The last refilled entry is still pending; a second flush finishes it.
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
   ExpectHealthy();
@@ -773,13 +763,13 @@ TEST_F(BatchTest, QueuedSubmissionInvariantsHold) {
 //           ones included) and the payload bytes.
 // The oracle, after every flush: the flush returns OK or OutOfRange and each
 // poll an in-bounds reply or an error; no handler sees a byte past its
-// entry; the handler runs at most entries x max_drain_rounds times per
+// entry; the handler runs at most entries x kMaxDrainRounds times per
 // crossing (checked inside the handler, so an unbounded drain aborts
 // instead of hanging); and CheckInvariants holds.
 class RingMutationTest : public BatchTest {
  protected:
-  static constexpr uint32_t kEntries = 8;
-  static constexpr uint32_t kDrainRounds = 2;
+  static constexpr uint32_t kEntries = kBatchRingEntries;
+  static constexpr uint32_t kDrainRounds = kMaxDrainRounds;
   static constexpr int kRoundsPerWorld = 32;
   static constexpr uint64_t kMutationsPerMode = 10000;
 
@@ -865,10 +855,7 @@ class RingMutationTest : public BatchTest {
     uint64_t replies = 0;
     while (mutations < kMutationsPerMode) {
       SCOPED_TRACE(testing::Message() << "mutation " << mutations);
-      SkyBridgeConfig config;
-      config.batch_ring_entries = kEntries;
-      config.max_drain_rounds = kDrainRounds;
-      Boot(config);
+      Boot();
       std::span<uint8_t> ring;
       uint32_t runs = 0;
       uint32_t escapes = 0;

@@ -320,11 +320,9 @@ TEST_P(SkyBridgeTest, CleanBinariesAreLeftAlone) {
 }
 
 TEST_P(SkyBridgeTest, TimeoutForcesReturn) {
-  SkyBridgeConfig config;
-  config.timeout_cycles = 1000;
-  Boot(mk::Sel4Profile(), config);
+  Boot();
   Handler slow = [](CallEnv& env) {
-    env.core.AdvanceCycles(1 << 20);  // A hanging server.
+    env.core.AdvanceCycles(kHandlerTimeoutCycles + 1);  // A hanging server.
     return Message(0);
   };
   Pair p = MakePair(slow);

@@ -351,10 +351,10 @@ class StressScenario {
     auto after_event = [this](sim::SimThread& t, const sb::Status& status) {
       EXPECT_TRUE(IsAllowedOutcome(status)) << t.name() << ": " << status.ToString();
       // The caller is back in its own EPT view — never stranded in the
-      // server's (slot indices are virtualized; compare EPT ids).
+      // server's (slot indices are virtualized; compare EPTs).
       mk::Process* current = kernel_->current_process(t.core().id());
       ASSERT_NE(current, nullptr) << t.name();
-      EXPECT_EQ(kernel_->rootkernel()->ActiveEptId(t.core().id()), current->ept_id())
+      EXPECT_EQ(t.core().vmcs().active_ept(), kernel_->rootkernel()->ept(current->ept_id()))
           << t.name();
       const sb::Status invariants = sky_->CheckInvariants();
       EXPECT_TRUE(invariants.ok()) << t.name() << ": " << invariants.ToString();
