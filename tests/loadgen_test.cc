@@ -216,44 +216,54 @@ TEST(LoadGenRun, BatchedModeDrainsEverything) {
 
 // While tracing is on, each op's span starts at its intended arrival: a
 // traced batched run rebuilds every op's full span chain, in pipeline order.
+// The second run's batches outgrow the ring, so a full ring is flushed
+// between an op's arrival and its submission.
 TEST(LoadGenRun, TracedBatchedRunGivesEveryOpTheFullSpanChain) {
   using sb::telemetry::SpanPhase;
-  EchoWorld w = MakeEchoWorld();
-  LoadGenConfig config = SmallConfig();
-  config.events = 64;  // Every record fits one trace ring.
-  config.batched = true;
-  config.batch_depth = 8;
-  config.offered_per_kcycle = 4.0;
-  LoadGenerator gen(*w.machine, config, w.target);
-  sb::telemetry::TraceClear();
-  sb::telemetry::SetTraceEnabled(true);
-  const auto report = gen.Run();
-  sb::telemetry::SetTraceEnabled(false);
-  const std::vector<sb::telemetry::CallSpan> spans =
-      sb::telemetry::BuildSpans(sb::telemetry::TraceSnapshot());
-  sb::telemetry::TraceClear();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->completed, 64u);
-  EXPECT_LT(report->batch_flushes, report->completed);
+  constexpr uint32_t kOps = 2 * skybridge::kBatchRingEntries;  // Fits one trace ring.
+  struct Mix {
+    uint32_t batch_depth;
+    double offered_per_kcycle;
+  };
+  for (const Mix mix : {Mix{8, 4.0}, Mix{2 * skybridge::kBatchRingEntries, 1000.0}}) {
+    SCOPED_TRACE(testing::Message() << "batch_depth " << mix.batch_depth);
+    EchoWorld w = MakeEchoWorld();
+    LoadGenConfig config = SmallConfig();
+    config.events = kOps;
+    config.batched = true;
+    config.batch_depth = mix.batch_depth;
+    config.offered_per_kcycle = mix.offered_per_kcycle;
+    LoadGenerator gen(*w.machine, config, w.target);
+    sb::telemetry::TraceClear();
+    sb::telemetry::SetTraceEnabled(true);
+    const auto report = gen.Run();
+    sb::telemetry::SetTraceEnabled(false);
+    const std::vector<sb::telemetry::CallSpan> spans =
+        sb::telemetry::BuildSpans(sb::telemetry::TraceSnapshot());
+    sb::telemetry::TraceClear();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->completed, kOps);
+    EXPECT_LT(report->batch_flushes, report->completed);
 
-  const SpanPhase chain[] = {SpanPhase::kArrival, SpanPhase::kEnqueue, SpanPhase::kFlush,
-                             SpanPhase::kVmfunc,  SpanPhase::kDrain,   SpanPhase::kReturn,
-                             SpanPhase::kPoll};
-  uint64_t ops = 0;
-  for (const sb::telemetry::CallSpan& span : spans) {
-    if (span.Find(SpanPhase::kArrival) == nullptr) {
-      continue;  // A flush crossing's own span.
+    const SpanPhase chain[] = {SpanPhase::kArrival, SpanPhase::kEnqueue, SpanPhase::kFlush,
+                               SpanPhase::kVmfunc,  SpanPhase::kDrain,   SpanPhase::kReturn,
+                               SpanPhase::kPoll};
+    uint32_t ops = 0;
+    for (const sb::telemetry::CallSpan& span : spans) {
+      if (span.Find(SpanPhase::kArrival) == nullptr) {
+        continue;  // A flush crossing's own span.
+      }
+      ++ops;
+      EXPECT_NE(span.crossing_id, 0u) << span.call_id;
+      for (size_t i = 1; i < std::size(chain); ++i) {
+        const sb::telemetry::SpanEvent* prev = span.Find(chain[i - 1]);
+        const sb::telemetry::SpanEvent* cur = span.Find(chain[i]);
+        ASSERT_NE(cur, nullptr) << span.call_id << " " << SpanPhaseName(chain[i]);
+        EXPECT_LT(prev->seq, cur->seq) << span.call_id << " " << SpanPhaseName(chain[i]);
+      }
     }
-    ++ops;
-    EXPECT_NE(span.crossing_id, 0u) << span.call_id;
-    for (size_t i = 1; i < std::size(chain); ++i) {
-      const sb::telemetry::SpanEvent* prev = span.Find(chain[i - 1]);
-      const sb::telemetry::SpanEvent* cur = span.Find(chain[i]);
-      ASSERT_NE(cur, nullptr) << span.call_id << " " << SpanPhaseName(chain[i]);
-      EXPECT_LT(prev->seq, cur->seq) << span.call_id << " " << SpanPhaseName(chain[i]);
-    }
+    EXPECT_EQ(ops, kOps);
   }
-  EXPECT_EQ(ops, 64u);
 }
 
 TEST(LoadGenRun, BurstFallbackWhenTargetHasNoRing) {
