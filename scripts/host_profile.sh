@@ -4,12 +4,14 @@
 # into build-profile/ with CMAKE_CXX_FLAGS="-g -fno-omit-frame-pointer", runs
 # it once with scripts/sigprof_sampler.c preloaded, symbolizes the sampled
 # stacks with addr2line and prints the top functions by self and by
-# inclusive samples. Samples taken inside ProbeNs (perfbench's host-speed
+# inclusive samples. With a function name as the fourth argument it also
+# prints the top caller chains (innermost three frames) of the samples whose
+# innermost frame contains that name. Samples taken inside ProbeNs (perfbench's host-speed
 # calibration probe) are left out. Inlined functions count as themselves, so
 # self time lands on the innermost inlined function. Unlike gprof's mcount,
 # sampling adds no cost per call, so small hot functions are not inflated.
 #
-#   scripts/host_profile.sh <workload> [seed] [seconds]
+#   scripts/host_profile.sh <workload> [seed] [seconds] [function]
 #
 # workload is ycsb_a, kv_open or mesh; seed defaults to 1 and seconds to 15.
 # The sampler asks for a sample per millisecond of CPU time; a kernel tick of
@@ -17,13 +19,14 @@
 # Exit status: 0 ran cleanly, 1 the build or the run failed, 2 usage.
 set -euo pipefail
 
-if [ "$#" -lt 1 ] || [ "$#" -gt 3 ]; then
-  echo "usage: $0 <workload> [seed] [seconds]" >&2
+if [ "$#" -lt 1 ] || [ "$#" -gt 4 ]; then
+  echo "usage: $0 <workload> [seed] [seconds] [function]" >&2
   exit 2
 fi
 workload=$1
 seed=${2:-1}
 seconds=${3:-15}
+function=${4:-}
 repo=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
 build="$repo/build-profile"
 work=$(mktemp -d)
@@ -42,13 +45,13 @@ if ! (cd "$work" && LD_PRELOAD="$work/sigprof_sampler.so" "$build/perfbench" \
   exit 1
 fi
 
-python3 - "$work/sigprof.out" "$build/perfbench" "$workload" "$seed" <<'EOF'
+python3 - "$work/sigprof.out" "$build/perfbench" "$workload" "$seed" "$function" <<'EOF'
 import collections
 import os
 import subprocess
 import sys
 
-path, exe, workload, seed = sys.argv[1:]
+path, exe, workload, seed, function = sys.argv[1:]
 stacks, maps, in_maps = [], [], False
 for line in open(path):
     if line == "maps\n":
@@ -108,6 +111,7 @@ def frames(stack):
     return result
 
 self_counts, incl_counts = collections.Counter(), collections.Counter()
+chains = collections.Counter()
 kept = probe = 0
 for stack in stacks:
     fs = frames(stack)
@@ -117,6 +121,8 @@ for stack in stacks:
     kept += 1
     self_counts[fs[0]] += 1
     incl_counts.update(set(fs))
+    if function and function in fs[0]:
+        chains[" <- ".join(fs[:3])] += 1
 
 print(f"{workload} seed {seed}: {len(stacks)} samples, {probe} inside ProbeNs left out, "
       f"{kept} kept")
@@ -125,4 +131,9 @@ for title, counts in (("self", self_counts), ("inclusive", incl_counts)):
     for name, n in counts.most_common(25):
         name = name if len(name) <= 110 else name[:107] + "..."
         print(f"  {100.0 * n / max(kept, 1):5.1f}%  {n:6d}  {name}")
+if function:
+    total = sum(chains.values())
+    print(f"\ncallers of {function} ({total} samples, innermost first):")
+    for chain, n in chains.most_common(10):
+        print(f"  {100.0 * n / max(total, 1):5.1f}%  {n:6d}  {chain}")
 EOF

@@ -31,6 +31,7 @@ namespace hw {
 
 class Machine;
 class Ept;
+struct WalkEntry;
 
 enum class CpuMode : uint8_t { kUser, kKernel };
 
@@ -173,7 +174,8 @@ class Core {
   sb::Status TouchData(Gva va, uint64_t len, bool write);
   sb::Status FetchCode(Gva va, uint64_t len);
 
-  // Full charged translation of one address.
+  // Full charged translation of one address. A TLB miss walks the tables,
+  // or replays the machine's recorded walk of them (walk_cache.h).
   sb::StatusOr<Hpa> Translate(Gva va, bool ifetch, bool write);
 
   // ---- Component access ----
@@ -192,7 +194,22 @@ class Core {
   uint64_t ChargeAccess(Hpa hpa, bool ifetch);
 
  private:
-  sb::StatusOr<Hpa> EptTranslateCharged(Gpa gpa, uint8_t need);
+  // The page walk behind a TLB miss, out of line so that Translate's TLB-hit
+  // path stays small: replays the walk cache's entry for this walk when one
+  // is valid, else walks the tables and records the walk. `tag` is the
+  // EP4TA the miss was looked up under; the TLB fill uses it too.
+  [[gnu::noinline]] sb::StatusOr<Hpa> Walk(Gva va, bool ifetch, bool write, Hpa tag);
+  sb::StatusOr<Hpa> Replay(const WalkEntry& entry, Gva va, bool ifetch, bool write, Hpa tag);
+  // Charges one table read of a walk and records its line in `rec`, or makes
+  // `rec` uncacheable (key.page 0) when the line does not fit.
+  void ChargeTableRead(Hpa hpa, WalkEntry& rec);
+  sb::StatusOr<Hpa> EptTranslateCharged(Gpa gpa, uint8_t need, WalkEntry& rec);
+  // Stores a cacheable `rec` and flags the frames it read.
+  void Record(WalkEntry& rec);
+  // The guest leaf's permission checks, and the TLB fill of a finished walk;
+  // `leaf` holds WalkEntry's leaf bits.
+  sb::Status CheckLeaf(uint8_t leaf, bool write) const;
+  void FillTlb(Gva va, bool ifetch, Hpa tag, Hpa hpa, uint8_t page_shift, uint8_t leaf);
 
   // Updates cache state and PMU counters for one line access and returns the
   // hierarchy latency WITHOUT advancing the clock — the caller decides how

@@ -14,6 +14,7 @@
 #include "src/hw/core.h"
 #include "src/hw/cost_model.h"
 #include "src/hw/phys_mem.h"
+#include "src/hw/walk_cache.h"
 
 namespace hw {
 
@@ -37,6 +38,8 @@ class Machine {
   explicit Machine(const MachineConfig& config);
 
   HostPhysMem& mem() { return mem_; }
+  // Every core's recorded page walks (walk_cache.h); host-side only.
+  WalkCache& walk_cache() { return walk_cache_; }
   Cache& l3() { return l3_; }
   Core& core(int i) { return *cores_[static_cast<size_t>(i)]; }
   int num_cores() const { return static_cast<int>(cores_.size()); }
@@ -68,6 +71,7 @@ class Machine {
   sb::telemetry::Registry telemetry_;
   MachineConfig config_;
   HostPhysMem mem_;
+  WalkCache walk_cache_;
   Cache l3_;
   std::vector<std::unique_ptr<Core>> cores_;
   VmExitHandler vm_exit_handler_;

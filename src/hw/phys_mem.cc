@@ -62,6 +62,7 @@ HostPhysMem::HostPhysMem(uint64_t size_bytes)
     : size_(size_bytes),
       leaves_(((size_bytes >> sb::kPageShift) + kLeafSlots - 1) >> kLeafShift) {
   SB_CHECK(sb::IsPageAligned(size_bytes)) << "RAM size must be page aligned";
+  SB_CHECK_LE(size_bytes >> sb::kPageShift, uint64_t{UINT32_MAX}) << "RAM too large";
 }
 
 HostPhysMem::~HostPhysMem() {
@@ -183,7 +184,8 @@ HostPhysMem::Slot& HostPhysMem::SlotFor(uint64_t frame) {
 uint8_t* HostPhysMem::FrameFor(Hpa addr) {
   SB_CHECK(Contains(addr)) << "HPA out of RAM: 0x" << std::hex << addr;
   Slot& slot = SlotFor(addr >> sb::kPageShift);
-  if (slot.contig_end == kSharedFrame) [[unlikely]] {
+  NoteWrite(slot);
+  if (slot.shared) [[unlikely]] {
     uint8_t* copy = arena_.TakePage();
     std::memcpy(copy, slot.host, sb::kPageSize);
     DropShared(slot);
@@ -227,7 +229,8 @@ void HostPhysMem::WriteShared(Hpa frame_base, std::span<const uint8_t> bytes) {
   if (std::memcmp(slot.host != nullptr ? slot.host : kZeroPage, page, sb::kPageSize) == 0) {
     return;  // Already this content: the common case for rewrite write-backs.
   }
-  if (slot.contig_end != 0 && slot.contig_end != kSharedFrame) {
+  NoteWrite(slot);
+  if (slot.contig_end != 0) {
     std::memcpy(slot.host, page, sb::kPageSize);  // A region stays contiguous.
     return;
   }
@@ -248,7 +251,7 @@ void HostPhysMem::WriteShared(Hpa frame_base, std::span<const uint8_t> bytes) {
   }
   ++shared->refs;
   // Retire the frame's old backing (the memcmp above rules out `shared`).
-  if (slot.contig_end == kSharedFrame) {
+  if (slot.shared) {
     DropShared(slot);
   } else if (slot.host != nullptr) {
     arena_.ReleasePage(slot.host);
@@ -256,7 +259,7 @@ void HostPhysMem::WriteShared(Hpa frame_base, std::span<const uint8_t> bytes) {
   }
   static_assert(offsetof(SharedPage, bytes) == 0);
   slot.host = reinterpret_cast<uint8_t*>(shared);
-  slot.contig_end = kSharedFrame;
+  slot.shared = true;
   ++shared_frames_;
   ++resident_;
 }
@@ -277,17 +280,18 @@ void HostPhysMem::BackContiguous(Hpa base, uint64_t len) {
   const uint64_t end = first + (sb::PageUp(len) >> sb::kPageShift);
   for (uint64_t frame = first; frame < end; ++frame) {
     const Slot* slot = FindSlot(frame);
-    SB_CHECK(slot == nullptr || slot->contig_end == 0 || slot->contig_end == kSharedFrame)
+    SB_CHECK(slot == nullptr || slot->contig_end == 0)
         << "BackContiguous range [0x" << std::hex << base << ", 0x" << base + len
         << ") overlaps an existing region without lying inside it";
   }
   uint8_t* storage = arena_.TakeRegion(end - first);
   for (uint64_t frame = first; frame < end; ++frame) {
     Slot& slot = SlotFor(frame);
+    NoteWrite(slot);
     uint8_t* dst = storage + (frame - first) * sb::kPageSize;
     // Preserve whatever was already written to this frame, then retire the
     // old backing so the region's storage is authoritative.
-    if (slot.contig_end == kSharedFrame) {
+    if (slot.shared) {
       std::memcpy(dst, slot.host, sb::kPageSize);
       DropShared(slot);
       ++resident_;
@@ -298,7 +302,7 @@ void HostPhysMem::BackContiguous(Hpa base, uint64_t len) {
       ++resident_;
     }
     slot.host = dst;
-    slot.contig_end = end;
+    slot.contig_end = static_cast<uint32_t>(end);
   }
 }
 
@@ -310,9 +314,8 @@ uint8_t* HostPhysMem::ContiguousSpan(Hpa addr, uint64_t len) {
   if (slot == nullptr) {
     return nullptr;
   }
-  // A sparse frame has contig_end 0, so the compare rejects it too; a shared
-  // frame is never host-contiguous with its neighbours.
-  if (slot->contig_end == kSharedFrame || addr + len > slot->contig_end << sb::kPageShift) {
+  // Sparse and shared frames have contig_end 0, so the compare rejects them.
+  if (addr + len > uint64_t{slot->contig_end} << sb::kPageShift) {
     return nullptr;
   }
   return slot->host + (addr & kPageOffsetMask);
@@ -392,11 +395,22 @@ void HostPhysMem::ZeroFrame(Hpa frame_base) {
     return;
   }
   Slot& slot = SlotFor(frame_base >> sb::kPageShift);
-  if (slot.contig_end == kSharedFrame) {
+  NoteWrite(slot);
+  if (slot.shared) {
     DropShared(slot);
   } else {
     std::memset(host, 0, sb::kPageSize);
   }
+}
+
+bool HostPhysMem::MarkWalked(Hpa addr) {
+  SB_CHECK(Contains(addr)) << "HPA out of RAM: 0x" << std::hex << addr;
+  Slot& slot = SlotFor(addr >> sb::kPageShift);
+  if (slot.shared || slot.contig_end != 0) {
+    return false;
+  }
+  slot.walked = true;
+  return true;
 }
 
 FrameAllocator::FrameAllocator(Hpa base, uint64_t size_bytes)

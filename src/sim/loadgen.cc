@@ -81,7 +81,11 @@ struct LoadGenerator::ClientState {
     uint64_t arrival = 0;
   };
   std::deque<Pending> pending;    // Submitted, not yet reaped (ring mode).
-  std::deque<Arrival> deferred;   // Coalesced burst (no-ring fallback).
+  struct Deferred {
+    Arrival arrival;
+    uint64_t call_id = 0;  // The arrival span's call id; 0 while tracing is off.
+  };
+  std::deque<Deferred> deferred;  // Coalesced burst (no-ring fallback).
   uint32_t stall = 0;             // Tail-drain rounds without progress.
 };
 
@@ -206,22 +210,28 @@ sb::StatusOr<LoadGenReport> LoadGenerator::Run() {
   // queueing the coalescing added is visible, not hidden.
   const auto serve_burst = [&](ClientState& st, hw::Core& core) {
     while (!st.deferred.empty()) {
-      const Arrival a = st.deferred.front();
+      const ClientState::Deferred d = st.deferred.front();
       st.deferred.pop_front();
-      finish(target_.sync_call(st.index, a.key), a.cycles, core);
+      if (d.call_id != 0) {
+        sb::telemetry::SetPendingCallId(d.call_id);
+      }
+      finish(target_.sync_call(st.index, d.arrival.key), d.arrival.cycles, core);
     }
   };
 
   // While tracing is on, each op's span starts at its intended arrival: the
-  // call id parked here is adopted by the target's next submission.
-  const auto emit_arrival = [&](const Arrival& a, hw::Core& core) {
+  // call id parked here is adopted by the target's next submission. Returns
+  // the id (0 while tracing is off) for a deferred op to park again when it
+  // is finally called.
+  const auto emit_arrival = [&](const Arrival& a, hw::Core& core) -> uint64_t {
     if (!sb::telemetry::TraceEnabled()) {
-      return;
+      return 0;
     }
     const uint64_t id = sb::telemetry::AllocCallId();
     sb::telemetry::TraceEmit(sb::telemetry::TraceEventType::kSpanArrival, base + a.cycles,
                              static_cast<uint32_t>(core.id()), id, a.key);
     sb::telemetry::SetPendingCallId(id);
+    return id;
   };
 
   Executor exec(*machine_);
@@ -275,13 +285,13 @@ sb::StatusOr<LoadGenReport> LoadGenerator::Run() {
                      }
                      ++st.next;
                      ++report.generated;
-                     emit_arrival(a, core);
+                     const uint64_t call_id = emit_arrival(a, core);
                      if (!config_.batched) {
                        finish(target_.sync_call(st.index, a.key), a.cycles, core);
                        return true;
                      }
                      if (!have_ring) {
-                       st.deferred.push_back(a);
+                       st.deferred.push_back({a, call_id});
                        if (st.deferred.size() >= config_.batch_depth) {
                          serve_burst(st, core);
                        }

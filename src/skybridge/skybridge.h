@@ -234,8 +234,8 @@ class SkyBridge {
 
   // Structural invariants the stress runner asserts between events: every
   // binding recorded under its own client, revoked bindings swept once
-  // drained, in-flight accounting, the per-core slot caches, the
-  // Rootkernel's per-core EPTP mirrors, and cycle conservation (every core's
+  // drained, in-flight accounting, the per-core slot caches (each checked
+  // against its core's VMCS EPTP list), and cycle conservation (every core's
   // ledger sums to its clock). Returns the first violation.
   sb::Status CheckInvariants() const;
 

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/base/telemetry/span.h"
 #include "src/hw/machine.h"
@@ -217,23 +218,33 @@ TEST(LoadGenRun, BatchedModeDrainsEverything) {
 // While tracing is on, each op's span starts at its intended arrival: a
 // traced batched run rebuilds every op's full span chain, in pipeline order.
 // The second run's batches outgrow the ring, so a full ring is flushed
-// between an op's arrival and its submission.
+// between an op's arrival and its submission. The third runs against a
+// target without a ring: the burst fallback defers each op and serves it
+// with a sync call later, so the op's span is arrival -> vmfunc -> return.
 TEST(LoadGenRun, TracedBatchedRunGivesEveryOpTheFullSpanChain) {
   using sb::telemetry::SpanPhase;
   constexpr uint32_t kOps = 2 * skybridge::kBatchRingEntries;  // Fits one trace ring.
   struct Mix {
     uint32_t batch_depth;
     double offered_per_kcycle;
+    bool ring;
   };
-  for (const Mix mix : {Mix{8, 4.0}, Mix{2 * skybridge::kBatchRingEntries, 1000.0}}) {
-    SCOPED_TRACE(testing::Message() << "batch_depth " << mix.batch_depth);
+  for (const Mix mix : {Mix{8, 4.0, true}, Mix{2 * skybridge::kBatchRingEntries, 1000.0, true},
+                        Mix{8, 4.0, false}}) {
+    SCOPED_TRACE(testing::Message() << "batch_depth " << mix.batch_depth << " ring " << mix.ring);
     EchoWorld w = MakeEchoWorld();
     LoadGenConfig config = SmallConfig();
     config.events = kOps;
     config.batched = true;
     config.batch_depth = mix.batch_depth;
     config.offered_per_kcycle = mix.offered_per_kcycle;
-    LoadGenerator gen(*w.machine, config, w.target);
+    LoadTarget target = w.target;
+    if (!mix.ring) {
+      target.submit = nullptr;
+      target.flush = nullptr;
+      target.poll = nullptr;
+    }
+    LoadGenerator gen(*w.machine, config, target);
     sb::telemetry::TraceClear();
     sb::telemetry::SetTraceEnabled(true);
     const auto report = gen.Run();
@@ -245,17 +256,23 @@ TEST(LoadGenRun, TracedBatchedRunGivesEveryOpTheFullSpanChain) {
     ASSERT_EQ(report->completed, kOps);
     EXPECT_LT(report->batch_flushes, report->completed);
 
-    const SpanPhase chain[] = {SpanPhase::kArrival, SpanPhase::kEnqueue, SpanPhase::kFlush,
-                               SpanPhase::kVmfunc,  SpanPhase::kDrain,   SpanPhase::kReturn,
-                               SpanPhase::kPoll};
+    const std::vector<SpanPhase> chain =
+        mix.ring ? std::vector<SpanPhase>{SpanPhase::kArrival, SpanPhase::kEnqueue,
+                                          SpanPhase::kFlush,   SpanPhase::kVmfunc,
+                                          SpanPhase::kDrain,   SpanPhase::kReturn,
+                                          SpanPhase::kPoll}
+                 : std::vector<SpanPhase>{SpanPhase::kArrival, SpanPhase::kVmfunc,
+                                          SpanPhase::kReturn};
     uint32_t ops = 0;
     for (const sb::telemetry::CallSpan& span : spans) {
       if (span.Find(SpanPhase::kArrival) == nullptr) {
         continue;  // A flush crossing's own span.
       }
       ++ops;
-      EXPECT_NE(span.crossing_id, 0u) << span.call_id;
-      for (size_t i = 1; i < std::size(chain); ++i) {
+      if (mix.ring) {
+        EXPECT_NE(span.crossing_id, 0u) << span.call_id;
+      }
+      for (size_t i = 1; i < chain.size(); ++i) {
         const sb::telemetry::SpanEvent* prev = span.Find(chain[i - 1]);
         const sb::telemetry::SpanEvent* cur = span.Find(chain[i]);
         ASSERT_NE(cur, nullptr) << span.call_id << " " << SpanPhaseName(chain[i]);
