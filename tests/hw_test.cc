@@ -636,6 +636,21 @@ TEST_F(CoreTranslationTest, PageFaultOnUnmapped) {
   EXPECT_FALSE(core.ReadVirtU64(0x400000).ok());
 }
 
+// PS is reserved in a PML4 entry. A set one must fault, not become a 512 GiB
+// page the TLB has no size class for.
+TEST_F(CoreTranslationTest, LargeBitInAPml4EntryIsAGuestPageFault) {
+  auto as = AddressSpace::Create(machine_.mem(), guest_frames_, 1);
+  ASSERT_TRUE(as.ok());
+  auto frame = guest_frames_.Alloc(machine_.mem());
+  ASSERT_TRUE(frame.ok());
+  ASSERT_TRUE((*as)->Map(0x400000, *frame, kPageSize, PageFlags{}).ok());
+  const Gpa pml4e = (*as)->root_gpa();  // Index 0 covers 0x400000.
+  machine_.mem().WriteU64(pml4e, machine_.mem().ReadU64(pml4e) | kPteLarge);
+  Core& core = machine_.core(0);
+  core.WriteCr3((*as)->root_gpa(), 1, false);
+  EXPECT_EQ(core.Translate(0x400000, false, false).status().code(), sb::ErrorCode::kNotFound);
+}
+
 TEST_F(CoreTranslationTest, WriteProtectionEnforced) {
   auto as = AddressSpace::Create(machine_.mem(), guest_frames_, 1);
   ASSERT_TRUE(as.ok());
