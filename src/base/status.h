@@ -28,6 +28,7 @@ enum class ErrorCode : uint8_t {
   kUnimplemented,
   kTimeout,
   kAborted,
+  kDataLoss,
 };
 // Human-readable name for an error code ("OK", "NOT_FOUND", ...), or
 // "UNKNOWN" for a raw value that is not an ErrorCode.
@@ -59,12 +60,14 @@ constexpr std::string_view ErrorCodeName(ErrorCode code) {
       return "TIMEOUT";
     case ErrorCode::kAborted:
       return "ABORTED";
+    case ErrorCode::kDataLoss:
+      return "DATA_LOSS";
   }
   return "UNKNOWN";
 }
 
 // The highest code: a raw value above it is not an ErrorCode.
-inline constexpr ErrorCode kLastErrorCode = ErrorCode::kAborted;
+inline constexpr ErrorCode kLastErrorCode = ErrorCode::kDataLoss;
 // A code added after kLastErrorCode gets a name in ErrorCodeName (-Wswitch
 // asks for one), and then this fails until kLastErrorCode moves with it.
 static_assert(ErrorCodeName(static_cast<ErrorCode>(static_cast<uint8_t>(kLastErrorCode) + 1)) ==
@@ -125,6 +128,7 @@ inline Status TimeoutError(std::string msg = "") {
   return Status(ErrorCode::kTimeout, std::move(msg));
 }
 inline Status Aborted(std::string msg = "") { return Status(ErrorCode::kAborted, std::move(msg)); }
+inline Status DataLoss(std::string msg = "") { return Status(ErrorCode::kDataLoss, std::move(msg)); }
 
 // A value of type T or a Status explaining why there is none.
 template <typename T>

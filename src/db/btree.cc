@@ -102,6 +102,27 @@ size_t InternalChildIndex(const std::vector<uint8_t>& page, uint64_t key) {
   return i;
 }
 
+// Fetches an existing node. Its bytes come from the fs server, so the type,
+// the key count and every value length are checked here, before anything
+// indexes the page with them (a host-side check: no simulated cycle).
+sb::StatusOr<std::vector<uint8_t>*> FetchNode(Pager& pager, uint32_t pgno) {
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, pager.GetPage(pgno));
+  const size_t n = NumKeys(*page);
+  if (PageType(*page) == kInternalType && n <= kInternalCapacity) {
+    return page;
+  }
+  if (PageType(*page) == kLeafType && n <= kLeafCapacity) {
+    size_t i = 0;
+    while (i < n && LeafValueLen(*page, i) <= kMaxValueSize) {
+      ++i;
+    }
+    if (i == n) {
+      return page;
+    }
+  }
+  return sb::DataLoss("corrupt btree page");
+}
+
 }  // namespace
 
 sb::Status BTree::InitLeaf(Pager& pager, uint32_t pgno) {
@@ -115,7 +136,7 @@ sb::Status BTree::InitLeaf(Pager& pager, uint32_t pgno) {
 
 sb::StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
     uint32_t pgno, uint64_t key, std::span<const uint8_t> value) {
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, pager_->GetPage(pgno));
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
 
   if (PageType(*page) == kLeafType) {
     const size_t pos = LeafLowerBound(*page, key);
@@ -135,9 +156,9 @@ sb::StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
     // Split the leaf: keep the lower half here, move the upper half right.
     SB_ASSIGN_OR_RETURN(const uint32_t right_pgno, pager_->AllocatePage());
     // AllocatePage may relocate cache entries; refetch.
-    SB_ASSIGN_OR_RETURN(page, pager_->GetPage(pgno));
+    SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno));
     SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* right, pager_->GetPage(right_pgno));
-    SB_ASSIGN_OR_RETURN(page, pager_->GetPage(pgno));
+    SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno));
 
     std::fill(right->begin(), right->end(), 0);
     SetPageType(*right, kLeafType);
@@ -165,7 +186,7 @@ sb::StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
   if (!split.has_value()) {
     return std::optional<SplitResult>{};
   }
-  SB_ASSIGN_OR_RETURN(page, pager_->GetPage(pgno));  // Refetch after descent.
+  SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno));  // Refetch after descent.
   const size_t n = NumKeys(*page);
   if (n < kInternalCapacity) {
     // Shift entries right of `slot` and insert (separator, right child).
@@ -196,7 +217,7 @@ sb::StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
   children.insert(children.begin() + static_cast<long>(slot) + 1, split->right_pgno);
   SB_ASSIGN_OR_RETURN(const uint32_t right_pgno, pager_->AllocatePage());
   SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* right, pager_->GetPage(right_pgno));
-  SB_ASSIGN_OR_RETURN(page, pager_->GetPage(pgno));
+  SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno));
   std::fill(right->begin(), right->end(), 0);
   SetPageType(*right, kInternalType);
 
@@ -236,7 +257,7 @@ sb::Status BTree::Insert(uint64_t key, std::span<const uint8_t> value) {
   // content into a new page and turning the root into an internal node.
   SB_ASSIGN_OR_RETURN(const uint32_t left_pgno, pager_->AllocatePage());
   SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* left, pager_->GetPage(left_pgno));
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* root, pager_->GetPage(root_));
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* root, FetchNode(*pager_, root_));
   *left = *root;
   std::fill(root->begin(), root->end(), 0);
   SetPageType(*root, kInternalType);
@@ -252,7 +273,7 @@ sb::Status BTree::Insert(uint64_t key, std::span<const uint8_t> value) {
 sb::StatusOr<std::vector<uint8_t>> BTree::Get(uint64_t key) {
   uint32_t pgno = root_;
   while (true) {
-    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, pager_->GetPage(pgno));
+    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
     if (PageType(*page) == kInternalType) {
       pgno = ChildAt(*page, InternalChildIndex(*page, key));
       continue;
@@ -283,7 +304,7 @@ sb::Status BTree::Update(uint64_t key, std::span<const uint8_t> value) {
   }
   uint32_t pgno = root_;
   while (true) {
-    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, pager_->GetPage(pgno));
+    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
     if (PageType(*page) == kInternalType) {
       pgno = ChildAt(*page, InternalChildIndex(*page, key));
       continue;
@@ -301,7 +322,7 @@ sb::Status BTree::Update(uint64_t key, std::span<const uint8_t> value) {
 sb::Status BTree::Delete(uint64_t key) {
   uint32_t pgno = root_;
   while (true) {
-    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, pager_->GetPage(pgno));
+    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
     if (PageType(*page) == kInternalType) {
       pgno = ChildAt(*page, InternalChildIndex(*page, key));
       continue;
@@ -321,7 +342,7 @@ sb::Status BTree::Delete(uint64_t key) {
 }
 
 sb::Status BTree::CollectKeys(uint32_t pgno, std::vector<uint64_t>* out) {
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, pager_->GetPage(pgno));
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
   if (PageType(*page) == kLeafType) {
     const size_t n = NumKeys(*page);
     for (size_t i = 0; i < n; ++i) {
@@ -347,7 +368,7 @@ sb::StatusOr<std::vector<uint64_t>> BTree::Keys() {
 }
 
 sb::Status BTree::ScanRec(uint32_t pgno, uint64_t lo, uint64_t hi, std::vector<Row>* out) {
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, pager_->GetPage(pgno));
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
   const size_t n = NumKeys(*page);
   if (PageType(*page) == kLeafType) {
     for (size_t i = LeafLowerBound(*page, lo); i < n; ++i) {
@@ -387,7 +408,7 @@ sb::StatusOr<std::vector<BTree::Row>> BTree::Scan(uint64_t lo, uint64_t hi) {
 
 sb::Status BTree::ValidateRec(uint32_t pgno, uint64_t lo, uint64_t hi, bool has_lo,
                               bool has_hi) {
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, pager_->GetPage(pgno));
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
   const size_t n = NumKeys(*page);
   if (PageType(*page) == kLeafType) {
     for (size_t i = 0; i < n; ++i) {

@@ -132,38 +132,27 @@ sb::StatusOr<SliceRef> BufferPool::AcquireSlice(Binding& binding,
   if (binding.shared_buf == 0) {
     return sb::FailedPrecondition("binding has no shared buffer");
   }
-  if (!binding.slices_carved) {
-    // First touch of the region: populate the free list so slices hand out
-    // in ascending order (LIFO list built high-to-low).
-    const uint32_t slices = std::max<uint32_t>(1, binding.num_slices);
-    binding.free_slices.reserve(slices);
-    for (uint32_t i = slices; i-- > 0;) {
-      binding.free_slices.push_back(i);
+  std::vector<int>& owners = binding.slice_owners;
+  auto owned = std::find(owners.begin(), owners.end(), caller->tid());
+  if (owned == owners.end()) {
+    if (owners.size() >= binding.num_slices) {
+      return sb::ResourceExhausted("connection slices exhausted for this binding");
     }
-    binding.slices_carved = true;
+    owned = owners.insert(owners.end(), caller->tid());
   }
-  const auto assigned = binding.slice_of_tid.find(caller->tid());
-  if (assigned != binding.slice_of_tid.end()) {
-    return SliceAt(binding, assigned->second);
-  }
-  if (binding.free_slices.empty()) {
-    return sb::ResourceExhausted("connection slices exhausted for this binding");
-  }
-  const uint32_t index = binding.free_slices.back();
-  binding.free_slices.pop_back();
-  binding.slice_of_tid.emplace(caller->tid(), index);
-  return SliceAt(binding, index);
+  return SliceAt(binding, static_cast<uint32_t>(owned - owners.begin()));
 }
 
 SliceRef BufferPool::SliceOf(const Binding& binding, const mk::Thread* caller) const {
   if (binding.shared_buf == 0) {
     return SliceRef{};  // Chain bindings carry no buffer.
   }
-  const auto assigned = binding.slice_of_tid.find(caller->tid());
-  if (assigned == binding.slice_of_tid.end()) {
+  const std::vector<int>& owners = binding.slice_owners;
+  const auto owned = std::find(owners.begin(), owners.end(), caller->tid());
+  if (owned == owners.end()) {
     return SliceRef{};
   }
-  return SliceAt(binding, assigned->second);
+  return SliceAt(binding, static_cast<uint32_t>(owned - owners.begin()));
 }
 
 sb::StatusOr<BatchRingView> BufferPool::CarveRing(Binding& binding,

@@ -145,7 +145,7 @@ struct SkyBridgeConfig {
   uint64_t shared_buffer_bytes = 64 * 1024;
   // Connection slices carved out of each binding's buffer region (paper
   // Section 6.3 per-thread buffers): each connection (thread) is handed its
-  // own shared_buffer_bytes slice by the binding's free-list allocator, with
+  // own shared_buffer_bytes slice from the binding's owner row, with
   // explicit ResourceExhausted once more live connections than slices exist.
   uint64_t buffer_slices = 4;
   // Ablation switch: model the legacy two-copy long path (client WriteVirt

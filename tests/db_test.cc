@@ -502,6 +502,37 @@ TEST(Database, PersistsAcrossReopen) {
   EXPECT_EQ(std::string(v->begin(), v->end()), "persisted");
 }
 
+// Db pages come from the fs server, which the database does not trust: a
+// leaf whose key count the fs raised to 0xFFFF must fail the query, not send
+// the search past the end of the 1 KiB page.
+TEST(Database, HostileLeafKeyCountIsDataLoss) {
+  DirectFs env;
+  {
+    auto db = Database::Open(&env.client, "/hostile.db");
+    ASSERT_TRUE(db.ok());
+    auto table = (*db)->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE((*table)->Insert(7, Value("row")).ok());
+  }
+  auto inum = env.client.Open("/hostile.db");
+  ASSERT_TRUE(inum.ok());
+  // Page 0 is the catalog: an 8-byte header, then the first table's 16-byte
+  // name and its root page number.
+  auto catalog = env.client.Read(*inum, 0, kDbPageSize);
+  ASSERT_TRUE(catalog.ok());
+  uint32_t root = 0;
+  std::memcpy(&root, catalog->data() + 8 + 16, 4);
+  ASSERT_NE(root, 0u);
+  const uint8_t key_count[2] = {0xff, 0xff};  // Bytes 1-2 of the page.
+  ASSERT_TRUE(env.client.Write(*inum, root * kDbPageSize + 1, key_count).ok());
+
+  auto db = Database::Open(&env.client, "/hostile.db");
+  ASSERT_TRUE(db.ok());
+  auto table = (*db)->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->Query(7).status().code(), sb::ErrorCode::kDataLoss);
+}
+
 TEST(Database, QueryUsesRowCache) {
   DirectFs env;
   auto db = Database::Open(&env.client, "/c.db");

@@ -10,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "src/base/faultpoint.h"
+#include "src/base/rng.h"
 #include "src/vmm/rootkernel.h"
 
 namespace skybridge {
@@ -445,6 +449,243 @@ TEST_F(SkyBridgeEptpTest, NestedCallSlotFaultSparesPinnedGateSlots) {
   }
   EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
 }
+
+// ---- Slot policy against a reference model ----
+
+// The per-core slot policy written the plain way: a list LRU over the
+// occupied slots (front = most recently used), a LIFO vector of freed slots
+// and the round-robin cursor of the ablation. Keys are the test's own
+// binding numbers; kSelf is the client's own view.
+class SlotModel {
+ public:
+  static constexpr int kSelf = -1;
+
+  SlotModel(size_t working_set, bool lru) : working_set_(working_set), lru_(lru) {}
+
+  // Makes `key` resident the way RouteTable::EnsureResident must; true on a
+  // miss. `active` and `pinned` are the slots no victim may be taken from.
+  bool Ensure(int key, uint32_t active, const std::vector<uint32_t>& pinned) {
+    const uint32_t hit = SlotOf(key);
+    if (hit != kNoEptpSlot) {
+      order_.remove(hit);
+      order_.push_front(hit);
+      return false;
+    }
+    uint32_t slot = 0;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+      if (std::any_of(free_.begin(), free_.end(), [slot](uint32_t s) { return s < slot; })) {
+        ++reused_above_lowest;
+      }
+    } else if (ids_.size() < working_set_) {
+      slot = static_cast<uint32_t>(ids_.size());
+      ids_.push_back(key);
+    } else {
+      slot = Victim(active, pinned);
+      order_.remove(slot);
+      ++evictions;
+    }
+    ids_[slot] = key;
+    order_.push_front(slot);
+    return true;
+  }
+
+  // Revocation's sweep: the slot goes back to the base EPT and onto the free
+  // vector (at an op boundary nothing is pinned and the active view is kSelf).
+  void Free(int key) {
+    const uint32_t slot = SlotOf(key);
+    if (slot == kNoEptpSlot) {
+      return;
+    }
+    ids_[slot] = kFree;
+    order_.remove(slot);
+    free_.push_back(slot);
+    ++evictions;
+  }
+
+  uint32_t SlotOf(int key) const {
+    for (uint32_t s = 1; s < ids_.size(); ++s) {
+      if (ids_[s] == key) {
+        return s;
+      }
+    }
+    return kNoEptpSlot;
+  }
+
+  uint64_t evictions = 0;
+  uint64_t reused_above_lowest = 0;  // Free reuse that did not take the lowest slot.
+  uint64_t victims_past_pin = 0;     // LRU victims chosen past a pinned older slot.
+
+ private:
+  static constexpr int kFree = -2;
+
+  uint32_t Victim(uint32_t active, const std::vector<uint32_t>& pinned) {
+    auto eligible = [&](uint32_t s) {
+      return s != active && std::find(pinned.begin(), pinned.end(), s) == pinned.end();
+    };
+    if (lru_) {
+      bool passed_pin = false;
+      for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+        if (eligible(*it)) {
+          victims_past_pin += passed_pin ? 1 : 0;
+          return *it;
+        }
+        passed_pin = passed_pin || *it != active;
+      }
+    } else {
+      const uint32_t n = static_cast<uint32_t>(ids_.size());
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t s = rr_;
+        rr_ = rr_ + 1 >= n ? 1 : rr_ + 1;
+        if (s != 0 && ids_[s] != kFree && eligible(s)) {
+          return s;
+        }
+      }
+    }
+    ADD_FAILURE() << "model found no victim";
+    return 0;
+  }
+
+  size_t working_set_;
+  bool lru_;
+  std::vector<int> ids_{kFree};  // Slot 0: the base EPT, never a candidate.
+  std::list<uint32_t> order_;
+  std::vector<uint32_t> free_;
+  uint32_t rr_ = 1;
+};
+
+class SlotPolicyTest : public SkyBridgeEptpTest,
+                       public ::testing::WithParamInterface<std::tuple<size_t, bool>> {};
+
+// One client on core 0 with about three bindings per slot: seeded direct
+// calls with a hot set, nested calls (the inner leg's victim must pass over
+// the outer call's pinned slots), revocations whose sweep frees slots, and
+// revivals. After every op each binding's slot, the client's active view,
+// and the fault and eviction counters must match the model.
+TEST_P(SlotPolicyTest, ResidencyFollowsTheReferenceModel) {
+  const auto [working_set, lru] = GetParam();
+  SkyBridgeConfig config;
+  config.eptp_working_set = working_set;
+  config.lru_slot_eviction = lru;
+  Boot(config);
+
+  const int echoes = static_cast<int>(3 * working_set) - 2;
+  std::vector<ServerId> sids;  // Keys [0, echoes): echo servers; echoes: front.
+  for (int i = 0; i < echoes; ++i) {
+    sids.push_back(NewEchoServer());
+  }
+  const ServerId back = NewEchoServer();
+  auto* front_proc = NewProcess("front");
+  mk::Thread* front_thread = nullptr;
+  sids.push_back(sky_
+                     ->RegisterServer(front_proc, 8,
+                                      [this, back, &front_thread](CallEnv& env) {
+                                        auto inner = sky_->DirectServerCall(
+                                            front_thread, back, Message(env.request.tag + 1));
+                                        SB_CHECK(inner.ok()) << inner.status().ToString();
+                                        return *inner;
+                                      })
+                     .value());
+  const int front = echoes;
+  const int chain = echoes + 1;  // The client -> back chain binding of a nested call.
+  auto* client = NewProcess("client");
+  for (const ServerId sid : sids) {
+    ASSERT_TRUE(sky_->RegisterClient(client, sid).ok());
+  }
+  ASSERT_TRUE(sky_->RegisterClient(front_proc, back).ok());
+  front_thread = front_proc->AddThread(0);
+
+  const uint64_t evictions_before = Metric("skybridge.eptp.slot_evictions");
+  const uint64_t faults_before = Metric("skybridge.eptp.slot_faults");
+  mk::Thread* thread = ClientThread(client, 0);
+  SlotModel model(working_set, lru);
+  model.Ensure(SlotModel::kSelf, kNoEptpSlot, {});
+  uint64_t faults = 0;
+
+  auto call = [&](int key, uint64_t tag) {
+    const uint32_t self = model.SlotOf(SlotModel::kSelf);
+    faults += model.Ensure(key, self, {}) ? 1 : 0;
+    if (key == front) {
+      const uint32_t outer = model.SlotOf(front);
+      faults += model.Ensure(chain, outer, {self, outer}) ? 1 : 0;
+    }
+    auto reply = sky_->DirectServerCall(thread, sids[static_cast<size_t>(key)], Message(tag));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->tag, key == front ? tag + 1 : tag);
+  };
+
+  std::vector<bool> revoked(sids.size(), false);
+  sb::Rng rng(0x5107 + working_set * 2 + (lru ? 1 : 0));
+  constexpr int kOps = 2000;
+  for (int op = 0; op < kOps; ++op) {
+    const uint64_t roll = rng.Below(100);
+    // Half the direct calls go to a hot set of working_set / 2 servers.
+    const int key = rng.OneIn(2)
+                        ? static_cast<int>(rng.Below(working_set / 2))
+                        : static_cast<int>(rng.Below(sids.size()));
+    if (roll < 65) {
+      const int target = roll < 50 ? key : front;
+      if (revoked[static_cast<size_t>(target)]) {
+        EXPECT_EQ(sky_->DirectServerCall(thread, sids[static_cast<size_t>(target)], Message(op))
+                      .status()
+                      .code(),
+                  ErrorCode::kPermissionDenied);
+      } else {
+        ASSERT_NO_FATAL_FAILURE(call(target, static_cast<uint64_t>(op)));
+      }
+    } else if (roll < 82) {
+      // Revoke a resident binding when there is one, so frees pile up.
+      std::vector<int> resident;
+      for (int k = 0; k <= front; ++k) {
+        if (model.SlotOf(k) != kNoEptpSlot) {
+          resident.push_back(k);
+        }
+      }
+      const int victim =
+          resident.empty() ? key : resident[static_cast<size_t>(rng.Below(resident.size()))];
+      ASSERT_TRUE(sky_->RevokeBinding(client, sids[static_cast<size_t>(victim)]).ok());
+      if (!revoked[static_cast<size_t>(victim)]) {
+        model.Free(victim);
+        revoked[static_cast<size_t>(victim)] = true;
+      }
+    } else {
+      std::vector<int> dead;
+      for (int k = 0; k <= front; ++k) {
+        if (revoked[static_cast<size_t>(k)]) {
+          dead.push_back(k);
+        }
+      }
+      if (!dead.empty()) {
+        const int revived = dead[static_cast<size_t>(rng.Below(dead.size()))];
+        ASSERT_TRUE(sky_->RegisterClient(client, sids[static_cast<size_t>(revived)]).ok());
+        revoked[static_cast<size_t>(revived)] = false;
+      }
+    }
+
+    for (int k = 0; k <= front; ++k) {
+      ASSERT_EQ(sky_->ResidentBindingSlot(client, sids[static_cast<size_t>(k)], 0),
+                model.SlotOf(k))
+          << "binding " << k << " after op " << op;
+    }
+    ASSERT_EQ(sky_->ResidentBindingSlot(client, back, 0), model.SlotOf(chain))
+        << "chain binding after op " << op;
+    ASSERT_EQ(machine_->core(0).vmcs().active_index, model.SlotOf(SlotModel::kSelf));
+    ASSERT_EQ(Metric("skybridge.eptp.slot_evictions") - evictions_before, model.evictions)
+        << "after op " << op;
+    ASSERT_EQ(Metric("skybridge.eptp.slot_faults") - faults_before, faults) << "after op " << op;
+    ExpectInvariants();
+  }
+  // The run reached the choices a wrong policy would get wrong.
+  EXPECT_GT(model.reused_above_lowest, 0u);
+  if (lru) {
+    EXPECT_GT(model.victims_past_pin, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkingSets, SlotPolicyTest,
+                         ::testing::Combine(::testing::Values(size_t{4}, size_t{8}),
+                                            ::testing::Bool()));
 
 }  // namespace
 }  // namespace skybridge
