@@ -191,7 +191,12 @@ std::string_view KvWiringName(KvWiring wiring) {
 }
 
 KvPipeline::KvPipeline(mk::Kernel& kernel, skybridge::SkyBridge* sky, KvWiring wiring)
-    : kernel_(&kernel), sky_(sky), wiring_(wiring) {}
+    : kernel_(&kernel),
+      sky_(sky),
+      wiring_(wiring),
+      inserts_(&kernel.machine().telemetry().GetCounter("apps.kv.inserts")),
+      queries_(&kernel.machine().telemetry().GetCounter("apps.kv.queries")),
+      hits_(&kernel.machine().telemetry().GetCounter("apps.kv.hits")) {}
 
 hw::Core& KvPipeline::client_core() { return kernel_->machine().core(0); }
 
@@ -210,19 +215,19 @@ mk::Message KvPipeline::HandleKv(mk::CallEnv& env, hw::Core* core) {
     (void)c.TouchData(kv_heap_ + 4096 * 64 + (slot % 512) * 2048,
                       std::max<uint64_t>(key.size() + value.size(), 64), true);
     store_[key] = value;
-    ++stats_.inserts;
+    inserts_->Add();
     return mk::Message(1);
   }
   // Query.
   (void)c.TouchData(kv_heap_ + slot * 64, 64, false);
-  ++stats_.queries;
+  queries_->Add();
   auto it = store_.find(key);
   if (it == store_.end()) {
     return mk::Message(0);
   }
   (void)c.TouchData(kv_heap_ + 4096 * 64 + (slot % 512) * 2048,
                     std::max<uint64_t>(it->second.size(), 64), false);
-  ++stats_.hits;
+  hits_->Add();
   // Large values: build the reply in place in the connection's slice when
   // the transport offers one — the bridge then skips the reply copy. Small
   // values still travel in registers.

@@ -52,15 +52,11 @@ enum class KvWiring : uint8_t {
 
 std::string_view KvWiringName(KvWiring wiring);
 
-struct KvStats {
-  uint64_t inserts = 0;
-  uint64_t queries = 0;
-  uint64_t hits = 0;
-};
-
 class KvPipeline {
  public:
   // `sky` may be null unless wiring == kSkyBridge. The kernel must be booted.
+  // The store counts its work on the machine's registry as apps.kv.inserts,
+  // apps.kv.queries and apps.kv.hits.
   KvPipeline(mk::Kernel& kernel, skybridge::SkyBridge* sky, KvWiring wiring);
 
   sb::Status Setup();
@@ -91,8 +87,6 @@ class KvPipeline {
 
   // Client core (where latency is measured).
   hw::Core& client_core();
-
-  const KvStats& stats() const { return stats_; }
 
  private:
   friend class KvPipelineTestPeer;  // Feeds raw requests to the handlers in unit tests.
@@ -134,7 +128,9 @@ class KvPipeline {
   hw::Gva kv_heap_ = 0;
   hw::Gva encrypt_heap_ = 0;
   uint32_t cipher_key_[4] = {0x13572468, 0xdeadbeef, 0x0badcafe, 0x87654321};
-  KvStats stats_;
+  sb::telemetry::Counter* inserts_;
+  sb::telemetry::Counter* queries_;
+  sb::telemetry::Counter* hits_;
 };
 
 }  // namespace apps

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/base/telemetry/trace.h"
-
 namespace sb::telemetry {
 namespace {
 
@@ -98,10 +96,11 @@ SloMonitor::SloMonitor(std::vector<SloSpec> specs) : specs_(std::move(specs)) {
   }
 }
 
-void SloMonitor::BindRegistry(Registry& registry, const std::string& prefix) {
+void SloMonitor::Bind(Registry& registry, Trace& trace, const std::string& prefix) {
   breach_counter_ = &registry.GetCounter(prefix + ".breaches");
   goodput_gauge_ = &registry.GetGauge(prefix + ".goodput_ops");
   observed_gauge_ = &registry.GetGauge(prefix + ".observed_ops");
+  trace_ = &trace;
 }
 
 void SloMonitor::Observe(uint64_t latency_cycles, uint64_t now_cycles, uint32_t core) {
@@ -143,8 +142,8 @@ void SloMonitor::Evaluate(size_t i, uint64_t now_cycles, uint32_t core) {
   ++breaches_;
   if (breach_counter_ != nullptr) {
     breach_counter_->Add();
+    trace_->Emit(TraceEventType::kSloBreach, now_cycles, core, i, observed);
   }
-  TraceEmit(TraceEventType::kSloBreach, now_cycles, core, i, observed);
 }
 
 uint64_t SloMonitor::breaches_for(size_t spec_index) const {

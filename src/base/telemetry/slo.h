@@ -2,10 +2,10 @@
 //
 // A spec is a percentile bound — "p99<5000" reads "the 99th percentile of
 // call latency must stay under 5000 cycles" — evaluated every `window`
-// observations over the most recent `window` samples. Violations emit a
-// kSloBreach trace event and bump a breach counter; every observation also
-// feeds the goodput tally (an op is "good" when its own latency meets every
-// spec's bound), surfaced as a gauge when a registry is bound.
+// observations over the most recent `window` samples. Violations bump a
+// breach counter and, once bound to a trace, emit a kSloBreach event; every
+// observation also feeds the goodput tally (an op is "good" when its own
+// latency meets every spec's bound), surfaced as a gauge once bound.
 //
 // Grammar:   p<percentile> '<' <bound cycles> [ '@window=' <samples> ]
 // Examples:  p99<5000      p99.9<20000@window=512      p50<800
@@ -24,6 +24,7 @@
 
 #include "src/base/status.h"
 #include "src/base/telemetry/metrics.h"
+#include "src/base/telemetry/trace.h"
 
 namespace sb::telemetry {
 
@@ -43,9 +44,9 @@ class SloMonitor {
   explicit SloMonitor(std::vector<SloSpec> specs);
 
   // Surfaces live verdicts on `registry` as `<prefix>.breaches` (counter),
-  // `<prefix>.goodput_ops` and `<prefix>.observed_ops` (gauges). Optional;
-  // call once before observing.
-  void BindRegistry(Registry& registry, const std::string& prefix);
+  // `<prefix>.goodput_ops` and `<prefix>.observed_ops` (gauges), and breaches
+  // as kSloBreach events on `trace`. Optional; call once before observing.
+  void Bind(Registry& registry, Trace& trace, const std::string& prefix);
 
   // Feeds one completed op. `now_cycles` timestamps any breach event this
   // observation triggers (window boundaries).
@@ -80,6 +81,7 @@ class SloMonitor {
   Counter* breach_counter_ = nullptr;
   Gauge* goodput_gauge_ = nullptr;
   Gauge* observed_gauge_ = nullptr;
+  Trace* trace_ = nullptr;
 };
 
 }  // namespace sb::telemetry

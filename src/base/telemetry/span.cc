@@ -1,7 +1,6 @@
 #include "src/base/telemetry/span.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <optional>
 #include <string>
@@ -9,9 +8,6 @@
 
 namespace sb::telemetry {
 namespace {
-
-std::atomic<uint64_t> g_next_call_id{1};
-thread_local uint64_t t_pending_call_id = 0;
 
 // Phase a call-id-carrying record contributes to its span, or nullopt for
 // record types that carry no call id (and for kBatchFlushEnd, which only
@@ -77,28 +73,6 @@ std::optional<TraceEventType> TypeFromName(std::string_view name) {
 }
 
 }  // namespace
-
-uint64_t AllocCallId() { return g_next_call_id.fetch_add(1, std::memory_order_relaxed); }
-
-void SetPendingCallId(uint64_t id) { t_pending_call_id = id; }
-
-uint64_t TakeCallId() {
-  if (t_pending_call_id != 0) {
-    const uint64_t id = t_pending_call_id;
-    t_pending_call_id = 0;
-    return id;
-  }
-  return AllocCallId();
-}
-
-namespace internal {
-
-void ResetCallIds() {
-  g_next_call_id.store(1, std::memory_order_relaxed);
-  t_pending_call_id = 0;
-}
-
-}  // namespace internal
 
 std::string_view SpanPhaseName(SpanPhase phase) {
   switch (phase) {

@@ -14,15 +14,15 @@
 // crossing's flush/vmfunc/return legs into each correlated entry span
 // (marked inherited), so a single batched call's tree is complete on its own.
 //
-// Ids come from a process-global counter that TraceClear() resets alongside
-// the trace sequence — replay fingerprints (tests/stress_fault_test.cc)
+// Ids come from the machine's Trace (trace.h), whose Clear() restarts them
+// with the trace sequence: replay fingerprints (tests/stress_fault_test.cc)
 // depend on both being deterministic per scenario.
 //
-// The id handoff is thread-local: an open-loop generator allocates the id at
-// the *intended* arrival cycle, emits kSpanArrival, and parks the id with
-// SetPendingCallId; the next SkyBridge submission on that thread adopts it
-// via TakeCallId. Call sites that never pre-announce (every existing caller)
-// just get a fresh id.
+// The handoff is one pending id on that Trace: an open-loop generator
+// allocates the id at the *intended* arrival cycle, emits kSpanArrival, and
+// parks the id with SetPendingCallId; the machine's next SkyBridge submission
+// adopts it via TakeCallId. Call sites that never pre-announce just get a
+// fresh id.
 
 #ifndef SRC_BASE_TELEMETRY_SPAN_H_
 #define SRC_BASE_TELEMETRY_SPAN_H_
@@ -34,26 +34,6 @@
 #include "src/base/telemetry/trace.h"
 
 namespace sb::telemetry {
-
-// ---- Call-id allocation ----
-
-// Next id from the process-global counter (first id is 1; 0 means "none").
-uint64_t AllocCallId();
-
-// Parks `id` for the current thread; the next TakeCallId() returns it.
-void SetPendingCallId(uint64_t id);
-
-// The parked id if one is pending, else a freshly allocated one. Clears the
-// parked id either way.
-uint64_t TakeCallId();
-
-namespace internal {
-// Resets the global counter (and any parked id on the calling thread).
-// Called by TraceClear() so replayed scenarios allocate identical ids.
-void ResetCallIds();
-}  // namespace internal
-
-// ---- Span reconstruction ----
 
 // One phase of a call's lifecycle, in canonical order.
 enum class SpanPhase : uint8_t {

@@ -1,50 +1,21 @@
 #include "src/base/telemetry/trace.h"
 
 #include <algorithm>
-#include <array>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 
 #include "src/base/logging.h"
-#include "src/base/telemetry/span.h"
 
 namespace sb::telemetry {
-namespace internal {
-
-std::atomic<bool> g_trace_enabled{false};
-
-}  // namespace internal
-
 namespace {
 
-std::atomic<uint64_t> g_trace_seq{0};
+// The trace that holds the SB_CHECK hook slot, if any.
+const Trace* g_crash_trace = nullptr;
 
-struct ThreadRing {
-  std::array<TraceRecord, kTraceRingCapacity> records;
-  // Total records ever written; head % capacity is the next slot. Atomic so
-  // snapshotting from another thread is race-free (the records themselves are
-  // quiescent by the time tests snapshot, and a torn in-flight record at
-  // worst yields one garbled event, never UB on the counter).
-  std::atomic<uint64_t> head{0};
-};
-
-std::mutex g_rings_mu;
-std::vector<ThreadRing*>& Rings() {
-  static std::vector<ThreadRing*>* rings = new std::vector<ThreadRing*>();
-  return *rings;
-}
-
-ThreadRing& LocalRing() {
-  // Leaked on purpose: rings must outlive the thread so TraceSnapshot() can
-  // read events from threads that have already exited (e.g. pool workers).
-  thread_local ThreadRing* ring = [] {
-    auto* r = new ThreadRing();
-    std::lock_guard<std::mutex> lock(g_rings_mu);
-    Rings().push_back(r);
-    return r;
-  }();
-  return *ring;
+void DumpCrashTrace() {
+  if (g_crash_trace != nullptr) {
+    g_crash_trace->Dump(std::cerr);
+  }
 }
 
 bool IsBeginEvent(TraceEventType t) {
@@ -140,56 +111,82 @@ const char* TraceEventName(TraceEventType type) {
   return "unknown";
 }
 
-namespace internal {
+Trace::~Trace() { ReleaseCrashHook(); }
 
-void TraceEmitSlow(TraceEventType type, uint64_t cycles, uint32_t core, uint64_t arg0,
-                   uint64_t arg1) {
-  ThreadRing& ring = LocalRing();
-  const uint64_t head = ring.head.load(std::memory_order_relaxed);
-  TraceRecord& rec = ring.records[head % kTraceRingCapacity];
-  rec.cycles = cycles;
-  rec.arg0 = arg0;
-  rec.arg1 = arg1;
-  rec.seq = g_trace_seq.fetch_add(1, std::memory_order_relaxed);
-  rec.core = core;
-  rec.type = type;
-  ring.head.store(head + 1, std::memory_order_release);
-}
-
-}  // namespace internal
-
-void SetTraceEnabled(bool enabled) {
-  internal::g_trace_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool TraceEnabled() { return internal::g_trace_enabled.load(std::memory_order_relaxed); }
-
-std::vector<TraceRecord> TraceSnapshot() {
-  std::vector<TraceRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(g_rings_mu);
-    for (const ThreadRing* ring : Rings()) {
-      const uint64_t head = ring->head.load(std::memory_order_acquire);
-      const uint64_t count = std::min<uint64_t>(head, kTraceRingCapacity);
-      for (uint64_t i = head - count; i < head; ++i) {
-        out.push_back(ring->records[i % kTraceRingCapacity]);
-      }
-    }
+void Trace::SetEnabled(bool enabled) {
+  enabled_ = enabled;
+  if (!enabled) {
+    ReleaseCrashHook();
+    return;
   }
-  std::sort(out.begin(), out.end(),
-            [](const TraceRecord& a, const TraceRecord& b) { return a.seq < b.seq; });
+  if (ring_.empty()) {
+    ring_.resize(kTraceRingCapacity);
+  }
+  // Claim the slot only while it is free: after the fatal path or a test
+  // clears it, the next enable claims it again.
+  if (sb::GetCheckFailureHook() == nullptr) {
+    g_crash_trace = this;
+    holds_crash_hook_ = true;
+    sb::SetCheckFailureHook(&DumpCrashTrace);
+  }
+}
+
+void Trace::ReleaseCrashHook() {
+  if (!holds_crash_hook_) {
+    return;
+  }
+  holds_crash_hook_ = false;
+  if (g_crash_trace != this) {
+    return;  // The slot was cleared and another trace claimed it since.
+  }
+  g_crash_trace = nullptr;
+  if (sb::GetCheckFailureHook() == &DumpCrashTrace) {
+    sb::SetCheckFailureHook(nullptr);
+  }
+}
+
+void Trace::Append(TraceEventType type, uint64_t cycles, uint32_t core, uint64_t arg0,
+                   uint64_t arg1) {
+  ring_[head_ % kTraceRingCapacity] = TraceRecord{cycles, arg0, arg1, head_, core, type};
+  ++head_;
+}
+
+std::vector<TraceRecord> Trace::Snapshot() const {
+  std::vector<TraceRecord> out;
+  const uint64_t count = std::min<uint64_t>(head_, ring_.size());
+  out.reserve(count);
+  for (uint64_t i = head_ - count; i < head_; ++i) {
+    out.push_back(ring_[i % kTraceRingCapacity]);
+  }
   return out;
 }
 
-void TraceClear() {
-  std::lock_guard<std::mutex> lock(g_rings_mu);
-  for (ThreadRing* ring : Rings()) {
-    ring->head.store(0, std::memory_order_release);
+void Trace::Clear() {
+  head_ = 0;
+  next_call_id_ = 1;
+  pending_call_id_ = 0;
+}
+
+void Trace::Dump(std::ostream& out, size_t max_records) const {
+  const std::vector<TraceRecord> records = Snapshot();
+  const size_t start = records.size() > max_records ? records.size() - max_records : 0;
+  out << "--- trace flight recorder (" << (records.size() - start) << " of " << records.size()
+      << " events) ---\n";
+  for (size_t i = start; i < records.size(); ++i) {
+    const TraceRecord& rec = records[i];
+    out << "  seq=" << rec.seq << " cycles=" << rec.cycles << " core=" << rec.core << " "
+        << TraceEventName(rec.type) << " arg0=" << rec.arg0 << " arg1=" << rec.arg1 << "\n";
   }
-  g_trace_seq.store(0, std::memory_order_relaxed);
-  // Call ids restart with the sequence: a replayed scenario must allocate
-  // the same ids, or trace fingerprints diverge across identical runs.
-  internal::ResetCallIds();
+  out << "--- end trace ---" << std::endl;
+}
+
+uint64_t Trace::TakeCallId() {
+  if (pending_call_id_ == 0) {
+    return AllocCallId();
+  }
+  const uint64_t id = pending_call_id_;
+  pending_call_id_ = 0;
+  return id;
 }
 
 std::string TraceChromeJson(const std::vector<TraceRecord>& records) {
@@ -213,35 +210,6 @@ std::string TraceChromeJson(const std::vector<TraceRecord>& records) {
   }
   out << "]";
   return out.str();
-}
-
-void TraceDump(std::ostream& out, size_t max_records) {
-  const std::vector<TraceRecord> records = TraceSnapshot();
-  const size_t start = records.size() > max_records ? records.size() - max_records : 0;
-  out << "--- trace flight recorder (" << (records.size() - start) << " of " << records.size()
-      << " events) ---\n";
-  for (size_t i = start; i < records.size(); ++i) {
-    const TraceRecord& rec = records[i];
-    out << "  seq=" << rec.seq << " cycles=" << rec.cycles << " core=" << rec.core << " "
-        << TraceEventName(rec.type) << " arg0=" << rec.arg0 << " arg1=" << rec.arg1 << "\n";
-  }
-  out << "--- end trace ---" << std::endl;
-}
-
-namespace {
-
-void TraceCrashHook() { TraceDump(std::cerr); }
-
-}  // namespace
-
-void InstallTraceCrashDump() {
-  // Only claim the hook slot while it is free (or already ours): a custom
-  // hook a test installed must not be clobbered, and after the fatal path
-  // self-clears the slot — or a test resets it — the next call re-registers.
-  const sb::CheckFailureHook current = sb::GetCheckFailureHook();
-  if (current == nullptr) {
-    sb::SetCheckFailureHook(&TraceCrashHook);
-  }
 }
 
 }  // namespace sb::telemetry

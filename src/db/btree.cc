@@ -102,10 +102,15 @@ size_t InternalChildIndex(const std::vector<uint8_t>& page, uint64_t key) {
   return i;
 }
 
-// Fetches an existing node. Its bytes come from the fs server, so the type,
-// the key count and every value length are checked here, before anything
-// indexes the page with them (a host-side check: no simulated cycle).
-sb::StatusOr<std::vector<uint8_t>*> FetchNode(Pager& pager, uint32_t pgno) {
+// Fetches an existing node `depth` levels below the root. Its bytes come from
+// the fs server, so the type, the key count and every value length are
+// checked here, before anything indexes the page with them, and a descent
+// deeper than the file has pages must have followed a child pointer back up
+// the tree (host-side checks: no simulated cycle).
+sb::StatusOr<std::vector<uint8_t>*> FetchNode(Pager& pager, uint32_t pgno, uint32_t depth) {
+  if (depth >= pager.num_pages()) {
+    return sb::DataLoss("btree child pointers form a cycle");
+  }
   SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, pager.GetPage(pgno));
   const size_t n = NumKeys(*page);
   if (PageType(*page) == kInternalType && n <= kInternalCapacity) {
@@ -135,8 +140,8 @@ sb::Status BTree::InitLeaf(Pager& pager, uint32_t pgno) {
 }
 
 sb::StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
-    uint32_t pgno, uint64_t key, std::span<const uint8_t> value) {
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
+    uint32_t pgno, uint32_t depth, uint64_t key, std::span<const uint8_t> value) {
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno, depth));
 
   if (PageType(*page) == kLeafType) {
     const size_t pos = LeafLowerBound(*page, key);
@@ -156,9 +161,9 @@ sb::StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
     // Split the leaf: keep the lower half here, move the upper half right.
     SB_ASSIGN_OR_RETURN(const uint32_t right_pgno, pager_->AllocatePage());
     // AllocatePage may relocate cache entries; refetch.
-    SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno));
+    SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno, depth));
     SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* right, pager_->GetPage(right_pgno));
-    SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno));
+    SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno, depth));
 
     std::fill(right->begin(), right->end(), 0);
     SetPageType(*right, kLeafType);
@@ -174,7 +179,7 @@ sb::StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
     // Insert into the proper half.
     const uint64_t separator = LeafKey(*right, 0);
     const uint32_t target = key < separator ? pgno : right_pgno;
-    SB_ASSIGN_OR_RETURN(auto inner, InsertRec(target, key, value));
+    SB_ASSIGN_OR_RETURN(auto inner, InsertRec(target, depth, key, value));
     SB_CHECK(!inner.has_value()) << "post-split leaf insert cannot split again";
     return std::optional<SplitResult>{SplitResult{separator, right_pgno}};
   }
@@ -182,11 +187,11 @@ sb::StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
   // Internal node.
   const size_t slot = InternalChildIndex(*page, key);
   const uint32_t child = ChildAt(*page, slot);
-  SB_ASSIGN_OR_RETURN(auto split, InsertRec(child, key, value));
+  SB_ASSIGN_OR_RETURN(auto split, InsertRec(child, depth + 1, key, value));
   if (!split.has_value()) {
     return std::optional<SplitResult>{};
   }
-  SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno));  // Refetch after descent.
+  SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno, depth));  // Refetch after descent.
   const size_t n = NumKeys(*page);
   if (n < kInternalCapacity) {
     // Shift entries right of `slot` and insert (separator, right child).
@@ -217,7 +222,7 @@ sb::StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
   children.insert(children.begin() + static_cast<long>(slot) + 1, split->right_pgno);
   SB_ASSIGN_OR_RETURN(const uint32_t right_pgno, pager_->AllocatePage());
   SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* right, pager_->GetPage(right_pgno));
-  SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno));
+  SB_ASSIGN_OR_RETURN(page, FetchNode(*pager_, pgno, depth));
   std::fill(right->begin(), right->end(), 0);
   SetPageType(*right, kInternalType);
 
@@ -249,7 +254,7 @@ sb::Status BTree::Insert(uint64_t key, std::span<const uint8_t> value) {
   if (value.size() > kMaxValueSize) {
     return sb::InvalidArgument("value too large");
   }
-  SB_ASSIGN_OR_RETURN(auto split, InsertRec(root_, key, value));
+  SB_ASSIGN_OR_RETURN(auto split, InsertRec(root_, 0, key, value));
   if (!split.has_value()) {
     return sb::OkStatus();
   }
@@ -257,7 +262,7 @@ sb::Status BTree::Insert(uint64_t key, std::span<const uint8_t> value) {
   // content into a new page and turning the root into an internal node.
   SB_ASSIGN_OR_RETURN(const uint32_t left_pgno, pager_->AllocatePage());
   SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* left, pager_->GetPage(left_pgno));
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* root, FetchNode(*pager_, root_));
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* root, FetchNode(*pager_, root_, 0));
   *left = *root;
   std::fill(root->begin(), root->end(), 0);
   SetPageType(*root, kInternalType);
@@ -270,21 +275,26 @@ sb::Status BTree::Insert(uint64_t key, std::span<const uint8_t> value) {
   return sb::OkStatus();
 }
 
-sb::StatusOr<std::vector<uint8_t>> BTree::Get(uint64_t key) {
+sb::StatusOr<BTree::Leaf> BTree::FindLeaf(uint64_t key) {
   uint32_t pgno = root_;
-  while (true) {
-    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
-    if (PageType(*page) == kInternalType) {
-      pgno = ChildAt(*page, InternalChildIndex(*page, key));
-      continue;
+  for (uint32_t depth = 0;; ++depth) {
+    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno, depth));
+    if (PageType(*page) == kLeafType) {
+      return Leaf{pgno, page};
     }
-    const size_t pos = LeafLowerBound(*page, key);
-    if (pos < NumKeys(*page) && LeafKey(*page, pos) == key) {
-      const std::span<const uint8_t> v = LeafValue(*page, pos);
-      return std::vector<uint8_t>(v.begin(), v.end());
-    }
-    return sb::NotFound("key not found");
+    pgno = ChildAt(*page, InternalChildIndex(*page, key));
   }
+}
+
+sb::StatusOr<std::vector<uint8_t>> BTree::Get(uint64_t key) {
+  SB_ASSIGN_OR_RETURN(const Leaf leaf, FindLeaf(key));
+  const std::vector<uint8_t>& page = *leaf.page;
+  const size_t pos = LeafLowerBound(page, key);
+  if (pos < NumKeys(page) && LeafKey(page, pos) == key) {
+    const std::span<const uint8_t> v = LeafValue(page, pos);
+    return std::vector<uint8_t>(v.begin(), v.end());
+  }
+  return sb::NotFound("key not found");
 }
 
 sb::StatusOr<bool> BTree::Contains(uint64_t key) {
@@ -302,47 +312,35 @@ sb::Status BTree::Update(uint64_t key, std::span<const uint8_t> value) {
   if (value.size() > kMaxValueSize) {
     return sb::InvalidArgument("value too large");
   }
-  uint32_t pgno = root_;
-  while (true) {
-    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
-    if (PageType(*page) == kInternalType) {
-      pgno = ChildAt(*page, InternalChildIndex(*page, key));
-      continue;
-    }
-    const size_t pos = LeafLowerBound(*page, key);
-    if (pos < NumKeys(*page) && LeafKey(*page, pos) == key) {
-      WriteLeafCell(*page, pos, key, value);
-      pager_->MarkDirty(pgno);
-      return sb::OkStatus();
-    }
-    return sb::NotFound("key not found");
+  SB_ASSIGN_OR_RETURN(const Leaf leaf, FindLeaf(key));
+  std::vector<uint8_t>& page = *leaf.page;
+  const size_t pos = LeafLowerBound(page, key);
+  if (pos < NumKeys(page) && LeafKey(page, pos) == key) {
+    WriteLeafCell(page, pos, key, value);
+    pager_->MarkDirty(leaf.pgno);
+    return sb::OkStatus();
   }
+  return sb::NotFound("key not found");
 }
 
 sb::Status BTree::Delete(uint64_t key) {
-  uint32_t pgno = root_;
-  while (true) {
-    SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
-    if (PageType(*page) == kInternalType) {
-      pgno = ChildAt(*page, InternalChildIndex(*page, key));
-      continue;
+  SB_ASSIGN_OR_RETURN(const Leaf leaf, FindLeaf(key));
+  std::vector<uint8_t>& page = *leaf.page;
+  const size_t pos = LeafLowerBound(page, key);
+  const size_t n = NumKeys(page);
+  if (pos < n && LeafKey(page, pos) == key) {
+    for (size_t i = pos; i + 1 < n; ++i) {
+      CopyLeafCell(page, i, page, i + 1);
     }
-    const size_t pos = LeafLowerBound(*page, key);
-    const size_t n = NumKeys(*page);
-    if (pos < n && LeafKey(*page, pos) == key) {
-      for (size_t i = pos; i + 1 < n; ++i) {
-        CopyLeafCell(*page, i, *page, i + 1);
-      }
-      SetNumKeys(*page, static_cast<uint16_t>(n - 1));
-      pager_->MarkDirty(pgno);
-      return sb::OkStatus();
-    }
-    return sb::NotFound("key not found");
+    SetNumKeys(page, static_cast<uint16_t>(n - 1));
+    pager_->MarkDirty(leaf.pgno);
+    return sb::OkStatus();
   }
+  return sb::NotFound("key not found");
 }
 
-sb::Status BTree::CollectKeys(uint32_t pgno, std::vector<uint64_t>* out) {
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
+sb::Status BTree::CollectKeys(uint32_t pgno, uint32_t depth, std::vector<uint64_t>* out) {
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno, depth));
   if (PageType(*page) == kLeafType) {
     const size_t n = NumKeys(*page);
     for (size_t i = 0; i < n; ++i) {
@@ -356,19 +354,20 @@ sb::Status BTree::CollectKeys(uint32_t pgno, std::vector<uint64_t>* out) {
     children.push_back(ChildAt(*page, i));
   }
   for (const uint32_t child : children) {
-    SB_RETURN_IF_ERROR(CollectKeys(child, out));
+    SB_RETURN_IF_ERROR(CollectKeys(child, depth + 1, out));
   }
   return sb::OkStatus();
 }
 
 sb::StatusOr<std::vector<uint64_t>> BTree::Keys() {
   std::vector<uint64_t> out;
-  SB_RETURN_IF_ERROR(CollectKeys(root_, &out));
+  SB_RETURN_IF_ERROR(CollectKeys(root_, 0, &out));
   return out;
 }
 
-sb::Status BTree::ScanRec(uint32_t pgno, uint64_t lo, uint64_t hi, std::vector<Row>* out) {
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
+sb::Status BTree::ScanRec(uint32_t pgno, uint32_t depth, uint64_t lo, uint64_t hi,
+                          std::vector<Row>* out) {
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno, depth));
   const size_t n = NumKeys(*page);
   if (PageType(*page) == kLeafType) {
     for (size_t i = LeafLowerBound(*page, lo); i < n; ++i) {
@@ -392,7 +391,7 @@ sb::Status BTree::ScanRec(uint32_t pgno, uint64_t lo, uint64_t hi, std::vector<R
     }
   }
   for (const uint32_t child : children) {
-    SB_RETURN_IF_ERROR(ScanRec(child, lo, hi, out));
+    SB_RETURN_IF_ERROR(ScanRec(child, depth + 1, lo, hi, out));
   }
   return sb::OkStatus();
 }
@@ -402,13 +401,13 @@ sb::StatusOr<std::vector<BTree::Row>> BTree::Scan(uint64_t lo, uint64_t hi) {
   if (lo > hi) {
     return out;
   }
-  SB_RETURN_IF_ERROR(ScanRec(root_, lo, hi, &out));
+  SB_RETURN_IF_ERROR(ScanRec(root_, 0, lo, hi, &out));
   return out;
 }
 
-sb::Status BTree::ValidateRec(uint32_t pgno, uint64_t lo, uint64_t hi, bool has_lo,
-                              bool has_hi) {
-  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno));
+sb::Status BTree::ValidateRec(uint32_t pgno, uint32_t depth, uint64_t lo, uint64_t hi,
+                              bool has_lo, bool has_hi) {
+  SB_ASSIGN_OR_RETURN(std::vector<uint8_t>* page, FetchNode(*pager_, pgno, depth));
   const size_t n = NumKeys(*page);
   if (PageType(*page) == kLeafType) {
     for (size_t i = 0; i < n; ++i) {
@@ -444,11 +443,11 @@ sb::Status BTree::ValidateRec(uint32_t pgno, uint64_t lo, uint64_t hi, bool has_
     }
   }
   for (const ChildRange& r : ranges) {
-    SB_RETURN_IF_ERROR(ValidateRec(r.pgno, r.lo, r.hi, r.has_lo, r.has_hi));
+    SB_RETURN_IF_ERROR(ValidateRec(r.pgno, depth + 1, r.lo, r.hi, r.has_lo, r.has_hi));
   }
   return sb::OkStatus();
 }
 
-sb::Status BTree::Validate() { return ValidateRec(root_, 0, 0, false, false); }
+sb::Status BTree::Validate() { return ValidateRec(root_, 0, 0, 0, false, false); }
 
 }  // namespace minisql

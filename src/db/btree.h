@@ -55,11 +55,22 @@ class BTree {
     uint32_t right_pgno;
   };
 
-  sb::StatusOr<std::optional<SplitResult>> InsertRec(uint32_t pgno, uint64_t key,
+  struct Leaf {
+    uint32_t pgno;
+    std::vector<uint8_t>* page;
+  };
+
+  // The leaf whose key range holds `key`. Every descent, here and in the
+  // recursive walks (`depth` levels below the root), fails with DataLoss
+  // once it is deeper than the file has pages.
+  sb::StatusOr<Leaf> FindLeaf(uint64_t key);
+  sb::StatusOr<std::optional<SplitResult>> InsertRec(uint32_t pgno, uint32_t depth, uint64_t key,
                                                      std::span<const uint8_t> value);
-  sb::Status CollectKeys(uint32_t pgno, std::vector<uint64_t>* out);
-  sb::Status ScanRec(uint32_t pgno, uint64_t lo, uint64_t hi, std::vector<Row>* out);
-  sb::Status ValidateRec(uint32_t pgno, uint64_t lo, uint64_t hi, bool has_lo, bool has_hi);
+  sb::Status CollectKeys(uint32_t pgno, uint32_t depth, std::vector<uint64_t>* out);
+  sb::Status ScanRec(uint32_t pgno, uint32_t depth, uint64_t lo, uint64_t hi,
+                     std::vector<Row>* out);
+  sb::Status ValidateRec(uint32_t pgno, uint32_t depth, uint64_t lo, uint64_t hi, bool has_lo,
+                         bool has_hi);
 
   Pager* pager_;
   uint32_t root_;

@@ -74,8 +74,8 @@ void Machine::SendIpi(int from_core, int to_core) {
   SB_CHECK(to_core >= 0 && to_core < num_cores());
   ++total_ipis_;
   ++core(from_core).pmu().ipis_sent;
-  SB_TRACE_EVENT(sb::telemetry::TraceEventType::kIpi, core(from_core).cycles(),
-                 static_cast<uint32_t>(from_core), static_cast<uint64_t>(to_core));
+  SB_TRACE_EVENT(core(from_core), sb::telemetry::TraceEventType::kIpi,
+                 static_cast<uint64_t>(to_core), 0);
 }
 
 }  // namespace hw

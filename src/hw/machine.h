@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/base/telemetry/metrics.h"
+#include "src/base/telemetry/trace.h"
 #include "src/base/units.h"
 #include "src/hw/cache.h"
 #include "src/hw/core.h"
@@ -65,10 +66,13 @@ class Machine {
   // surface the per-core PMU tallies (hw.tlb.*, hw.cache.*, ...).
   sb::telemetry::Registry& telemetry() { return telemetry_; }
   const sb::telemetry::Registry& telemetry() const { return telemetry_; }
+  // This machine's event trace; every core emits into it (trace.h).
+  sb::telemetry::Trace& trace() { return trace_; }
 
  private:
-  // Declared first so it is destroyed after everything that reports into it.
+  // Declared first so they are destroyed after everything that reports into them.
   sb::telemetry::Registry telemetry_;
+  sb::telemetry::Trace trace_;
   MachineConfig config_;
   HostPhysMem mem_;
   WalkCache walk_cache_;

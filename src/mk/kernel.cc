@@ -309,7 +309,7 @@ void Kernel::SetExecFaultHandler(ExecFaultHandler handler) {
 
 void Kernel::SyscallEnter(hw::Core& core) {
   metrics_.syscall_entries->Add();
-  SB_TRACE_EVENT(TraceEventType::kSyscallEnter, core.cycles(), core.id());
+  SB_TRACE_EVENT(core, TraceEventType::kSyscallEnter, 0, 0);
   const hw::CostModel& cm = machine_->costs();
   hw::CycleScope scope(core, hw::Bucket::kSyscall);
   core.AdvanceCycles(cm.syscall_insn + cm.swapgs_insn);
@@ -333,7 +333,7 @@ void Kernel::SyscallExit(hw::Core& core) {
   }
   core.AdvanceCycles(cm.swapgs_insn + cm.sysret_insn, hw::Bucket::kSyscall);
   core.SetMode(hw::CpuMode::kUser);
-  SB_TRACE_EVENT(TraceEventType::kSyscallExit, core.cycles(), core.id());
+  SB_TRACE_EVENT(core, TraceEventType::kSyscallExit, 0, 0);
 }
 
 void Kernel::NoOpSyscall(hw::Core& core) {
@@ -348,7 +348,7 @@ void Kernel::NoOpSyscall(hw::Core& core) {
 
 void Kernel::SwitchAddressSpace(hw::Core& core, Process* to) {
   metrics_.context_switches->Add();
-  SB_TRACE_EVENT(TraceEventType::kContextSwitch, core.cycles(), core.id(), to->pid());
+  SB_TRACE_EVENT(core, TraceEventType::kContextSwitch, to->pid(), 0);
   // Without PCID all address spaces share tag 0 and every CR3 write flushes
   // the non-global TLB entries — the paper's seL4 v10 behaviour and the
   // source of Table 1's indirect dTLB cost.

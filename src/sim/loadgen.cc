@@ -7,7 +7,6 @@
 #include "src/base/logging.h"
 #include "src/base/rng.h"
 #include "src/base/telemetry/metrics.h"
-#include "src/base/telemetry/span.h"
 #include "src/base/telemetry/trace.h"
 #include "src/sim/executor.h"
 
@@ -148,8 +147,9 @@ sb::StatusOr<LoadGenReport> LoadGenerator::Run() {
   }
 
   sb::telemetry::LatencyHistogram latency("loadgen.latency");
+  sb::telemetry::Trace& trace = machine_->trace();
   sb::telemetry::SloMonitor monitor(config_.slos);
-  monitor.BindRegistry(machine_->telemetry(), "loadgen.slo");
+  monitor.Bind(machine_->telemetry(), trace, "loadgen.slo");
   LoadGenReport report;
 
   // The schedule is relative; anchor it at the machine's current clock so a
@@ -213,7 +213,7 @@ sb::StatusOr<LoadGenReport> LoadGenerator::Run() {
       const ClientState::Deferred d = st.deferred.front();
       st.deferred.pop_front();
       if (d.call_id != 0) {
-        sb::telemetry::SetPendingCallId(d.call_id);
+        trace.SetPendingCallId(d.call_id);
       }
       finish(target_.sync_call(st.index, d.arrival.key), d.arrival.cycles, core);
     }
@@ -224,13 +224,13 @@ sb::StatusOr<LoadGenReport> LoadGenerator::Run() {
   // the id (0 while tracing is off) for a deferred op to park again when it
   // is finally called.
   const auto emit_arrival = [&](const Arrival& a, hw::Core& core) -> uint64_t {
-    if (!sb::telemetry::TraceEnabled()) {
+    if (!trace.enabled()) {
       return 0;
     }
-    const uint64_t id = sb::telemetry::AllocCallId();
-    sb::telemetry::TraceEmit(sb::telemetry::TraceEventType::kSpanArrival, base + a.cycles,
-                             static_cast<uint32_t>(core.id()), id, a.key);
-    sb::telemetry::SetPendingCallId(id);
+    const uint64_t id = trace.AllocCallId();
+    trace.Emit(sb::telemetry::TraceEventType::kSpanArrival, base + a.cycles,
+               static_cast<uint32_t>(core.id()), id, a.key);
+    trace.SetPendingCallId(id);
     return id;
   };
 

@@ -51,9 +51,8 @@ class EptpBackend : public CrossingBackend {
     hw::Core& core = *ctx.core;
     hw::CycleScope vmfunc(core, hw::Bucket::kVmfunc);
     SB_RETURN_IF_ERROR(core.Vmfunc(0, ctx.route_slot));
-    SB_TRACE_EVENT(TraceEventType::kVmfuncSwitch, core.cycles(), core.id(), ctx.route_slot);
-    SB_TRACE_EVENT(TraceEventType::kSpanVmfunc, core.cycles(), core.id(), ctx.call_id,
-                   ctx.route_slot);
+    SB_TRACE_EVENT(core, TraceEventType::kVmfuncSwitch, ctx.route_slot, 0);
+    SB_TRACE_EVENT(core, TraceEventType::kSpanVmfunc, ctx.call_id, ctx.route_slot);
     return sb::OkStatus();
   }
 
@@ -61,9 +60,8 @@ class EptpBackend : public CrossingBackend {
     hw::Core& core = *ctx.core;
     hw::CycleScope vmfunc(core, hw::Bucket::kVmfunc);
     SB_RETURN_IF_ERROR(core.Vmfunc(0, static_cast<uint32_t>(ctx.return_index)));
-    SB_TRACE_EVENT(TraceEventType::kVmfuncSwitch, core.cycles(), core.id(), ctx.return_index);
-    SB_TRACE_EVENT(TraceEventType::kSpanReturn, core.cycles(), core.id(), ctx.call_id,
-                   ctx.return_index);
+    SB_TRACE_EVENT(core, TraceEventType::kVmfuncSwitch, ctx.return_index, 0);
+    SB_TRACE_EVENT(core, TraceEventType::kSpanReturn, ctx.call_id, ctx.return_index);
     return sb::OkStatus();
   }
 
@@ -112,9 +110,8 @@ class MpkBackend : public CrossingBackend {
     hw::CycleScope vmfunc(core, hw::Bucket::kVmfunc);
     core.Wrpkru(PkruAllow(ctx.route->pkey));
     SB_RETURN_IF_ERROR(SwitchView(core, ctx.route_slot));
-    SB_TRACE_EVENT(TraceEventType::kVmfuncSwitch, core.cycles(), core.id(), ctx.route_slot);
-    SB_TRACE_EVENT(TraceEventType::kSpanVmfunc, core.cycles(), core.id(), ctx.call_id,
-                   ctx.route_slot);
+    SB_TRACE_EVENT(core, TraceEventType::kVmfuncSwitch, ctx.route_slot, 0);
+    SB_TRACE_EVENT(core, TraceEventType::kSpanVmfunc, ctx.call_id, ctx.route_slot);
     return sb::OkStatus();
   }
 
@@ -123,9 +120,8 @@ class MpkBackend : public CrossingBackend {
     hw::CycleScope vmfunc(core, hw::Bucket::kVmfunc);
     core.Wrpkru(kPkruDefault);
     SB_RETURN_IF_ERROR(SwitchView(core, static_cast<uint32_t>(ctx.return_index)));
-    SB_TRACE_EVENT(TraceEventType::kVmfuncSwitch, core.cycles(), core.id(), ctx.return_index);
-    SB_TRACE_EVENT(TraceEventType::kSpanReturn, core.cycles(), core.id(), ctx.call_id,
-                   ctx.return_index);
+    SB_TRACE_EVENT(core, TraceEventType::kVmfuncSwitch, ctx.return_index, 0);
+    SB_TRACE_EVENT(core, TraceEventType::kSpanReturn, ctx.call_id, ctx.return_index);
     return sb::OkStatus();
   }
 
@@ -185,7 +181,7 @@ class SyscallBackend : public CrossingBackend {
     kernel_->ChargeIpcLogic(core, /*fastpath=*/true);
     SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.server->process));
     kernel_->SyscallExit(core);
-    SB_TRACE_EVENT(TraceEventType::kSpanVmfunc, core.cycles(), core.id(), ctx.call_id, 0);
+    SB_TRACE_EVENT(core, TraceEventType::kSpanVmfunc, ctx.call_id, 0);
     return sb::OkStatus();
   }
 
@@ -195,7 +191,7 @@ class SyscallBackend : public CrossingBackend {
     kernel_->ChargeIpcLogic(core, /*fastpath=*/true);
     SB_RETURN_IF_ERROR(kernel_->ContextSwitchTo(core, ctx.proc));
     kernel_->SyscallExit(core);
-    SB_TRACE_EVENT(TraceEventType::kSpanReturn, core.cycles(), core.id(), ctx.call_id, 0);
+    SB_TRACE_EVENT(core, TraceEventType::kSpanReturn, ctx.call_id, 0);
     return sb::OkStatus();
   }
 

@@ -99,8 +99,7 @@ sb::Status Gate::AbortServerCrash(CallContext& ctx) const {
   // syscall fastpath), then the frame pop and caller wakeup are common.
   aborted_calls_->Add();
   ctx.backend->RecordAbort();
-  SB_TRACE_EVENT(TraceEventType::kCallAborted, core.cycles(), core.id(), ctx.proc->pid(),
-                 ctx.server->process->pid());
+  SB_TRACE_EVENT(core, TraceEventType::kCallAborted, ctx.proc->pid(), ctx.server->process->pid());
   SB_LOG(kDebug) << "handler crash " << sb::kv("client", ctx.proc->pid())
                  << " " << sb::kv("server", ctx.server->process->pid());
   SB_RETURN_IF_ERROR(ctx.backend->Abort(ctx));
@@ -196,7 +195,7 @@ Gate::Completion Gate::DrainEntry(CallContext& ctx, const BatchRingView& ring, u
   (void)core.TouchData(ring.DescVa(token), BatchRingView::kDescBytes, true);
   const BatchRingView::Desc desc = ring.LoadDesc(token);
   const std::span<uint8_t> payload = ring.Payload(token);
-  SB_TRACE_EVENT(TraceEventType::kBatchDrain, core.cycles(), core.id(), desc.call_id, token);
+  SB_TRACE_EVENT(core, TraceEventType::kBatchDrain, desc.call_id, token);
   if (desc.req_len > payload.size()) {
     // The client wrote a request longer than its entry's span: fail the
     // entry before any handler sees bytes past it.
@@ -216,13 +215,12 @@ Gate::Completion Gate::DrainEntry(CallContext& ctx, const BatchRingView& ring, u
   mk::CallEnv env{*kernel_, core, *server.process, request};
   env.reply_buffer = payload;
   env.reply_buffer_va = ring.PayloadVa(token);
-  SB_TRACE_EVENT(TraceEventType::kHandlerEnter, core.cycles(), core.id(), server.process->pid());
+  SB_TRACE_EVENT(core, TraceEventType::kHandlerEnter, server.process->pid(), 0);
   mk::Message reply = [&] {
     OutsideGate outside(ctx);
     return server.handler(env);
   }();
-  SB_TRACE_EVENT(TraceEventType::kHandlerExit, core.cycles(), core.id(), server.process->pid(),
-                 0);
+  SB_TRACE_EVENT(core, TraceEventType::kHandlerExit, server.process->pid(), 0);
 
   // Per-entry return gate: the reply must live within (or fit into) the
   // ENTRY's payload span. A borrowed descriptor that escapes it is corrupt,

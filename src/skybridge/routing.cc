@@ -107,15 +107,15 @@ Binding* RouteTable::Lookup(mk::Thread* caller, ServerId server) {
     Binding* cached = static_cast<Binding*>(cache.route);
     if (cached->client == caller->process()) {
       lookup_hits_->Add();
-      SB_TRACE_EVENT(TraceEventType::kLookupHit, core.cycles(), core.id(),
-                     caller->process()->pid(), server);
+      SB_TRACE_EVENT(core, TraceEventType::kLookupHit, caller->process()->pid(), server);
       return cached;
     }
   }
   lookup_misses_->Add();
   Binding* binding = index_.Find(caller->process(), server);
-  SB_TRACE_EVENT(binding != nullptr ? TraceEventType::kLookupHit : TraceEventType::kLookupMiss,
-                 core.cycles(), core.id(), caller->process()->pid(), server);
+  SB_TRACE_EVENT(core,
+                 binding != nullptr ? TraceEventType::kLookupHit : TraceEventType::kLookupMiss,
+                 caller->process()->pid(), server);
   if (binding != nullptr) {
     cache.key = server;
     cache.route = binding;
@@ -196,8 +196,7 @@ sb::StatusOr<uint32_t> RouteTable::EnsureResident(hw::Core& core, uint64_t ept_i
     if (victim == kNoEptpSlot) {
       return sb::ResourceExhausted("every EPTP slot is pinned or active");
     }
-    SB_TRACE_EVENT(TraceEventType::kEptEvict, core.cycles(), core.id(), cache.ids[victim],
-                   victim);
+    SB_TRACE_EVENT(core, TraceEventType::kEptEvict, cache.ids[victim], victim);
     if (core.Vmcall(static_cast<uint64_t>(vmm::Hypercall::kEptpListReplace), victim, ept_id) ==
         vmm::kHypercallError) {
       return sb::Internal("EPTP slot replace refused");
@@ -208,7 +207,7 @@ sb::StatusOr<uint32_t> RouteTable::EnsureResident(hw::Core& core, uint64_t ept_i
   cache.ids[slot] = ept_id;
   cache.Stamp(slot);
   slot_installs_->Add();
-  SB_TRACE_EVENT(TraceEventType::kEptInstall, core.cycles(), core.id(), ept_id, slot);
+  SB_TRACE_EVENT(core, TraceEventType::kEptInstall, ept_id, slot);
   return slot;
 }
 
@@ -258,7 +257,7 @@ void RouteTable::EvictResidency(hw::Core& core, uint64_t ept_id) {
       vmm::kHypercallError) {
     return;
   }
-  SB_TRACE_EVENT(TraceEventType::kEptEvict, core.cycles(), core.id(), ept_id, slot);
+  SB_TRACE_EVENT(core, TraceEventType::kEptEvict, ept_id, slot);
   slot_evictions_->Add();
   cache.ids[slot] = 0;
   cache.Stamp(slot);
@@ -308,8 +307,7 @@ sb::Status RouteTable::Revoke(mk::Process* client, ServerId server) {
     ++generation_;  // Drop cached routes.
     bindings_revoked_->Add();
     hw::Core& core = kernel_->machine().core(0);
-    SB_TRACE_EVENT(TraceEventType::kBindingRevoked, core.cycles(), core.id(), client->pid(),
-                   server);
+    SB_TRACE_EVENT(core, TraceEventType::kBindingRevoked, client->pid(), server);
     SB_LOG(kDebug) << "binding revoked " << sb::kv("client", client->pid())
                    << " " << sb::kv("server", server);
   }
@@ -373,7 +371,7 @@ void RouteTable::SweepRevoked(mk::Process* client) {
 }
 
 void RouteTable::FaultEvict(hw::Core& core, Binding& binding) {
-  SB_TRACE_EVENT(TraceEventType::kEptEvict, core.cycles(), core.id(), binding.server,
+  SB_TRACE_EVENT(core, TraceEventType::kEptEvict, binding.server,
                  ResidentSlot(core.id(), binding.ept_id));
   // Skips pinned/active slots, exactly like a concurrent eviction would
   // have to.

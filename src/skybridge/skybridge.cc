@@ -6,7 +6,6 @@
 
 #include "src/base/faultpoint.h"
 #include "src/base/logging.h"
-#include "src/base/telemetry/span.h"
 #include "src/base/telemetry/trace.h"
 #include "src/mk/notification.h"
 #include "src/vmm/rootkernel.h"
@@ -61,7 +60,6 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
   metrics_.snapshot_restores = &reg.GetCounter("skybridge.registration.snapshot_restores");
   metrics_.pages_rescanned = &reg.GetCounter("skybridge.registration.pages_rescanned");
   phase_exec_fault_ = &reg.GetHistogram("skybridge.phase.exec_fault");
-  sb::telemetry::InstallTraceCrashDump();
   // Exec-violation exits (lazy registration's rewrite-on-first-execute) land
   // here via Rootkernel -> mk fault delivery.
   kernel.SetExecFaultHandler(
@@ -168,9 +166,9 @@ sb::StatusOr<mk::Message> SkyBridge::CallCommon(mk::Thread* caller, ServerId ser
   // Cycles the call charges outside a named bucket are gate overhead.
   hw::CycleScope gate_scope(*ctx.core, hw::Bucket::kGate);
   ctx.ledger_before = ctx.core->ledger();
-  ctx.call_id = sb::telemetry::TakeCallId();
-  SB_TRACE_EVENT(TraceEventType::kCallStart, ctx.core->cycles(), ctx.core->id(),
-                 ctx.proc->pid(), ctx.server->process->pid());
+  ctx.call_id = ctx.core->trace().TakeCallId();
+  SB_TRACE_EVENT(*ctx.core, TraceEventType::kCallStart, ctx.proc->pid(),
+                 ctx.server->process->pid());
 
   SB_RETURN_IF_ERROR(ResolveRoute(ctx));
   SB_RETURN_IF_ERROR(PrepareRequest(ctx, msg_in, inplace_tag, inplace_len, in_place));
@@ -199,8 +197,7 @@ sb::Status SkyBridge::ResolveRoute(CallContext& ctx) {
     // Unregistered caller: the trampoline has no binding EPT to switch to;
     // the attempt is rejected and the kernel notified.
     metrics_.rejected_calls->Add();
-    SB_TRACE_EVENT(TraceEventType::kRejected, core.cycles(), core.id(), ctx.proc->pid(),
-                   ctx.server->process->pid());
+    SB_TRACE_EVENT(core, TraceEventType::kRejected, ctx.proc->pid(), ctx.server->process->pid());
     SB_LOG(kDebug) << "call rejected " << sb::kv("client", ctx.proc->pid())
                    << " " << sb::kv("server", ctx.server->process->pid())
                    << " " << sb::kv("reason", "unregistered");
@@ -211,8 +208,7 @@ sb::Status SkyBridge::ResolveRoute(CallContext& ctx) {
     // gate drain normally (the sweep waits for them).
     metrics_.revoked_rejections->Add();
     metrics_.rejected_calls->Add();
-    SB_TRACE_EVENT(TraceEventType::kRejected, core.cycles(), core.id(), ctx.proc->pid(),
-                   ctx.server->process->pid());
+    SB_TRACE_EVENT(core, TraceEventType::kRejected, ctx.proc->pid(), ctx.server->process->pid());
     SB_LOG(kDebug) << "call rejected " << sb::kv("client", ctx.proc->pid())
                    << " " << sb::kv("server", ctx.server->process->pid())
                    << " " << sb::kv("reason", "revoked");
@@ -317,8 +313,7 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
         metrics_.rejected_calls->Add();
         return slot_or.status();
       }
-      SB_TRACE_EVENT(TraceEventType::kSlotFault, core.cycles(), core.id(), ctx.route->ept_id,
-                     *slot_or);
+      SB_TRACE_EVENT(core, TraceEventType::kSlotFault, ctx.route->ept_id, *slot_or);
       slot = *slot_or;
     }
   }
@@ -369,8 +364,7 @@ sb::Status SkyBridge::ArmGate(CallContext& ctx) {
       return sb::Unavailable("EPTP slot evicted repeatedly before VMFUNC");
     }
     metrics_.stale_slot_retries->Add();
-    SB_TRACE_EVENT(TraceEventType::kStaleSlotRetry, core.cycles(), core.id(),
-                   ctx.server->process->pid(), attempt);
+    SB_TRACE_EVENT(core, TraceEventType::kStaleSlotRetry, ctx.server->process->pid(), attempt);
     core.AdvanceCycles(kStaleBackoffCycles << attempt);
     kernel_->SyscallEnter(core);
     const auto rearm = routes_.EnsureResident(core, ctx.route->ept_id, /*faultable=*/false);
@@ -396,8 +390,7 @@ sb::StatusOr<mk::Message> SkyBridge::ServeAndReturn(CallContext& ctx) {
   // Calling-key check against the server's table (Section 4.4).
   if (!gate_.CheckCallingKey(ctx)) {
     metrics_.rejected_calls->Add();
-    SB_TRACE_EVENT(TraceEventType::kRejected, core.cycles(), core.id(), ctx.proc->pid(),
-                   server.process->pid());
+    SB_TRACE_EVENT(core, TraceEventType::kRejected, ctx.proc->pid(), server.process->pid());
     SB_LOG(kDebug) << "call rejected " << sb::kv("client", ctx.proc->pid())
                    << " " << sb::kv("server", server.process->pid())
                    << " " << sb::kv("reason", "calling_key");
@@ -411,8 +404,7 @@ sb::StatusOr<mk::Message> SkyBridge::ServeAndReturn(CallContext& ctx) {
   (void)core.TouchData(stack_va + kServerStackBytes - 64, 64, true);
 
   ctx.handler_start = core.cycles();
-  SB_TRACE_EVENT(TraceEventType::kHandlerEnter, core.cycles(), core.id(),
-                 server.process->pid());
+  SB_TRACE_EVENT(core, TraceEventType::kHandlerEnter, server.process->pid(), 0);
   // Handler request view: in the default modes a long request is served as a
   // borrowed view over the slice — the handler reads the shared buffer, not
   // a copied-out vector. The legacy two-copy ablation keeps the owned copy.
@@ -442,15 +434,13 @@ sb::StatusOr<mk::Message> SkyBridge::ServeAndReturn(CallContext& ctx) {
     (void)RevokeBinding(ctx.proc, ctx.server_id);
   }
   ctx.timed_out = core.cycles() - ctx.handler_start > kHandlerTimeoutCycles;
-  SB_TRACE_EVENT(TraceEventType::kHandlerExit, core.cycles(), core.id(), server.process->pid(),
-                 ctx.timed_out ? 1 : 0);
+  SB_TRACE_EVENT(core, TraceEventType::kHandlerExit, server.process->pid(), ctx.timed_out ? 1 : 0);
 
   const Gate::ReplyVerdict verdict = gate_.ClassifyReply(ctx, reply);
   if (verdict.corrupt && !ctx.timed_out) {
     metrics_.gate_rejections->Add();
     metrics_.rejected_calls->Add();
-    SB_TRACE_EVENT(TraceEventType::kRejected, core.cycles(), core.id(), ctx.proc->pid(),
-                   server.process->pid());
+    SB_TRACE_EVENT(core, TraceEventType::kRejected, ctx.proc->pid(), server.process->pid());
     SB_LOG(kDebug) << "reply rejected at the return gate " << sb::kv("client", ctx.proc->pid())
                    << " " << sb::kv("server", server.process->pid());
     SB_RETURN_IF_ERROR(gate_.ReturnToEntry(ctx));
@@ -465,8 +455,7 @@ sb::StatusOr<mk::Message> SkyBridge::ServeAndReturn(CallContext& ctx) {
       // leave the core in the server's EPT view with the client resumed.
       metrics_.gate_rejections->Add();
       metrics_.rejected_calls->Add();
-      SB_TRACE_EVENT(TraceEventType::kRejected, core.cycles(), core.id(), ctx.proc->pid(),
-                     server.process->pid());
+      SB_TRACE_EVENT(core, TraceEventType::kRejected, ctx.proc->pid(), server.process->pid());
       SB_RETURN_IF_ERROR(gate_.ReturnToEntry(ctx));
       gate_.RecordPhases(ctx);
       return sb::OutOfRange("reply exceeds shared buffer");
@@ -503,16 +492,14 @@ sb::StatusOr<mk::Message> SkyBridge::ServeAndReturn(CallContext& ctx) {
   }
   if (ctx.timed_out) {
     metrics_.timeouts->Add();
-    SB_TRACE_EVENT(TraceEventType::kTimeout, core.cycles(), core.id(),
-                   server.process->pid());
+    SB_TRACE_EVENT(core, TraceEventType::kTimeout, server.process->pid(), 0);
     SB_LOG(kDebug) << "call timeout " << sb::kv("client", ctx.proc->pid())
                    << " " << sb::kv("server", server.process->pid());
     gate_.RecordPhases(ctx);
     return sb::TimeoutError("server handler exceeded the SkyBridge timeout");
   }
   metrics_.direct_calls->Add();
-  SB_TRACE_EVENT(TraceEventType::kCallEnd, core.cycles(), core.id(), ctx.proc->pid(),
-                 server.process->pid());
+  SB_TRACE_EVENT(core, TraceEventType::kCallEnd, ctx.proc->pid(), server.process->pid());
   gate_.RecordPhases(ctx);
   return reply;
 }
@@ -568,7 +555,7 @@ sb::StatusOr<uint64_t> SkyBridge::SubmitCall(mk::Thread* caller, ServerId server
   }
   hw::Core& core = kernel_->machine().core(caller->core_id());
   const uint64_t token = conn->sq_tail++;
-  const uint64_t call_id = sb::telemetry::TakeCallId();
+  const uint64_t call_id = core.trace().TakeCallId();
   // Client-side submit: payload into the entry's span, then the descriptor
   // line, then the published tail. No crossing, no syscall.
   if (msg.size() > 0) {
@@ -579,7 +566,7 @@ sb::StatusOr<uint64_t> SkyBridge::SubmitCall(mk::Thread* caller, ServerId server
   ring.PublishTail(conn->sq_tail);
   conn->slot_token[slot] = token;
   metrics_.batched_calls->Add();
-  SB_TRACE_EVENT(TraceEventType::kBatchEnqueue, core.cycles(), core.id(), call_id, token);
+  SB_TRACE_EVENT(core, TraceEventType::kBatchEnqueue, call_id, token);
   return token;
 }
 
@@ -617,7 +604,7 @@ sb::StatusOr<mk::Message> SkyBridge::ReapCompletion(mk::Thread* caller, ServerId
   if (desc.status == 0) {
     return sb::Unavailable("completion pending; flush the batch");
   }
-  SB_TRACE_EVENT(TraceEventType::kBatchPoll, core.cycles(), core.id(), desc.call_id, token);
+  SB_TRACE_EVENT(core, TraceEventType::kBatchPoll, desc.call_id, token);
   // Reap: free the slot, so a second poll of the same token is an explicit
   // error, not a stale replay.
   owner = kFreeSlot;
@@ -705,11 +692,9 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
   ctx.ledger_before = core.ledger();
   // A crossing is never pre-announced: a parked id belongs to the next
   // submission, not to a flush that runs before it (a full ring's drain).
-  ctx.call_id = sb::telemetry::AllocCallId();
-  SB_TRACE_EVENT(TraceEventType::kCallStart, core.cycles(), core.id(), ctx.proc->pid(),
-                 ctx.server->process->pid());
-  SB_TRACE_EVENT(TraceEventType::kBatchFlushStart, core.cycles(), core.id(), ctx.call_id,
-                 pending);
+  ctx.call_id = core.trace().AllocCallId();
+  SB_TRACE_EVENT(core, TraceEventType::kCallStart, ctx.proc->pid(), ctx.server->process->pid());
+  SB_TRACE_EVENT(core, TraceEventType::kBatchFlushStart, ctx.call_id, pending);
   SB_RETURN_IF_ERROR(ResolveRoute(ctx));
   ctx.slice = conn->slice;
   // The flush itself carries no payload — the requests are already in the
@@ -748,8 +733,7 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
   if (outcome.crashed) {
     // Handler died mid-drain. Entries it completed (including the Aborted
     // one) are posted; untouched entries stay pending for the next flush.
-    SB_TRACE_EVENT(TraceEventType::kBatchFlushEnd, core.cycles(), core.id(), ctx.call_id,
-                   outcome.completed);
+    SB_TRACE_EVENT(core, TraceEventType::kBatchFlushEnd, ctx.call_id, outcome.completed);
     const sb::Status abort = gate_.AbortServerCrash(ctx);
     if (conn->wait_armed && outcome.completed > 0) {
       conn->wait_armed = false;
@@ -760,10 +744,8 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
   SB_RETURN_IF_ERROR(gate_.ReturnToEntry(ctx));
   gate_.VerifyReturnKey(ctx);
   gate_.RecordPhases(ctx);
-  SB_TRACE_EVENT(TraceEventType::kBatchFlushEnd, core.cycles(), core.id(), ctx.call_id,
-                 outcome.completed);
-  SB_TRACE_EVENT(TraceEventType::kCallEnd, core.cycles(), core.id(), ctx.proc->pid(),
-                 ctx.server->process->pid());
+  SB_TRACE_EVENT(core, TraceEventType::kBatchFlushEnd, ctx.call_id, outcome.completed);
+  SB_TRACE_EVENT(core, TraceEventType::kCallEnd, ctx.proc->pid(), ctx.server->process->pid());
   if (conn->wait_armed && outcome.completed > 0) {
     // Completion notification: one Signal per crossing, only when a waiter
     // parked — the poll-only fast path never pays the syscall.

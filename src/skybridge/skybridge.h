@@ -21,8 +21,8 @@
 // is the facade that drives one typed CallContext through them:
 //
 //   routing.h  — binding records, (client, server) hash index, per-thread
-//                last-route cache, intrusive LRU, EPTP-slot caches; the
-//                read-mostly route table (epoch-versioned for revocation).
+//                last-route cache, per-core EPTP slot rows; the read-mostly
+//                route table (epoch-versioned for revocation).
 //   gate.h     — VMFUNC entry/return legs, trampoline cost model, calling
 //                keys, abort/unwind, return-gate reply validation, phases.
 //   buffers.h  — shared-buffer regions and per-connection slice carving.

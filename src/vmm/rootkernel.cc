@@ -108,8 +108,8 @@ sb::StatusOr<uint64_t> Rootkernel::CreateBindingEpt(hw::Gpa client_cr3, hw::Gpa 
   epts_.push_back(std::move(copy));
   metrics_.epts_created->Add();
   metrics_.ept_pages->Set(frames_.allocated_frames());
-  SB_TRACE_EVENT(sb::telemetry::TraceEventType::kEptInstall,
-                 machine_->core(0).cycles(), 0, epts_.size() - 1);
+  SB_TRACE_EVENT(machine_->core(0), sb::telemetry::TraceEventType::kEptInstall,
+                 epts_.size() - 1, 0);
   return epts_.size() - 1;
 }
 
@@ -170,8 +170,7 @@ uint64_t Rootkernel::HandleExit(hw::Core& core, const hw::VmExitInfo& info) {
       return 0;
     case hw::VmExitReason::kVmcall:
       metrics_.vmcall_exits->Add();
-      SB_TRACE_EVENT(sb::telemetry::TraceEventType::kVmcall, core.cycles(), core.id(),
-                     info.qualification);
+      SB_TRACE_EVENT(core, sb::telemetry::TraceEventType::kVmcall, info.qualification, 0);
       return HandleVmcall(core, info);
     case hw::VmExitReason::kEptViolation:
       metrics_.ept_violation_exits->Add();

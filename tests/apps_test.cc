@@ -298,7 +298,8 @@ TEST_P(KvWiringTest, QueryBatchKeepsACorruptReplyRejected) {
   }
   KvEnv env = MakeKv(GetParam());
   ASSERT_TRUE(env.pipeline->Insert("k", "v").ok());
-  const uint64_t queries = env.pipeline->stats().queries;
+  const sb::telemetry::Registry& reg = env.machine->telemetry();
+  const uint64_t queries = reg.Value("apps.kv.queries");
   // Hit 1 is the return gate of the nested encrypt -> kv call, hit 2 the
   // batch entry's.
   sb::fault::FaultSpec spec;
@@ -312,14 +313,16 @@ TEST_P(KvWiringTest, QueryBatchKeepsACorruptReplyRejected) {
   EXPECT_EQ(values[0].status().code(), sb::ErrorCode::kOutOfRange) << values[0].status().ToString();
   EXPECT_EQ(gate.fires, 1u);
   EXPECT_EQ(gate.hits, 2u);                                  // No retry reached a third gate.
-  EXPECT_EQ(env.pipeline->stats().queries, queries + 1);  // The store ran once.
+  EXPECT_EQ(reg.Value("apps.kv.queries"), queries + 1);  // The store ran once.
 }
 
 TEST_P(KvWiringTest, MalformedRequestsGetTagZeroAndLeaveTheStoreAlone) {
   KvEnv env = MakeKv(GetParam());
   KvPipeline& kv = *env.pipeline;
   ASSERT_TRUE(kv.Insert("k", "v").ok());
-  const KvStats before = kv.stats();
+  const sb::telemetry::Registry& reg = env.machine->telemetry();
+  const uint64_t inserts = reg.Value("apps.kv.inserts");
+  const uint64_t queries = reg.Value("apps.kv.queries");
   const std::vector<std::vector<uint8_t>> malformed = {
       KvRequestBytes(0xFFFFFFFDu, 16), KvRequestBytes(16 - 3, 16), std::vector<uint8_t>(2, 0)};
   for (const uint64_t op : {uint64_t{1}, uint64_t{2}}) {  // insert, query
@@ -332,8 +335,8 @@ TEST_P(KvWiringTest, MalformedRequestsGetTagZeroAndLeaveTheStoreAlone) {
       EXPECT_EQ(fwd->tag, 0u) << op << " " << p.size();
     }
   }
-  EXPECT_EQ(kv.stats().inserts, before.inserts);
-  EXPECT_EQ(kv.stats().queries, before.queries);
+  EXPECT_EQ(reg.Value("apps.kv.inserts"), inserts);
+  EXPECT_EQ(reg.Value("apps.kv.queries"), queries);
   EXPECT_EQ(KvPipelineTestPeer::StoreSize(kv), 1u);
   EXPECT_FALSE(KvPipelineTestPeer::Stores(kv, ""));
 }

@@ -533,6 +533,43 @@ TEST(Database, HostileLeafKeyCountIsDataLoss) {
   EXPECT_EQ((*table)->Query(7).status().code(), sb::ErrorCode::kDataLoss);
 }
 
+// A child pointer the fs turned back to its own page must fail the lookup
+// and the scan with DataLoss, not send the descent round the cycle forever.
+TEST(Database, HostileChildCycleIsDataLoss) {
+  DirectFs env;
+  {
+    auto db = Database::Open(&env.client, "/cycle.db");
+    ASSERT_TRUE(db.ok());
+    auto table = (*db)->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    for (uint64_t k = 0; k < 40; ++k) {
+      ASSERT_TRUE((*table)->Insert(k, Value("row")).ok());
+    }
+  }
+  auto inum = env.client.Open("/cycle.db");
+  ASSERT_TRUE(inum.ok());
+  auto catalog = env.client.Read(*inum, 0, kDbPageSize);
+  ASSERT_TRUE(catalog.ok());
+  uint32_t root = 0;
+  std::memcpy(&root, catalog->data() + 8 + 16, 4);
+  ASSERT_NE(root, 0u);
+  // 40 rows overflow one leaf, so the root is internal: its 8-byte header,
+  // then child 0.
+  auto root_page = env.client.Read(*inum, root * kDbPageSize, kDbPageSize);
+  ASSERT_TRUE(root_page.ok());
+  ASSERT_EQ((*root_page)[0], 2);  // Internal page type.
+  uint8_t self[4];
+  std::memcpy(self, &root, 4);
+  ASSERT_TRUE(env.client.Write(*inum, root * kDbPageSize + 8, self).ok());
+
+  auto db = Database::Open(&env.client, "/cycle.db");
+  ASSERT_TRUE(db.ok());
+  auto table = (*db)->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->Query(0).status().code(), sb::ErrorCode::kDataLoss);
+  EXPECT_EQ((*table)->Scan(0, UINT64_MAX).status().code(), sb::ErrorCode::kDataLoss);
+}
+
 TEST(Database, QueryUsesRowCache) {
   DirectFs env;
   auto db = Database::Open(&env.client, "/c.db");

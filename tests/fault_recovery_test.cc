@@ -34,11 +34,7 @@ using sb::kGiB;
 class FaultRecoveryTest : public CrossingGridTest {
  protected:
   void SetUp() override { sb::fault::DisarmAll(); }
-  void TearDown() override {
-    sb::fault::DisarmAll();
-    sb::telemetry::SetTraceEnabled(false);
-    sb::telemetry::TraceClear();
-  }
+  void TearDown() override { sb::fault::DisarmAll(); }
 
   void Boot(SkyBridgeConfig config = {}, const mk::KernelProfile& profile = mk::Sel4Profile()) {
     Apply(config);
@@ -157,12 +153,11 @@ TEST_P(FaultRecoveryTest, HandlerCrashEmitsAbortTraceEvent) {
   Pair p = MakePair(EchoHandler());
   ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   sb::fault::Arm(kFaultHandlerCrash);
-  sb::telemetry::TraceClear();
-  sb::telemetry::SetTraceEnabled(true);
+  machine_->trace().SetEnabled(true);
   ASSERT_FALSE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
-  sb::telemetry::SetTraceEnabled(false);
+  machine_->trace().SetEnabled(false);
   bool saw_abort = false;
-  for (const auto& r : sb::telemetry::TraceSnapshot()) {
+  for (const auto& r : machine_->trace().Snapshot()) {
     if (r.type == sb::telemetry::TraceEventType::kCallAborted) {
       saw_abort = true;
       EXPECT_EQ(r.arg0, static_cast<uint64_t>(p.client->pid()));

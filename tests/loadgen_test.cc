@@ -245,13 +245,11 @@ TEST(LoadGenRun, TracedBatchedRunGivesEveryOpTheFullSpanChain) {
       target.poll = nullptr;
     }
     LoadGenerator gen(*w.machine, config, target);
-    sb::telemetry::TraceClear();
-    sb::telemetry::SetTraceEnabled(true);
+    w.machine->trace().SetEnabled(true);
     const auto report = gen.Run();
-    sb::telemetry::SetTraceEnabled(false);
+    w.machine->trace().SetEnabled(false);
     const std::vector<sb::telemetry::CallSpan> spans =
-        sb::telemetry::BuildSpans(sb::telemetry::TraceSnapshot());
-    sb::telemetry::TraceClear();
+        sb::telemetry::BuildSpans(w.machine->trace().Snapshot());
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     ASSERT_EQ(report->completed, kOps);
     EXPECT_LT(report->batch_flushes, report->completed);

@@ -15,7 +15,6 @@
 
 #include "src/base/faultpoint.h"
 #include "src/base/rng.h"
-#include "src/base/telemetry/trace.h"
 #include "src/vmm/rootkernel.h"
 
 namespace skybridge {
@@ -30,11 +29,7 @@ using sb::kGiB;
 class BatchTest : public ::testing::Test {
  protected:
   void SetUp() override { sb::fault::DisarmAll(); }
-  void TearDown() override {
-    sb::fault::DisarmAll();
-    sb::telemetry::SetTraceEnabled(false);
-    sb::telemetry::TraceClear();
-  }
+  void TearDown() override { sb::fault::DisarmAll(); }
 
   void Boot(SkyBridgeConfig config = {}) {
     sky_.reset();

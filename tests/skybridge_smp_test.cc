@@ -374,9 +374,10 @@ WorldReport RunWorld(RegistrationMode mode) {
 }
 
 // A machine belongs to one host thread, and only process-global state (fault
-// points, trace rings, call ids, logging) is shared between machines: two
-// worlds run on two host threads report exactly what they report when run one
-// after the other. Under ThreadSanitizer this is the cross-machine race check.
+// points, logging and the pool of freed RAM chunks) is shared between
+// machines: two worlds run on two host threads report exactly what they
+// report when run one after the other. Under ThreadSanitizer this is the
+// cross-machine race check.
 TEST(CrossMachine, TwoWorldsOnTwoHostThreadsMatchSerialRuns) {
   const WorldReport serial_eager = RunWorld(RegistrationMode::kEager);
   const WorldReport serial_lazy = RunWorld(RegistrationMode::kLazy);

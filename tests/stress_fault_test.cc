@@ -94,9 +94,6 @@ class StressScenario {
 
   ScenarioResult Run() {
     sb::fault::DisarmAll();
-    sb::telemetry::TraceClear();
-    sb::telemetry::SetTraceEnabled(true);
-
     BuildWorld();
     SweepCatalog();
     RandomizedInterleavings();
@@ -104,10 +101,10 @@ class StressScenario {
     SqlitePhase();
 
     sb::fault::DisarmAll();
-    sb::telemetry::SetTraceEnabled(false);
+    machine_->trace().SetEnabled(false);
 
     ScenarioResult result;
-    result.trace_json = sb::telemetry::TraceChromeJson(sb::telemetry::TraceSnapshot());
+    result.trace_json = sb::telemetry::TraceChromeJson(machine_->trace().Snapshot());
     result.counters = CounterFingerprint();
     result.fires = fires_;
     for (const CrossingBackendKind backend :
@@ -117,7 +114,6 @@ class StressScenario {
       result.crossing_enters[name] =
           machine_->telemetry().Value("skybridge.crossing." + name + ".enters");
     }
-    sb::telemetry::TraceClear();
     return result;
   }
 
@@ -127,6 +123,7 @@ class StressScenario {
     mc.num_cores = 4;
     mc.ram_bytes = 4 * kGiB;
     machine_ = std::make_unique<hw::Machine>(mc);
+    machine_->trace().SetEnabled(true);
     kernel_ = std::make_unique<mk::Kernel>(*machine_, mk::Sel4Profile());
     SB_CHECK(kernel_->Boot().ok());
     sky_ = std::make_unique<SkyBridge>(*kernel_);
@@ -627,7 +624,8 @@ class StressScenario {
           "skybridge.ipc.drain_rounds", "vmm.aborts", "skybridge.eptp.slot_faults"}) {
       out << name << "=" << reg.Value(name) << " ";
     }
-    out << "kv_inserts=" << kv_->stats().inserts << " kv_queries=" << kv_->stats().queries
+    out << "kv_inserts=" << reg.Value("apps.kv.inserts")
+        << " kv_queries=" << reg.Value("apps.kv.queries")
         << " sqlite_stale_retries=" << sqlite_stale_retries_
         << " thrash_slot_faults=" << thrash_slot_faults_;
     for (const auto& [point, fires] : fires_) {
@@ -687,7 +685,6 @@ class StressFaultTest : public ::testing::Test {
 
   void TearDown() override {
     sb::fault::DisarmAll();
-    sb::telemetry::SetTraceEnabled(false);
     // On failure, drop the replay artifact CI uploads (see ci.yml).
     const char* dir = std::getenv("SB_STRESS_ARTIFACT_DIR");
     if (HasFailure() && dir != nullptr && *dir != '\0' && !last_trace_.empty()) {
@@ -698,7 +695,6 @@ class StressFaultTest : public ::testing::Test {
       std::ofstream counters(path + ".counters.txt");
       counters << last_counters_ << "\n";
     }
-    sb::telemetry::TraceClear();
   }
 
   ScenarioResult RunScenario() {

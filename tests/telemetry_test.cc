@@ -1,6 +1,6 @@
-// Telemetry subsystem tests: the per-machine metrics registry, the per-thread
-// trace ring with its Chrome export, and the end-to-end trace of one
-// SkyBridge DirectServerCall.
+// Telemetry subsystem tests: the per-machine metrics registry, the
+// per-machine trace ring with its Chrome export, and the end-to-end trace of
+// one SkyBridge DirectServerCall.
 
 #include "src/base/telemetry/metrics.h"
 
@@ -207,6 +207,73 @@ TEST(Registry, MachinesDoNotShareMetrics) {
   EXPECT_EQ(b.telemetry().GetCounter("test.shared.name").Value(), 0u);
 }
 
+// One machine whose client on core 0 is bound to an echo server.
+struct EchoWorld {
+  EchoWorld()
+      : machine([] {
+          hw::MachineConfig mc;
+          mc.num_cores = 2;
+          mc.ram_bytes = 2ULL << 30;
+          return mc;
+        }()),
+        kernel(machine, mk::Sel4Profile()) {
+    SB_CHECK(kernel.Boot().ok());
+    sky = std::make_unique<skybridge::SkyBridge>(kernel);
+    mk::Process* client = kernel.CreateProcess("client").value();
+    mk::Process* server = kernel.CreateProcess("server").value();
+    sid = sky->RegisterServer(server, 4, [](mk::CallEnv& env) { return env.request; }).value();
+    SB_CHECK(sky->RegisterClient(client, sid).ok());
+    thread = client->AddThread(0);
+    SB_CHECK(kernel.ContextSwitchTo(machine.core(0), client).ok());
+  }
+  bool Call() { return sky->DirectServerCall(thread, sid, mk::Message(0)).ok(); }
+
+  hw::Machine machine;
+  mk::Kernel kernel;
+  std::unique_ptr<skybridge::SkyBridge> sky;
+  skybridge::ServerId sid = 0;
+  mk::Thread* thread = nullptr;
+};
+
+// The call id of the first kSpanVmfunc record, or 0.
+uint64_t FirstVmfuncCallId(const std::vector<TraceRecord>& records) {
+  for (const TraceRecord& r : records) {
+    if (r.type == TraceEventType::kSpanVmfunc) {
+      return r.arg0;
+    }
+  }
+  return 0;
+}
+
+TEST(Trace, MachinesDoNotShareTraces) {
+  EchoWorld a;
+  EchoWorld b;
+  a.machine.trace().SetEnabled(true);
+  ASSERT_TRUE(a.Call());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(b.Call());  // Untraced, but B still takes call ids 1 to 3.
+  }
+  const std::vector<TraceRecord> a_records = a.machine.trace().Snapshot();
+  EXPECT_EQ(std::count_if(a_records.begin(), a_records.end(),
+                          [](const TraceRecord& r) { return r.type == TraceEventType::kCallStart; }),
+            1);
+  EXPECT_EQ(FirstVmfuncCallId(a_records), 1u);
+  EXPECT_TRUE(b.machine.trace().Snapshot().empty());
+
+  b.machine.trace().SetEnabled(true);
+  ASSERT_TRUE(b.Call());
+  EXPECT_EQ(FirstVmfuncCallId(b.machine.trace().Snapshot()), 4u);
+  EXPECT_EQ(a.machine.trace().Snapshot().size(), a_records.size());
+}
+
+TEST(Trace, UntracedMachineHoldsNoRing) {
+  EchoWorld world;
+  ASSERT_TRUE(world.Call());
+  EXPECT_EQ(world.machine.trace().ring_capacity(), 0u);
+  world.machine.trace().SetEnabled(true);
+  EXPECT_EQ(world.machine.trace().ring_capacity(), kTraceRingCapacity);
+}
+
 TEST(Registry, ValueFoldsCountersAndGaugesWithoutRegistering) {
   Registry registry;
   registry.GetCounter("a.b.counter").Add(3);
@@ -260,40 +327,48 @@ TEST(Registry, NewSkyBridgeRegistersEveryCounter) {
   }
 }
 
-class TraceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    SetTraceEnabled(false);
-    TraceClear();
-  }
-  void TearDown() override {
-    SetTraceEnabled(false);
-    TraceClear();
-  }
+// The three members SB_TRACE_EVENT reads from a core.
+struct FakeCore {
+  Trace& trace_ref;
+  uint64_t clock = 0;
+  int core_id = 0;
+  Trace& trace() const { return trace_ref; }
+  uint64_t cycles() const { return clock; }
+  int id() const { return core_id; }
 };
 
-TEST_F(TraceTest, DisabledEmitsNothing) {
-  TraceEmit(TraceEventType::kCallStart, 100);
-  SB_TRACE_EVENT(TraceEventType::kCallStart, 200);
-  EXPECT_TRUE(TraceSnapshot().empty());
+TEST(TraceTest, DisabledEmitsNothing) {
+  Trace trace;
+  trace.Emit(TraceEventType::kCallStart, 100, 0, 0, 0);
+  FakeCore core{trace, 200};
+  SB_TRACE_EVENT(core, TraceEventType::kCallStart, 0, 0);
+  EXPECT_TRUE(trace.Snapshot().empty());
 }
 
-TEST_F(TraceTest, MacroDoesNotEvaluateArgsWhenDisabled) {
+TEST(TraceTest, MacroDoesNotEvaluateArgsWhenDisabled) {
+  Trace trace;
+  FakeCore core{trace, 300, 2};
   int evaluations = 0;
   auto count = [&evaluations] { return static_cast<uint64_t>(++evaluations); };
-  SB_TRACE_EVENT(TraceEventType::kCallStart, count());
+  SB_TRACE_EVENT(core, TraceEventType::kCallStart, count(), count());
   EXPECT_EQ(evaluations, 0);
-  SetTraceEnabled(true);
-  SB_TRACE_EVENT(TraceEventType::kCallStart, count());
-  EXPECT_EQ(evaluations, 1);
+  trace.SetEnabled(true);
+  SB_TRACE_EVENT(core, TraceEventType::kCallStart, count(), count());
+  EXPECT_EQ(evaluations, 2);
+  // The event carries the core's clock and id.
+  const std::vector<TraceRecord> records = trace.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].cycles, 300u);
+  EXPECT_EQ(records[0].core, 2u);
 }
 
-TEST_F(TraceTest, SnapshotPreservesEmissionOrder) {
-  SetTraceEnabled(true);
-  TraceEmit(TraceEventType::kCallStart, 10, 0, 1, 2);
-  TraceEmit(TraceEventType::kVmfuncSwitch, 20, 0, 3);
-  TraceEmit(TraceEventType::kCallEnd, 30, 0, 1, 2);
-  const std::vector<TraceRecord> records = TraceSnapshot();
+TEST(TraceTest, SnapshotPreservesEmissionOrder) {
+  Trace trace;
+  trace.SetEnabled(true);
+  trace.Emit(TraceEventType::kCallStart, 10, 0, 1, 2);
+  trace.Emit(TraceEventType::kVmfuncSwitch, 20, 0, 3, 0);
+  trace.Emit(TraceEventType::kCallEnd, 30, 0, 1, 2);
+  const std::vector<TraceRecord> records = trace.Snapshot();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].type, TraceEventType::kCallStart);
   EXPECT_EQ(records[0].cycles, 10u);
@@ -304,26 +379,35 @@ TEST_F(TraceTest, SnapshotPreservesEmissionOrder) {
   EXPECT_LT(records[1].seq, records[2].seq);
 }
 
-TEST_F(TraceTest, RingWrapKeepsNewestRecords) {
-  SetTraceEnabled(true);
+TEST(TraceTest, RingWrapKeepsNewestRecords) {
+  Trace trace;
+  trace.SetEnabled(true);
   const size_t total = kTraceRingCapacity + 100;
   for (size_t i = 0; i < total; ++i) {
-    TraceEmit(TraceEventType::kVmfuncSwitch, i);
+    trace.Emit(TraceEventType::kVmfuncSwitch, i, 0, 0, 0);
   }
-  const std::vector<TraceRecord> records = TraceSnapshot();
+  const std::vector<TraceRecord> records = trace.Snapshot();
   ASSERT_EQ(records.size(), kTraceRingCapacity);
   EXPECT_EQ(records.front().cycles, 100u);  // Oldest surviving.
   EXPECT_EQ(records.back().cycles, total - 1);
+  // Clear empties the ring and restarts the sequence and the call ids.
+  EXPECT_EQ(trace.AllocCallId(), 1u);
+  trace.Clear();
+  EXPECT_TRUE(trace.Snapshot().empty());
+  trace.Emit(TraceEventType::kVmfuncSwitch, 7, 0, 0, 0);
+  EXPECT_EQ(trace.Snapshot().front().seq, 0u);
+  EXPECT_EQ(trace.AllocCallId(), 1u);
 }
 
-TEST_F(TraceTest, ChromeJsonPairsSlices) {
-  SetTraceEnabled(true);
-  TraceEmit(TraceEventType::kCallStart, 100, 0, 1, 2);
-  TraceEmit(TraceEventType::kHandlerEnter, 150, 0, 2);
-  TraceEmit(TraceEventType::kHandlerExit, 250, 0, 2);
-  TraceEmit(TraceEventType::kCallEnd, 300, 0, 1, 2);
-  TraceEmit(TraceEventType::kSlotFault, 310, 0, 2);
-  const std::string json = TraceChromeJson(TraceSnapshot());
+TEST(TraceTest, ChromeJsonPairsSlices) {
+  Trace trace;
+  trace.SetEnabled(true);
+  trace.Emit(TraceEventType::kCallStart, 100, 0, 1, 2);
+  trace.Emit(TraceEventType::kHandlerEnter, 150, 0, 2, 0);
+  trace.Emit(TraceEventType::kHandlerExit, 250, 0, 2, 0);
+  trace.Emit(TraceEventType::kCallEnd, 300, 0, 1, 2);
+  trace.Emit(TraceEventType::kSlotFault, 310, 0, 2, 0);
+  const std::string json = TraceChromeJson(trace.Snapshot());
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
   EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
@@ -333,11 +417,12 @@ TEST_F(TraceTest, ChromeJsonPairsSlices) {
   EXPECT_NE(json.find("\"ts\":100"), std::string::npos);
 }
 
-TEST_F(TraceTest, DumpShowsEventNames) {
-  SetTraceEnabled(true);
-  TraceEmit(TraceEventType::kEptEvict, 42, 1, 7, 3);
+TEST(TraceTest, DumpShowsEventNames) {
+  Trace trace;
+  trace.SetEnabled(true);
+  trace.Emit(TraceEventType::kEptEvict, 42, 1, 7, 3);
   std::ostringstream out;
-  TraceDump(out);
+  trace.Dump(out);
   EXPECT_NE(out.str().find("ept_evict"), std::string::npos);
   EXPECT_NE(out.str().find("42"), std::string::npos);
 }
@@ -347,8 +432,6 @@ TEST_F(TraceTest, DumpShowsEventNames) {
 class SkyBridgeTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SetTraceEnabled(false);
-    TraceClear();
     hw::MachineConfig mc;
     mc.num_cores = 2;
     mc.ram_bytes = 2ULL << 30;
@@ -363,10 +446,6 @@ class SkyBridgeTraceTest : public ::testing::Test {
     ASSERT_TRUE(sky_->RegisterClient(client_, sid_).ok());
     thread_ = client_->AddThread(0);
     ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client_).ok());
-  }
-  void TearDown() override {
-    SetTraceEnabled(false);
-    TraceClear();
   }
 
   std::unique_ptr<hw::Machine> machine_;
@@ -393,12 +472,12 @@ TEST_F(SkyBridgeTraceTest, DirectCallEmitsCanonicalSequence) {
   // Warm call installs the binding so the traced call is the pure fast path.
   ASSERT_TRUE(sky_->DirectServerCall(thread_, sid_, mk::Message(1)).ok());
 
-  TraceClear();
-  SetTraceEnabled(true);
+  Trace& trace = machine_->trace();
+  trace.SetEnabled(true);
   ASSERT_TRUE(sky_->DirectServerCall(thread_, sid_, mk::Message(2)).ok());
-  SetTraceEnabled(false);
+  trace.SetEnabled(false);
 
-  const std::vector<TraceRecord> records = TraceSnapshot();
+  const std::vector<TraceRecord> records = trace.Snapshot();
   ASSERT_FALSE(records.empty());
 
   // lookup -> vmfunc -> handler enter -> handler exit -> vmfunc-return,
@@ -444,11 +523,11 @@ TEST_F(SkyBridgeTraceTest, TracingChargesNoSimulatedCycles) {
   ASSERT_TRUE(sky_->DirectServerCall(thread_, sid_, mk::Message(0)).ok());
   const uint64_t cycles_off = core.cycles() - start;
 
-  SetTraceEnabled(true);
+  machine_->trace().SetEnabled(true);
   start = core.cycles();
   ASSERT_TRUE(sky_->DirectServerCall(thread_, sid_, mk::Message(0)).ok());
   const uint64_t cycles_on = core.cycles() - start;
-  SetTraceEnabled(false);
+  machine_->trace().SetEnabled(false);
   EXPECT_EQ(cycles_on, cycles_off);
 }
 
@@ -542,8 +621,8 @@ size_t IndexOfCall(const std::vector<TraceRecord>& records, TraceEventType type,
 
 TEST_F(SkyBridgeTraceTest, BatchEventsCarryTokenThroughThePipeline) {
   ASSERT_TRUE(sky_->DirectServerCall(thread_, sid_, mk::Message(1)).ok());  // Warm binding.
-  TraceClear();
-  SetTraceEnabled(true);
+  Trace& trace = machine_->trace();
+  trace.SetEnabled(true);
   const auto t0 = sky_->SubmitCall(thread_, sid_, mk::Message(10));
   const auto t1 = sky_->SubmitCall(thread_, sid_, mk::Message(11));
   ASSERT_TRUE(t0.ok());
@@ -551,9 +630,9 @@ TEST_F(SkyBridgeTraceTest, BatchEventsCarryTokenThroughThePipeline) {
   ASSERT_TRUE(sky_->FlushBatch(thread_, sid_).ok());
   ASSERT_TRUE(sky_->PollCompletion(thread_, sid_, *t0).ok());
   ASSERT_TRUE(sky_->PollCompletion(thread_, sid_, *t1).ok());
-  SetTraceEnabled(false);
+  trace.SetEnabled(false);
 
-  const std::vector<TraceRecord> records = TraceSnapshot();
+  const std::vector<TraceRecord> records = trace.Snapshot();
   // The first enqueue names the op by (call id, ring token); the same pair
   // reappears at drain (inside the crossing) and at poll.
   const size_t enq = IndexOf(records, TraceEventType::kBatchEnqueue);
@@ -588,13 +667,13 @@ TEST_F(SkyBridgeTraceTest, BatchEventsCarryTokenThroughThePipeline) {
 // trace export alone, keyed by call id, with the crossing's legs inherited.
 TEST_F(SkyBridgeTraceTest, BatchedSpanTreeReconstructsFromChromeExport) {
   ASSERT_TRUE(sky_->DirectServerCall(thread_, sid_, mk::Message(1)).ok());
-  TraceClear();
-  SetTraceEnabled(true);
+  Trace& trace = machine_->trace();
+  trace.SetEnabled(true);
   // The load generator's arrival hook, inlined: allocate the id at the
   // intended arrival and park it for the next submission to adopt.
-  const uint64_t call_id = AllocCallId();
-  TraceEmit(TraceEventType::kSpanArrival, machine_->core(0).cycles(), 0, call_id, 42);
-  SetPendingCallId(call_id);
+  const uint64_t call_id = trace.AllocCallId();
+  trace.Emit(TraceEventType::kSpanArrival, machine_->core(0).cycles(), 0, call_id, 42);
+  trace.SetPendingCallId(call_id);
   const auto t0 = sky_->SubmitCall(thread_, sid_, mk::Message(42));
   const auto t1 = sky_->SubmitCall(thread_, sid_, mk::Message(43));  // Same crossing.
   ASSERT_TRUE(t0.ok());
@@ -602,10 +681,10 @@ TEST_F(SkyBridgeTraceTest, BatchedSpanTreeReconstructsFromChromeExport) {
   ASSERT_TRUE(sky_->FlushBatch(thread_, sid_).ok());
   ASSERT_TRUE(sky_->PollCompletion(thread_, sid_, *t0).ok());
   ASSERT_TRUE(sky_->PollCompletion(thread_, sid_, *t1).ok());
-  SetTraceEnabled(false);
+  trace.SetEnabled(false);
 
   // Round-trip through the export: JSON out, records back, spans up.
-  const std::string json = TraceChromeJson(TraceSnapshot());
+  const std::string json = TraceChromeJson(trace.Snapshot());
   const std::vector<TraceRecord> parsed = ParseChromeTrace(json);
   ASSERT_FALSE(parsed.empty());
   const std::vector<CallSpan> spans = BuildSpans(parsed);
@@ -667,15 +746,11 @@ void SelfFailingHook() {
 }
 
 // Saves and restores the process-global hook so these tests compose with
-// the SkyBridge fixtures (which install the trace dump hook on first boot).
+// any other hook a test installed.
 class CheckFailureHookTest : public ::testing::Test {
  protected:
   void SetUp() override { saved_ = SetCheckFailureHook(nullptr); }
-  void TearDown() override {
-    SetCheckFailureHook(saved_);
-    SetTraceEnabled(false);
-    TraceClear();
-  }
+  void TearDown() override { SetCheckFailureHook(saved_); }
 
   CheckFailureHook saved_ = nullptr;
 };
@@ -690,20 +765,41 @@ TEST_F(CheckFailureHookTest, SetAndGetRoundTrip) {
 }
 
 TEST_F(CheckFailureHookTest, InstallTraceCrashDumpClaimsOnlyTheFreeSlot) {
-  // A custom hook is never clobbered.
+  // Enabling a trace never clobbers a custom hook, and disabling a trace
+  // that does not hold the slot leaves the custom hook in place.
   SetCheckFailureHook(&MarkerHook);
-  InstallTraceCrashDump();
+  Trace trace;
+  trace.SetEnabled(true);
+  EXPECT_EQ(GetCheckFailureHook(), &MarkerHook);
+  trace.SetEnabled(false);
   EXPECT_EQ(GetCheckFailureHook(), &MarkerHook);
 
-  // With the slot free, the trace dump registers; a second install is a
-  // no-op (idempotent re-registration after the fatal path self-clears).
+  // With the slot free, enabling registers the trace's dump; enabling again
+  // is a no-op (idempotent re-registration after the fatal path self-clears).
   SetCheckFailureHook(nullptr);
-  InstallTraceCrashDump();
+  trace.SetEnabled(true);
   const CheckFailureHook installed = GetCheckFailureHook();
   ASSERT_NE(installed, nullptr);
   EXPECT_NE(installed, &MarkerHook);
-  InstallTraceCrashDump();
+  trace.SetEnabled(true);
   EXPECT_EQ(GetCheckFailureHook(), installed);
+  // A second trace finds the slot taken.
+  {
+    Trace other;
+    other.SetEnabled(true);
+    EXPECT_EQ(GetCheckFailureHook(), installed);
+  }
+  EXPECT_EQ(GetCheckFailureHook(), installed);
+
+  // Disabling the holder frees the slot; so does destroying it.
+  trace.SetEnabled(false);
+  EXPECT_EQ(GetCheckFailureHook(), nullptr);
+  {
+    Trace scoped;
+    scoped.SetEnabled(true);
+    EXPECT_EQ(GetCheckFailureHook(), installed);
+  }
+  EXPECT_EQ(GetCheckFailureHook(), nullptr);
 }
 
 using CheckFailureHookDeathTest = CheckFailureHookTest;
@@ -712,12 +808,10 @@ TEST_F(CheckFailureHookDeathTest, FatalCheckDumpsTheFlightRecorder) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        SetTraceEnabled(true);
-        TraceClear();
-        SB_TRACE_EVENT(TraceEventType::kCallStart, 100, 0, 7, 8);
-        SB_TRACE_EVENT(TraceEventType::kCallEnd, 200, 0, 7, 8);
-        SetCheckFailureHook(nullptr);
-        InstallTraceCrashDump();
+        Trace trace;
+        trace.SetEnabled(true);
+        trace.Emit(TraceEventType::kCallStart, 100, 0, 7, 8);
+        trace.Emit(TraceEventType::kCallEnd, 200, 0, 7, 8);
         SB_CHECK(false) << "flight-recorder-test";
       },
       "flight-recorder-test[^\r]*\r?\n[^\r]*trace flight recorder \\(2 of 2 events\\)");
@@ -727,11 +821,9 @@ TEST_F(CheckFailureHookDeathTest, DumpNamesTheRecordedEvents) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        SetTraceEnabled(true);
-        TraceClear();
-        SB_TRACE_EVENT(TraceEventType::kCallAborted, 42, 1, 3, 4);
-        SetCheckFailureHook(nullptr);
-        InstallTraceCrashDump();
+        Trace trace;
+        trace.SetEnabled(true);
+        trace.Emit(TraceEventType::kCallAborted, 42, 1, 3, 4);
         SB_CHECK(false) << "boom";
       },
       "seq=0 cycles=42 core=1 call_aborted arg0=3 arg1=4");
