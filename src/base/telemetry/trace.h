@@ -6,7 +6,7 @@
 // plain fields: the enabled flag, a kTraceRingCapacity-record ring that the
 // first SetEnabled(true) allocates (an untraced machine holds none), the
 // count of records written since the last Clear() (each record's seq), and
-// the call-id counter with its one pending id (span.h). While tracing is
+// the call-id counter with its one pending id. While tracing is
 // disabled — the default — an SB_TRACE_EVENT site is two loads (the core's
 // trace pointer, then the flag) and an untaken branch; it never allocates and
 // never advances simulated cycles.
@@ -53,7 +53,7 @@ enum class TraceEventType : uint8_t {
                     //   arg0=server pid, arg1=attempt.
   // ---- Batch lifecycle + per-call spans (DESIGN.md section 14) ----
   // Every span event carries the 64-bit call id in arg0 (Trace allocates
-  // ids; BuildSpans groups records by them).
+  // ids; grouping records by them rebuilds each call's span).
   kBatchEnqueue,     // SubmitCall queued an entry. arg0=call id, arg1=token.
   kBatchFlushStart,  // FlushBatch crossing entered. arg0=crossing call id,
                      //   arg1=pending entries.
@@ -117,7 +117,14 @@ class Trace {
   // Records the ring can hold: 0 until tracing is first enabled.
   size_t ring_capacity() const { return ring_.size(); }
 
-  // ---- Call ids (span.h) ----
+  // ---- Call ids ----
+  // A call id is allocated at submission and rides the CallContext and the
+  // batch-ring descriptor, so every span event of one call carries it. The
+  // handoff is the one pending id: an open-loop generator allocates the id
+  // at the intended arrival cycle, emits kSpanArrival and parks the id; the
+  // machine's next SkyBridge submission adopts it. Call sites that never
+  // pre-announce get a fresh id. Clear() restarts the ids with the
+  // sequence, so a replayed scenario's fingerprint is deterministic.
   // Next id (the first is 1; 0 means "none").
   uint64_t AllocCallId() { return next_call_id_++; }
   // Parks `id`; the next TakeCallId() returns it.

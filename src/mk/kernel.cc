@@ -3,8 +3,6 @@
 #include "src/base/logging.h"
 #include "src/base/telemetry/trace.h"
 #include "src/base/units.h"
-#include "src/mk/notification.h"
-#include "src/mk/scheduler.h"
 
 namespace mk {
 namespace {
@@ -173,11 +171,6 @@ Endpoint* Kernel::endpoint(uint64_t id) {
   return endpoints_[id].get();
 }
 
-Notification* Kernel::CreateNotification() {
-  notifications_.push_back(std::make_unique<Notification>(this, notifications_.size()));
-  return notifications_.back().get();
-}
-
 sb::StatusOr<CapSlot> Kernel::GrantEndpointCap(Process* to, uint64_t endpoint_id,
                                                uint32_t rights) {
   if (endpoint(endpoint_id) == nullptr) {
@@ -242,39 +235,10 @@ sb::Status Kernel::MigrateThread(Thread* thread, int dest_core, bool eager_insta
   return ContextSwitchInternal(core, thread->process(), EptpInstallReason::kMigration);
 }
 
-void Kernel::RegisterScheduler(int core_id, Scheduler* scheduler) {
-  if (core_id < 0) {
-    return;
-  }
-  if (schedulers_.size() <= static_cast<size_t>(core_id)) {
-    schedulers_.resize(static_cast<size_t>(core_id) + 1, nullptr);
-  }
-  schedulers_[static_cast<size_t>(core_id)] = scheduler;
-}
-
-void Kernel::UnregisterScheduler(int core_id, Scheduler* scheduler) {
-  if (core_id < 0 || schedulers_.size() <= static_cast<size_t>(core_id)) {
-    return;
-  }
-  if (schedulers_[static_cast<size_t>(core_id)] == scheduler) {
-    schedulers_[static_cast<size_t>(core_id)] = nullptr;
-  }
-}
-
-mk::Scheduler* Kernel::scheduler(int core_id) const {
-  if (core_id < 0 || schedulers_.size() <= static_cast<size_t>(core_id)) {
-    return nullptr;
-  }
-  return schedulers_[static_cast<size_t>(core_id)];
-}
-
-void Kernel::FinishAbortedCall(hw::Core& core, Thread* caller) {
-  // The unwind runs on the kernel path: entry, make the caller runnable
-  // again (its synchronous call will never return normally), exit.
+void Kernel::FinishAbortedCall(hw::Core& core) {
+  // The unwind runs on the kernel path: one kernel entry and exit, after
+  // which the caller's call returns Aborted instead of a reply.
   SyscallEnter(core);
-  if (Scheduler* sched = scheduler(core.id()); sched != nullptr) {
-    sched->UnblockAborted(caller, /*priority=*/0);
-  }
   SyscallExit(core);
 }
 

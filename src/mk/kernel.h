@@ -42,8 +42,6 @@
 namespace mk {
 
 class Kernel;
-class Notification;
-class Scheduler;
 
 // Execution environment handed to an endpoint handler. The handler runs in
 // the *server's* address space on `core`; all memory access goes through the
@@ -137,12 +135,6 @@ class Kernel {
   Endpoint* endpoint(uint64_t id);
   sb::StatusOr<CapSlot> GrantEndpointCap(Process* to, uint64_t endpoint_id, uint32_t rights);
 
-  // ---- Notifications ----
-  // Creates a kernel-owned notification object (Section 8 async primitive;
-  // also the parking path for SkyBridge batch completions). Lives as long
-  // as the kernel.
-  Notification* CreateNotification();
-
   // ---- Context switching ----
   // Switches `core` to `process` (CR3 write + EPTP list install when
   // virtualized). This is the scheduler's dispatch tail.
@@ -171,21 +163,11 @@ class Kernel {
   // through the dispatch switch / stale-slot retry fallback.
   sb::Status MigrateThread(Thread* thread, int dest_core, bool eager_install = true);
 
-  // ---- Scheduler registry ----
-  // Schedulers self-register at construction so kernel-initiated wakeups
-  // (e.g. unblocking the caller of an aborted SkyBridge call) can reach the
-  // core's ready queue. Kernels without schedulers (most benches) simply have
-  // no entry and the wakeup is a no-op.
-  void RegisterScheduler(int core_id, Scheduler* scheduler);
-  void UnregisterScheduler(int core_id, Scheduler* scheduler);
-  Scheduler* scheduler(int core_id) const;
-
   // ---- Abort unwind (SkyBridge crash recovery, DESIGN.md section 10) ----
   // The Subkernel's half of the abort protocol: after the Rootkernel has
   // forced the core back to the caller's EPT view and the trampoline frame
-  // has been popped, the kernel completes the unwind on the syscall path and
-  // makes the aborted caller runnable again through the core's scheduler.
-  void FinishAbortedCall(hw::Core& core, Thread* caller);
+  // has been popped, the kernel completes the unwind on the syscall path.
+  void FinishAbortedCall(hw::Core& core);
 
   // Reads the identity page (Section 4.2): which process does the hardware
   // translation context say is running? Requires the identity VA mapping.
@@ -262,9 +244,7 @@ class Kernel {
   uint64_t next_pid_ = 1;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::vector<std::unique_ptr<Notification>> notifications_;
   std::vector<Process*> current_;
-  std::vector<Scheduler*> schedulers_;  // Indexed by core id; sparse.
   // Pre-computed warm-cache cost of the kernel footprint touches, subtracted
   // from the calibrated logic constants to avoid double counting.
   uint64_t warm_footprint_cycles_ = 0;

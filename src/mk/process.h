@@ -138,11 +138,6 @@ class Process {
     }
     return &caps_[slot];
   }
-  void RevokeCap(CapSlot slot) {
-    if (slot < caps_.size()) {
-      caps_[slot] = Capability{};
-    }
-  }
   size_t cap_count() const { return caps_.size(); }
 
   // ---- Threads ----

@@ -45,8 +45,6 @@ class EptpBackend : public CrossingBackend {
     return kCaps;
   }
 
-  uint64_t LegCycles(const hw::CostModel& costs) const override { return costs.vmfunc; }
-
   sb::Status Enter(CallContext& ctx) const override {
     hw::Core& core = *ctx.core;
     hw::CycleScope vmfunc(core, hw::Bucket::kVmfunc);
@@ -100,8 +98,6 @@ class MpkBackend : public CrossingBackend {
                                        /*kernel_mediated_abort=*/true};
     return kCaps;
   }
-
-  uint64_t LegCycles(const hw::CostModel& costs) const override { return costs.wrpkru; }
 
   hw::Gva trampoline_va() const override { return mk::kMpkTrampolineVa; }
 
@@ -169,10 +165,6 @@ class SyscallBackend : public CrossingBackend {
                                        /*uses_trampoline=*/false,
                                        /*kernel_mediated_abort=*/false};
     return kCaps;
-  }
-
-  uint64_t LegCycles(const hw::CostModel& costs) const override {
-    return costs.syscall_insn + costs.cr3_write + costs.sysret_insn;
   }
 
   sb::Status Enter(CallContext& ctx) const override {

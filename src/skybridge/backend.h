@@ -71,11 +71,6 @@ class CrossingBackend {
   const char* name() const { return CrossingBackendName(kind_); }
   virtual const BackendCaps& caps() const = 0;
 
-  // Architectural cost of one crossing leg's switch primitive (the VMFUNC /
-  // WRPKRU / syscall+CR3+sysret component — trampoline and copy legs are
-  // charged separately by the pipeline).
-  virtual uint64_t LegCycles(const hw::CostModel& costs) const = 0;
-
   // The trampoline page this backend's crossings fetch through (meaningful
   // only when caps().uses_trampoline).
   virtual hw::Gva trampoline_va() const { return mk::kTrampolineVa; }
@@ -85,7 +80,7 @@ class CrossingBackend {
   // Return leg: cross back to the entry domain.
   virtual sb::Status Return(CallContext& ctx) const = 0;
   // Crash unwind: restore the entry domain after the handler died (the
-  // view/address-space half only — frame pop and kernel wakeup are common
+  // view/address-space half only — frame pop and kernel unwind are common
   // and stay in the gate).
   virtual sb::Status Abort(CallContext& ctx) const = 0;
 

@@ -72,7 +72,7 @@ struct BatchRingView {
     uint32_t reply_len;
     uint32_t status;     // 0 pending, else 1 + ErrorCode.
     uint32_t pad;
-    // Span-tracing call id (span.h): rides the descriptor so the drain and
+    // Span-tracing call id (trace.h): rides the descriptor so the drain and
     // the final poll attribute their trace events to the submitting call
     // without any host-side side table.
     uint64_t call_id;

@@ -18,7 +18,7 @@ namespace {
 // client's key-echo compare and 4 for the server stack install. The flat
 // charge is the remainder, 2 x 44 + 40 = 2 x 64, so the measured roundtrip
 // lands on 2 x (134 + 64) = 396.
-constexpr uint64_t kTrampolineLegCycles = 44;
+constexpr uint64_t kTrampolineFlatCycles = 44;
 
 // Batch drain (DESIGN.md section 13): per-entry ring work on the server
 // side — descriptor read, completion-status publish, sq_head advance. Kept
@@ -47,7 +47,7 @@ Gate::Gate(mk::Kernel& kernel, const SkyBridgeConfig& config)
 }
 
 void Gate::ChargeTrampolineLeg(hw::Core& core, hw::Gva trampoline_va) const {
-  core.AdvanceCycles(kTrampolineLegCycles, hw::Bucket::kOthers);
+  core.AdvanceCycles(kTrampolineFlatCycles, hw::Bucket::kOthers);
   (void)core.FetchCode(trampoline_va, 128);
 }
 
@@ -96,7 +96,7 @@ sb::Status Gate::AbortServerCrash(CallContext& ctx) const {
   // The server thread dies mid-handler, stranding the client in the
   // server's domain. The backend restores the entry domain (Rootkernel
   // kAbortToView for view-switch backends, a kernel reschedule for the
-  // syscall fastpath), then the frame pop and caller wakeup are common.
+  // syscall fastpath), then the frame pop and the kernel unwind are common.
   aborted_calls_->Add();
   ctx.backend->RecordAbort();
   SB_TRACE_EVENT(core, TraceEventType::kCallAborted, ctx.proc->pid(), ctx.server->process->pid());
@@ -107,7 +107,7 @@ sb::Status Gate::AbortServerCrash(CallContext& ctx) const {
     // The popped frame's restore leg.
     ChargeTrampolineLeg(core, ctx.backend->trampoline_va());
   }
-  kernel_->FinishAbortedCall(core, ctx.caller);
+  kernel_->FinishAbortedCall(core);
   RecordPhases(ctx);
   return sb::Aborted("server thread crashed mid-handler; call aborted");
 }
@@ -136,8 +136,8 @@ Gate::ReplyVerdict Gate::ClassifyReply(const CallContext& ctx, const mk::Message
   return verdict;
 }
 
-Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring, uint64_t& head,
-                                    const std::function<void()>& refill) const {
+Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
+                                    uint64_t& head) const {
   hw::Core& core = *ctx.core;
   DrainOutcome out;
   const uint64_t drain_start = core.cycles();
@@ -147,41 +147,24 @@ Gate::DrainOutcome Gate::DrainBatch(CallContext& ctx, const BatchRingView& ring,
                            ctx.perm->key_slot * kServerStackBytes;
   (void)core.TouchData(stack_va + kServerStackBytes - 64, 64, true);
 
-  uint32_t rounds_left = kMaxDrainRounds;
-  while (rounds_left-- > 0) {
-    // Re-poll the doorbell: submissions that arrived during the previous
-    // round drain on this crossing too (adaptive drain). The client writes
-    // the tail, so it is read once per round and accepted only within one
-    // ring of the drain's own head.
-    const uint64_t tail = ring.LoadTail();
-    if (tail - head > ring.entries) {
-      gate_rejections_->Add();
-      out.bad_tail = true;
+  // The client writes the tail, so it is read once and accepted only within
+  // one ring of the drain's own head.
+  const uint64_t tail = ring.LoadTail();
+  if (tail - head > ring.entries) {
+    gate_rejections_->Add();
+    out.bad_tail = true;
+  }
+  while (!out.bad_tail && head != tail && !out.crashed) {
+    // DoS defence: stop between entries once the drain overruns the
+    // timeout; the rest stay pending for the next flush.
+    if (out.completed > 0 && core.cycles() - drain_start > kHandlerTimeoutCycles) {
+      out.timed_out = true;
       break;
     }
-    if (head == tail) {
-      break;
-    }
-    ++out.rounds;
-    while (head != tail && !out.crashed) {
-      // DoS defence: stop between entries once the drain overruns the
-      // timeout; the rest stay pending for the next flush.
-      if (out.completed > 0 && core.cycles() - drain_start > kHandlerTimeoutCycles) {
-        out.timed_out = true;
-        break;
-      }
-      const Completion done = DrainEntry(ctx, ring, head, out);
-      ring.PostCompletion(head, done.reply_tag, done.reply_len, done.code);
-      ring.PublishHead(++head);
-      ++out.completed;
-    }
-    if (out.crashed || out.timed_out) {
-      break;
-    }
-    if (rounds_left > 0 && refill) {
-      OutsideGate outside(ctx);
-      refill();
-    }
+    const Completion done = DrainEntry(ctx, ring, head, out);
+    ring.PostCompletion(head, done.reply_tag, done.reply_len, done.code);
+    ring.PublishHead(++head);
+    ++out.completed;
   }
   phase_drain_->Record(core.cycles() - drain_start);
   return out;

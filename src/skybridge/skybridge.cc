@@ -7,7 +7,6 @@
 #include "src/base/faultpoint.h"
 #include "src/base/logging.h"
 #include "src/base/telemetry/trace.h"
-#include "src/mk/notification.h"
 #include "src/vmm/rootkernel.h"
 
 namespace skybridge {
@@ -532,7 +531,6 @@ sb::StatusOr<SkyBridge::BatchConn*> SkyBridge::GetBatchConn(mk::Thread* caller,
   conn.slice = slice;
   conn.ring = ring;
   conn.slot_token.assign(ring.entries, kFreeSlot);
-  conn.notify = kernel_->CreateNotification();
   return &conn;
 }
 
@@ -675,10 +673,6 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
     metrics_.revoked_rejections->Add();
     metrics_.rejected_calls->Add();
     FailPendingClientSide(*conn, sb::ErrorCode::kPermissionDenied);
-    if (conn->wait_armed) {
-      conn->wait_armed = false;
-      (void)conn->notify->Signal(core, 1);
-    }
     return sb::OkStatus();
   }
   metrics_.ring_depth->SetMax(pending);
@@ -718,10 +712,11 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
     SB_RETURN_IF_ERROR(gate_.ReturnToEntry(ctx));
     return sb::PermissionDenied("calling key rejected");
   }
-  const Gate::DrainOutcome outcome =
-      gate_.DrainBatch(ctx, ring, conn->drain_head, batch_refill_);
+  const Gate::DrainOutcome outcome = gate_.DrainBatch(ctx, ring, conn->drain_head);
   metrics_.batch_flushes->Add();
-  metrics_.drain_rounds->Add(outcome.rounds);
+  if (outcome.completed > 0) {
+    metrics_.drain_rounds->Add();
+  }
   if (outcome.timed_out) {
     metrics_.timeouts->Add();
   }
@@ -734,66 +729,17 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id) {
     // Handler died mid-drain. Entries it completed (including the Aborted
     // one) are posted; untouched entries stay pending for the next flush.
     SB_TRACE_EVENT(core, TraceEventType::kBatchFlushEnd, ctx.call_id, outcome.completed);
-    const sb::Status abort = gate_.AbortServerCrash(ctx);
-    if (conn->wait_armed && outcome.completed > 0) {
-      conn->wait_armed = false;
-      (void)conn->notify->Signal(core, 1);
-    }
-    return abort;
+    return gate_.AbortServerCrash(ctx);
   }
   SB_RETURN_IF_ERROR(gate_.ReturnToEntry(ctx));
   gate_.VerifyReturnKey(ctx);
   gate_.RecordPhases(ctx);
   SB_TRACE_EVENT(core, TraceEventType::kBatchFlushEnd, ctx.call_id, outcome.completed);
   SB_TRACE_EVENT(core, TraceEventType::kCallEnd, ctx.proc->pid(), ctx.server->process->pid());
-  if (conn->wait_armed && outcome.completed > 0) {
-    // Completion notification: one Signal per crossing, only when a waiter
-    // parked — the poll-only fast path never pays the syscall.
-    conn->wait_armed = false;
-    (void)conn->notify->Signal(core, 1);
-  }
   if (outcome.bad_tail) {
     return sb::OutOfRange("batch ring tail outside the drain's bounds; crossing refused");
   }
   return sb::OkStatus();
-}
-
-sb::StatusOr<mk::Message> SkyBridge::WaitCompletion(mk::Thread* caller, ServerId server_id,
-                                                    uint64_t token) {
-  // Progress argument: every iteration either resolves the poll, flushes
-  // (posting >= 1 completion, or Aborted with the crashed entry posted), or
-  // parks on the notification; the bound only guards against a pathological
-  // fault schedule crashing every crossing.
-  for (int attempt = 0; attempt < 1024; ++attempt) {
-    auto reply = PollCompletion(caller, server_id, token);
-    if (reply.ok() || reply.status().code() != sb::ErrorCode::kUnavailable) {
-      return reply;
-    }
-    const sb::Status flushed = FlushBatch(caller, server_id);
-    if (flushed.code() == sb::ErrorCode::kAborted) {
-      continue;  // Crash mid-drain: re-poll; our entry may need another flush.
-    }
-    SB_RETURN_IF_ERROR(flushed);
-    auto after = PollCompletion(caller, server_id, token);
-    if (after.ok() || after.status().code() != sb::ErrorCode::kUnavailable) {
-      return after;
-    }
-    // Still pending with nothing left to flush here: park on the kernel
-    // notification path until a concurrent flush posts completions.
-    Binding* perm = routes_.Lookup(caller, server_id);
-    BatchConn* conn = perm != nullptr ? FindBatchConn(perm, caller->tid()) : nullptr;
-    if (conn == nullptr) {
-      return sb::Internal("batch connection vanished under a waiter");
-    }
-    conn->wait_armed = true;
-    hw::Core& core = kernel_->machine().core(caller->core_id());
-    auto badges = conn->notify->Wait(core);
-    if (!badges.ok()) {
-      conn->wait_armed = false;
-      return sb::Unavailable("completion pending and no flush in flight");
-    }
-  }
-  return sb::Internal("WaitCompletion did not converge");
 }
 
 sb::StatusOr<std::vector<SkyBridge::BatchEntryResult>> SkyBridge::CallBatch(

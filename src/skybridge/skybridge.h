@@ -34,7 +34,6 @@
 #define SRC_SKYBRIDGE_SKYBRIDGE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -155,23 +154,14 @@ class SkyBridge {
   sb::StatusOr<mk::Message> PollCompletion(mk::Thread* caller, ServerId server_id,
                                            uint64_t token);
 
-  // Blocking completion wait: flushes the connection's pending submissions
-  // if `token` is not yet complete, and otherwise parks on the kernel
-  // notification path (mk::Notification) until a concurrent flush posts the
-  // completion.
-  sb::StatusOr<mk::Message> WaitCompletion(mk::Thread* caller, ServerId server_id,
-                                           uint64_t token);
-
   // Drains every pending submission of the caller's connection in ONE
-  // VMFUNC crossing (the batch-dispatch leg). With submissions arriving
-  // during the drain (SetBatchRefill), the server keeps draining up to
-  // kMaxDrainRounds rounds, and at most kHandlerTimeoutCycles,
-  // before returning; entries it did not reach complete on a later flush.
-  // No-op when nothing is pending. Aborted when the handler crashed
+  // VMFUNC crossing (the batch-dispatch leg), for at most
+  // kHandlerTimeoutCycles; entries it did not reach complete on a later
+  // flush. No-op when nothing is pending. Aborted when the handler crashed
   // mid-drain — completions already posted stay posted, untouched entries
   // complete on the next flush. OutOfRange when a ring index is corrupt: a
   // header head outside [drain head, tail] (no crossing), or a tail more
-  // than one ring past the drain's head (the drain stops there). On a
+  // than one ring past the drain's head (the crossing drains nothing). On a
   // revoked binding, posts PermissionDenied completions client-side without
   // crossing.
   sb::Status FlushBatch(mk::Thread* caller, ServerId server_id);
@@ -189,12 +179,6 @@ class SkyBridge {
   };
   sb::StatusOr<std::vector<BatchEntryResult>> CallBatch(mk::Thread* caller, ServerId server_id,
                                                         std::span<const mk::Message> msgs);
-
-  // Hook invoked between server drain rounds — models the client core
-  // producing new submissions while the server drains (the adaptive-drain
-  // experiment). Null disables (the default: one round drains what was
-  // pending at entry).
-  void SetBatchRefill(std::function<void()> refill) { batch_refill_ = std::move(refill); }
 
   // Simulates a malicious caller that skips registration / forges a key;
   // returns the error the legitimate path produces (for the security tests).
@@ -398,7 +382,7 @@ class SkyBridge {
     // Batched + async IPC.
     sb::telemetry::Counter* batched_calls;
     sb::telemetry::Counter* batch_flushes;
-    sb::telemetry::Counter* drain_rounds;
+    sb::telemetry::Counter* drain_rounds;  // Flushes that drained >= 1 entry.
     sb::telemetry::Gauge* ring_depth;  // High-water pending depth at flush.
     // Staged registration pipeline.
     sb::telemetry::Counter* exec_faults;
@@ -427,8 +411,6 @@ class SkyBridge {
     // it; the drain never reads it back, and the client reads the header
     // copy only to check it.
     uint64_t drain_head = 0;
-    mk::Notification* notify = nullptr;  // Completion parking (WaitCompletion).
-    bool wait_armed = false;        // A waiter parked; flush signals it.
   };
   // Resolves (and on first use creates, carving the ring) the caller's
   // batch connection to `server_id`. Refuses revoked bindings — used on the
@@ -486,7 +468,6 @@ class SkyBridge {
   // Batch connections, keyed by (binding, tid). std::map keeps BatchConn
   // addresses stable across inserts.
   std::map<std::pair<const Binding*, int>, BatchConn> batch_conns_;
-  std::function<void()> batch_refill_;
 };
 
 }  // namespace skybridge

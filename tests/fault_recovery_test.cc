@@ -18,7 +18,6 @@
 #include "src/base/faultpoint.h"
 #include "src/base/telemetry/trace.h"
 #include "src/hw/phys_mem.h"
-#include "src/mk/scheduler.h"
 #include "src/vmm/rootkernel.h"
 #include "tests/crossing_grid.h"
 
@@ -210,25 +209,6 @@ TEST_P(FaultRecoveryTest, NestedHandlerCrashAbortsInnerCallOnly) {
   EXPECT_EQ(inner_status.code(), ErrorCode::kAborted);
   EXPECT_EQ(Metric("skybridge.ipc.aborted_calls"), 1u);
   ExpectHealthy();
-}
-
-TEST_P(FaultRecoveryTest, AbortUnblocksTheCallerViaTheScheduler) {
-  Boot();
-  mk::Scheduler scheduler(kernel_.get(), 0);
-  Pair p = MakePair(EchoHandler());
-  ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
-
-  sb::fault::Arm(kFaultHandlerCrash);
-  ASSERT_FALSE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
-  // The aborted caller was made runnable again, at the front of its queue.
-  EXPECT_EQ(scheduler.abort_unblocks(), 1u);
-  EXPECT_TRUE(scheduler.IsQueued(p.thread));
-  EXPECT_EQ(Metric("mk.sched.abort_unblocks"), 1u);
-
-  // The wakeup is idempotent: a second abort does not double-queue.
-  ASSERT_FALSE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
-  EXPECT_EQ(scheduler.abort_unblocks(), 2u);
-  EXPECT_EQ(scheduler.ready_count(), 1u);
 }
 
 // ---- skybridge.call.pre_vmfunc: stale EPTP slot between lookup and VMFUNC ----

@@ -11,10 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "src/base/telemetry/span.h"
 #include "src/hw/machine.h"
 #include "src/mk/kernel.h"
 #include "src/skybridge/skybridge.h"
+#include "tests/trace_spans.h"
 
 namespace sim {
 namespace {

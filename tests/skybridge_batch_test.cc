@@ -1,6 +1,6 @@
 // Batched + asynchronous IPC (DESIGN.md section 13): submission/completion
 // rings, the batch-dispatch drain leg, per-entry fault semantics, the
-// free-list slice allocator, and the async Submit/Poll/Wait API.
+// free-list slice allocator, and the async Submit/Flush/Poll API.
 
 #include "src/skybridge/skybridge.h"
 
@@ -223,25 +223,6 @@ TEST_F(BatchTest, DoublePollIsAnExplicitError) {
   ASSERT_TRUE(sky_->PollCompletion(p.thread, p.sid, *token).ok());
   auto again = sky_->PollCompletion(p.thread, p.sid, *token);
   EXPECT_EQ(again.status().code(), ErrorCode::kInvalidArgument);
-}
-
-// ---- Async API: WaitCompletion ----
-
-TEST_F(BatchTest, WaitCompletionFlushesImplicitly) {
-  Boot();
-  Pair p = MakePair(EchoHandler());
-  auto t0 = sky_->SubmitCall(p.thread, p.sid, Payload(1, "a"));
-  auto t1 = sky_->SubmitCall(p.thread, p.sid, Payload(2, "b"));
-  ASSERT_TRUE(t0.ok());
-  ASSERT_TRUE(t1.ok());
-  // No explicit FlushBatch: the wait drives the crossing.
-  auto reply = sky_->WaitCompletion(p.thread, p.sid, *t1);
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->ToString(), "b");
-  // The flush drained the whole ring; t0 is already complete.
-  EXPECT_TRUE(sky_->PollCompletion(p.thread, p.sid, *t0).ok());
-  EXPECT_EQ(Metric("skybridge.ipc.batch_flushes"), 1u);
-  ExpectHealthy();
 }
 
 // ---- Fault semantics during a batch (PR 4 catalog, batched) ----
@@ -641,64 +622,6 @@ TEST_F(BatchTest, DrainStopsAtTheTimeoutAndLeavesTheRestPending) {
   ExpectHealthy();
 }
 
-// ---- Adaptive drain: submissions arriving during the drain ----
-
-TEST_F(BatchTest, AdaptiveDrainPicksUpRefillRounds) {
-  Boot();
-  Pair p = MakePair(EchoHandler());
-
-  // The refill hook models the client core producing while the server
-  // drains: two extra submissions per round, six total.
-  int refills_left = 3;
-  std::vector<uint64_t> refill_tokens;
-  sky_->SetBatchRefill([&] {
-    if (refills_left-- <= 0) {
-      return;
-    }
-    for (int i = 0; i < 2; ++i) {
-      auto token = sky_->SubmitCall(p.thread, p.sid, Message(100));
-      if (token.ok()) {
-        refill_tokens.push_back(*token);
-      }
-    }
-  });
-
-  auto t0 = sky_->SubmitCall(p.thread, p.sid, Message(1));
-  ASSERT_TRUE(t0.ok());
-  ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
-  sky_->SetBatchRefill(nullptr);
-
-  // One crossing, multiple rounds: the refilled entries completed without
-  // another VMFUNC.
-  EXPECT_TRUE(sky_->PollCompletion(p.thread, p.sid, *t0).ok());
-  EXPECT_EQ(refill_tokens.size(), 6u);
-  for (const uint64_t token : refill_tokens) {
-    EXPECT_TRUE(sky_->PollCompletion(p.thread, p.sid, token).ok());
-  }
-  EXPECT_EQ(Metric("skybridge.ipc.batch_flushes"), 1u);
-  EXPECT_GE(Metric("skybridge.ipc.drain_rounds"), 3u);
-  ExpectHealthy();
-}
-
-TEST_F(BatchTest, DrainRoundsBoundedByConfig) {
-  Boot();
-  Pair p = MakePair(EchoHandler());
-
-  // An unbounded refill source: the drain must stop after kMaxDrainRounds
-  // and leave the rest for the next flush.
-  sky_->SetBatchRefill([&] {
-    (void)sky_->SubmitCall(p.thread, p.sid, Message(7));
-  });
-  ASSERT_TRUE(sky_->SubmitCall(p.thread, p.sid, Message(1)).ok());
-  ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
-  sky_->SetBatchRefill(nullptr);
-
-  EXPECT_EQ(Metric("skybridge.ipc.drain_rounds"), kMaxDrainRounds);
-  // The last refilled entry is still pending; a second flush finishes it.
-  ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
-  ExpectHealthy();
-}
-
 // ---- The free-list slice allocator (the old tid % slices collision) ----
 
 TEST_F(BatchTest, SliceAllocatorHandsOutDistinctSlicesAndExhausts) {
@@ -752,19 +675,19 @@ TEST_F(BatchTest, QueuedSubmissionInvariantsHold) {
 //
 // Both ends of the ring can write every shared byte. These tests scribble
 // them from a fixed seed in two modes:
-//   client: between submit and flush, and from the refill hook mid-drain,
-//           the tail (and the head), the descriptors and the payload bytes;
+//   client: between submit and flush, and from inside the handler
+//           mid-drain, the tail (and the head), the descriptors and the
+//           payload bytes;
 //   server: from inside the handler, the head, any descriptor (completed
 //           ones included) and the payload bytes.
 // The oracle, after every flush: the flush returns OK or OutOfRange and each
 // poll an in-bounds reply or an error; no handler sees a byte past its
-// entry; the handler runs at most entries x kMaxDrainRounds times per
-// crossing (checked inside the handler, so an unbounded drain aborts
-// instead of hanging); and CheckInvariants holds.
+// entry; the handler runs at most `entries` times per crossing (checked
+// inside the handler, so an unbounded drain aborts instead of hanging); and
+// CheckInvariants holds.
 class RingMutationTest : public BatchTest {
  protected:
   static constexpr uint32_t kEntries = kBatchRingEntries;
-  static constexpr uint32_t kDrainRounds = kMaxDrainRounds;
   static constexpr int kRoundsPerWorld = 32;
   static constexpr uint64_t kMutationsPerMode = 10000;
 
@@ -857,7 +780,7 @@ class RingMutationTest : public BatchTest {
       uint64_t checksum = 0;
       Pair p = MakePair([&](CallEnv& env) {
         // An unbounded drain would never return to a check after the flush.
-        SB_CHECK(++runs <= kEntries * kDrainRounds) << "drain ran past entries x rounds";
+        SB_CHECK(++runs <= kEntries) << "drain ran past one ring of entries";
         const std::span<const uint8_t> req = env.request.payload();
         const uint8_t* lo = env.reply_buffer.data();
         if (req.data() < lo || req.data() + req.size() > lo + env.reply_buffer.size()) {
@@ -867,20 +790,14 @@ class RingMutationTest : public BatchTest {
             checksum += b;
           }
         }
-        if (mode == Mode::kServer && rng.OneIn(2)) {
+        // Mid-crossing scribbles: the server's own, or the client's, whose
+        // core keeps running while the server drains.
+        if (mode == Mode::kServer ? rng.OneIn(2) : rng.OneIn(4)) {
           Scribble(mode, ring, rng);
           ++mutations;
         }
         return env.request;
       });
-      if (mode == Mode::kClient) {
-        sky_->SetBatchRefill([&] {
-          if (rng.OneIn(4)) {
-            Scribble(mode, ring, rng);
-            ++mutations;
-          }
-        });
-      }
       std::vector<uint64_t> outstanding;
       for (int round = 0; round < kRoundsPerWorld; ++round) {
         const uint64_t submits = rng.Range(1, kEntries);
@@ -931,7 +848,6 @@ class RingMutationTest : public BatchTest {
           return;
         }
       }
-      sky_->SetBatchRefill(nullptr);
     }
     // The run exercised completed replies too, not only rejections.
     EXPECT_GT(replies, kMutationsPerMode / 10);

@@ -267,7 +267,7 @@ TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   EXPECT_EQ(Metric("skybridge.ipc.rejected_calls"), 0u);
   EXPECT_EQ(Metric("skybridge.ipc.batched_calls"), kPairs * kBatchesPerPair * kBatchDepth);
   EXPECT_EQ(Metric("skybridge.ipc.batch_flushes"), kPairs * kBatchesPerPair);
-  EXPECT_GE(Metric("skybridge.ipc.drain_rounds"), Metric("skybridge.ipc.batch_flushes"));
+  EXPECT_EQ(Metric("skybridge.ipc.drain_rounds"), Metric("skybridge.ipc.batch_flushes"));
   EXPECT_EQ(sky_->InFlightCalls(), 0u);
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 }

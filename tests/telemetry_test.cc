@@ -13,9 +13,9 @@
 #include <sstream>
 #include <vector>
 
-#include "src/base/telemetry/span.h"
 #include "src/base/telemetry/trace.h"
 #include "src/skybridge/skybridge.h"
+#include "tests/trace_spans.h"
 
 namespace sb::telemetry {
 namespace {
